@@ -36,7 +36,8 @@
 #    metrics vs the committed BENCH_*.json baselines (scripts/bench.sh),
 # 10. builds the parallel-determinism test under -fsanitize=thread and
 #    runs it: the work-stealing compile pipeline must be race-free, not
-#    just deterministic.
+#    just deterministic. The matcher equivalence golden (4 threads,
+#    telemetry armed) and matcher_extra_test run there too.
 #
 # --fast reuses the plain ./build tree (no sanitizers), runs only the
 # tier1 gate and skips the TSAN leg: a quick pre-commit pass.
@@ -578,12 +579,18 @@ cmake -B build-tsan -S . \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j"$(nproc)" --target parallel_test support_test \
-  coverage_test profile_test
+  coverage_test profile_test match_golden_test matcher_extra_test
 build-tsan/tests/parallel_test
 build-tsan/tests/support_test --gtest_filter='StatsThreading.*'
 build-tsan/tests/coverage_test \
   --gtest_filter='CoverageRegistry.ShardsSumExactlyUnderContention:CoveragePipeline.*'
 build-tsan/tests/profile_test --gtest_filter='ProfilePipeline.*'
-echo "   parallel_test + stats/coverage/profile hammers: race-free under TSAN"
+# The matcher adds its per-tree counts to the registry once per tree; the
+# equivalence golden at 4 threads with coverage + profile armed hammers
+# that flush from concurrent matchers.
+build-tsan/tests/match_golden_test \
+  --gtest_filter='MatchGolden.FourThreadsTelemetryArmed'
+build-tsan/tests/matcher_extra_test
+echo "   parallel_test + stats/coverage/profile/matcher hammers: race-free under TSAN"
 
 echo "== all checks passed"

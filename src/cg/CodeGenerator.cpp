@@ -22,6 +22,8 @@ namespace {
 /// promises, so consumers (and the golden-schema test) see a stable key
 /// set even when a counter legitimately never fires — e.g. the peephole
 /// counters with the optimizer off, or regs.spills on spill-free input.
+/// match.chooser_invocations is always 0 (there is no tie-chooser hook;
+/// ties take the table's default) and stays only to keep gg-stats-v1.
 void touchSchemaKeys() {
   static bool Done = [] {
     StatsRegistry &S = gg::stats();
@@ -186,7 +188,7 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
           faultInject().truncatedInputSize(Input.size(), TreeOrdinal++));
       R.MatcherTokens += Input.size();
       ProfilePhaseScope PS(ProfPhase::Match);
-      MR = Target.matcher().match(Input, nullptr, Opts.Budget);
+      MR = Target.matcher().match(Input, Opts.Budget);
     }
     std::string TreeErr;
     bool TreeOk = MR.Ok;

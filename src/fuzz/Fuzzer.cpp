@@ -11,6 +11,7 @@
 #include "vaxsim/Simulator.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 using namespace gg;
@@ -53,32 +54,41 @@ std::string describeMismatch(const char *Who, const InterpResult &Ref,
   return "";
 }
 
+/// Decodes \p Toks into a statement tree (\p Partial fills open operand
+/// slots) and returns the tree's whole linearization, if it starts with
+/// exactly \p Toks: the candidate is tree-faithful.
+std::optional<std::vector<std::string>>
+relinearize(const LRDriver &D, TreeSynth &Synth, const std::vector<int> &Toks,
+            bool Partial) {
+  std::vector<std::string> Names;
+  Names.reserve(Toks.size());
+  for (int I : Toks)
+    Names.push_back(D.termName(I));
+  Program Scratch;
+  std::string Err;
+  Node *Tree = Synth.decode(Scratch, Names, Partial, Err);
+  if (!Tree)
+    return std::nullopt;
+  std::vector<std::string> Lin;
+  for (const LinToken &L : linearize(Tree))
+    Lin.push_back(L.Term);
+  if (Lin.size() < Names.size() ||
+      !std::equal(Names.begin(), Names.end(), Lin.begin()))
+    return std::nullopt;
+  return Lin;
+}
+
 } // namespace
 
 Fuzzer::Fuzzer(const VaxTarget &Target)
-    : Target(Target), Walk(Target.grammar(), Target.packed()) {
+    : Target(Target), Walk(Target.matcher().driver()) {
   // Witness candidates must be tree-faithful: decodable into a statement
   // tree whose re-linearization reproduces the candidate tokens. The
   // grammar alone is looser than the tree language (chain productions
   // accept e.g. a byte constant under a word-source Cvt terminal), and
   // the Matcher only ever parses real linearizations.
   Walk.setFilter([this](const std::vector<int> &Toks, bool Partial) {
-    std::vector<std::string> Names;
-    Names.reserve(Toks.size());
-    for (int I : Toks)
-      Names.push_back(Walk.sim().termName(I));
-    Program Scratch;
-    std::string Err;
-    Node *Tree = Synth.decode(Scratch, Names, Partial, Err);
-    if (!Tree)
-      return false;
-    std::vector<LinToken> Lin = linearize(Tree);
-    if (Lin.size() < Names.size())
-      return false;
-    for (size_t I = 0; I < Names.size(); ++I)
-      if (Lin[I].Term != Names[I])
-        return false;
-    return true;
+    return relinearize(Walk.driver(), Synth, Toks, Partial).has_value();
   });
 }
 
@@ -122,25 +132,14 @@ std::vector<SynthStmt> Fuzzer::plan(const FuzzOptions &Opts,
   // and filler leaves can carry a blocked prefix past its block point.
   // A witness whose tokens would overrun a complete tree can never be a
   // statement — the decode rejects it and the target stays uncovered.
-  std::string SynthErr;
   auto add = [&](const std::vector<int> &Toks, bool Partial) -> bool {
-    std::vector<std::string> Names;
-    Names.reserve(Toks.size());
-    for (int I : Toks)
-      Names.push_back(Walk.sim().termName(I));
-    Program Scratch;
-    Node *Tree = Synth.decode(Scratch, Names, Partial, SynthErr);
-    if (!Tree)
+    std::optional<std::vector<std::string>> Lin =
+        relinearize(Walk.driver(), Synth, Toks, Partial);
+    if (!Lin)
       return false;
     SynthStmt S;
-    for (const LinToken &L : linearize(Tree))
-      S.Tokens.push_back(L.Term);
-    if (S.Tokens.size() < Names.size())
-      return false;
-    for (size_t I = 0; I < Names.size(); ++I)
-      if (S.Tokens[I] != Names[I])
-        return false;
-    SimTrace Tr = Walk.sim().runNames(S.Tokens);
+    S.Tokens = std::move(*Lin);
+    SimTrace Tr = Walk.simulateNames(S.Tokens);
     absorb(Tr);
     S.ExpectBlocked = !Tr.Accepted;
     Out.push_back(std::move(S));
@@ -207,7 +206,7 @@ std::vector<SynthStmt> Fuzzer::plan(const FuzzOptions &Opts,
       if (!DynCov.count(D) && Reachable[D.first])
         Remaining.insert(D);
     std::set<std::pair<int, int>> StrandedHits;
-    const TableSim &Sim = Walk.sim();
+    const LRDriver &LR = Walk.driver();
     std::set<std::vector<int>> SeenStacks;
     const size_t CorpusEnd = Out.size(); // splices are not re-spliced
     for (size_t WI = 0; WI < CorpusEnd && !Remaining.empty(); ++WI) {
@@ -215,22 +214,23 @@ std::vector<SynthStmt> Fuzzer::plan(const FuzzOptions &Opts,
       std::vector<int> Idx;
       Idx.reserve(Names.size());
       for (const std::string &N : Names)
-        Idx.push_back(Sim.termIndexFor(N));
-      TableSim::Config Cfg;
+        Idx.push_back(LR.termIndexFor(N));
+      LRConfig Cfg = LR.start();
+      CascadeGuard Guard;
       std::vector<std::string> Prefix;
       for (size_t K = 0; K < Idx.size() && !Remaining.empty(); ++K) {
-        if (Idx[K] < 0 || !Sim.advance(Cfg, Idx[K], nullptr))
+        if (LR.advance(Cfg, Idx[K], Guard) != LRStatus::Shifted)
           break;
         Prefix.push_back(Names[K]);
         if (!SeenStacks.insert(Cfg.Stack).second)
           continue;
         const int Pending = Synth.pendingAfter(Prefix);
-        for (int TI = 0; TI < Sim.numTerms() && !Remaining.empty(); ++TI) {
-          if (TI == Sim.eofIndex())
+        for (int TI = 0; TI < LR.numTerms() && !Remaining.empty(); ++TI) {
+          if (TI == LR.eofIndex())
             continue;
-          TableSim::Config C2 = Cfg;
+          LRConfig C2 = Cfg;
           SimTrace Tr;
-          const bool Advanced = Sim.advance(C2, TI, &Tr);
+          const bool Advanced = LR.advance(C2, TI, Tr) == LRStatus::Shifted;
           bool Hit = false;
           for (const auto &D : Tr.DynConsults)
             Hit = Hit || Remaining.count(D);
@@ -242,8 +242,8 @@ std::vector<SynthStmt> Fuzzer::plan(const FuzzOptions &Opts,
           SimTrace FTr;
           bool FinHit = false;
           if (Advanced) {
-            TableSim::Config C3 = C2;
-            Sim.finish(C3, &FTr);
+            LRConfig C3 = C2;
+            LR.finish(C3, FTr);
             for (const auto &D : FTr.DynConsults)
               FinHit = FinHit || Remaining.count(D);
           }
@@ -252,7 +252,7 @@ std::vector<SynthStmt> Fuzzer::plan(const FuzzOptions &Opts,
           std::vector<int> W(Idx.begin(), Idx.begin() + K + 1);
           W.push_back(TI);
           std::vector<std::string> ExtNames = Prefix;
-          ExtNames.push_back(Sim.termName(TI));
+          ExtNames.push_back(LR.termName(TI));
           const int TokPending = Synth.pendingAfter(ExtNames);
           bool Claimed = false;
           if (TokPending == 0) {

@@ -60,12 +60,12 @@ struct FuzzPlanStats {
   size_t WitnessedDynPoints = 0;   ///< distinct dyn points consulted
   size_t BlockedWitnesses = 0;     ///< deliberate blocks (toxic dyn points)
   std::vector<int> ShadowedProductions;   ///< never a Reduce default
-  /// Every reduce site in a null-chooser-unreachable state (the raw
-  /// automaton reaches it, the shipped tie defaults never route there);
+  /// Every reduce site in a state the tie defaults never route into (the
+  /// raw automaton reaches it, the pipeline never does);
   /// proven dead by GrammarWalk's reachability fixpoint and excluded
   /// from the reachable denominator like the statically shadowed set.
   std::vector<int> DynShadowedProductions;
-  /// States the null-chooser pipeline provably never enters, and the dyn
+  /// States the pipeline provably never enters, and the dyn
   /// points sitting in them; both excluded from their denominators.
   std::vector<int> UnreachableStates;
   std::vector<std::pair<int, int>> UnreachableDynPoints;

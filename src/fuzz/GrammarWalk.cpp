@@ -75,13 +75,36 @@ uint64_t hashStack(const std::vector<int> &Stack) {
 
 } // namespace
 
-GrammarWalk::GrammarWalk(const Grammar &G, const PackedTables &T)
-    : G(G), T(T), Sim(G, T) {
+SimTrace GrammarWalk::simulate(const std::vector<int> &TermIdxs) const {
+  SimTrace Trace;
+  Trace.States.push_back(0); // the Matcher notes the entry visit of state 0
+  LRConfig Cfg = D.start();
+  for (int TI : TermIdxs)
+    if (D.advance(Cfg, TI, Trace) != LRStatus::Shifted)
+      return Trace;
+  Trace.Accepted = D.finish(Cfg, Trace) == LRStatus::Accepted;
+  return Trace;
+}
+
+SimTrace
+GrammarWalk::simulateNames(const std::vector<std::string> &Tokens) const {
+  std::vector<int> Idxs;
+  Idxs.reserve(Tokens.size());
+  for (const std::string &Tok : Tokens) {
+    Idxs.push_back(D.termIndexFor(Tok));
+    if (Idxs.back() < 0)
+      return SimTrace();
+  }
+  return simulate(Idxs);
+}
+
+GrammarWalk::GrammarWalk(const LRDriver &D)
+    : D(D), G(D.grammar()), T(D.tables()) {
   const std::vector<SymId> &NTs = G.nonterminals();
   const int NumNT = static_cast<int>(NTs.size());
   const int NumStates = T.numStates();
   const int NumTerms = T.numTerms();
-  const int EofIdx = Sim.eofIndex();
+  const int EofIdx = D.eofIndex();
 
   // --- k-best shortest yields per nonterminal (beamed fixpoint) ---------
   Yields.assign(NumNT, {});
@@ -256,11 +279,11 @@ GrammarWalk::GrammarWalk(const Grammar &G, const PackedTables &T)
     if (Sites[P].empty())
       Shadowed.push_back(P);
 
-  // --- null-chooser reachability refinement -----------------------------
+  // --- reachability refinement under the tie defaults -------------------
   // Raw automaton reachability over-approximates what the shipped
   // pipeline can do: a goto edge S --A--> D is only ever taken when some
   // production A <- rhs actually *reduces* with S underneath, and under
-  // the null chooser a reduction only happens where the tables' default
+  // the tie defaults a reduction only happens where the tables' default
   // action says Reduce. Walk each production's right-hand side from S
   // (shift edges for terminals, goto edges for nonterminals — optimistic
   // on nested gotos, which keeps unreachability claims sound) and demand
@@ -468,7 +491,7 @@ bool GrammarWalk::realizePathTo(int State, uint64_t Variant,
   return Variant == 0;
 }
 
-bool GrammarWalk::completeFrom(TableSim::Config Cfg, std::vector<int> &Suffix,
+bool GrammarWalk::completeFrom(LRConfig Cfg, std::vector<int> &Suffix,
                                int Depth, int &NodeBudget,
                                std::unordered_map<uint64_t, int> &Seen) {
   const uint64_t H = hashStack(Cfg.Stack);
@@ -484,8 +507,9 @@ bool GrammarWalk::completeFrom(TableSim::Config Cfg, std::vector<int> &Suffix,
     return false;
 
   {
-    TableSim::Config End = Cfg;
-    if (Sim.finish(End, nullptr)) {
+    LRConfig End = Cfg;
+    CascadeGuard Guard;
+    if (D.finish(End, Guard) == LRStatus::Accepted) {
       CompletionMemo.emplace(H, std::vector<int>{});
       return true;
     }
@@ -494,14 +518,15 @@ bool GrammarWalk::completeFrom(TableSim::Config Cfg, std::vector<int> &Suffix,
   struct Cand {
     int Dist;
     int Term;
-    TableSim::Config Cfg;
+    LRConfig Cfg;
   };
   std::vector<Cand> Cands;
-  for (int TI = 0; TI < Sim.numTerms(); ++TI) {
-    if (TI == Sim.eofIndex())
+  for (int TI = 0; TI < D.numTerms(); ++TI) {
+    if (TI == D.eofIndex())
       continue;
-    TableSim::Config Next = Cfg;
-    if (!Sim.advance(Next, TI, nullptr))
+    LRConfig Next = Cfg;
+    CascadeGuard Guard;
+    if (D.advance(Next, TI, Guard) != LRStatus::Shifted)
       continue;
     Cands.push_back({DistToAccept[Next.top()], TI, std::move(Next)});
   }
@@ -511,7 +536,7 @@ bool GrammarWalk::completeFrom(TableSim::Config Cfg, std::vector<int> &Suffix,
     return A.Term < B.Term;
   });
   if (Cands.size() > CompletionBeam)
-    Cands.resize(CompletionBeam);
+    Cands.erase(Cands.begin() + CompletionBeam, Cands.end());
 
   const size_t EntryLen = Suffix.size();
   for (Cand &C : Cands) {
@@ -528,9 +553,10 @@ bool GrammarWalk::completeFrom(TableSim::Config Cfg, std::vector<int> &Suffix,
 
 bool GrammarWalk::completeSentence(const std::vector<int> &Prefix,
                                    std::vector<int> &Out) {
-  TableSim::Config Cfg;
+  LRConfig Cfg = D.start();
+  CascadeGuard Guard;
   for (int TI : Prefix)
-    if (!Sim.advance(Cfg, TI, nullptr))
+    if (D.advance(Cfg, TI, Guard) != LRStatus::Shifted)
       return false;
   std::vector<int> Suffix;
   int Budget = CompletionNodeBudget;
@@ -553,7 +579,7 @@ bool GrammarWalk::witnessAt(int State, int FeedTerm, Pred Satisfied,
       Prefix.push_back(FeedTerm);
     std::vector<int> Full;
     if (completeSentence(Prefix, Full)) {
-      SimTrace Trace = Sim.run(Full);
+      SimTrace Trace = simulate(Full);
       if (Trace.Accepted && Satisfied(Trace) && passes(Full, false)) {
         Out = std::move(Full);
         return true;
@@ -596,7 +622,7 @@ bool GrammarWalk::witnessForProduction(int ProdId, std::vector<int> &Out) {
       if (!Derivable || Var != 0) // unexpandable, or variants exhausted
         break;
       Toks.insert(Toks.end(), Cx.Post.begin(), Cx.Post.end());
-      SimTrace Tr = Sim.run(Toks);
+      SimTrace Tr = simulate(Toks);
       if (Tr.Accepted &&
           std::find(Tr.Reduces.begin(), Tr.Reduces.end(), ProdId) !=
               Tr.Reduces.end() &&
@@ -651,7 +677,7 @@ bool GrammarWalk::witnessForDynPoint(int State, int TermIdx,
   // cascade passes \p State under the EOF lookahead. The completion
   // search tries finish() first, so a path parked right before the goto
   // into \p State ends the sentence exactly there.
-  if (TermIdx == Sim.eofIndex())
+  if (TermIdx == D.eofIndex())
     return witnessAt(State, -1, Consulted, Out);
   return witnessAt(State, TermIdx, Consulted, Out);
 }
@@ -664,7 +690,7 @@ bool GrammarWalk::blockedWitnessForDynPoint(int State, int TermIdx,
     if (!realizePathTo(State, V, Prefix))
       break;
     Prefix.push_back(TermIdx);
-    SimTrace Trace = Sim.run(Prefix);
+    SimTrace Trace = simulate(Prefix);
     if (std::find(Trace.DynConsults.begin(), Trace.DynConsults.end(), Want) !=
             Trace.DynConsults.end() &&
         passes(Prefix, true)) {

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// Derives *witness sentences* from the machine grammar and its SLR
-/// automaton: token sequences whose (simulated, null-chooser) parse
-/// provably reduces a chosen production, visits a chosen state, or
-/// consults a chosen dynamic-tie point. This is the generative half of the
+/// automaton: token sequences whose simulated parse provably reduces a
+/// chosen production, visits a chosen state, or consults a chosen
+/// dynamic-tie point. This is the generative half of the
 /// grammar-aware fuzzer — in the spirit of Samuelsson's example-based
 /// LR-table mining, but run in reverse: instead of observing which table
 /// entries a corpus uses, it *constructs* a corpus from the table entries
@@ -19,12 +19,16 @@
 ///  * Dijkstra over the automaton's shift/goto graph (goto edges cost the
 ///    minimum yield of their nonterminal) with alternate-predecessor
 ///    variants, realized into token prefixes;
-///  * a guided depth-first completion search over exact TableSim
+///  * a guided depth-first completion search over LRDriver
 ///    configurations (ordered by precomputed distance-to-accept, memoized
 ///    by stack hash) that extends any viable prefix to an accepted
 ///    sentence;
-///  * validation of every candidate against the exact simulator — the
-///    search *proposes*, the simulation *proves*.
+///  * validation of every candidate by a simulated parse — the search
+///    *proposes*, the simulation *proves*.
+///
+/// Simulated parses run the Matcher's own LRDriver under the observers
+/// below, which touch no registry: coverage is enable-only, and millions
+/// of simulated prefixes must not pollute the final corpus's artifact.
 ///
 /// Everything is deterministic: no clocks, no global RNG — variant
 /// selection is an explicit counter.
@@ -34,21 +38,82 @@
 #ifndef GG_FUZZ_GRAMMARWALK_H
 #define GG_FUZZ_GRAMMARWALK_H
 
-#include "fuzz/TableSim.h"
+#include "match/LRDriver.h"
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 namespace gg {
 
+/// Records nothing; stops a reduction cascade that no longer makes
+/// progress down the stack. A legitimate cascade runs at most one
+/// unit-production chain between two new lows; a unit cycle in corrupt
+/// tables would reduce forever without consuming input.
+struct CascadeGuard : LRObserver {
+  static constexpr size_t MaxStall = 4096;
+  size_t Low = SIZE_MAX; ///< lowest stack depth of the current cascade
+  size_t Stall = 0;      ///< reductions since the cascade last hit a new low
+
+  bool stop(const LRConfig &) { return Stall >= MaxStall; }
+  void shifted(const LRConfig &, int, int) {
+    Low = SIZE_MAX;
+    Stall = 0;
+  }
+  void reduced(const LRConfig &Cfg, int, int) {
+    if (Cfg.Stack.size() < Low) {
+      Low = Cfg.Stack.size();
+      Stall = 0;
+    } else {
+      ++Stall;
+    }
+  }
+};
+
+/// Everything one simulated parse observed, in event order: what the
+/// coverage registry would record for the same token sequence. (Why a
+/// parse blocked is the Matcher's BlockReport to tell: same driver.)
+struct SimTrace : CascadeGuard {
+  bool Accepted = false;
+  std::vector<int> Reduces;  ///< production ids, in reduction order
+  std::vector<int> States;   ///< states visited (entry 0, shifts, gotos)
+  std::vector<std::pair<int, int>> DynConsults; ///< (state, termIdx)
+  size_t Steps = 0;          ///< shift + reduce count
+
+  void shifted(const LRConfig &Cfg, int State, int TermIdx) {
+    CascadeGuard::shifted(Cfg, State, TermIdx);
+    States.push_back(Cfg.top());
+    ++Steps;
+  }
+  /// Records the consult before the goto lookup, as the Matcher does, so
+  /// a consult counts even when the default reduction then strands.
+  void reducing(const LRConfig &, int State, int TermIdx, int Prod,
+                bool Tie) {
+    if (Tie)
+      DynConsults.emplace_back(State, TermIdx);
+    Reduces.push_back(Prod);
+    ++Steps;
+  }
+  void reduced(const LRConfig &Cfg, int State, int Prod) {
+    CascadeGuard::reduced(Cfg, State, Prod);
+    States.push_back(Cfg.top());
+  }
+};
+
 class GrammarWalk {
 public:
-  GrammarWalk(const Grammar &G, const PackedTables &T);
+  explicit GrammarWalk(const LRDriver &D);
 
-  const TableSim &sim() const { return Sim; }
+  const LRDriver &driver() const { return D; }
   const Grammar &grammar() const { return G; }
+
+  /// Whole-sentence simulation from the initial configuration, by dense
+  /// terminal index. Records the entry visit of state 0 like the Matcher.
+  SimTrace simulate(const std::vector<int> &TermIdxs) const;
+  /// Whole-sentence simulation by terminal name; an unknown name blocks.
+  SimTrace simulateNames(const std::vector<std::string> &Tokens) const;
 
   /// K-best shortest terminal yields (dense term indices) for the dense
   /// nonterminal index \p NtIdx; empty when the nonterminal derives no
@@ -58,27 +123,26 @@ public:
   }
 
   /// All (state, termIdx) pairs whose action is Reduce with \p ProdId as
-  /// the static default target — the only sites a null-chooser pipeline
-  /// can ever reduce this production at.
+  /// the static default target — the only sites the pipeline can ever
+  /// reduce this production at (ties always take the default).
   const std::vector<std::pair<int, int>> &reduceSites(int ProdId) const {
     return Sites[ProdId];
   }
 
   /// Productions that are nowhere the default Reduce target: statically
   /// shadowed by a longer or earlier rule at every completing site. The
-  /// shipped pipeline (null chooser) can never reduce these; they are
-  /// reported, not hunted.
+  /// pipeline can never reduce these; they are reported, not hunted.
   const std::vector<int> &shadowedProductions() const { return Shadowed; }
 
-  /// Productions whose every reduce site sits in a state the null-chooser
-  /// pipeline can never enter (see reachableStates) — *dynamically*
-  /// shadowed: the raw automaton reaches them, the shipped tie defaults
-  /// never do. Disjoint from shadowedProductions().
+  /// Productions whose every reduce site sits in a state the pipeline can
+  /// never enter (see reachableStates) — *dynamically* shadowed: the raw
+  /// automaton reaches them, the tie defaults never do. Disjoint from
+  /// shadowedProductions().
   const std::vector<int> &dynamicallyShadowedProductions() const {
     return ShadowedDyn;
   }
 
-  /// Per-state reachability under the null chooser: a sound fixpoint
+  /// Per-state reachability under the tie defaults: a sound fixpoint
   /// refinement of raw automaton reachability. A goto edge is traversable
   /// only if some un-shadowed production of its nonterminal has a default
   /// reduce site at the state its right-hand side leads to; states fed
@@ -150,7 +214,7 @@ private:
 
   /// Guided DFS from \p Cfg; appends tokens to \p Suffix. \p NodeBudget
   /// counts down across the whole search.
-  bool completeFrom(TableSim::Config Cfg, std::vector<int> &Suffix,
+  bool completeFrom(LRConfig Cfg, std::vector<int> &Suffix,
                     int Depth, int &NodeBudget,
                     std::unordered_map<uint64_t, int> &Seen);
 
@@ -164,9 +228,9 @@ private:
     return !Filter || Filter(Toks, Partial);
   }
 
+  const LRDriver &D;
   const Grammar &G;
   const PackedTables &T;
-  TableSim Sim;
   WitnessFilter Filter;
 
   std::vector<std::vector<std::vector<int>>> Yields; ///< per dense NT idx

@@ -1,0 +1,46 @@
+//===- LRDriver.cpp - the table-driven shift/reduce loop ------------------===//
+
+#include "match/LRDriver.h"
+
+#include <cassert>
+
+using namespace gg;
+
+LRDriver::LRDriver(const Grammar &G, const PackedTables &T,
+                   size_t MaxStackDepth)
+    : G(G), T(T), MaxStackDepth(MaxStackDepth),
+      EofIdx(G.termIndex(G.eofSymbol())) {
+  assert(G.isFrozen() && "the LR driver requires a frozen grammar");
+  TermNames.resize(G.terminals().size());
+  for (SymId S : G.terminals()) {
+    TermIndex.emplace(G.symbolName(S), G.termIndex(S));
+    TermNames[G.termIndex(S)] = G.symbolName(S);
+  }
+
+  // Every edge into a state carries the symbol before the dot in its
+  // kernel items, so a state stack spells its viable prefix.
+  EntrySym.assign(T.numStates(), -1);
+  for (int S = 0; S < T.numStates(); ++S) {
+    for (int TI = 0; TI < T.numTerms(); ++TI)
+      if (const Action A = T.actionAt(S, TI); A.Kind == ActionType::Shift)
+        EntrySym[A.Target] = G.terminals()[TI];
+    for (int NI = 0; NI < T.numNonterms(); ++NI)
+      if (const int Goto = T.gotoAt(S, NI); Goto >= 0)
+        EntrySym[Goto] = G.nonterminals()[NI];
+  }
+}
+
+std::vector<std::string> LRDriver::viablePrefix(const LRConfig &Cfg) const {
+  std::vector<std::string> Names;
+  for (size_t I = 1; I < Cfg.Stack.size(); ++I)
+    Names.push_back(G.symbolName(EntrySym[Cfg.Stack[I]]));
+  return Names;
+}
+
+std::vector<std::string> LRDriver::shiftableTerms(int State) const {
+  std::vector<std::string> Names;
+  for (int TI = 0; TI < T.numTerms(); ++TI)
+    if (T.actionAt(State, TI).Kind != ActionType::Error)
+      Names.push_back(TermNames[TI]);
+  return Names;
+}

@@ -1,0 +1,176 @@
+//===- LRDriver.h - the table-driven shift/reduce loop ----------*- C++ -*-===//
+//
+// Part of the Graham-Glanville table-driven code generation reproduction.
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// The one LR driver over the packed SLR tables (paper section 3.3). It
+/// owns the action lookup, the reduce/goto, the parse-stack depth cap and
+/// the terminal-name -> index map. advance() feeds one terminal (every
+/// reduction it triggers, then the shift); finish() feeds end of input.
+/// What a parse records is up to the observer the calls are instantiated
+/// with: the Matcher's builds steps, block reports and telemetry; the
+/// fuzzer's record simulated parses without touching any registry.
+/// Deferred reduce/reduce ties are reported to the observer and always
+/// take the table's static default, the Reduce target.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef GG_MATCH_LRDRIVER_H
+#define GG_MATCH_LRDRIVER_H
+
+#include "mdl/Grammar.h"
+#include "tablegen/Packing.h"
+
+#include <cstdint>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+namespace gg {
+
+/// Why a parse stopped short of Accept.
+enum class BlockCause : uint8_t {
+  NoAction,        ///< no action for (state, lookahead): a description gap
+  UnknownTerminal, ///< the input token is not a grammar terminal at all
+  MissingGoto,     ///< no goto after a reduce, or a reduce deeper than the
+                   ///< stack (corrupt or stale tables)
+  DepthCap,        ///< the configured parse-stack depth cap was exceeded
+  Budget           ///< the request's RequestBudget stopped the parse
+                   ///< (reported by the Matcher's stop hook)
+};
+
+/// A parser configuration: the LR state stack and the depth it may not
+/// exceed. Copyable, so a search can fork a parse.
+struct LRConfig {
+  explicit LRConfig(size_t DepthCap) : DepthCap(DepthCap) {}
+  std::vector<int> Stack{0}; ///< states, bottom (state 0) to top
+  size_t DepthCap;
+  int top() const { return Stack.back(); }
+};
+
+enum class LRStatus : uint8_t { Shifted, Accepted, Blocked };
+
+/// Base for driver observers; every hook is a no-op. An observer derives
+/// from it and hides the hooks it needs (advance() is a template on the
+/// observer, so the calls resolve statically). Hooks see the configuration
+/// after the event; State is the state that acted.
+struct LRObserver {
+  /// Called before every action; true ends the parse as Blocked.
+  bool stop(const LRConfig &) { return false; }
+  void shifted(const LRConfig &, int /*State*/, int /*TermIdx*/) {}
+  /// Before the pop. Tie: (State, TermIdx) is a deferred reduce/reduce tie.
+  void reducing(const LRConfig &, int /*State*/, int /*TermIdx*/,
+                int /*Prod*/, bool /*Tie*/) {}
+  /// After the goto push.
+  void reduced(const LRConfig &, int /*State*/, int /*Prod*/) {}
+  /// Prod is the stranded reduction for MissingGoto, -1 otherwise.
+  void blocked(BlockCause, const LRConfig &, int /*TermIdx*/, int /*Prod*/) {}
+};
+
+/// The shift/reduce driver bound to one grammar and its packed tables.
+/// Immutable after construction; safe to share across threads.
+class LRDriver {
+public:
+  LRDriver(const Grammar &G, const PackedTables &T, size_t MaxStackDepth);
+
+  /// A fresh configuration, capped at the driver's MaxStackDepth.
+  LRConfig start() const { return LRConfig(MaxStackDepth); }
+
+  /// Dense index for a terminal name; -1 if the grammar lacks it.
+  int termIndexFor(const std::string &Name) const {
+    auto It = TermIndex.find(Name);
+    return It == TermIndex.end() ? -1 : It->second;
+  }
+  const std::string &termName(int TermIdx) const { return TermNames[TermIdx]; }
+  int eofIndex() const { return EofIdx; }
+  int numTerms() const { return T.numTerms(); }
+
+  /// Grammar symbols on the stack of \p Cfg, bottom to top.
+  std::vector<std::string> viablePrefix(const LRConfig &Cfg) const;
+  /// Terminals for which \p State has an action.
+  std::vector<std::string> shiftableTerms(int State) const;
+
+  const Grammar &grammar() const { return G; }
+  const PackedTables &tables() const { return T; }
+
+  /// Feeds \p TermIdx: every reduction it triggers, then the shift.
+  /// Blocked leaves \p Cfg unusable.
+  template <typename Obs>
+  LRStatus advance(LRConfig &Cfg, int TermIdx, Obs &O) const;
+
+  /// Feeds end of input.
+  template <typename Obs> LRStatus finish(LRConfig &Cfg, Obs &O) const {
+    return advance(Cfg, EofIdx, O);
+  }
+
+private:
+  const Grammar &G;
+  const PackedTables &T;
+  size_t MaxStackDepth;
+  int EofIdx;
+  std::unordered_map<std::string, int> TermIndex;
+  std::vector<std::string> TermNames; ///< dense index -> name
+  std::vector<SymId> EntrySym;        ///< per state: symbol it is entered on
+};
+
+template <typename Obs>
+LRStatus LRDriver::advance(LRConfig &Cfg, int TermIdx, Obs &O) const {
+  while (true) {
+    if (O.stop(Cfg))
+      return LRStatus::Blocked;
+    if (static_cast<unsigned>(TermIdx) >=
+        static_cast<unsigned>(T.numTerms())) {
+      O.blocked(BlockCause::UnknownTerminal, Cfg, TermIdx, -1);
+      return LRStatus::Blocked;
+    }
+    // Pathological input (or an injected fault) must degrade into a
+    // reportable block, not unbounded growth.
+    if (Cfg.Stack.size() > Cfg.DepthCap) {
+      O.blocked(BlockCause::DepthCap, Cfg, TermIdx, -1);
+      return LRStatus::Blocked;
+    }
+
+    const int State = Cfg.top();
+    const Action A = T.actionAt(State, TermIdx);
+    switch (A.Kind) {
+    case ActionType::Shift:
+      Cfg.Stack.push_back(A.Target);
+      O.shifted(Cfg, State, TermIdx);
+      return LRStatus::Shifted;
+
+    case ActionType::Accept:
+      return LRStatus::Accepted;
+
+    case ActionType::Error:
+      // A parse error on well-formed input is a syntactic block (§6.2.2):
+      // the machine description cannot continue this viable prefix.
+      O.blocked(BlockCause::NoAction, Cfg, TermIdx, -1);
+      return LRStatus::Blocked;
+
+    case ActionType::Reduce: {
+      const int Prod = A.Target;
+      O.reducing(Cfg, State, TermIdx, Prod,
+                 T.dynChoicesAt(State, TermIdx) != nullptr);
+      const Production &P = G.prod(Prod);
+      int GotoState = -1;
+      if (Cfg.Stack.size() > P.Rhs.size()) {
+        Cfg.Stack.resize(Cfg.Stack.size() - P.Rhs.size());
+        GotoState = T.gotoAt(Cfg.top(), G.ntIndex(P.Lhs));
+      }
+      if (GotoState < 0) {
+        O.blocked(BlockCause::MissingGoto, Cfg, TermIdx, Prod);
+        return LRStatus::Blocked;
+      }
+      Cfg.Stack.push_back(GotoState);
+      O.reduced(Cfg, State, Prod);
+      break;
+    }
+    }
+  }
+}
+
+} // namespace gg
+
+#endif // GG_MATCH_LRDRIVER_H

@@ -12,14 +12,7 @@
 using namespace gg;
 
 Matcher::Matcher(const Grammar &G, const PackedTables &T, MatcherOptions Opts)
-    : G(G), T(T), Opts(Opts) {
-  assert(G.isFrozen() && "matcher requires a frozen grammar");
-  // Precompute every terminal's dense index; unknown tokens miss the map
-  // and report -1. Eager construction keeps match() free of mutable state,
-  // which is what makes one matcher shareable across parallel workers.
-  TermIndex.reserve(G.terminals().size());
-  for (SymId S : G.terminals())
-    TermIndex.emplace(G.symbolName(S), G.termIndex(S));
+    : D(G, T, Opts.MaxStackDepth) {
   // Size the coverage and cost-profile counter arrays while construction
   // is still serial (workers never resize; see support/Coverage.h).
   coverage().sizeGrammar(G.numProductions(), T.numStates(), T.numDynPoints());
@@ -73,35 +66,154 @@ std::string BlockReport::render() const {
   return Msg;
 }
 
-int Matcher::termIndexFor(const std::string &Name) const {
-  auto It = TermIndex.find(Name);
-  return It == TermIndex.end() ? -1 : It->second;
-}
+namespace {
 
-MatchResult Matcher::match(const std::vector<LinToken> &Input,
-                           const DynamicChooser &Chooser,
-                           RequestBudget *Budget) const {
-  // Hot-path telemetry: entry references are stable, so look them up once
-  // (and the entries themselves are atomics, safe for concurrent workers).
+/// The matcher's registry entries. Entry references are stable, so they
+/// are looked up once (and the entries are atomics, safe for concurrent
+/// workers).
+struct MatchStats {
   StatsRegistry &Reg = stats();
-  static std::atomic<uint64_t> &NumTrees = Reg.counter("match.trees");
-  static std::atomic<uint64_t> &NumShifts = Reg.counter("match.shifts");
-  static std::atomic<uint64_t> &NumReduces = Reg.counter("match.reduces");
-  static std::atomic<uint64_t> &NumTies = Reg.counter("match.dynamic_ties");
-  static std::atomic<uint64_t> &NumChooser =
-      Reg.counter("match.chooser_invocations");
-  static std::atomic<uint64_t> &NumBlocks =
-      Reg.counter("match.syntactic_blocks");
-  static std::atomic<uint64_t> &NumCapHits =
-      Reg.counter("match.depth_cap_hits");
-  static std::atomic<uint64_t> &NumBudgetStops =
-      Reg.counter("match.budget_stops");
-  static LogHistogram &DepthHist = Reg.histogram("match.stack_depth");
-  static LogHistogram &TokensHist = Reg.histogram("match.tokens_per_tree");
-  static LogHistogram &StepsHist = Reg.histogram("match.steps_per_tree");
+  std::atomic<uint64_t> &Trees = Reg.counter("match.trees");
+  std::atomic<uint64_t> &Shifts = Reg.counter("match.shifts");
+  std::atomic<uint64_t> &Reduces = Reg.counter("match.reduces");
+  std::atomic<uint64_t> &Ties = Reg.counter("match.dynamic_ties");
+  std::atomic<uint64_t> &Blocks = Reg.counter("match.syntactic_blocks");
+  std::atomic<uint64_t> &CapHits = Reg.counter("match.depth_cap_hits");
+  std::atomic<uint64_t> &BudgetStops = Reg.counter("match.budget_stops");
+  LogHistogram &Depth = Reg.histogram("match.stack_depth");
+  LogHistogram &Tokens = Reg.histogram("match.tokens_per_tree");
+  LogHistogram &Steps = Reg.histogram("match.steps_per_tree");
 
-  // Coverage recording costs one relaxed load per tree when disabled; the
-  // per-step recorders below are all behind this flag.
+  static MatchStats &get() {
+    static MatchStats S;
+    return S;
+  }
+};
+
+/// Everything match() does beyond the parse: records the MatchStep
+/// sequence, polls the request budget, builds the BlockReport, and charges
+/// coverage, the cost profile and the per-tree counters.
+struct MatchObserver : LRObserver {
+  MatchObserver(const LRDriver &D, const std::vector<LinToken> &Input,
+                RequestBudget *Budget, MatchResult &R)
+      : D(D), Input(Input), Budget(Budget), R(R) {
+    if (Covering)
+      Cov.noteStateVisit(0);
+  }
+
+  /// Cooperative quarantine poll (docs/server.md): cancellation, the
+  /// wall-clock deadline and the step budget, every BudgetPollMask+1 steps
+  /// so a runaway parse aborts promptly without putting a clock read on
+  /// every iteration.
+  bool stop(const LRConfig &Cfg) {
+    if (!Budget || (R.Steps.size() & BudgetPollMask) != 0 ||
+        !Budget->shouldStop(R.Steps.size()))
+      return false;
+    ++MatchStats::get().BudgetStops;
+    blocked(BlockCause::Budget, Cfg, -1, -1);
+    return true;
+  }
+
+  void shifted(const LRConfig &Cfg, int State, int) {
+    ++Shifts;
+    if (Covering)
+      Cov.noteStateVisit(Cfg.top());
+    R.Steps.push_back({MatchStep::Shift, static_cast<int>(Pos), -1});
+    MaxDepth = std::max(MaxDepth, Cfg.Stack.size());
+    ++Pos;
+    if (Profiling) {
+      uint64_t Now = ProfileRegistry::now(ProfTB);
+      Prof.chargeState(State, Now - LastTs);
+      LastTs = Now;
+    }
+  }
+
+  void reducing(const LRConfig &, int State, int TermIdx, int Prod,
+                bool Tie) {
+    ++Reduces;
+    TieTs = LastTs;
+    if (Tie) {
+      // A longest-rule tie the table constructor deferred to match time
+      // (§3.2); its share of the time lands on the dyn point, the rest of
+      // the reduce stays with the production and state in reduced().
+      ++Ties;
+      if (Profiling) {
+        TieTs = ProfileRegistry::now(ProfTB);
+        Prof.chargeDyn(State, TermIdx, TieTs - LastTs);
+      }
+    }
+    if (Covering) {
+      Cov.noteReduce(Prod);
+      if (Tie)
+        Cov.noteDynChoice(State, TermIdx, Prod);
+    }
+  }
+
+  void reduced(const LRConfig &Cfg, int State, int Prod) {
+    if (Covering)
+      Cov.noteStateVisit(Cfg.top());
+    R.Steps.push_back({MatchStep::Reduce, -1, Prod});
+    MaxDepth = std::max(MaxDepth, Cfg.Stack.size());
+    if (Profiling) {
+      uint64_t Now = ProfileRegistry::now(ProfTB);
+      Prof.chargeProd(Prod, Now - TieTs);
+      Prof.chargeState(State, Now - LastTs);
+      LastTs = Now;
+    }
+  }
+
+  /// Fails the match with a structured report; Error is the rendering of
+  /// Block so string-matching consumers keep working.
+  void blocked(BlockCause Why, const LRConfig &Cfg, int, int Prod) {
+    if (Why == BlockCause::DepthCap)
+      ++MatchStats::get().CapHits;
+    BlockReport B;
+    B.Why = Why;
+    if (Why == BlockCause::Budget)
+      B.BudgetWhy = Budget->Stopped.load(std::memory_order_relaxed);
+    B.State = Cfg.top();
+    B.TokenPos = Pos;
+    B.StackDepth = Cfg.Stack.size();
+    // A missing goto strands the reduced nonterminal: corrupt or stale
+    // tables, not a description gap.
+    B.Lookahead = Why == BlockCause::MissingGoto
+                      ? D.grammar().symbolName(D.grammar().prod(Prod).Lhs)
+                  : Pos < Input.size() ? Input[Pos].Term
+                                       : D.termName(D.eofIndex());
+    B.ViablePrefix = D.viablePrefix(Cfg);
+    B.ShiftableTerms = D.shiftableTerms(B.State);
+    R.Error = B.render();
+    R.Block = std::move(B);
+  }
+
+  /// Per-tree bookkeeping, on every exit path: one registry update per
+  /// counter for the whole tree.
+  void finish(TraceSpan &Span) {
+    MatchStats &S = MatchStats::get();
+    ++S.Trees;
+    S.Shifts += Shifts;
+    S.Reduces += Reduces;
+    S.Ties += Ties;
+    S.Blocks += !R.Ok;
+    S.Depth.record(MaxDepth);
+    S.Tokens.record(Input.size());
+    S.Steps.record(R.Steps.size());
+    if (Budget)
+      Budget->StepsUsed.fetch_add(R.Steps.size(), std::memory_order_relaxed);
+    Span.arg("tokens", static_cast<int64_t>(Input.size()));
+    Span.arg("steps", static_cast<int64_t>(R.Steps.size()));
+    Span.arg("max_depth", static_cast<int64_t>(MaxDepth));
+  }
+
+  const LRDriver &D;
+  const std::vector<LinToken> &Input;
+  RequestBudget *Budget;
+  MatchResult &R;
+  size_t Pos = 0;
+  size_t MaxDepth = 1;
+  uint64_t Shifts = 0, Reduces = 0, Ties = 0;
+
+  // Coverage recording costs one relaxed load per tree when disabled.
   CoverageRegistry &Cov = coverage();
   const bool Covering = Cov.enabled();
 
@@ -109,193 +221,39 @@ MatchResult Matcher::match(const std::vector<LinToken> &Input,
   // each step's timestamp delta (since the previous step's end) charges
   // the acting state — a complete projection: the sum over states is the
   // whole matcher loop. Reduce steps additionally charge the production,
-  // and a deferred reduce/reduce tie charges the chooser's share to the
-  // (state, terminal) dyn point. See support/Profile.h for the timebases.
+  // and a deferred reduce/reduce tie charges its share to the (state,
+  // terminal) dyn point. See support/Profile.h for the timebases.
   ProfileRegistry &Prof = profile();
   const bool Profiling = Prof.instrEnabled();
   const ProfileTimebase ProfTB =
       Profiling ? Prof.timebase() : ProfileTimebase::Cycles;
   uint64_t LastTs = Profiling ? ProfileRegistry::now(ProfTB) : 0;
+  uint64_t TieTs = 0; ///< end of the current reduce's tie charge
+};
 
-  TraceSpan Span("match.tree");
-  ++NumTrees;
-  if (Covering)
-    Cov.noteStateVisit(0);
+} // namespace
 
+MatchResult Matcher::match(const std::vector<LinToken> &Input,
+                           RequestBudget *Budget) const {
   MatchResult R;
-  std::vector<int> StateStack{0};
-  std::vector<SymId> SymStack; ///< parallel symbol stack (viable prefix)
   R.Steps.reserve(Input.size() * 3);
-  size_t MaxDepth = 1;
-
-  size_t Pos = 0;
-  const size_t N = Input.size();
-  const int EofIdx = G.termIndex(G.eofSymbol());
+  MatchObserver Obs(D, Input, Budget, R);
+  TraceSpan Span("match.tree");
 
   // The request's effective stack cap: the budget may only tighten the
   // matcher's own configured cap, never widen it.
-  size_t DepthCap = Opts.MaxStackDepth;
-  if (Budget && Budget->MaxStackDepth && Budget->MaxStackDepth < DepthCap)
-    DepthCap = Budget->MaxStackDepth;
+  LRConfig Cfg = D.start();
+  if (Budget && Budget->MaxStackDepth && Budget->MaxStackDepth < Cfg.DepthCap)
+    Cfg.DepthCap = Budget->MaxStackDepth;
 
-  // Per-tree distribution bookkeeping runs on every exit path.
-  auto Finish = [&] {
-    DepthHist.record(MaxDepth);
-    TokensHist.record(N);
-    StepsHist.record(R.Steps.size());
-    NumBlocks += !R.Ok;
-    if (Budget)
-      Budget->StepsUsed.fetch_add(R.Steps.size(), std::memory_order_relaxed);
-    Span.arg("tokens", static_cast<int64_t>(N));
-    Span.arg("steps", static_cast<int64_t>(R.Steps.size()));
-    Span.arg("max_depth", static_cast<int64_t>(MaxDepth));
-  };
-
-  // Fails the match with a structured report; Error is the rendering of
-  // Block so string-matching consumers keep working.
-  BudgetStop PendingBudgetWhy = BudgetStop::None;
-  auto Blocked = [&](BlockReport::Cause Why, std::string Lookahead) {
-    BlockReport B;
-    B.Why = Why;
-    B.BudgetWhy = PendingBudgetWhy;
-    B.State = StateStack.back();
-    B.TokenPos = Pos;
-    B.StackDepth = StateStack.size();
-    B.Lookahead = std::move(Lookahead);
-    B.ViablePrefix.reserve(SymStack.size());
-    for (SymId S : SymStack)
-      B.ViablePrefix.push_back(G.symbolName(S));
-    for (int TI = 0; TI < T.numTerms(); ++TI)
-      if (T.actionAt(B.State, TI).Kind != ActionType::Error)
-        B.ShiftableTerms.push_back(G.symbolName(G.terminals()[TI]));
-    R.Error = B.render();
-    R.Block = std::move(B);
-    Finish();
-  };
-
-  while (true) {
-    // Cooperative quarantine poll (docs/server.md): cancellation, the
-    // wall-clock deadline and the step budget, every BudgetPollMask+1
-    // steps so a runaway parse aborts promptly without putting a clock
-    // read on every iteration.
-    if (Budget && (R.Steps.size() & BudgetPollMask) == 0 &&
-        Budget->shouldStop(R.Steps.size())) {
-      ++NumBudgetStops;
-      PendingBudgetWhy = Budget->Stopped.load(std::memory_order_relaxed);
-      Blocked(BlockReport::Cause::Budget,
-              Pos < N ? Input[Pos].Term : "$end");
-      return R;
-    }
-
-    int TermIdx;
-    if (Pos < N) {
-      TermIdx = termIndexFor(Input[Pos].Term);
-      if (TermIdx < 0) {
-        Blocked(BlockReport::Cause::UnknownTerminal, Input[Pos].Term);
-        return R;
-      }
-    } else {
-      TermIdx = EofIdx;
-    }
-
-    if (StateStack.size() > DepthCap) {
-      // Cap hit: pathological input (or an injected fault) must degrade
-      // into a reportable block, not unbounded growth.
-      ++NumCapHits;
-      Blocked(BlockReport::Cause::DepthCap,
-              Pos < N ? Input[Pos].Term : G.symbolName(G.eofSymbol()));
-      return R;
-    }
-
-    int State = StateStack.back();
-    Action A = T.actionAt(State, TermIdx);
-    switch (A.Kind) {
-    case ActionType::Shift:
-      ++NumShifts;
-      if (Covering)
-        Cov.noteStateVisit(A.Target);
-      R.Steps.push_back(
-          {MatchStep::Shift, static_cast<int>(Pos), -1});
-      StateStack.push_back(A.Target);
-      SymStack.push_back(G.terminals()[TermIdx]);
-      MaxDepth = std::max(MaxDepth, StateStack.size());
-      ++Pos;
-      if (Profiling) {
-        uint64_t Now = ProfileRegistry::now(ProfTB);
-        Prof.chargeState(State, Now - LastTs);
-        LastTs = Now;
-      }
-      break;
-
-    case ActionType::Reduce: {
-      ++NumReduces;
-      int Prod = A.Target;
-      bool DynTie = false;
-      uint64_t TieTs = LastTs;
-      if (const std::vector<int> *Ties = T.dynChoicesAt(State, TermIdx)) {
-        // A longest-rule tie the table constructor deferred to match time
-        // (§3.2 "choose among them dynamically using semantic attributes").
-        ++NumTies;
-        DynTie = true;
-        if (Chooser) {
-          ++NumChooser;
-          std::vector<int> Cands;
-          Cands.reserve(Ties->size() + 1);
-          Cands.push_back(Prod);
-          Cands.insert(Cands.end(), Ties->begin(), Ties->end());
-          Prod = Chooser(State, Cands);
-        }
-        if (Profiling) {
-          // The chooser's share lands on the dyn point; the rest of the
-          // reduce stays with the production/state below.
-          TieTs = ProfileRegistry::now(ProfTB);
-          Prof.chargeDyn(State, TermIdx, TieTs - LastTs);
-        }
-      }
-      if (Covering) {
-        Cov.noteReduce(Prod);
-        if (DynTie)
-          Cov.noteDynChoice(State, TermIdx, Prod);
-      }
-      const Production &P = G.prod(Prod);
-      assert(StateStack.size() > P.Rhs.size() && "stack underflow on reduce");
-      StateStack.resize(StateStack.size() - P.Rhs.size());
-      SymStack.resize(SymStack.size() - P.Rhs.size());
-      int GotoState = T.gotoAt(StateStack.back(), G.ntIndex(P.Lhs));
-      if (GotoState < 0) {
-        // Lookahead carries the stranded nonterminal: corrupt/stale tables,
-        // not a description gap.
-        Blocked(BlockReport::Cause::MissingGoto, G.symbolName(P.Lhs));
-        return R;
-      }
-      if (Covering)
-        Cov.noteStateVisit(GotoState);
-      R.Steps.push_back({MatchStep::Reduce, -1, Prod});
-      StateStack.push_back(GotoState);
-      SymStack.push_back(P.Lhs);
-      MaxDepth = std::max(MaxDepth, StateStack.size());
-      if (Profiling) {
-        uint64_t Now = ProfileRegistry::now(ProfTB);
-        Prof.chargeProd(Prod, Now - TieTs);
-        Prof.chargeState(State, Now - LastTs);
-        LastTs = Now;
-      }
-      break;
-    }
-
-    case ActionType::Accept:
-      R.Ok = true;
-      Finish();
-      return R;
-
-    case ActionType::Error:
-      // A parse error on well-formed input is a syntactic block (§6.2.2):
-      // the machine description cannot continue this viable prefix.
-      Blocked(BlockReport::Cause::NoAction,
-              Pos < N ? Input[Pos].Term : "$end");
-      return R;
-    }
-  }
+  LRStatus St = LRStatus::Shifted;
+  while (St == LRStatus::Shifted && Obs.Pos < Input.size())
+    St = D.advance(Cfg, D.termIndexFor(Input[Obs.Pos].Term), Obs);
+  while (St == LRStatus::Shifted)
+    St = D.finish(Cfg, Obs);
+  R.Ok = St == LRStatus::Accepted;
+  Obs.finish(Span);
+  return R;
 }
 
 std::string gg::renderTrace(const Grammar &G,

@@ -12,9 +12,11 @@
 /// running one semantic action per reduction in the provably correct
 /// (bottom-up, left-to-right) order.
 ///
-/// Reduce/reduce ties among equally long rules are decided dynamically via
-/// the DynamicChooser hook, mirroring the paper's "choose among them
-/// dynamically using semantic attributes".
+/// The parse itself is the shared LRDriver (match/LRDriver.h); the
+/// matcher is that driver plus an observer that records the steps, polls
+/// the request budget, builds the BlockReport and charges the telemetry.
+/// Reduce/reduce ties among equally long rules always take the table's
+/// static default.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,14 +24,11 @@
 #define GG_MATCH_MATCHER_H
 
 #include "ir/Linearize.h"
-#include "mdl/Grammar.h"
+#include "match/LRDriver.h"
 #include "support/Deadline.h"
-#include "tablegen/Packing.h"
 
-#include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace gg {
@@ -46,14 +45,8 @@ struct MatchStep {
 /// degradation ladder and a description author need to understand why the
 /// matcher wedged, instead of a bare string.
 struct BlockReport {
-  enum class Cause : uint8_t {
-    NoAction,        ///< no action for (state, lookahead): a description gap
-    UnknownTerminal, ///< the input token is not a grammar terminal at all
-    MissingGoto,     ///< no goto after a reduce (corrupt or stale tables)
-    DepthCap,        ///< the configured parse-stack depth cap was exceeded
-    Budget           ///< the request's RequestBudget stopped the parse
-                     ///< (BudgetWhy says why); never recovered via fallback
-  };
+  /// Budget blocks (BudgetWhy says why) are never recovered via fallback.
+  using Cause = BlockCause;
   Cause Why = Cause::NoAction;
   /// Valid when Why == Cause::Budget: which budget dimension tripped.
   BudgetStop BudgetWhy = BudgetStop::None;
@@ -88,11 +81,6 @@ struct MatcherOptions {
   size_t MaxStackDepth = 10000;
 };
 
-/// Chooses among reduce candidates (first entry is the statically
-/// preferred production). Returns the production id to reduce by.
-using DynamicChooser =
-    std::function<int(int State, const std::vector<int> &Candidates)>;
-
 /// A reusable matcher bound to one grammar and its packed tables. After
 /// construction a Matcher is immutable: match() touches only const state
 /// (plus the atomic stats registry), so one instance serves any number of
@@ -113,22 +101,15 @@ public:
   /// stop surfaces as Cause::Budget, which the degradation ladder treats
   /// as non-recoverable (no PCC fallback: fail fast, free the worker).
   MatchResult match(const std::vector<LinToken> &Input,
-                    const DynamicChooser &Chooser = nullptr,
                     RequestBudget *Budget = nullptr) const;
 
-  const Grammar &grammar() const { return G; }
-  const MatcherOptions &options() const { return Opts; }
+  const Grammar &grammar() const { return D.grammar(); }
+  /// The driver match() runs, capped at MaxStackDepth. The fuzzer
+  /// simulates parses on this same driver.
+  const LRDriver &driver() const { return D; }
 
 private:
-  const Grammar &G;
-  const PackedTables &T;
-  MatcherOptions Opts;
-  /// Terminal name -> dense terminal index, built eagerly at construction
-  /// (the grammar is frozen) so match() needs no mutable lookup cache.
-  std::unordered_map<std::string, int> TermIndex;
-
-  /// Terminal index for a token name, or -1 if the grammar lacks it.
-  int termIndexFor(const std::string &Name) const;
+  LRDriver D;
 };
 
 /// Renders the Appendix-style action listing for a match: one line per

@@ -23,7 +23,7 @@
 ///   * instr — instrumented attribution. Each matcher step charges a
 ///     profTicks() delta (rdtsc on x86-64) to the acting state; reduce
 ///     steps additionally charge the production, and deferred
-///     reduce/reduce ties charge the chooser's share to the (state,
+///     reduce/reduce ties charge the tie's share to the (state,
 ///     terminal) dyn point. Phase scopes charge the code generator's
 ///     phases. Per-table-region buckets are derived from the per-state
 ///     buckets at snapshot time (region = RegionSize consecutive states

@@ -19,8 +19,6 @@
 #include "support/Clock.h"
 
 #include <chrono>
-#include <map>
-#include <string>
 
 namespace gg {
 
@@ -63,20 +61,6 @@ public:
 
 private:
   Timer &T;
-};
-
-/// Named collection of timers (one per code generator phase).
-class TimerGroup {
-public:
-  Timer &get(const std::string &Name) { return Timers[Name]; }
-  const std::map<std::string, Timer> &all() const { return Timers; }
-  void resetAll() {
-    for (auto &Entry : Timers)
-      Entry.second.reset();
-  }
-
-private:
-  std::map<std::string, Timer> Timers;
 };
 
 } // namespace gg

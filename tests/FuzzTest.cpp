@@ -12,6 +12,7 @@
 
 #include "fuzz/Fuzzer.h"
 #include "ir/Node.h"
+#include "match/Matcher.h"
 #include "vax/VaxTarget.h"
 
 #include <gtest/gtest.h>
@@ -145,6 +146,43 @@ TEST(FuzzDeterminism, VerdictsIdenticalAcrossThreadCounts) {
     else
       EXPECT_EQ(Baseline, K) << "threads=" << Threads;
   }
+}
+
+TEST(FuzzSimulation, DeepSentenceAcceptedLikeTheMatcher) {
+  // r <- r + (r + (r + ...)): each nested Plus keeps two states on the
+  // parse stack, so 3000 levels peak near depth 6000. The fuzzer's
+  // simulated parse runs on the Matcher's own driver, so it must accept
+  // exactly what the Matcher accepts, depth cap included.
+  std::vector<std::string> Toks{"Assign_l", "Dreg_l"};
+  for (int I = 0; I < 3000; ++I) {
+    Toks.push_back("Plus_l");
+    Toks.push_back("Dreg_l");
+  }
+  Toks.push_back("Dreg_l");
+  std::vector<LinToken> Input;
+  for (const std::string &T : Toks)
+    Input.push_back({T, nullptr});
+
+  const VaxTarget &Target = vaxTarget();
+  const MatchResult MR = Target.matcher().match(Input);
+  ASSERT_TRUE(MR.Ok) << MR.Error;
+  // The sentence really is deep: a 4096 cap blocks it.
+  MatcherOptions Shallow;
+  Shallow.MaxStackDepth = 4096;
+  const MatchResult Capped =
+      Matcher(Target.grammar(), Target.packed(), Shallow).match(Input);
+  ASSERT_TRUE(Capped.Block.has_value());
+  EXPECT_EQ(Capped.Block->Why, BlockReport::Cause::DepthCap);
+
+  Fuzzer F(Target);
+  const SimTrace Tr = F.walk().simulateNames(Toks);
+  EXPECT_TRUE(Tr.Accepted);
+  std::vector<int> MatchReduces;
+  for (const MatchStep &S : MR.Steps)
+    if (S.Kind == MatchStep::Reduce)
+      MatchReduces.push_back(S.ProdId);
+  EXPECT_EQ(Tr.Reduces, MatchReduces);
+  EXPECT_EQ(Tr.Steps, MR.Steps.size());
 }
 
 } // namespace

@@ -34,10 +34,9 @@ Built buildFrom(const char *Spec) {
   return B;
 }
 
-TEST(MatcherExtra, DynamicChoiceHookSelectsAmongTies) {
+TEST(MatcherExtra, DynamicTieTakesStaticDefault) {
   // Two equally long reductions for the same input: Const_l can condense
-  // as either flavour; the static default is the earlier production, and
-  // the dynamic chooser can override it.
+  // as either flavour; the static default, the earlier production, wins.
   const char *Spec = R"(
 %start s
 s <- Assign_l flavA : emit useA
@@ -73,14 +72,6 @@ flavB <- Const_l : encap b
   MatchResult Default = B.M->match(Input);
   ASSERT_TRUE(Default.Ok) << Default.Error;
   EXPECT_EQ(TagOfFirstEncap(Default), "a");
-
-  // A chooser picking the larger production id flips the decision.
-  MatchResult Chosen = B.M->match(
-      Input, [](int, const std::vector<int> &Cands) {
-        return Cands.back();
-      });
-  ASSERT_TRUE(Chosen.Ok) << Chosen.Error;
-  EXPECT_EQ(TagOfFirstEncap(Chosen), "b");
 }
 
 TEST(MatcherExtra, UnknownTerminalReported) {

@@ -11,6 +11,7 @@
 #include "cg/CodeGenerator.h"
 #include "frontend/Parser.h"
 #include "support/FaultInject.h"
+#include "support/Stats.h"
 #include "support/ThreadPool.h"
 #include "vaxsim/Simulator.h"
 #include "workload/ProgramGen.h"
@@ -202,22 +203,44 @@ TEST(Parallel, RecoveryCountersIdenticalAcrossThreadCounts) {
   std::string Err;
   ASSERT_TRUE(faultInject().configure("drop-prod=push_l", Err)) << Err;
 
+  // The matcher counts each tree in locals and adds them to the registry
+  // once per tree; the totals must not depend on how the trees are dealt
+  // to workers.
+  const char *MatchKeys[] = {"match.trees", "match.shifts", "match.reduces",
+                             "match.dynamic_ties", "match.syntactic_blocks"};
+  auto CompileCounting = [&](int Threads, std::string &Asm,
+                             CodeGenStats &Stats, std::string &Diags) {
+    std::vector<uint64_t> Deltas;
+    for (const char *Key : MatchKeys)
+      Deltas.push_back(stats().counter(Key).load());
+    EXPECT_TRUE(compileAt(Threads, MultiFnSource, Asm, &Stats, &Diags));
+    for (size_t I = 0; I < Deltas.size(); ++I)
+      Deltas[I] = stats().counter(MatchKeys[I]).load() - Deltas[I];
+    return Deltas;
+  };
+
   std::string SerialAsm, SerialDiags;
   CodeGenStats SerialStats;
-  ASSERT_TRUE(compileAt(1, MultiFnSource, SerialAsm, &SerialStats,
-                        &SerialDiags));
+  const std::vector<uint64_t> SerialDeltas =
+      CompileCounting(1, SerialAsm, SerialStats, SerialDiags);
   ASSERT_GE(SerialStats.BlockedTrees, 1u)
       << "fault did not trigger; the test is vacuous";
   EXPECT_EQ(SerialStats.BlockedTrees, SerialStats.RecoveredTrees);
+  EXPECT_GT(SerialDeltas[1], 0u) << "no shifts counted";
+  EXPECT_GE(SerialDeltas[4], SerialStats.BlockedTrees);
 
   for (int Threads : {2, 4, 8}) {
     std::string Asm, Diags;
     CodeGenStats Stats;
-    ASSERT_TRUE(compileAt(Threads, MultiFnSource, Asm, &Stats, &Diags));
+    const std::vector<uint64_t> Deltas =
+        CompileCounting(Threads, Asm, Stats, Diags);
     EXPECT_EQ(SerialStats.BlockedTrees, Stats.BlockedTrees)
         << "threads=" << Threads;
     EXPECT_EQ(SerialStats.RecoveredTrees, Stats.RecoveredTrees)
         << "threads=" << Threads;
+    for (size_t I = 0; I < Deltas.size(); ++I)
+      EXPECT_EQ(SerialDeltas[I], Deltas[I])
+          << MatchKeys[I] << " at threads=" << Threads;
     EXPECT_EQ(SerialAsm, Asm)
         << "recovered output diverged at threads=" << Threads;
     EXPECT_EQ(SerialDiags, Diags)

@@ -482,7 +482,7 @@ s <- Const_l : emit move
 
   RequestBudget Budget;
   Budget.MaxSteps = 256; // poll interval is 128, so the cap is observed
-  MatchResult MR = B.M->match(Input, nullptr, &Budget);
+  MatchResult MR = B.M->match(Input, &Budget);
   ASSERT_FALSE(MR.Ok);
   ASSERT_TRUE(MR.Block.has_value());
   EXPECT_EQ(MR.Block->Why, BlockReport::Cause::Budget);
@@ -499,7 +499,7 @@ s <- Const_l : emit move
   // Cancellation (the watchdog path) reports its own cause.
   RequestBudget Cancelled;
   Cancelled.Cancelled.store(true);
-  MatchResult MC = B.M->match(Input, nullptr, &Cancelled);
+  MatchResult MC = B.M->match(Input, &Cancelled);
   ASSERT_FALSE(MC.Ok);
   ASSERT_TRUE(MC.Block.has_value());
   EXPECT_EQ(MC.Block->Why, BlockReport::Cause::Budget);

@@ -125,16 +125,6 @@ TEST(TimerTest, AccumulatesAcrossStartStop) {
   EXPECT_EQ(T.seconds(), 0.0);
 }
 
-TEST(TimerTest, GroupKeysAreIndependent) {
-  TimerGroup G;
-  {
-    TimerScope S(G.get("a"));
-  }
-  EXPECT_GE(G.get("a").seconds(), 0.0);
-  EXPECT_EQ(G.get("b").seconds(), 0.0);
-  EXPECT_EQ(G.all().size(), 2u);
-}
-
 TEST(StatsThreading, OneCounterHammeredFromEightThreads) {
   // Parallel compile workers bump shared registry counters concurrently;
   // every increment must land. 8 threads x 10000 increments, through a

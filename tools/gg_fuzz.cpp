@@ -74,6 +74,8 @@ void printPlan(const Grammar &G, const FuzzPlanStats &PS, bool Verbose) {
          "(%zu statically + %zu dynamically shadowed, reported below)\n",
          PS.WitnessedProductions, Reachable, Shadowed, DynShadowed);
   const size_t Stranded = PS.StrandedDynPoints.size();
+  // "null chooser" is the historical name for the tie defaults; the
+  // summary line keeps it so cover-mode output stays byte-stable.
   printf("      %zu/%zu reachable states visited (%zu unreachable under "
          "the null chooser)\n",
          PS.WitnessedStates, PS.States - PS.UnreachableStates.size(),
@@ -105,18 +107,18 @@ void printPlan(const Grammar &G, const FuzzPlanStats &PS, bool Verbose) {
   }
   if (Verbose && Shadowed) {
     printf("statically shadowed productions (never the default reduce "
-           "target; unreachable with the shipped null chooser):\n");
+           "target; ties always take the default):\n");
     for (int P : PS.ShadowedProductions)
       printf("%s\n", prodLine(G, P).c_str());
   }
   if (Verbose && DynShadowed) {
     printf("dynamically shadowed productions (every reduce site lies in "
-           "a state the null-chooser defaults never route into):\n");
+           "a state the tie defaults never route into):\n");
     for (int P : PS.DynShadowedProductions)
       printf("%s\n", prodLine(G, P).c_str());
   }
   if (Verbose && !PS.UnreachableStates.empty()) {
-    printf("unreachable states (no null-chooser parse enters them):");
+    printf("unreachable states (no parse enters them):");
     for (int S : PS.UnreachableStates)
       printf(" %d", S);
     printf("\n");
@@ -222,14 +224,14 @@ int main(int Argc, char **Argv) {
   if (StateInfo >= 0) {
     // Diagnostic surface: one state's incoming edges and action row.
     const PackedTables &PT = Target->packed();
-    const TableSim &Sim = F.walk().sim();
+    const LRDriver &D = F.walk().driver();
     const int Dst = StateInfo;
     printf("edges into state %d:", Dst);
     for (int S = 0; S < PT.numStates(); ++S) {
       for (int TI = 0; TI < PT.numTerms(); ++TI) {
         Action A = PT.actionAt(S, TI);
         if (A.Kind == ActionType::Shift && A.Target == Dst)
-          printf(" (%d --%s-->)", S, Sim.termName(TI).c_str());
+          printf(" (%d --%s-->)", S, D.termName(TI).c_str());
       }
       for (int NI = 0; NI < PT.numNonterms(); ++NI)
         if (PT.gotoAt(S, NI) == Dst)
@@ -243,7 +245,7 @@ int main(int Argc, char **Argv) {
       const char *K = A.Kind == ActionType::Shift    ? "s"
                       : A.Kind == ActionType::Reduce ? "r"
                                                      : "acc";
-      printf(" %s:%s%d", Sim.termName(TI).c_str(), K, A.Target);
+      printf(" %s:%s%d", D.termName(TI).c_str(), K, A.Target);
     }
     printf("\ngotos from state %d:", Dst);
     for (int NI = 0; NI < PT.numNonterms(); ++NI)
@@ -256,16 +258,16 @@ int main(int Argc, char **Argv) {
   if (WitnessProd >= 0) {
     const Grammar &G = Target->grammar();
     const Production &P = G.prod(WitnessProd);
-    const TableSim &Sim = F.walk().sim();
+    const LRDriver &D = F.walk().driver();
     auto render = [&](const std::vector<int> &Toks) {
       std::string S;
       for (int TI : Toks)
-        S += Sim.termName(TI) + " ";
+        S += D.termName(TI) + " ";
       return S;
     };
     printf("reduce sites of p%d:", WitnessProd);
     for (const auto &[S, TI] : F.walk().reduceSites(WitnessProd))
-      printf(" (%d,%s)", S, Sim.termName(TI).c_str());
+      printf(" (%d,%s)", S, D.termName(TI).c_str());
     printf("\n");
     {
       // Incoming edges of each distinct site state — how the automaton
@@ -282,7 +284,7 @@ int main(int Argc, char **Argv) {
           for (int TI = 0; TI < PT.numTerms(); ++TI) {
             Action A = PT.actionAt(S, TI);
             if (A.Kind == ActionType::Shift && A.Target == Dst)
-              printf(" (%d --%s-->)", S, Sim.termName(TI).c_str());
+              printf(" (%d --%s-->)", S, D.termName(TI).c_str());
           }
           for (int NI = 0; NI < PT.numNonterms(); ++NI)
             if (PT.gotoAt(S, NI) == Dst)
@@ -317,12 +319,12 @@ int main(int Argc, char **Argv) {
         if (!Derivable || Var != 0)
           break;
         Toks.insert(Toks.end(), Cx.Post.begin(), Cx.Post.end());
-        SimTrace Tr = F.walk().sim().run(Toks);
+        SimTrace Tr = F.walk().simulate(Toks);
         bool Hit = std::find(Tr.Reduces.begin(), Tr.Reduces.end(),
                              WitnessProd) != Tr.Reduces.end();
         printf("  trial V=%llu: %s -> %s%s\n",
                static_cast<unsigned long long>(V), render(Toks).c_str(),
-               Tr.Accepted ? "accepted" : Tr.Error.c_str(),
+               Tr.Accepted ? "accepted" : "blocked",
                Hit ? " HIT" : "");
       }
     }
@@ -333,7 +335,7 @@ int main(int Argc, char **Argv) {
     }
     printf("witness for p%d:", WitnessProd);
     for (int TI : W)
-      printf(" %s", F.walk().sim().termName(TI).c_str());
+      printf(" %s", F.walk().driver().termName(TI).c_str());
     printf("\n");
     return ExitOk;
   }
@@ -345,7 +347,7 @@ int main(int Argc, char **Argv) {
     std::vector<std::string> Toks;
     for (std::string_view Part : splitWhitespace(ProbeRun))
       Toks.emplace_back(Part);
-    SimTrace Tr = F.walk().sim().runNames(Toks);
+    SimTrace Tr = F.walk().simulateNames(Toks);
     SynthStmt S;
     S.Tokens = Toks;
     S.ExpectBlocked = !Tr.Accepted;
@@ -399,8 +401,15 @@ int main(int Argc, char **Argv) {
     std::vector<std::string> Toks;
     for (std::string_view Part : splitWhitespace(Probe))
       Toks.emplace_back(Part);
-    SimTrace Tr = F.walk().sim().runNames(Toks);
-    printf("probe: %s\n", Tr.Accepted ? "accepted" : Tr.Error.c_str());
+    SimTrace Tr = F.walk().simulateNames(Toks);
+    // The simulation runs the Matcher's own driver, so the Matcher blocks
+    // exactly where it does; its block report says why.
+    std::vector<LinToken> Input;
+    for (const std::string &T : Toks)
+      Input.push_back({T, nullptr});
+    printf("probe: %s\n", Tr.Accepted
+                               ? "accepted"
+                               : Target->matcher().match(Input).Error.c_str());
     printf("  reduces:");
     for (int P : Tr.Reduces)
       printf(" p%d", P);

@@ -59,8 +59,8 @@
 // event was recorded. Both back the check.sh coverage gate.
 // --fail-production-coverage=PCT gates on the share of *reachable*
 // productions with at least one recorded reduction — the denominator
-// excludes productions GrammarWalk proves the shipped null chooser can
-// never reduce (statically or dynamically shadowed). gg-fuzz's
+// excludes productions GrammarWalk proves the pipeline's tie defaults
+// can never reduce (statically or dynamically shadowed). gg-fuzz's
 // fixed-seed coverage artifact passes at PCT=100 (the check.sh fuzz leg).
 //
 // --profile requires at least one gg-profile-v1 artifact (diagnostic exit
@@ -972,7 +972,7 @@ int main(int argc, char **argv) {
       Ok = false;
     if (FailProdCovBelow >= 0) {
       // The production-coverage gate (docs/fuzzing.md): every production
-      // the shipped null-chooser pipeline can reach must have fired. The
+      // the pipeline's tie defaults can reach must have fired. The
       // denominator excludes the statically and dynamically shadowed
       // productions GrammarWalk proves unreachable — a 100% gate is
       // meaningful only against what a parse can actually reduce.
@@ -983,7 +983,7 @@ int main(int argc, char **argv) {
                 "built grammar/tables)\n");
         Ok = false;
       } else {
-        GrammarWalk Walk(Report.Target->grammar(), Report.Target->packed());
+        GrammarWalk Walk(Report.Target->matcher().driver());
         std::vector<char> Excluded(Report.Cov.NumProds, 0);
         for (int P : Walk.shadowedProductions())
           Excluded[P] = 1;
