@@ -15,7 +15,7 @@
 
 #include "support/CliOptions.h"
 #include "support/Profile.h"
-#include "support/Timer.h"
+#include "support/Clock.h"
 #include <benchmark/benchmark.h>
 #include <cstring>
 
@@ -120,11 +120,11 @@ int main(int argc, char **argv) {
 
   // Deterministic single-pass measurement for the report table.
   const auto &Corpus = largeCorpus();
-  Timer TG, TP;
   size_t GGLines = 0, PccLines = 0, GGInsts = 0, PccInsts = 0;
   double GGTransform = 0, GGMatch = 0, GGInstrGen = 0, GGEmit = 0;
+  double GGSeconds = 0, PccSeconds = 0;
   {
-    TimerScope TS(TG);
+    const MonoClock::time_point Start = MonoClock::now();
     for (const std::string &Source : Corpus) {
       CodeGenStats S;
       ggbench::compileGG(Source, {}, &S);
@@ -135,6 +135,7 @@ int main(int argc, char **argv) {
       GGInstrGen += S.InstrGenSeconds;
       GGEmit += S.EmitSeconds;
     }
+    GGSeconds = monoSeconds(Start, MonoClock::now());
   }
   if (Profiling) {
     if (!ProfilePath.empty())
@@ -142,13 +143,14 @@ int main(int argc, char **argv) {
     gg::profile().reset();
   }
   {
-    TimerScope TS(TP);
+    const MonoClock::time_point Start = MonoClock::now();
     for (const std::string &Source : Corpus) {
       PccStats S;
       ggbench::compilePcc(Source, &S);
       PccLines += S.AsmLines;
       PccInsts += S.Instructions;
     }
+    PccSeconds = monoSeconds(Start, MonoClock::now());
   }
   if (Profiling) {
     if (!PccProfilePath.empty())
@@ -159,8 +161,7 @@ int main(int argc, char **argv) {
 
   printf("%-24s %12s %12s %9s\n", "", "GG (table)", "PCC (hand)", "ratio");
   printf("%-24s %12.3f %12.3f %8.2fx   (paper: 1.45x)\n",
-         "compile seconds", TG.seconds(), TP.seconds(),
-         TG.seconds() / TP.seconds());
+         "compile seconds", GGSeconds, PccSeconds, GGSeconds / PccSeconds);
   printf("%-24s %12zu %12zu %8.3fx   (paper: 1.007x)\n", "assembly lines",
          GGLines, PccLines, double(GGLines) / double(PccLines));
   printf("%-24s %12zu %12zu %8.3fx\n", "instructions emitted", GGInsts,
@@ -175,7 +176,7 @@ int main(int argc, char **argv) {
                 {"pcc_asm_lines", double(PccLines)},
                 {"gg_instructions", double(GGInsts)},
                 {"pcc_instructions", double(PccInsts)},
-                {"gg_seconds", TG.seconds()},
+                {"gg_seconds", GGSeconds},
                 // Per-phase wall seconds: like every "seconds" metric
                 // these are skipped by the sentinel unless a
                 // --time-threshold opts them in, but they make the
@@ -185,8 +186,8 @@ int main(int argc, char **argv) {
                 {"gg_match_seconds", GGMatch},
                 {"gg_instrgen_seconds", GGInstrGen},
                 {"gg_emit_seconds", GGEmit},
-                {"pcc_seconds", TP.seconds()},
-                {"gg_pcc_seconds_ratio", TG.seconds() / TP.seconds()}})
+                {"pcc_seconds", PccSeconds},
+                {"gg_pcc_seconds_ratio", GGSeconds / PccSeconds}})
                ? 0
                : 1;
 
@@ -201,23 +202,21 @@ int main(int argc, char **argv) {
     ggbench::resetStats();
     CodeGenOptions Opts;
     Opts.Parallel.Threads = Threads;
-    Timer T;
     uint64_t Tasks = 0, Steals = 0;
-    {
-      TimerScope TS(T);
-      for (const std::string &Source : Corpus) {
-        CodeGenStats S;
-        ggbench::compileGG(Source, Opts, &S);
-        Tasks += S.Parallel.Tasks;
-        Steals += S.Parallel.Steals;
-      }
+    const MonoClock::time_point Start = MonoClock::now();
+    for (const std::string &Source : Corpus) {
+      CodeGenStats S;
+      ggbench::compileGG(Source, Opts, &S);
+      Tasks += S.Parallel.Tasks;
+      Steals += S.Parallel.Steals;
     }
+    const double Seconds = monoSeconds(Start, MonoClock::now());
     if (Threads == 1)
-      Serial = T.seconds();
+      Serial = Seconds;
     char Row[32];
     snprintf(Row, sizeof(Row), "threads=%d", Threads);
-    printf("%-24s %12.3f %8.2fx %9llu %9llu\n", Row, T.seconds(),
-           Serial / T.seconds(), static_cast<unsigned long long>(Tasks),
+    printf("%-24s %12.3f %8.2fx %9llu %9llu\n", Row, Seconds,
+           Serial / Seconds, static_cast<unsigned long long>(Tasks),
            static_cast<unsigned long long>(Steals));
     char Id[32];
     snprintf(Id, sizeof(Id), "E3-threads-%d", Threads);

@@ -581,7 +581,9 @@ cmake -B build-tsan -S . \
 cmake --build build-tsan -j"$(nproc)" --target parallel_test support_test \
   coverage_test profile_test match_golden_test matcher_extra_test
 build-tsan/tests/parallel_test
-build-tsan/tests/support_test --gtest_filter='StatsThreading.*'
+# The phase clock is thread-local; PhaseScope.* nests scopes on eight
+# threads at once beside the shared-registry hammers.
+build-tsan/tests/support_test --gtest_filter='StatsThreading.*:PhaseScope.*'
 build-tsan/tests/coverage_test \
   --gtest_filter='CoverageRegistry.ShardsSumExactlyUnderContention:CoveragePipeline.*'
 build-tsan/tests/profile_test --gtest_filter='ProfilePipeline.*'
@@ -591,6 +593,6 @@ build-tsan/tests/profile_test --gtest_filter='ProfilePipeline.*'
 build-tsan/tests/match_golden_test \
   --gtest_filter='MatchGolden.FourThreadsTelemetryArmed'
 build-tsan/tests/matcher_extra_test
-echo "   parallel_test + stats/coverage/profile/matcher hammers: race-free under TSAN"
+echo "   parallel_test + stats/phase/coverage/profile/matcher hammers: race-free under TSAN"
 
 echo "== all checks passed"

@@ -6,10 +6,10 @@
 #include "support/Coverage.h"
 #include "support/FaultInject.h"
 #include "support/FlightRecorder.h"
+#include "support/Phase.h"
 #include "support/Profile.h"
 #include "support/Stats.h"
 #include "support/Strings.h"
-#include "support/Timer.h"
 #include "support/Trace.h"
 
 #include <memory>
@@ -71,16 +71,7 @@ struct FunctionResult {
   std::string TraceText;
   bool Ok = true;
   std::string Err;
-  double MatchSeconds = 0;
-  double GenSeconds = 0;
-  double EmitInGen = 0; ///< phase-4 time nested inside the GenT scope
-  size_t StatementTrees = 0;
-  size_t MatcherTokens = 0;
-  size_t MatcherSteps = 0;
-  size_t BlockedTrees = 0;
-  size_t RecoveredTrees = 0;
-  RegAllocStats Regs;
-  IdiomStats Idioms;
+  CodeGenStats Stats; ///< Phases is this function's phase-clock account
 };
 
 /// Number of statement trees the per-function walk below will push through
@@ -115,8 +106,8 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
                         Program &Prog, Function &F, uint64_t TreeOrdinal,
                         FunctionResult &R) {
   TraceSpan FnSpan("cg.function " + Prog.Syms.text(F.Name));
+  PhaseAccount Account(R.Stats.Phases);
   AsmEmitter &Emit = *R.Emit;
-  Timer MatchT, GenT;
   // Worker-private arena: Ret/CallStmt copy trees and the fallback
   // generator's splitter temporaries must not contend on the program's
   // shared arena while other workers compile. The request budget's byte
@@ -142,7 +133,7 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
     // fallback — an exhausted request must fail fast, not spend more of
     // its worker on the slower path.
     if (Opts.Budget && Opts.Budget->shouldStop(0)) {
-      ++R.BlockedTrees;
+      ++R.Stats.BlockedTrees;
       ++gg::stats().counter("cg.blocked_trees");
       R.Err = strf("request budget exhausted (%s) before tree: %s",
                    budgetStopName(Opts.Budget->Stopped.load(
@@ -154,7 +145,7 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
     if (LocalArena.exhausted()) {
       if (Opts.Budget)
         Opts.Budget->stop(BudgetStop::Memory);
-      ++R.BlockedTrees;
+      ++R.Stats.BlockedTrees;
       ++gg::stats().counter("cg.blocked_trees");
       R.Err = strf("node arena byte budget exhausted (%zu bytes) before "
                    "tree: %s",
@@ -170,15 +161,12 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
     // rolled back wholesale before the fallback path runs.
     AsmEmitter::Mark TreeMark = Emit.mark();
     {
-      TimerScope TS(MatchT);
-      {
-        ProfilePhaseScope PS(ProfPhase::Linearize);
-        Input = linearize(Tree);
-      }
-      if (Opts.Budget)
-        Opts.Budget->setPhase(RequestPhase::Match);
-      flightRecord(FlightKind::PhaseMatch,
-                   static_cast<int64_t>(Input.size()));
+      PhaseScope PS(Phase::Linearize);
+      Input = linearize(Tree);
+    }
+    {
+      PhaseScope PS(Phase::Match, Opts.Budget,
+                    static_cast<int64_t>(Input.size()));
       // truncate-input fault: models a phase-1/linearizer bug. A proper
       // prefix of a prefix linearization can never parse to completion,
       // so the matcher blocks instead of accepting a wrong parse. The
@@ -186,30 +174,22 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
       // thread count.
       Input.resize(
           faultInject().truncatedInputSize(Input.size(), TreeOrdinal++));
-      R.MatcherTokens += Input.size();
-      ProfilePhaseScope PS(ProfPhase::Match);
+      R.Stats.MatcherTokens += Input.size();
       MR = Target.matcher().match(Input, Opts.Budget);
     }
     std::string TreeErr;
     bool TreeOk = MR.Ok;
     if (MR.Ok) {
-      R.MatcherSteps += MR.Steps.size();
+      R.Stats.MatcherSteps += MR.Steps.size();
       if (Opts.Trace) {
         R.TraceText += printLinear(Tree, Prog.Syms) + "\n";
         R.TraceText += renderTrace(Target.grammar(), Input, MR, Prog.Syms);
         R.TraceText += "\n";
       }
-      if (Opts.Budget)
-        Opts.Budget->setPhase(RequestPhase::Replay);
-      flightRecord(FlightKind::PhaseReplay,
-                   static_cast<int64_t>(MR.Steps.size()));
-      TimerScope TS(GenT);
-      TraceSpan ReplaySpan("cg.replay");
-      ProfilePhaseScope PS(ProfPhase::Replay);
-      double EmitBefore = Emit.emitSeconds();
+      PhaseScope PS(Phase::Replay, Opts.Budget,
+                    static_cast<int64_t>(MR.Steps.size()));
       std::string SemErr;
       TreeOk = Sem.replay(Target.grammar(), Input, MR.Steps, SemErr);
-      R.EmitInGen += Emit.emitSeconds() - EmitBefore;
       if (!TreeOk)
         TreeErr = strf("%s\n  while generating: %s", SemErr.c_str(),
                        printLinear(Tree, Prog.Syms).c_str());
@@ -218,14 +198,14 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
                      printLinear(Tree, Prog.Syms).c_str());
     }
     if (TreeOk) {
-      ++R.StatementTrees;
+      ++R.Stats.StatementTrees;
       return true;
     }
 
     // Degradation ladder: one tree failing the table-driven path must
     // not kill the module. Discard the tree's partial output and
     // per-statement state, then regenerate it through the PCC baseline.
-    ++R.BlockedTrees;
+    ++R.Stats.BlockedTrees;
     ++gg::stats().counter("cg.blocked_trees");
     flightRecord(FlightKind::Block,
                  MR.Block ? static_cast<int64_t>(MR.Block->State) : -1);
@@ -245,12 +225,7 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
         strf("recovering via the baseline generator: %s", TreeErr.c_str()));
     DiagnosticSink FallbackDiags;
     {
-      if (Opts.Budget)
-        Opts.Budget->setPhase(RequestPhase::Fallback);
-      flightRecord(FlightKind::PhaseFallback);
-      TimerScope TS(GenT);
-      TraceSpan FallbackSpan("cg.fallback");
-      ProfilePhaseScope PS(ProfPhase::Fallback);
+      PhaseScope PS(Phase::Fallback, Opts.Budget);
       if (!pccGenStatement(Prog, F, Tree, Emit, FallbackDiags, &LocalArena)) {
         // Bottom of the ladder: a module-level diagnostic, never
         // process death — the caller decides what to do with it.
@@ -263,9 +238,9 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
     }
     // Spliced code clobbers condition codes behind the CC tracker's back.
     Sem.invalidateCC();
-    ++R.RecoveredTrees;
+    ++R.Stats.RecoveredTrees;
     ++gg::stats().counter("cg.recovered_trees");
-    ++R.StatementTrees;
+    ++R.Stats.StatementTrees;
     return true;
   };
 
@@ -321,13 +296,43 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
   // Patch the prologue with the final frame size.
   Emit.patchLine(PrologueLine, strf("\tsubl2\t$%d,sp", F.FrameSize));
 
-  R.Regs = Sem.regStats();
-  R.Idioms = Sem.idiomStats();
-  R.MatchSeconds = MatchT.seconds();
-  R.GenSeconds = GenT.seconds();
+  R.Stats.Regs = Sem.regStats();
+  R.Stats.Idioms = Sem.idiomStats();
 }
 
 } // namespace
+
+CodeGenStats &CodeGenStats::operator+=(const CodeGenStats &O) {
+  TransformSeconds += O.TransformSeconds;
+  MatchSeconds += O.MatchSeconds;
+  InstrGenSeconds += O.InstrGenSeconds;
+  EmitSeconds += O.EmitSeconds;
+  StatementTrees += O.StatementTrees;
+  MatcherTokens += O.MatcherTokens;
+  MatcherSteps += O.MatcherSteps;
+  Instructions += O.Instructions;
+  AsmLines += O.AsmLines;
+  BlockedTrees += O.BlockedTrees;
+  RecoveredTrees += O.RecoveredTrees;
+  Regs.Allocations += O.Regs.Allocations;
+  Regs.Spills += O.Regs.Spills;
+  Regs.Unspills += O.Regs.Unspills;
+  Regs.MaxLive = std::max(Regs.MaxLive, O.Regs.MaxLive);
+  Idioms.BindingApplied += O.Idioms.BindingApplied;
+  Idioms.RangeApplied += O.Idioms.RangeApplied;
+  Idioms.CCTestsElided += O.Idioms.CCTestsElided;
+  Idioms.PseudoExpansions += O.Idioms.PseudoExpansions;
+  Transform += O.Transform;
+  Peephole.BranchToNextRemoved += O.Peephole.BranchToNextRemoved;
+  Peephole.BranchesInverted += O.Peephole.BranchesInverted;
+  Peephole.ChainsCollapsed += O.Peephole.ChainsCollapsed;
+  Peephole.UnreachableRemoved += O.Peephole.UnreachableRemoved;
+  Parallel.Workers += O.Parallel.Workers;
+  Parallel.Tasks += O.Parallel.Tasks;
+  Parallel.Steals += O.Parallel.Steals;
+  Phases += O.Phases;
+  return *this;
+}
 
 void gg::emitDataSection(const Program &Prog, AsmEmitter &Emit) {
   if (Prog.Globals.empty())
@@ -358,13 +363,11 @@ bool GGCodeGenerator::compile(Program &Prog, std::string &Asm,
   touchSchemaKeys();
   coverage().noteCompile();
   profile().noteCompile();
-  // cg.total is wall time across the parallel region; wall-only scopes
-  // no-op under the deterministic steps timebase (support/Profile.h).
-  ProfilePhaseScope TotalScope(ProfPhase::Total, /*WallOnly=*/true);
+  PhaseAccount Account(Stats.Phases);
+  PhaseScope TotalScope(Phase::Total);
   TraceSpan CompileSpan("cg.compile");
   AsmEmitter Emit(Prog.Syms);
   Emit.setExplain(Opts.Explain);
-  Timer TransformT;
 
   emitDataSection(Prog, Emit);
   Emit.directive(".text");
@@ -377,23 +380,10 @@ bool GGCodeGenerator::compile(Program &Prog, std::string &Asm,
   // construction; canonicalization would rewrite them away from the
   // productions they were built to exercise.
   if (!Opts.Transform.RawTrees) {
-    if (Opts.Budget)
-      Opts.Budget->setPhase(RequestPhase::Transform);
-    flightRecord(FlightKind::PhaseTransform,
-                 static_cast<int64_t>(Prog.Functions.size()));
-    TimerScope TS(TransformT);
-    ProfilePhaseScope PS(ProfPhase::Transform);
-    for (Function &F : Prog.Functions) {
-      TransformStats TF = runPhase1(Prog, F, Opts.Transform);
-      Stats.Transform.CondBranchRewrites += TF.CondBranchRewrites;
-      Stats.Transform.BoolValueRewrites += TF.BoolValueRewrites;
-      Stats.Transform.CallsFactored += TF.CallsFactored;
-      Stats.Transform.ConstantsFolded += TF.ConstantsFolded;
-      Stats.Transform.Canonicalizations += TF.Canonicalizations;
-      Stats.Transform.SubtreesSwapped += TF.SubtreesSwapped;
-      Stats.Transform.ReverseOpsUsed += TF.ReverseOpsUsed;
-      Stats.Transform.SpillSplits += TF.SpillSplits;
-    }
+    PhaseScope PS(Phase::Transform, Opts.Budget,
+                  static_cast<int64_t>(Prog.Functions.size()));
+    for (Function &F : Prog.Functions)
+      Stats.Transform += runPhase1(Prog, F, Opts.Transform);
   }
 
   // Phase 1 allocates from the program's shared arena; an exhausted arena
@@ -446,11 +436,8 @@ bool GGCodeGenerator::compile(Program &Prog, std::string &Asm,
   // with diagnostics merged up to and including it (serial semantics).
   // The stitch scope runs to function exit: append + peephole + final
   // render are all serial post-join work.
-  if (Opts.Budget)
-    Opts.Budget->setPhase(RequestPhase::Stitch);
-  flightRecord(FlightKind::PhaseStitch, static_cast<int64_t>(NumFns));
-  ProfilePhaseScope StitchScope(ProfPhase::Stitch);
-  double WorkerEmitSeconds = 0;
+  PhaseScope StitchScope(Phase::Stitch, Opts.Budget,
+                         static_cast<int64_t>(NumFns));
   StatsRegistry &Reg = gg::stats();
   for (size_t I = 0; I < NumFns; ++I) {
     FunctionResult &R = Results[I];
@@ -460,43 +447,33 @@ bool GGCodeGenerator::compile(Program &Prog, std::string &Asm,
       return false;
     }
     Trace += R.TraceText;
-    Stats.MatchSeconds += R.MatchSeconds;
-    Stats.InstrGenSeconds += std::max(0.0, R.GenSeconds - R.EmitInGen);
-    Stats.StatementTrees += R.StatementTrees;
-    Stats.MatcherTokens += R.MatcherTokens;
-    Stats.MatcherSteps += R.MatcherSteps;
-    Stats.BlockedTrees += R.BlockedTrees;
-    Stats.RecoveredTrees += R.RecoveredTrees;
-    Stats.Regs.Allocations += R.Regs.Allocations;
-    Stats.Regs.Spills += R.Regs.Spills;
-    Stats.Regs.Unspills += R.Regs.Unspills;
-    Stats.Regs.MaxLive = std::max(Stats.Regs.MaxLive, R.Regs.MaxLive);
-    Stats.Idioms.BindingApplied += R.Idioms.BindingApplied;
-    Stats.Idioms.RangeApplied += R.Idioms.RangeApplied;
-    Stats.Idioms.CCTestsElided += R.Idioms.CCTestsElided;
-    Stats.Idioms.PseudoExpansions += R.Idioms.PseudoExpansions;
-    WorkerEmitSeconds += R.Emit->emitSeconds();
+    Stats += R.Stats;
     Emit.append(std::move(*R.Emit));
 
     ++Reg.counter("cg.functions");
-    Reg.counter("idiom.binding_applied") += R.Idioms.BindingApplied;
-    Reg.counter("idiom.range_applied") += R.Idioms.RangeApplied;
-    Reg.counter("idiom.cc_tests_elided") += R.Idioms.CCTestsElided;
-    Reg.counter("idiom.pseudo_expansions") += R.Idioms.PseudoExpansions;
+    Reg.counter("idiom.binding_applied") += R.Stats.Idioms.BindingApplied;
+    Reg.counter("idiom.range_applied") += R.Stats.Idioms.RangeApplied;
+    Reg.counter("idiom.cc_tests_elided") += R.Stats.Idioms.CCTestsElided;
+    Reg.counter("idiom.pseudo_expansions") += R.Stats.Idioms.PseudoExpansions;
   }
 
   if (Opts.Peephole)
     Stats.Peephole = runPeephole(Emit.linesMutable());
+  // Until the final render every Emit charge came from the workers.
+  Reg.value("cg.parallel.worker_emit_seconds") += Stats.Phases[Phase::Emit];
 
-  Stats.TransformSeconds = TransformT.seconds();
-  // Figure-2 accounting: phase 3 is replay time minus the output
-  // formatting nested inside it; phase 4 is all formatting (operands,
-  // prologue/data directives, final text rendering). With Threads > 1
-  // these are summed per-worker CPU seconds, not wall time.
   Stats.Instructions = Emit.instructionCount();
   Asm += Emit.text();
   Stats.AsmLines = Emit.lineCount();
-  Stats.EmitSeconds = Emit.emitSeconds();
+  // Figure-2 accounting from the phase clock's self times: phase 3 is
+  // replay and fallback without the formatting nested in them; phase 4
+  // is all formatting (instructions, final text rendering).
+  Stats.TransformSeconds = Stats.Phases[Phase::Transform];
+  Stats.MatchSeconds =
+      Stats.Phases[Phase::Linearize] + Stats.Phases[Phase::Match];
+  Stats.InstrGenSeconds =
+      Stats.Phases[Phase::Replay] + Stats.Phases[Phase::Fallback];
+  Stats.EmitSeconds = Stats.Phases[Phase::Emit];
 
   ++Reg.counter("cg.compiles");
   Reg.counter("cg.trees") += Stats.StatementTrees;
@@ -508,6 +485,5 @@ bool GGCodeGenerator::compile(Program &Prog, std::string &Asm,
   Reg.value("cg.match_seconds") += Stats.MatchSeconds;
   Reg.value("cg.instrgen_seconds") += Stats.InstrGenSeconds;
   Reg.value("cg.emit_seconds") += Stats.EmitSeconds;
-  Reg.value("cg.parallel.worker_emit_seconds") += WorkerEmitSeconds;
   return true;
 }

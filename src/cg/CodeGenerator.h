@@ -15,7 +15,8 @@
 ///
 /// Per-phase wall-clock accounting reproduces the paper's observation
 /// that "roughly one half the code generation time is spent in the
-/// pattern matching phase" (experiment E5).
+/// pattern matching phase" (experiment E5). Each phase transition is one
+/// PhaseScope (support/Phase.h).
 ///
 /// Phases 2-4 are embarrassingly parallel across functions: the SLR
 /// tables and instruction table are immutable once built, and all
@@ -36,6 +37,7 @@
 #include "cg/Transform.h"
 #include "ir/Program.h"
 #include "support/Deadline.h"
+#include "support/Phase.h"
 #include "support/ThreadPool.h"
 #include "vax/VaxSemantics.h"
 #include "vax/VaxTarget.h"
@@ -74,9 +76,9 @@ struct CodeGenOptions {
 };
 
 /// Aggregate statistics for one compile() call. The four Seconds fields
-/// are the paper's Figure-2 phases and are disjoint: instruction
-/// generation excludes the output formatting it is interleaved with,
-/// which is charged to EmitSeconds instead.
+/// are the paper's Figure-2 phases and are disjoint phase-clock self
+/// times: instruction generation (replay and PCC fallback) excludes the
+/// output formatting it is interleaved with, charged to EmitSeconds.
 struct CodeGenStats {
   double TransformSeconds = 0;
   double MatchSeconds = 0;
@@ -97,6 +99,10 @@ struct CodeGenStats {
   PeepholeStats Peephole;
   /// Worker-pool telemetry: threads resolved, tasks dealt, steal events.
   PoolRunStats Parallel;
+  PhaseTimes Phases; ///< self seconds; the four above derive from it
+
+  /// Adds \p O into this (counts and seconds sum; MaxLive takes the max).
+  CodeGenStats &operator+=(const CodeGenStats &O);
 };
 
 /// Compiles IR programs to VAX assembly via the pattern matcher.

@@ -3,6 +3,7 @@
 #include "cg/CompileService.h"
 #include "frontend/Parser.h"
 #include "support/FaultInject.h"
+#include "support/Phase.h"
 #include "support/Strings.h"
 #include "support/Trace.h"
 #include "tablegen/Serialize.h"
@@ -126,10 +127,13 @@ HandlerResult CompileService::compile(const RequestMsg &Req,
   if (Budget.MaxArenaBytes)
     Prog.Arena->setLimitBytes(Budget.MaxArenaBytes);
   DiagnosticSink FrontendDiags;
-  if (!compileMiniC(Req.Source, Prog, FrontendDiags)) {
-    R.Status = ResponseStatus::CompileError;
-    R.Payload = FrontendDiags.renderAll();
-    return R;
+  {
+    PhaseScope PS(Phase::Frontend, &Budget);
+    if (!compileMiniC(Req.Source, Prog, FrontendDiags)) {
+      R.Status = ResponseStatus::CompileError;
+      R.Payload = FrontendDiags.renderAll();
+      return R;
+    }
   }
   if (Prog.Arena->exhausted()) {
     Budget.stop(BudgetStop::Memory);

@@ -51,6 +51,18 @@ struct TransformStats {
   unsigned SubtreesSwapped = 0;
   unsigned ReverseOpsUsed = 0;
   unsigned SpillSplits = 0;
+
+  TransformStats &operator+=(const TransformStats &O) {
+    CondBranchRewrites += O.CondBranchRewrites;
+    BoolValueRewrites += O.BoolValueRewrites;
+    CallsFactored += O.CallsFactored;
+    ConstantsFolded += O.ConstantsFolded;
+    Canonicalizations += O.Canonicalizations;
+    SubtreesSwapped += O.SubtreesSwapped;
+    ReverseOpsUsed += O.ReverseOpsUsed;
+    SpillSplits += O.SpillSplits;
+    return *this;
+  }
 };
 
 /// Runs phases 1a, 1b and 1c over \p F in place (new statement forest).

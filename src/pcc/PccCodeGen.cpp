@@ -4,9 +4,9 @@
 #include "cg/CodeGenerator.h" // emitDataSection
 #include "cg/Transform.h"
 #include "support/Error.h"
+#include "support/Phase.h"
 #include "support/Profile.h"
 #include "support/Strings.h"
-#include "support/Timer.h"
 #include "vax/Emitter.h"
 #include "vax/Operand.h"
 
@@ -566,12 +566,12 @@ private:
 bool PccCodeGenerator::compile(Program &Prog, std::string &Asm,
                                std::string &Err) {
   Stats = PccStats();
-  // The whole baseline compile is one profile phase: the --diff-pcc leg
-  // compares it against the GG side's per-phase breakdown.
-  ProfilePhaseScope PS(ProfPhase::PccCompile);
+  PhaseTimes Times;
+  PhaseAccount Account(Times);
+  // The whole baseline compile is one phase: the --diff-pcc leg compares
+  // its profile against the GG side's per-phase breakdown.
+  PhaseScope PS(Phase::PccCompile);
   profile().noteCompile();
-  Timer T;
-  T.start();
   AsmEmitter Emit(Prog.Syms);
   emitDataSection(Prog, Emit);
   Emit.directive(".text");
@@ -601,11 +601,11 @@ bool PccCodeGenerator::compile(Program &Prog, std::string &Asm,
     }
     Emit.patchLine(PrologueLine, strf("\tsubl2\t$%d,sp", F.FrameSize));
   }
-  T.stop();
-  Stats.Seconds = T.seconds();
   Stats.Instructions = Emit.instructionCount();
   Asm += Emit.text();
   Stats.AsmLines = Emit.lineCount();
+  // Charged up to the final render's Emit scope: the whole compile.
+  Stats.Seconds = Times[Phase::PccCompile] + Times[Phase::Emit];
   return true;
 }
 

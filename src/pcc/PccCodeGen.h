@@ -36,7 +36,7 @@ class AsmEmitter;
 
 /// Statistics for one baseline compilation.
 struct PccStats {
-  double Seconds = 0;
+  double Seconds = 0; ///< phase-clock seconds, final render included
   size_t Instructions = 0;
   size_t AsmLines = 0;
   size_t StatementTrees = 0;

@@ -5,20 +5,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The single monotonic time source every timing consumer shares. Before
-/// this header existed, `support/Timer.h` and `support/Trace.h` each
-/// chose their own `std::chrono::steady_clock` alias and the profiler
-/// would have added a third; now Timer (and through it every
-/// `*_seconds` value in `gg-stats-v1`), Trace's span timestamps, and the
-/// `gg-profile-v1` tick-to-seconds conversion all derive from MonoClock,
-/// so per-phase numbers from different artifacts are directly comparable.
+/// The single monotonic time source every timing consumer shares: Trace's
+/// span timestamps, the table builder's and benchmarks' interval reads,
+/// and — through profTicks() calibrated against it — the phase clock
+/// (support/Phase.h, and so every `*_seconds` value in `gg-stats-v1`) and
+/// the `gg-profile-v1` tick-to-seconds conversion all derive from
+/// MonoClock, so per-phase numbers from different artifacts are directly
+/// comparable.
 ///
 /// Two granularities:
-///   * MonoClock — steady_clock, for second-scale phase accounting.
+///   * MonoClock — steady_clock, for second-scale intervals.
 ///   * profTicks() — the cheapest raw timestamp the hardware offers
 ///     (rdtsc on x86-64, MonoClock nanoseconds elsewhere), for the
-///     profiler's per-parse-step charging where a clock_gettime vDSO
-///     call per step would dominate the work being measured.
+///     profiler's per-parse-step charging and the phase clock's
+///     per-instruction Emit scopes, where a clock_gettime vDSO call per
+///     event would dominate the work being measured.
 ///     profTicksPerSecond() calibrates ticks against MonoClock so tick
 ///     totals convert back into the shared seconds domain.
 ///
@@ -38,7 +39,8 @@
 namespace gg {
 
 /// The process-wide monotonic clock. Everything that reports seconds
-/// (Timer, Trace, profile artifacts) measures against this one source.
+/// (the phase clock, Trace, profile artifacts) measures against this one
+/// source.
 using MonoClock = std::chrono::steady_clock;
 
 /// Seconds between two MonoClock points.

@@ -1,6 +1,7 @@
 //===- FlightRecorder.cpp - always-on crash flight recorder -------------------===//
 
 #include "support/FlightRecorder.h"
+#include "support/Phase.h"
 #include "support/Trace.h"
 
 #include <atomic>
@@ -33,6 +34,7 @@ struct Event {
   int64_t Arg = 0;
   uint32_t Tid = 0;
   uint8_t Kind = 0;
+  uint8_t PhaseId = 0; ///< the Phase of a FlightKind::Transition event
 };
 
 struct Ring {
@@ -58,7 +60,8 @@ uint64_t monoNs() {
          static_cast<uint64_t>(TS.tv_nsec);
 }
 
-void record(FlightKind K, uint64_t Req, uint64_t Gen, int64_t Arg) {
+void record(FlightKind K, uint64_t Req, uint64_t Gen, int64_t Arg,
+            uint8_t PhaseId = 0) {
   if (MyRing == -2) {
     uint32_t I = RingCount.fetch_add(1, std::memory_order_relaxed);
     MyRing = I < MaxRings ? static_cast<int>(I) : -1;
@@ -76,6 +79,7 @@ void record(FlightKind K, uint64_t Req, uint64_t Gen, int64_t Arg) {
   E.Arg = Arg;
   E.Tid = MyTid;
   E.Kind = static_cast<uint8_t>(K);
+  E.PhaseId = PhaseId;
   E.Seq.store(GlobalSeq.fetch_add(1, std::memory_order_relaxed) + 1,
               std::memory_order_release);
 }
@@ -90,6 +94,7 @@ struct Snap {
   int64_t Arg;
   uint32_t Tid;
   uint8_t Kind;
+  uint8_t PhaseId;
 };
 
 /// Static scratch: the dumper is only ever entered by the dying (or
@@ -202,16 +207,8 @@ const char *gg::flightKindName(FlightKind K) {
     return "reload";
   case FlightKind::Drain:
     return "drain";
-  case FlightKind::PhaseTransform:
-    return "phase-transform";
-  case FlightKind::PhaseMatch:
-    return "phase-match";
-  case FlightKind::PhaseReplay:
-    return "phase-replay";
-  case FlightKind::PhaseFallback:
-    return "phase-fallback";
-  case FlightKind::PhaseStitch:
-    return "phase-stitch";
+  case FlightKind::Transition:
+    return "phase";
   case FlightKind::Block:
     return "block";
   case FlightKind::CrashSignal:
@@ -223,6 +220,12 @@ const char *gg::flightKindName(FlightKind K) {
 void gg::flightRecord(FlightKind K, int64_t Arg) {
   RequestContext C = RequestScope::current();
   record(K, C.Id, C.Generation, Arg);
+}
+
+void gg::flightRecordPhase(Phase P, int64_t Arg) {
+  RequestContext C = RequestScope::current();
+  record(FlightKind::Transition, C.Id, C.Generation, Arg,
+         static_cast<uint8_t>(P));
 }
 
 void gg::flightRecordFor(FlightKind K, uint64_t Req, uint64_t Gen,
@@ -263,6 +266,7 @@ void gg::flightDumpFd(int Fd, const char *Reason) {
       S.Arg = E.Arg;
       S.Tid = E.Tid;
       S.Kind = E.Kind;
+      S.PhaseId = E.PhaseId;
     }
   }
   heapSort(Collected, N);
@@ -291,6 +295,10 @@ void gg::flightDumpFd(int Fd, const char *Reason) {
     appendU64(Buf, Len, S.Tid);
     appendStr(Buf, Len, ",\"kind\":\"");
     appendStr(Buf, Len, flightKindName(static_cast<FlightKind>(S.Kind)));
+    if (S.Kind == static_cast<uint8_t>(FlightKind::Transition)) {
+      Buf[Len++] = '-';
+      appendStr(Buf, Len, phaseShortName(static_cast<Phase>(S.PhaseId)));
+    }
     appendStr(Buf, Len, "\",\"req\":");
     appendU64(Buf, Len, S.Req);
     appendStr(Buf, Len, ",\"gen\":");

@@ -30,6 +30,8 @@
 
 namespace gg {
 
+enum class Phase : uint8_t; // support/Phase.h
+
 /// What happened. Names (flightKindName) are the `kind` strings in the
 /// gg-flight-v1 dump; the `arg` field's meaning is per-kind.
 enum class FlightKind : uint8_t {
@@ -42,16 +44,12 @@ enum class FlightKind : uint8_t {
   WatchdogKill,    ///< watchdog abandoned a wedged worker; arg = ms late
   Reload,          ///< table image hot-swapped; arg = new generation
   Drain,           ///< graceful drain began
-  PhaseTransform,  ///< code-gen phase 1 started (per compile)
-  PhaseMatch,      ///< phases 2-4 started for one function
-  PhaseReplay,     ///< instruction replay started for one function
-  PhaseFallback,   ///< PCC fallback regeneration for one blocked tree
-  PhaseStitch,     ///< per-function streams being stitched (per compile)
+  Transition,      ///< a phase began; dumped as "phase-<short name>"
   Block,           ///< matcher block report; arg = BlockReport cause
   CrashSignal,     ///< fatal signal caught; arg = signal number
 };
 
-/// Stable dump name for \p K ("admit", "watchdog-kill", ...).
+/// Stable dump name for \p K ("admit", "watchdog-kill", "phase", ...).
 const char *flightKindName(FlightKind K);
 
 /// Records one event into the calling thread's ring: global sequence
@@ -63,6 +61,11 @@ void flightRecord(FlightKind K, int64_t Arg = 0);
 /// another thread's behalf (the watchdog killing a worker's request).
 void flightRecordFor(FlightKind K, uint64_t Req, uint64_t Gen,
                      int64_t Arg = 0);
+
+/// Records the Transition event of \p P (support/Phase.h): transform and
+/// stitch once per compile, match and replay once per tree (not per
+/// function), fallback once per blocked tree.
+void flightRecordPhase(Phase P, int64_t Arg);
 
 /// Sets the artifact path for flightDump()'s convenience form and the
 /// signal handlers. Copied into static storage; empty disables dumping.

@@ -2,6 +2,7 @@
 
 #include "support/Profile.h"
 #include "support/Json.h"
+#include "support/Phase.h"
 #include "support/Stats.h"
 #include "support/Strings.h"
 
@@ -20,30 +21,6 @@ using namespace gg;
 //===----------------------------------------------------------------------===//
 // Names and spec parsing
 //===----------------------------------------------------------------------===//
-
-const char *gg::profPhaseName(ProfPhase P) {
-  switch (P) {
-  case ProfPhase::Transform:
-    return "cg.transform";
-  case ProfPhase::Linearize:
-    return "cg.linearize";
-  case ProfPhase::Match:
-    return "cg.match";
-  case ProfPhase::Replay:
-    return "cg.replay";
-  case ProfPhase::Fallback:
-    return "cg.fallback";
-  case ProfPhase::Stitch:
-    return "cg.stitch";
-  case ProfPhase::Total:
-    return "cg.total";
-  case ProfPhase::PccCompile:
-    return "pcc.compile";
-  case ProfPhase::NumPhases:
-    break;
-  }
-  return "?";
-}
 
 static const char *modeName(ProfileMode M) {
   switch (M) {
@@ -197,6 +174,8 @@ ProfileRegistry &ProfileRegistry::global() {
   return R;
 }
 
+ProfileRegistry::ProfileRegistry() : PhaseAccs(NumPhases) {}
+
 void ProfileRegistry::configure(ProfileMode Mode, ProfileTimebase TB) {
   TimebaseA.store(static_cast<uint8_t>(TB), std::memory_order_relaxed);
   ModeA.store(static_cast<uint8_t>(Mode), std::memory_order_relaxed);
@@ -209,15 +188,13 @@ void ProfileRegistry::chargeDyn(int State, int TermIdx, uint64_t Ticks) {
   ++C.Events;
 }
 
-void ProfileRegistry::chargePhase(ProfPhase P, uint64_t Ticks,
-                                  uint64_t Events) {
+void ProfileRegistry::chargePhase(Phase P, uint64_t Ticks,
+                                  const HwCounters &D) {
   PhaseAcc &A = PhaseAccs[static_cast<size_t>(P)];
   A.Ticks.fetch_add(Ticks, std::memory_order_relaxed);
-  A.Events.fetch_add(Events, std::memory_order_relaxed);
-}
-
-void ProfileRegistry::chargePhaseHw(ProfPhase P, const HwCounters &D) {
-  PhaseAcc &A = PhaseAccs[static_cast<size_t>(P)];
+  A.Events.fetch_add(1, std::memory_order_relaxed);
+  if (!D.any())
+    return;
   A.Cycles.fetch_add(D.Cycles, std::memory_order_relaxed);
   A.Instructions.fetch_add(D.Instructions, std::memory_order_relaxed);
   A.L1dMisses.fetch_add(D.L1dMisses, std::memory_order_relaxed);
@@ -285,13 +262,13 @@ ProfileSnapshot ProfileRegistry::snapshot() const {
     if (T | E)
       Out.Prods[static_cast<int>(I)] = {T, E};
   }
-  for (size_t P = 0; P < static_cast<size_t>(ProfPhase::NumPhases); ++P) {
+  for (size_t P = 0; P < NumPhases; ++P) {
     const PhaseAcc &A = PhaseAccs[P];
     uint64_t T = A.Ticks.load(std::memory_order_relaxed);
     uint64_t E = A.Events.load(std::memory_order_relaxed);
     if (!(T | E))
       continue;
-    PhaseProfile &PP = Out.Phases[profPhaseName(static_cast<ProfPhase>(P))];
+    PhaseProfile &PP = Out.Phases[phaseName(static_cast<Phase>(P))];
     PP.Cell = {T, E};
     PP.Hw.Cycles = A.Cycles.load(std::memory_order_relaxed);
     PP.Hw.Instructions = A.Instructions.load(std::memory_order_relaxed);
@@ -304,43 +281,34 @@ ProfileSnapshot ProfileRegistry::snapshot() const {
 }
 
 //===----------------------------------------------------------------------===//
-// ProfilePhaseScope
+// ProfileInterval
 //===----------------------------------------------------------------------===//
 
-ProfilePhaseScope::ProfilePhaseScope(ProfPhase P, bool WallOnly) {
+void ProfileInterval::begin(bool WallOnly) {
   ProfileRegistry &R = profile();
   if (!R.instrEnabled())
     return;
   TB = R.timebase();
-  // Wall-only scopes span the parallel region: their steps-timebase delta
-  // would depend on which thread ran what, so they no-op under steps to
-  // keep the artifact schedule-independent.
   if (WallOnly && TB == ProfileTimebase::Steps)
     return;
   Live = true;
-  Phase = P;
   if (R.perfEnabled())
     PerfLive = threadPerf().read(PerfStart);
   StartTicks = ProfileRegistry::now(TB);
 }
 
-ProfilePhaseScope::~ProfilePhaseScope() {
+void ProfileInterval::end(Phase P) {
   if (!Live)
     return;
   uint64_t End = ProfileRegistry::now(TB);
-  ProfileRegistry &R = profile();
-  R.chargePhase(Phase, satSub(End, StartTicks), 1);
-  if (PerfLive) {
-    HwCounters Now;
-    if (threadPerf().read(Now)) {
-      HwCounters Delta{satSub(Now.Cycles, PerfStart.Cycles),
-                       satSub(Now.Instructions, PerfStart.Instructions),
-                       satSub(Now.L1dMisses, PerfStart.L1dMisses),
-                       satSub(Now.LlcMisses, PerfStart.LlcMisses),
-                       satSub(Now.BranchMisses, PerfStart.BranchMisses)};
-      R.chargePhaseHw(Phase, Delta);
-    }
-  }
+  HwCounters Now, Delta;
+  if (PerfLive && threadPerf().read(Now))
+    Delta = {satSub(Now.Cycles, PerfStart.Cycles),
+             satSub(Now.Instructions, PerfStart.Instructions),
+             satSub(Now.L1dMisses, PerfStart.L1dMisses),
+             satSub(Now.LlcMisses, PerfStart.LlcMisses),
+             satSub(Now.BranchMisses, PerfStart.BranchMisses)};
+  profile().chargePhase(P, satSub(End, StartTicks), Delta);
 }
 
 //===----------------------------------------------------------------------===//

@@ -37,9 +37,9 @@
 ///
 /// Two timebases:
 ///   * cycles (default) — profTicks(); tick totals convert to seconds
-///     via profTicksPerSecond(), the same MonoClock domain Timer/Stats
-///     use (support/Clock.h), so gg-stats-v1 and gg-profile-v1 numbers
-///     are directly comparable.
+///     via profTicksPerSecond(), the same MonoClock domain the phase
+///     clock and Stats use (support/Clock.h), so gg-stats-v1 and
+///     gg-profile-v1 numbers are directly comparable.
 ///   * steps — a deterministic virtual clock: each thread's timestamp is
 ///     a thread-local event counter, so every charged delta is a
 ///     property of the compiled input, not of the hardware or the
@@ -75,6 +75,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <vector>
 
 namespace gg {
 
@@ -83,20 +84,7 @@ struct JsonValue;
 enum class ProfileMode : uint8_t { Off = 0, Instr, Perf };
 enum class ProfileTimebase : uint8_t { Cycles = 0, Steps };
 
-/// The instrumented pipeline phases. Dense ids index the registry's
-/// accumulator arrays; names are the artifact keys.
-enum class ProfPhase : uint8_t {
-  Transform,  ///< phase 1 tree transformation (serial)
-  Linearize,  ///< prefix linearization feeding the matcher
-  Match,      ///< phase 2 shift/reduce matching (the table hot loop)
-  Replay,     ///< phase 3+4 reduction replay incl. nested operand output
-  Fallback,   ///< PCC regeneration of blocked trees (degradation ladder)
-  Stitch,     ///< serial result stitch + final text render + peephole
-  Total,      ///< whole GGCodeGenerator::compile (wall; cycles-only)
-  PccCompile, ///< the PCC baseline's whole compile (the --diff-pcc leg)
-  NumPhases
-};
-const char *profPhaseName(ProfPhase P);
+enum class Phase : uint8_t; // support/Phase.h
 
 /// Parses a `--profile=` spec: off | instr | perf, with an optional
 /// `,cycles` / `,steps` timebase suffix. Returns false and sets \p Err
@@ -236,9 +224,8 @@ public:
   /// Dyn-tie events are rare (one per deferred reduce/reduce tie hit),
   /// so a mutex-guarded map suffices, exactly as in Coverage.
   void chargeDyn(int State, int TermIdx, uint64_t Ticks);
-  /// Phase accumulators are dense atomics (no lookup).
-  void chargePhase(ProfPhase P, uint64_t Ticks, uint64_t Events);
-  void chargePhaseHw(ProfPhase P, const HwCounters &Delta);
+  /// One event of phase \p P. Phase accumulators are dense atomics.
+  void chargePhase(Phase P, uint64_t Ticks, const HwCounters &Delta);
   void noteCompile() {
     if (instrEnabled())
       Compiles.fetch_add(1, std::memory_order_relaxed);
@@ -270,7 +257,7 @@ public:
   std::string toJson() const { return snapshot().toJson(); }
 
 private:
-  ProfileRegistry() = default;
+  ProfileRegistry();
 
   std::atomic<uint8_t> ModeA{static_cast<uint8_t>(ProfileMode::Off)};
   std::atomic<uint8_t> TimebaseA{static_cast<uint8_t>(ProfileTimebase::Cycles)};
@@ -285,7 +272,7 @@ private:
     std::atomic<uint64_t> Cycles{0}, Instructions{0}, L1dMisses{0},
         LlcMisses{0}, BranchMisses{0};
   };
-  PhaseAcc PhaseAccs[static_cast<size_t>(ProfPhase::NumPhases)];
+  std::vector<PhaseAcc> PhaseAccs; ///< one per Phase
 
   mutable std::mutex M; ///< sizing, fingerprint, dyn map
   std::string Fingerprint;
@@ -295,23 +282,17 @@ private:
 /// Shorthand for the global registry.
 inline ProfileRegistry &profile() { return ProfileRegistry::global(); }
 
-/// RAII phase scope: charges the phase's tick delta (and, in perf mode,
-/// its hardware-counter deltas) on destruction. A disabled registry
-/// makes construction a single relaxed load.
-///
-/// \p WallOnly marks scopes that span the parallel region (cg.total):
-/// they measure wall time meaningfully under the cycles timebase but
-/// would be schedule-dependent under steps, so they no-op there —
-/// keeping steps-timebase artifacts byte-identical at any thread count.
-class ProfilePhaseScope {
+/// PhaseScope's profile sink (support/Phase.h): end() charges the phase
+/// the tick delta since begin() and, in perf mode, its hardware-counter
+/// deltas. A disabled registry makes begin() a single relaxed load.
+/// \p WallOnly intervals no-op under the steps timebase, where a delta
+/// across the parallel region (cg.total) would depend on the schedule.
+class ProfileInterval {
 public:
-  explicit ProfilePhaseScope(ProfPhase P, bool WallOnly = false);
-  ~ProfilePhaseScope();
-  ProfilePhaseScope(const ProfilePhaseScope &) = delete;
-  ProfilePhaseScope &operator=(const ProfilePhaseScope &) = delete;
+  void begin(bool WallOnly);
+  void end(Phase P);
 
 private:
-  ProfPhase Phase = ProfPhase::Total;
   ProfileTimebase TB = ProfileTimebase::Cycles;
   uint64_t StartTicks = 0;
   bool Live = false;

@@ -4,6 +4,7 @@
 #include "support/ExitCodes.h"
 #include "support/FaultInject.h"
 #include "support/FlightRecorder.h"
+#include "support/Phase.h"
 #include "support/Stats.h"
 #include "support/Strings.h"
 #include "support/ThreadPool.h"
@@ -161,13 +162,13 @@ std::string Server::statusJson() {
     for (const std::shared_ptr<Active> &A : InFlight) {
       if (A->Responded.load(std::memory_order_acquire))
         continue;
-      RequestPhase P = A->Budget.Phase.load(std::memory_order_relaxed);
+      Phase P = A->Budget.CurPhase.load(std::memory_order_relaxed);
       InFlightJson += strf(
           "%s{\"id\":%llu,\"age_ms\":%llu,\"phase\":\"%s\"}",
           NInFlight ? "," : "",
           static_cast<unsigned long long>(A->TraceId),
           static_cast<unsigned long long>((Now - A->AdmitNs) / 1000000ull),
-          requestPhaseName(P));
+          phaseShortName(P));
       ++NInFlight;
     }
   }
@@ -638,7 +639,7 @@ void Server::serveOne(const std::shared_ptr<Active> &A) {
       R.Payload = "internal error: handler threw";
     }
   }
-  A->Budget.setPhase(RequestPhase::Responding);
+  PhaseScope Responding(Phase::Responding, &A->Budget);
   // Service-time EWMA (alpha = 1/8) feeding the admission estimator.
   uint64_t Sample = RequestBudget::nowNs() - StartNs;
   uint64_t Prev = EwmaServiceNs.load(std::memory_order_relaxed);

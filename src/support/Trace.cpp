@@ -46,9 +46,9 @@ std::string TraceRecorder::toChromeJson() const {
   for (size_t I : Order) {
     const TraceEvent &E = Events[I];
     Out += strf("%s\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\","
-                "\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":1",
+                "\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%u",
                 First ? "" : ",", jsonEscape(E.Name).c_str(), E.Category,
-                E.StartUs, E.DurUs);
+                E.StartUs, E.DurUs, E.Tid);
     if (!E.Args.empty()) {
       Out += ",\"args\":{";
       bool FirstA = true;

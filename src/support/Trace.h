@@ -20,9 +20,9 @@
 ///
 /// Thread safety: span entry/exit lock a mutex when the recorder is
 /// enabled (the parallel code generator's workers open per-function and
-/// per-tree spans concurrently), and nothing when disabled. The nesting
-/// depth is process-wide, so depths recorded by concurrent workers
-/// interleave; the Chrome JSON view keys on timestamps and is unaffected.
+/// per-tree spans concurrently), and nothing when disabled. Each span
+/// records its thread's ordinal (1 for the first thread to open one) and
+/// its depth within that thread: one Chrome track per worker.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -47,7 +48,8 @@ struct TraceEvent {
   const char *Category = "gg";
   double StartUs = 0;
   double DurUs = 0;
-  int Depth = 0; ///< nesting depth at the span's start (for toText)
+  uint32_t Tid = 0; ///< per-thread ordinal of the opening thread
+  int Depth = 0;    ///< the thread's nesting depth at the span's start
   std::vector<std::pair<std::string, int64_t>> Args;
 };
 
@@ -62,7 +64,7 @@ public:
   void enable() {
     std::lock_guard<std::mutex> Lock(M);
     Enabled.store(true, std::memory_order_relaxed);
-    if (Events.empty() && CurDepth == 0)
+    if (Events.empty() && OpenSpans == 0)
       Epoch = Clock::now();
   }
   void disable() { Enabled.store(false, std::memory_order_relaxed); }
@@ -71,7 +73,7 @@ public:
   void clear() {
     std::lock_guard<std::mutex> Lock(M);
     Events.clear();
-    CurDepth = 0;
+    OpenSpans = 0;
     Epoch = Clock::now();
   }
 
@@ -92,22 +94,29 @@ public:
   /// Compact indented text rendering, one line per span in start order.
   std::string toText() const;
 
-  // Span bookkeeping (used by TraceSpan).
-  int enter() {
+  // Span bookkeeping (used by TraceSpan); enter() stamps Tid and Depth.
+  void enter(TraceEvent &E) {
+    E.Tid = MyTid;
+    E.Depth = MyDepth++;
     std::lock_guard<std::mutex> Lock(M);
-    return CurDepth++;
+    ++OpenSpans;
   }
   void exit(TraceEvent E) {
+    --MyDepth;
     std::lock_guard<std::mutex> Lock(M);
-    --CurDepth;
+    --OpenSpans;
     Events.push_back(std::move(E));
   }
 
 private:
   using Clock = MonoClock;
-  mutable std::mutex M; ///< guards Events/CurDepth/Epoch when enabled
+  mutable std::mutex M; ///< guards Events/OpenSpans/Epoch when enabled
   std::atomic<bool> Enabled{false};
-  int CurDepth = 0;
+  int OpenSpans = 0; ///< across all threads
+  static inline std::atomic<uint32_t> NextTid{1};
+  static inline thread_local uint32_t MyTid =
+      NextTid.fetch_add(1, std::memory_order_relaxed);
+  static inline thread_local int MyDepth = 0; ///< across recorders
   Clock::time_point Epoch = Clock::now();
   std::vector<TraceEvent> Events;
 };
@@ -146,27 +155,25 @@ private:
 };
 
 /// RAII span: records [construction, destruction) into a recorder when
-/// it is enabled, and nothing otherwise.
+/// it is enabled, and nothing otherwise. The span is stamped with the
+/// thread's request identity, so a single request's end-to-end timeline
+/// is reconstructable by its "req" arg.
 class TraceSpan {
 public:
-  explicit TraceSpan(const char *Name,
+  explicit TraceSpan(std::string_view Name,
                      TraceRecorder &R = TraceRecorder::global())
       : R(R) {
     if (!R.enabled())
       return;
     Live = true;
     E.Name = Name;
-    begin();
-  }
-
-  /// Spans with formatted names (per-function, per-tree).
-  TraceSpan(std::string Name, TraceRecorder &R = TraceRecorder::global())
-      : R(R) {
-    if (!R.enabled())
-      return;
-    Live = true;
-    E.Name = std::move(Name);
-    begin();
+    RequestContext C = RequestScope::current();
+    if (C.Id) {
+      E.Args.emplace_back("req", static_cast<int64_t>(C.Id));
+      E.Args.emplace_back("gen", static_cast<int64_t>(C.Generation));
+    }
+    E.StartUs = R.nowUs();
+    R.enter(E);
   }
 
   ~TraceSpan() {
@@ -187,19 +194,6 @@ public:
   TraceSpan &operator=(const TraceSpan &) = delete;
 
 private:
-  /// Shared tail of both constructors: stamp the request identity (so a
-  /// single request's end-to-end timeline is reconstructable by the
-  /// "req" arg), then the timestamp and depth.
-  void begin() {
-    RequestContext C = RequestScope::current();
-    if (C.Id) {
-      E.Args.emplace_back("req", static_cast<int64_t>(C.Id));
-      E.Args.emplace_back("gen", static_cast<int64_t>(C.Generation));
-    }
-    E.StartUs = R.nowUs();
-    E.Depth = R.enter();
-  }
-
   TraceRecorder &R;
   TraceEvent E;
   bool Live = false;

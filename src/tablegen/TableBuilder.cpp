@@ -1,9 +1,9 @@
 //===- TableBuilder.cpp - SLR(1) table construction ------------------------===//
 
 #include "tablegen/TableBuilder.h"
+#include "support/Clock.h"
 #include "support/Stats.h"
 #include "support/Strings.h"
-#include "support/Timer.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -47,8 +47,7 @@ public:
 
   BuildResult build() {
     BuildResult R;
-    Timer T;
-    T.start();
+    const MonoClock::time_point Start = MonoClock::now();
 
     if (G.start() < 0) {
       R.Error = "grammar has no start symbol";
@@ -87,8 +86,7 @@ public:
     R.NumItemSets = States.size();
     for (const std::vector<Item> &C : Closures)
       R.TotalItems += C.size();
-    T.stop();
-    R.Seconds = T.seconds();
+    R.Seconds = monoSeconds(Start, MonoClock::now());
     R.Ok = true;
     recordStats(R);
     return R;

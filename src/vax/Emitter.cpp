@@ -1,13 +1,14 @@
 //===- Emitter.cpp - assembly output buffer ---------------------------------===//
 
 #include "vax/Emitter.h"
+#include "support/Phase.h"
 #include "support/Stats.h"
 
 using namespace gg;
 
 void AsmEmitter::inst(const std::string &Opcode,
                       const std::vector<Operand> &Ops) {
-  TimerScope TS(EmitTimer);
+  PhaseScope PS(Phase::Emit);
   std::vector<std::string> Texts;
   Texts.reserve(Ops.size());
   for (const Operand &O : Ops)
@@ -17,7 +18,7 @@ void AsmEmitter::inst(const std::string &Opcode,
 
 void AsmEmitter::instRaw(const std::string &Opcode,
                          const std::vector<std::string> &Ops) {
-  TimerScope TS(EmitTimer);
+  PhaseScope PS(Phase::Emit);
   appendInst(Opcode, Ops);
 }
 
@@ -34,7 +35,8 @@ void AsmEmitter::appendInst(const std::string &Opcode,
   }
   Lines.push_back(std::move(Line));
   ++NumInsts;
-  ++stats().counter("emit.instructions");
+  static auto &Insts = stats().counter("emit.instructions");
+  ++Insts;
 }
 
 void AsmEmitter::label(InternedString Name) { labelText(Syms.text(Name)); }
@@ -52,7 +54,7 @@ void AsmEmitter::comment(const std::string &Text) {
 }
 
 std::string AsmEmitter::text() const {
-  TimerScope TS(EmitTimer);
+  PhaseScope PS(Phase::Emit);
   std::string Out;
   for (const std::string &Line : Lines) {
     Out += Line;

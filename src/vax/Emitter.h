@@ -6,9 +6,9 @@
 ///
 /// \file
 /// Collects generated assembly text (phase 4 output). Tracks instruction
-/// counts for the code-quality experiments and its own wall-clock time so
-/// the Figure-2 accounting can report output generation (phase 4)
-/// separately from the instruction selection it is interleaved with.
+/// counts for the code-quality experiments. Formatting and rendering run
+/// in Phase::Emit scopes (support/Phase.h), so phase 4 is reported apart
+/// from the replay or PCC fallback it is interleaved with.
 ///
 /// In explain mode each instruction line is annotated with the grammar
 /// production whose semantic action emitted it (set via setContext() by
@@ -21,7 +21,6 @@
 #define GG_VAX_EMITTER_H
 
 #include "support/Interner.h"
-#include "support/Timer.h"
 #include "vax/Operand.h"
 
 #include <string>
@@ -77,27 +76,17 @@ public:
   /// consuming it. The parallel code generator compiles each function into
   /// a private buffer and stitches the buffers in source order, so output
   /// is byte-identical to the single-threaded stream at any thread count.
-  /// The donor's phase-4 seconds are folded in as well.
   void append(AsmEmitter &&Other) {
     Lines.insert(Lines.end(),
                  std::make_move_iterator(Other.Lines.begin()),
                  std::make_move_iterator(Other.Lines.end()));
     NumInsts += Other.NumInsts;
-    ForeignEmitSeconds += Other.emitSeconds();
     Other.Lines.clear();
     Other.NumInsts = 0;
   }
 
   /// The full assembly text.
   std::string text() const;
-
-  /// Wall-clock seconds spent formatting instructions and rendering the
-  /// final text — the paper's phase 4 (output generation). Includes time
-  /// charged by emitters spliced in via append(); under parallel
-  /// compilation this is summed worker time (CPU seconds), not wall time.
-  double emitSeconds() const {
-    return EmitTimer.seconds() + ForeignEmitSeconds;
-  }
 
   /// Explain mode: annotate each instruction with the production that
   /// reduced it. The context string is set by the instruction generator
@@ -113,8 +102,6 @@ private:
   const Interner &Syms;
   std::vector<std::string> Lines;
   size_t NumInsts = 0;
-  mutable Timer EmitTimer; ///< text() is const but charges phase 4
-  double ForeignEmitSeconds = 0; ///< phase-4 time of append()ed emitters
   bool Explain = false;
   std::string Context;
 

@@ -29,12 +29,14 @@ void RegisterManager::markBusy(int R) {
   Busy[R] = true;
   BusyOrder.push_back(R);
   ++Stats.Allocations;
-  ++gg::stats().counter("regs.allocations");
+  static auto &Allocations = gg::stats().counter("regs.allocations");
+  static auto &LiveHist = gg::stats().histogram("regs.live");
+  ++Allocations;
   unsigned Live = 0;
   for (int I = RegFirstAlloc; I <= RegLastAlloc; ++I)
     Live += Busy[I];
   Stats.MaxLive = std::max(Stats.MaxLive, Live);
-  gg::stats().histogram("regs.live").record(Live);
+  LiveHist.record(Live);
 }
 
 int RegisterManager::alloc() {
@@ -120,14 +122,16 @@ bool RegisterManager::evict(int R) {
   Cell.Spilled = true;
   SpillStore(R, Cell);
   ++Stats.Spills;
-  ++gg::stats().counter("regs.spills");
+  static auto &Spills = gg::stats().counter("regs.spills");
+  ++Spills;
   free(R);
   return true;
 }
 
 void RegisterManager::noteUnspill() {
   ++Stats.Unspills;
-  ++gg::stats().counter("regs.unspills");
+  static auto &Unspills = gg::stats().counter("regs.unspills");
+  ++Unspills;
 }
 
 int RegisterManager::numFree() const {
@@ -149,7 +153,8 @@ bool RegisterManager::spillOne() {
     Cell.Spilled = true;
     SpillStore(R, Cell);
     ++Stats.Spills;
-    ++gg::stats().counter("regs.spills");
+    static auto &Spills = gg::stats().counter("regs.spills");
+    ++Spills;
     free(R);
     return true;
   }

@@ -15,6 +15,7 @@
 #include "frontend/Parser.h"
 #include "pcc/PccCodeGen.h"
 #include "support/Json.h"
+#include "support/Phase.h"
 #include "support/Profile.h"
 #include "vax/VaxTarget.h"
 #include "workload/ProgramGen.h"
@@ -57,7 +58,7 @@ TEST(ProfileRegistry, OffByDefaultAndStepsAreDeterministic) {
   EXPECT_FALSE(R.perfEnabled());
 
   // Phase scopes cost nothing and record nothing while off.
-  { ProfilePhaseScope S(ProfPhase::Match); }
+  { PhaseScope S(Phase::Match); }
   R.noteCompile();
   ProfileSnapshot Off = R.snapshot();
   EXPECT_TRUE(Off.Phases.empty());
@@ -67,9 +68,9 @@ TEST(ProfileRegistry, OffByDefaultAndStepsAreDeterministic) {
   EXPECT_TRUE(R.instrEnabled());
   EXPECT_FALSE(R.perfEnabled());
   // A steps-timebase scope charges exactly one virtual tick.
-  { ProfilePhaseScope S(ProfPhase::Match); }
+  { PhaseScope S(Phase::Match); }
   // Wall-only scopes (cg.total) no-op under steps.
-  { ProfilePhaseScope S(ProfPhase::Total, /*WallOnly=*/true); }
+  { PhaseScope S(Phase::Total); }
   ProfileSnapshot On = R.snapshot();
   ASSERT_EQ(On.Phases.count("cg.match"), 1u);
   EXPECT_EQ(On.Phases["cg.match"].Cell.Ticks, 1u);
@@ -223,7 +224,7 @@ TEST(ProfileRegistry, PerfUnavailableFallsBackGracefully) {
   ProfileRegistry &R = profile();
   R.forcePerfUnavailableForTests(true);
   R.configure(ProfileMode::Perf, ProfileTimebase::Steps);
-  { ProfilePhaseScope S(ProfPhase::Match); }
+  { PhaseScope S(Phase::Match); }
   EXPECT_FALSE(R.perfAvailable());
   ProfileSnapshot S = R.snapshot();
   ASSERT_EQ(S.Phases.count("cg.match"), 1u);

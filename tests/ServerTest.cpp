@@ -15,8 +15,10 @@
 #include "support/FaultInject.h"
 #include "support/Frame.h"
 #include "support/Json.h"
+#include "support/Phase.h"
 #include "support/Server.h"
 #include "support/Stats.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -1161,6 +1163,48 @@ TEST(CompileServiceTest, CompilesAndReportsErrors) {
   HandlerResult R2 = Svc->compile(Bad, B2);
   EXPECT_EQ(R2.Status, ResponseStatus::CompileError);
   EXPECT_FALSE(R2.Payload.empty());
+}
+
+TEST(CompileServiceTest, TracedRequestHasFrontendSpanAndStatus) {
+  std::string Err;
+  std::unique_ptr<CompileService> Svc = CompileService::create(Err);
+  ASSERT_NE(Svc, nullptr) << Err;
+
+  // The frontend is a phase of its own: while it runs, the request's
+  // status reads "frontend".
+  RequestBudget Probe;
+  {
+    PhaseScope PS(Phase::Frontend, &Probe);
+    EXPECT_STREQ(phaseShortName(Probe.CurPhase.load()), "frontend");
+  }
+
+  // Served and traced, the request's timeline has a cg.frontend span
+  // tagged with its id, which gg-report --trace's per-request table
+  // (cg.* and match.* spans) picks up.
+  TraceRecorder &Rec = TraceRecorder::global();
+  Rec.clear();
+  Rec.enable();
+  ServerOptions Opts;
+  Opts.Workers = 1;
+  const CompileService &S = *Svc;
+  PipeHarness H([&S](const RequestMsg &Req,
+                     RequestBudget &B) { return S.compile(Req, B); },
+                Opts);
+  H.sendRequest(7301, "int main() { int x; x = 3; return x + 4; }");
+  std::vector<ResponseMsg> Rs = H.finish();
+  Rec.disable();
+  ASSERT_NE(findById(Rs, 7301), nullptr);
+  EXPECT_EQ(findById(Rs, 7301)->Status, ResponseStatus::Ok);
+  int Frontend = 0;
+  for (const TraceEvent &E : Rec.events()) {
+    if (E.Name != "cg.frontend")
+      continue;
+    for (const auto &[Key, Value] : E.Args)
+      if (Key == "req" && Value == 7301)
+        ++Frontend;
+  }
+  Rec.clear();
+  EXPECT_EQ(Frontend, 1);
 }
 
 TEST(CompileServiceTest, MemoryBudgetQuarantinesWithoutFallback) {

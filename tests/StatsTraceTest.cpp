@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/FaultInject.h"
 #include "support/FlightRecorder.h"
 #include "support/Json.h"
 #include "support/Stats.h"
@@ -24,7 +25,9 @@
 #include <cstring>
 #include <fcntl.h>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <set>
 #include <unistd.h>
 
 using namespace gg;
@@ -508,6 +511,64 @@ int main() { print(c(6)); return a(1) + b(3); }
             Serial.end());
   EXPECT_EQ(Serial, Parallel)
       << "span structure must not depend on the worker count";
+
+  // Each span carries its thread's ordinal and its depth within that
+  // thread. A 4-thread compile of functions big enough that the spawned
+  // workers start before the caller has drained the queue puts the
+  // per-function spans on more than one track.
+  std::string Big;
+  for (int F = 0; F < 8; ++F) {
+    Big += strf("int f%d(int x) { int s; s = x;", F);
+    for (int I = 0; I < 150; ++I)
+      Big += strf(" s = s * %d + x - %d;", I % 7 + 2, I);
+    Big += " return s; }\n";
+  }
+  Big += "int main() { return f0(1) + f7(2); }\n";
+  R.clear();
+  R.enable();
+  {
+    Program P;
+    DiagnosticSink D;
+    ASSERT_TRUE(compileMiniC(Big, P, D)) << D.renderAll();
+    CodeGenOptions Opts;
+    Opts.Parallel.Threads = 4;
+    GGCodeGenerator CG(*Target, Opts);
+    std::string Asm;
+    ASSERT_TRUE(CG.compile(P, Asm, Err)) << Err;
+  }
+  R.disable();
+  std::map<uint32_t, std::vector<const TraceEvent *>> ByTid;
+  std::set<uint32_t> FunctionTids;
+  for (const TraceEvent &E : R.events()) {
+    ByTid[E.Tid].push_back(&E);
+    if (E.Name.rfind("cg.function ", 0) == 0)
+      FunctionTids.insert(E.Tid);
+  }
+  EXPECT_GT(FunctionTids.size(), 1u);
+  // Within a thread, a span at depth d sits inside the enclosing span at
+  // depth d-1, and spans that do not nest follow one another.
+  auto End = [](const TraceEvent *E) { return E->StartUs + E->DurUs; };
+  for (auto &[Tid, Spans] : ByTid) {
+    std::stable_sort(Spans.begin(), Spans.end(),
+                     [](const TraceEvent *A, const TraceEvent *B) {
+                       return A->StartUs != B->StartUs
+                                  ? A->StartUs < B->StartUs
+                                  : A->Depth < B->Depth;
+                     });
+    std::vector<const TraceEvent *> Open;
+    for (const TraceEvent *E : Spans) {
+      while (!Open.empty() && End(Open.back()) <= E->StartUs)
+        Open.pop_back();
+      EXPECT_EQ(E->Depth, static_cast<int>(Open.size()))
+          << E->Name << " on tid " << Tid;
+      if (!Open.empty()) {
+        EXPECT_LE(End(E), End(Open.back()) + 1e-3)
+            << E->Name << " escapes " << Open.back()->Name;
+      }
+      Open.push_back(E);
+    }
+  }
+  R.clear();
 }
 
 //===----------------------------------------------------------------------===//
@@ -594,27 +655,59 @@ TEST(StatsSchema, ExplainModeAnnotatesInstructions) {
 }
 
 TEST(StatsSchema, EmitSecondsAccountedAndDisjoint) {
-  std::string Err;
-  std::unique_ptr<VaxTarget> Target = VaxTarget::create(Err);
-  ASSERT_TRUE(Target) << Err;
+  // The second input drops push_l, so every print() argument tree blocks
+  // and is regenerated through the PCC fallback: its formatting must be
+  // charged to phase 4 only, not to instruction generation as well.
+  struct Input {
+    const char *Fault;
+    const char *Source;
+  };
+  const Input Inputs[] = {
+      {"", "int main() { int i; int s; s = 0; i = 0;"
+           " while (i < 100) { s = s + i * i; i = i + 1; }"
+           " return s; }"},
+      {"drop-prod=push_l", "int main() { int i; int s; s = 0; i = 0;"
+                           " while (i < 100) { s = s + i * i; i = i + 1;"
+                           " print(s); print(i); }"
+                           " return s; }"},
+  };
+  for (const Input &In : Inputs) {
+    SCOPED_TRACE(In.Fault);
+    struct ResetFaults {
+      ~ResetFaults() { faultInject().reset(); }
+    } Reset;
+    std::string Err;
+    if (*In.Fault) {
+      ASSERT_TRUE(faultInject().configure(In.Fault, Err)) << Err;
+    }
+    std::unique_ptr<VaxTarget> Target = VaxTarget::create(Err);
+    ASSERT_TRUE(Target) << Err;
 
-  Program P;
-  DiagnosticSink Diags;
-  std::string Source = "int main() { int i; int s; s = 0; i = 0;"
-                       " while (i < 100) { s = s + i * i; i = i + 1; }"
-                       " return s; }";
-  ASSERT_TRUE(compileMiniC(Source, P, Diags));
-  GGCodeGenerator CG(*Target);
-  std::string Asm;
-  ASSERT_TRUE(CG.compile(P, Asm, Err)) << Err;
-  const CodeGenStats &S = CG.stats();
-  // All four Figure-2 phases are accounted, and the phase-3/phase-4
-  // split is disjoint (both non-negative; emission actually happened).
-  EXPECT_GE(S.TransformSeconds, 0.0);
-  EXPECT_GE(S.MatchSeconds, 0.0);
-  EXPECT_GE(S.InstrGenSeconds, 0.0);
-  EXPECT_GT(S.EmitSeconds, 0.0);
-  EXPECT_GT(S.Instructions, 0u);
+    Program P;
+    DiagnosticSink Diags;
+    ASSERT_TRUE(compileMiniC(In.Source, P, Diags));
+    CodeGenOptions Opts;
+    Opts.Parallel.Threads = 1;
+    GGCodeGenerator CG(*Target, Opts);
+    std::string Asm;
+    const uint64_t Start = profTicks();
+    ASSERT_TRUE(CG.compile(P, Asm, Err)) << Err;
+    const double Wall =
+        static_cast<double>(profTicks() - Start) / profTicksPerSecond();
+    const CodeGenStats &S = CG.stats();
+    EXPECT_EQ(S.RecoveredTrees > 0, *In.Fault != 0);
+    // All four Figure-2 phases are accounted, and they are disjoint: each
+    // is non-negative, emission actually happened, and together they fit
+    // in the wall time of the compile.
+    EXPECT_GE(S.TransformSeconds, 0.0);
+    EXPECT_GE(S.MatchSeconds, 0.0);
+    EXPECT_GE(S.InstrGenSeconds, 0.0);
+    EXPECT_GT(S.EmitSeconds, 0.0);
+    EXPECT_GT(S.Instructions, 0u);
+    EXPECT_LE(S.TransformSeconds + S.MatchSeconds + S.InstrGenSeconds +
+                  S.EmitSeconds,
+              Wall);
+  }
 }
 
 } // namespace

@@ -4,9 +4,9 @@
 #include "support/Error.h"
 #include "support/Interner.h"
 #include "support/Json.h"
+#include "support/Phase.h"
 #include "support/Stats.h"
 #include "support/Strings.h"
-#include "support/Timer.h"
 
 #include <gtest/gtest.h>
 
@@ -111,18 +111,117 @@ TEST(DiagnosticsTest, CountsAndRendering) {
   EXPECT_NE(All.find("note: context"), std::string::npos);
 }
 
-TEST(TimerTest, AccumulatesAcrossStartStop) {
-  Timer T;
-  EXPECT_EQ(T.seconds(), 0.0);
-  T.start();
-  T.stop();
-  double First = T.seconds();
-  EXPECT_GE(First, 0.0);
-  T.start();
-  T.stop();
-  EXPECT_GE(T.seconds(), First);
-  T.reset();
-  EXPECT_EQ(T.seconds(), 0.0);
+/// Busy-waits \p Seconds on the shared clock.
+void spinFor(double Seconds) {
+  const MonoClock::time_point Start = MonoClock::now();
+  while (monoSeconds(Start, MonoClock::now()) < Seconds) {
+  }
+}
+
+/// Seconds since \p Start on the phase clock's own timebase, so a wall
+/// interval and the self times inside it are converted at the same rate.
+double secondsSince(uint64_t Start) {
+  return static_cast<double>(profTicks() - Start) / profTicksPerSecond();
+}
+
+double sumOf(const PhaseTimes &T) {
+  double Sum = 0;
+  for (double S : T.Seconds)
+    Sum += S;
+  return Sum;
+}
+
+TEST(PhaseScope, NestedSelfTimesSumToOuterInterval) {
+  PhaseTimes T;
+  const uint64_t Start = profTicks();
+  {
+    PhaseAccount Account(T);
+    PhaseScope Stitch(Phase::Stitch);
+    spinFor(0.002);
+    {
+      PhaseScope Emit(Phase::Emit);
+      spinFor(0.002);
+    }
+    spinFor(0.002);
+  }
+  const double Wall = secondsSince(Start);
+  // Each transition closes one interval and opens the next at the same
+  // instant, so the self times tile the outer scope: never more than the
+  // wall time around it, never less than the time spent spinning.
+  EXPECT_GE(T[Phase::Stitch], 0.004);
+  EXPECT_GE(T[Phase::Emit], 0.002);
+  EXPECT_EQ(sumOf(T), T[Phase::Stitch] + T[Phase::Emit]);
+  EXPECT_LE(sumOf(T), Wall);
+}
+
+TEST(PhaseScope, EmitInFallbackChargedToEmitOnly) {
+  PhaseTimes T;
+  const uint64_t Start = profTicks();
+  {
+    PhaseAccount Account(T);
+    PhaseScope Fallback(Phase::Fallback);
+    spinFor(0.001);
+    {
+      PhaseScope Emit(Phase::Emit);
+      spinFor(0.02);
+    }
+    spinFor(0.001);
+  }
+  const double Wall = secondsSince(Start);
+  EXPECT_GE(T[Phase::Emit], 0.02);
+  EXPECT_GE(T[Phase::Fallback], 0.002);
+  // Charging the emit time to Fallback as well would push the sum ~20ms
+  // past the wall time.
+  EXPECT_LE(T[Phase::Fallback] + T[Phase::Emit], Wall);
+}
+
+TEST(PhaseScope, AccountStartsOutsideEveryPhase) {
+  // A pool task run inline on the compiling thread gets its own account
+  // and does not inherit (or charge) the caller's phase.
+  PhaseTimes Outer, Task;
+  {
+    PhaseAccount A(Outer);
+    PhaseScope Total(Phase::Total);
+    {
+      PhaseAccount B(Task);
+      spinFor(0.002);
+      PhaseScope Emit(Phase::Emit);
+      spinFor(0.001);
+    }
+    spinFor(0.001);
+  }
+  EXPECT_EQ(Task[Phase::Total], 0.0);
+  EXPECT_GE(Task[Phase::Emit], 0.001);
+  EXPECT_EQ(sumOf(Task), Task[Phase::Emit]);
+  EXPECT_EQ(Outer[Phase::Emit], 0.0);
+  EXPECT_GE(Outer[Phase::Total], 0.001);
+  EXPECT_EQ(sumOf(Outer), Outer[Phase::Total]);
+}
+
+TEST(PhaseScope, ThreadsKeepSeparateClocks) {
+  // The phase clock is per thread: concurrent workers nest scopes freely
+  // and each account sees only its own thread's phases.
+  constexpr int Threads = 8;
+  PhaseTimes Times[Threads];
+  std::vector<std::thread> Pool;
+  for (int I = 0; I < Threads; ++I)
+    Pool.emplace_back([&Times, I] {
+      PhaseAccount Account(Times[I]);
+      for (int Round = 0; Round < 200; ++Round) {
+        PhaseScope Linearize(Phase::Linearize);
+        PhaseScope Emit(Phase::Emit);
+      }
+      PhaseScope Own(I % 2 ? Phase::Total : Phase::PccCompile);
+      spinFor(0.001);
+    });
+  for (std::thread &T : Pool)
+    T.join();
+  for (int I = 0; I < Threads; ++I) {
+    const Phase Own = I % 2 ? Phase::Total : Phase::PccCompile;
+    const Phase Other = I % 2 ? Phase::PccCompile : Phase::Total;
+    EXPECT_GE(Times[I][Own], 0.001) << I;
+    EXPECT_EQ(Times[I][Other], 0.0) << I;
+  }
 }
 
 TEST(StatsThreading, OneCounterHammeredFromEightThreads) {
