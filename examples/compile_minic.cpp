@@ -67,6 +67,7 @@
 #include "pcc/PccCodeGen.h"
 #include "support/CliOptions.h"
 #include "support/ExitCodes.h"
+#include "support/Phase.h"
 #include "support/Server.h"
 #include "support/Stats.h"
 #include "support/Strings.h"
@@ -127,11 +128,14 @@ static int runCorpus(int Cases, const VaxTarget &Target, CodeGenOptions Opts,
 
     Program Prog;
     DiagnosticSink Diags;
-    if (!compileMiniC(Source, Prog, Diags)) {
-      fprintf(stderr, "gen-corpus case %d: frontend rejected its own "
-                      "program:\n%s",
-              Case, Diags.renderAll().c_str());
-      return ExitCompileFailure;
+    {
+      PhaseScope PS(Phase::Frontend);
+      if (!compileMiniC(Source, Prog, Diags)) {
+        fprintf(stderr, "gen-corpus case %d: frontend rejected its own "
+                        "program:\n%s",
+                Case, Diags.renderAll().c_str());
+        return ExitCompileFailure;
+      }
     }
     Opts.Parallel.Threads =
         PinnedThreads >= 0 ? PinnedThreads : ThreadCycle[Case % 4];
@@ -339,9 +343,12 @@ int main(int argc, char **argv) {
 
   Program Prog;
   DiagnosticSink Diags;
-  if (!compileMiniC(Buffer.str(), Prog, Diags)) {
-    fprintf(stderr, "%s", Diags.renderAll().c_str());
-    return ExitCompileFailure;
+  {
+    PhaseScope PS(Phase::Frontend);
+    if (!compileMiniC(Buffer.str(), Prog, Diags)) {
+      fprintf(stderr, "%s", Diags.renderAll().c_str());
+      return ExitCompileFailure;
+    }
   }
 
   std::string Asm, Err;

@@ -41,6 +41,7 @@
 #include "support/CliOptions.h"
 #include "support/ExitCodes.h"
 #include "support/FaultInject.h"
+#include "support/Phase.h"
 #include "support/Stats.h"
 #include "support/Trace.h"
 #include "tablegen/Serialize.h"
@@ -55,6 +56,7 @@ using namespace gg;
 
 static bool loadProgram(const std::string &Source, Program &Prog) {
   DiagnosticSink Diags;
+  PhaseScope PS(Phase::Frontend);
   if (!compileMiniC(Source, Prog, Diags)) {
     fprintf(stderr, "%s", Diags.renderAll().c_str());
     return false;

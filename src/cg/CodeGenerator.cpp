@@ -126,6 +126,11 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
   Emit.instRaw("subl2", {"$FRAME", "sp"});
 
   VaxSemantics Sem(Emit, F, Opts.Idioms);
+  // Registry entries are stable: look the per-tree counters up once.
+  static auto &BlockedTrees = gg::stats().counter("cg.blocked_trees");
+  static auto &RecoveredTrees = gg::stats().counter("cg.recovered_trees");
+  const TerminalMap &Terms = Target.matcher().driver().termMap();
+  std::vector<LinToken> Input; // reused across the function's trees
 
   auto CompileTree = [&](Node *Tree) -> bool {
     // Quarantine checks at tree granularity: a stopped budget or an
@@ -134,7 +139,7 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
     // its worker on the slower path.
     if (Opts.Budget && Opts.Budget->shouldStop(0)) {
       ++R.Stats.BlockedTrees;
-      ++gg::stats().counter("cg.blocked_trees");
+      ++BlockedTrees;
       R.Err = strf("request budget exhausted (%s) before tree: %s",
                    budgetStopName(Opts.Budget->Stopped.load(
                        std::memory_order_relaxed)),
@@ -146,7 +151,7 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
       if (Opts.Budget)
         Opts.Budget->stop(BudgetStop::Memory);
       ++R.Stats.BlockedTrees;
-      ++gg::stats().counter("cg.blocked_trees");
+      ++BlockedTrees;
       R.Err = strf("node arena byte budget exhausted (%zu bytes) before "
                    "tree: %s",
                    LocalArena.bytes(),
@@ -155,14 +160,13 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
       return false;
     }
 
-    std::vector<LinToken> Input;
     MatchResult MR;
     // Everything this tree emits sits after the mark; a failed tree is
     // rolled back wholesale before the fallback path runs.
     AsmEmitter::Mark TreeMark = Emit.mark();
     {
       PhaseScope PS(Phase::Linearize);
-      Input = linearize(Tree);
+      linearize(Tree, Terms, Input);
     }
     {
       PhaseScope PS(Phase::Match, Opts.Budget,
@@ -189,7 +193,8 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
       PhaseScope PS(Phase::Replay, Opts.Budget,
                     static_cast<int64_t>(MR.Steps.size()));
       std::string SemErr;
-      TreeOk = Sem.replay(Target.grammar(), Input, MR.Steps, SemErr);
+      TreeOk = Sem.replay(Target.grammar(), Target.semActions(), Input,
+                          MR.Steps, SemErr);
       if (!TreeOk)
         TreeErr = strf("%s\n  while generating: %s", SemErr.c_str(),
                        printLinear(Tree, Prog.Syms).c_str());
@@ -206,7 +211,7 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
     // not kill the module. Discard the tree's partial output and
     // per-statement state, then regenerate it through the PCC baseline.
     ++R.Stats.BlockedTrees;
-    ++gg::stats().counter("cg.blocked_trees");
+    ++BlockedTrees;
     flightRecord(FlightKind::Block,
                  MR.Block ? static_cast<int64_t>(MR.Block->State) : -1);
     if (MR.Block && MR.Block->Why == BlockReport::Cause::Budget) {
@@ -239,7 +244,7 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
     // Spliced code clobbers condition codes behind the CC tracker's back.
     Sem.invalidateCC();
     ++R.Stats.RecoveredTrees;
-    ++gg::stats().counter("cg.recovered_trees");
+    ++RecoveredTrees;
     ++R.Stats.StatementTrees;
     return true;
   };

@@ -69,9 +69,7 @@ relinearize(const LRDriver &D, TreeSynth &Synth, const std::vector<int> &Toks,
   Node *Tree = Synth.decode(Scratch, Names, Partial, Err);
   if (!Tree)
     return std::nullopt;
-  std::vector<std::string> Lin;
-  for (const LinToken &L : linearize(Tree))
-    Lin.push_back(L.Term);
+  std::vector<std::string> Lin = terminalNames(Tree);
   if (Lin.size() < Names.size() ||
       !std::equal(Names.begin(), Names.end(), Lin.begin()))
     return std::nullopt;
@@ -391,8 +389,8 @@ std::string Fuzzer::parseOnlyVerdict(const SynthStmt &S, uint64_t) {
   Node *Tree = Synth.decode(P, S.Tokens, /*AllowPartial=*/true, Err);
   if (!Tree)
     return "parse-only decode: " + Err;
-  const std::vector<LinToken> Input = linearize(Tree);
-  const MatchResult MR = Target.matcher().match(Input);
+  const MatchResult MR = Target.matcher().match(
+      linearize(Tree, Target.matcher().driver().termMap()));
   if (MR.Ok)
     return strf("parse-only: the real matcher accepted a witness the "
                 "table simulator predicted would block: %s",

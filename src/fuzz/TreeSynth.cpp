@@ -819,18 +819,18 @@ bool TreeSynth::buildProgram(const std::vector<SynthStmt> &Stmts,
       // Re-linearization must reproduce the witness sentence exactly —
       // the compile-time coverage the sentence was derived for depends
       // on it. (Blocked witnesses gain filler tokens at the tail.)
-      std::vector<LinToken> Lin = linearize(Tree);
+      std::vector<std::string> Lin = terminalNames(Tree);
       const size_t CheckLen = S.Tokens.size();
       bool LinOk = Lin.size() >= CheckLen &&
                    (S.ExpectBlocked || Lin.size() == CheckLen);
       for (size_t I = 0; LinOk && I < CheckLen; ++I)
-        LinOk = Lin[I].Term == S.Tokens[I];
+        LinOk = Lin[I] == S.Tokens[I];
       if (!LinOk) {
         std::string Want, Got;
         for (const std::string &T : S.Tokens)
           Want += T + " ";
-        for (const LinToken &L : Lin)
-          Got += L.Term + " ";
+        for (const std::string &T : Lin)
+          Got += T + " ";
         Err = strf("bound tree re-linearizes differently from its witness "
                    "sentence (statement %zu)\n  witness: %s\n  bound:   %s",
                    Global, Want.c_str(), Got.c_str());

@@ -6,16 +6,21 @@
 
 using namespace gg;
 
+static std::vector<std::string> terminalNamesOf(const Grammar &G) {
+  assert(G.isFrozen() && "the LR driver requires a frozen grammar");
+  std::vector<std::string> Names(G.terminals().size());
+  for (SymId S : G.terminals())
+    Names[G.termIndex(S)] = G.symbolName(S);
+  return Names;
+}
+
 LRDriver::LRDriver(const Grammar &G, const PackedTables &T,
                    size_t MaxStackDepth)
     : G(G), T(T), MaxStackDepth(MaxStackDepth),
-      EofIdx(G.termIndex(G.eofSymbol())) {
-  assert(G.isFrozen() && "the LR driver requires a frozen grammar");
-  TermNames.resize(G.terminals().size());
-  for (SymId S : G.terminals()) {
-    TermIndex.emplace(G.symbolName(S), G.termIndex(S));
-    TermNames[G.termIndex(S)] = G.symbolName(S);
-  }
+      EofIdx(G.termIndex(G.eofSymbol())), TermNames(terminalNamesOf(G)),
+      Terms(TermNames) {
+  for (size_t I = 0; I < TermNames.size(); ++I)
+    TermIndex.emplace(TermNames[I], static_cast<int>(I));
 
   // Every edge into a state carries the symbol before the dot in its
   // kernel items, so a state stack spells its viable prefix.

@@ -7,19 +7,23 @@
 /// \file
 /// The one LR driver over the packed SLR tables (paper section 3.3). It
 /// owns the action lookup, the reduce/goto, the parse-stack depth cap and
-/// the terminal-name -> index map. advance() feeds one terminal (every
+/// the grammar's terminal maps: the node -> index TerminalMap linearize()
+/// uses on the code generator's path, and the name -> index map the
+/// fuzzer and tests use. advance() feeds one terminal (every
 /// reduction it triggers, then the shift); finish() feeds end of input.
 /// What a parse records is up to the observer the calls are instantiated
 /// with: the Matcher's builds steps, block reports and telemetry; the
 /// fuzzer's record simulated parses without touching any registry.
-/// Deferred reduce/reduce ties are reported to the observer and always
-/// take the table's static default, the Reduce target.
+/// Deferred reduce/reduce ties are reported to the observer (the Tie bit
+/// of the packed action entry) and always take the table's static
+/// default, the Reduce target.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GG_MATCH_LRDRIVER_H
 #define GG_MATCH_LRDRIVER_H
 
+#include "ir/Linearize.h"
 #include "mdl/Grammar.h"
 #include "tablegen/Packing.h"
 
@@ -78,12 +82,15 @@ public:
   /// A fresh configuration, capped at the driver's MaxStackDepth.
   LRConfig start() const { return LRConfig(MaxStackDepth); }
 
-  /// Dense index for a terminal name; -1 if the grammar lacks it.
+  /// Dense index for a terminal name; -1 if the grammar lacks it. Off the
+  /// code generator's path, which linearizes through termMap().
   int termIndexFor(const std::string &Name) const {
     auto It = TermIndex.find(Name);
     return It == TermIndex.end() ? -1 : It->second;
   }
   const std::string &termName(int TermIdx) const { return TermNames[TermIdx]; }
+  /// The grammar's node -> terminal index map, for linearize().
+  const TerminalMap &termMap() const { return Terms; }
   int eofIndex() const { return EofIdx; }
   int numTerms() const { return T.numTerms(); }
 
@@ -110,9 +117,10 @@ private:
   const PackedTables &T;
   size_t MaxStackDepth;
   int EofIdx;
-  std::unordered_map<std::string, int> TermIndex;
   std::vector<std::string> TermNames; ///< dense index -> name
-  std::vector<SymId> EntrySym;        ///< per state: symbol it is entered on
+  std::unordered_map<std::string, int> TermIndex;
+  TerminalMap Terms;
+  std::vector<SymId> EntrySym; ///< per state: symbol it is entered on
 };
 
 template <typename Obs>
@@ -151,8 +159,7 @@ LRStatus LRDriver::advance(LRConfig &Cfg, int TermIdx, Obs &O) const {
 
     case ActionType::Reduce: {
       const int Prod = A.Target;
-      O.reducing(Cfg, State, TermIdx, Prod,
-                 T.dynChoicesAt(State, TermIdx) != nullptr);
+      O.reducing(Cfg, State, TermIdx, Prod, A.Tie);
       const Production &P = G.prod(Prod);
       int GotoState = -1;
       if (Cfg.Stack.size() > P.Rhs.size()) {

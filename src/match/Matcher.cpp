@@ -178,12 +178,20 @@ struct MatchObserver : LRObserver {
     // tables, not a description gap.
     B.Lookahead = Why == BlockCause::MissingGoto
                       ? D.grammar().symbolName(D.grammar().prod(Prod).Lhs)
-                  : Pos < Input.size() ? Input[Pos].Term
+                  : Pos < Input.size() ? lookaheadName(Input[Pos])
                                        : D.termName(D.eofIndex());
     B.ViablePrefix = D.viablePrefix(Cfg);
     B.ShiftableTerms = D.shiftableTerms(B.State);
     R.Error = B.render();
     R.Block = std::move(B);
+  }
+
+  /// A token's terminal name; a node the grammar has no terminal for is
+  /// named by the linearizer's rules (an UnknownTerminal block).
+  std::string lookaheadName(const LinToken &Tok) const {
+    if (Tok.Term >= 0)
+      return D.termName(Tok.Term);
+    return Tok.N ? terminalName(Tok.N) : "?";
   }
 
   /// Per-tree bookkeeping, on every exit path: one registry update per
@@ -248,7 +256,7 @@ MatchResult Matcher::match(const std::vector<LinToken> &Input,
 
   LRStatus St = LRStatus::Shifted;
   while (St == LRStatus::Shifted && Obs.Pos < Input.size())
-    St = D.advance(Cfg, D.termIndexFor(Input[Obs.Pos].Term), Obs);
+    St = D.advance(Cfg, Input[Obs.Pos].Term, Obs);
   while (St == LRStatus::Shifted)
     St = D.finish(Cfg, Obs);
   R.Ok = St == LRStatus::Accepted;
@@ -263,7 +271,8 @@ std::string gg::renderTrace(const Grammar &G,
   for (const MatchStep &S : R.Steps) {
     if (S.Kind == MatchStep::Shift) {
       const LinToken &Tok = Input[S.TokenIndex];
-      Out += strf("shift   %s", Tok.Term.c_str());
+      Out += strf("shift   %s",
+                  G.symbolName(G.terminals()[Tok.Term]).c_str());
       if (Tok.N) {
         switch (Tok.N->Opcode) {
         case Op::Const:

@@ -89,10 +89,11 @@ class Matcher {
 public:
   Matcher(const Grammar &G, const PackedTables &T, MatcherOptions Opts = {});
 
-  /// Matches \p Input (a prefix-linearized tree). A parse error here is a
-  /// syntactic block: the description failed to cover well-formed input.
-  /// On failure, MatchResult::Block carries the structured cause.
-  /// Thread-safe: may be called concurrently from multiple workers.
+  /// Matches \p Input (a tree linearized through driver().termMap()). A
+  /// parse error here is a syntactic block: the description failed to
+  /// cover well-formed input. On failure, MatchResult::Block carries the
+  /// structured cause. Thread-safe: may be called concurrently from
+  /// multiple workers.
   ///
   /// \p Budget, when non-null, is the owning request's quarantine budget:
   /// the loop polls cancellation/deadline/steps every BudgetPollMask+1

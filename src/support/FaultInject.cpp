@@ -152,7 +152,8 @@ bool FaultInjector::configure(std::string_view Spec, std::string &Err) {
 bool FaultInjector::shouldDropProduction(std::string_view SemTag) {
   if (C.DropProdTag.empty() || SemTag != C.DropProdTag)
     return false;
-  ++stats().counter("fault.productions_dropped");
+  static auto &Dropped = stats().counter("fault.productions_dropped");
+  ++Dropped;
   return true;
 }
 
@@ -168,12 +169,14 @@ size_t FaultInjector::truncatedInputSize(size_t NumTokens, uint64_t Ordinal) {
   if (NumTokens < 2)
     return NumTokens;
   size_t Keep = NumTokens - (NumTokens / 4 > 0 ? NumTokens / 4 : 1);
-  ++stats().counter("fault.trees_truncated");
+  static auto &Truncated = stats().counter("fault.trees_truncated");
+  ++Truncated;
   return Keep;
 }
 
 void FaultInjector::noteArenaExhaustion() {
-  ++stats().counter("fault.arena_exhaustions");
+  static auto &Exhaustions = stats().counter("fault.arena_exhaustions");
+  ++Exhaustions;
 }
 
 void FaultInjector::stallWorker(uint64_t TaskOrdinal) {
@@ -185,7 +188,8 @@ void FaultInjector::stallWorker(uint64_t TaskOrdinal) {
   uint64_t H = (C.Seed * 2654435761u) ^ (TaskOrdinal * 0x9E3779B97F4A7C15ull);
   uint64_t DelayUs =
       (H >> 7) % (static_cast<uint64_t>(C.StallWorkerMs) * 1000 + 1);
-  ++stats().counter("fault.worker_stalls");
+  static auto &Stalls = stats().counter("fault.worker_stalls");
+  ++Stalls;
   std::this_thread::sleep_for(std::chrono::microseconds(DelayUs));
 }
 
@@ -197,12 +201,14 @@ void FaultInjector::overloadBurst() {
   uint64_t Ordinal = DispatchOrdinal.fetch_add(1, std::memory_order_relaxed);
   if ((Ordinal / 8) % 2 != 0)
     return;
-  ++stats().counter("fault.overload_bursts");
+  static auto &Bursts = stats().counter("fault.overload_bursts");
+  ++Bursts;
   std::this_thread::sleep_for(std::chrono::milliseconds(C.OverloadBurstMs));
 }
 
 void FaultInjector::noteSlowClientWrite() {
-  ++stats().counter("fault.slow_client_writes");
+  static auto &SlowWrites = stats().counter("fault.slow_client_writes");
+  ++SlowWrites;
 }
 
 int64_t FaultInjector::corruptTableBody(std::string &TableText,
@@ -215,6 +221,7 @@ int64_t FaultInjector::corruptTableBody(std::string &TableText,
                      : C.Seed * 2654435761u; // Knuth hash of the seed
   size_t Pos = BodyStart + static_cast<size_t>(Off % BodyLen);
   TableText[Pos] ^= 0x01;
-  ++stats().counter("fault.table_bytes_corrupted");
+  static auto &Corrupted = stats().counter("fault.table_bytes_corrupted");
+  ++Corrupted;
   return static_cast<int64_t>(Pos - BodyStart);
 }

@@ -28,13 +28,21 @@ namespace gg {
 enum class ActionType : uint8_t { Error, Shift, Reduce, Accept };
 
 /// One action-table entry. Target is the destination state for Shift and
-/// the production id for Reduce.
+/// the production id for Reduce. Tie marks a Reduce at a deferred
+/// reduce/reduce tie point (a DynChoices key); it lives in the padding
+/// after Kind and is set only in packed tables (PackedTables::pack).
 struct Action {
-  ActionType Kind = ActionType::Error;
-  int32_t Target = 0;
+  ActionType Kind;
+  bool Tie;
+  int32_t Target;
+
+  constexpr Action(ActionType Kind = ActionType::Error, int32_t Target = 0,
+                   bool Tie = false)
+      : Kind(Kind), Tie(Tie), Target(Target) {}
 
   bool isError() const { return Kind == ActionType::Error; }
 };
+static_assert(sizeof(Action) == 8, "the tie bit must fit the padding");
 
 /// Dense parse tables for a frozen grammar.
 struct LRTables {

@@ -256,7 +256,11 @@ stmt <- AssignR_Y Com_Y rval_Y lval_Y : emit com2s_Y
 
 bool gg::buildVaxGrammar(Grammar &G, MdSpec &Spec, DiagnosticSink &Diags,
                          const VaxGrammarOptions &Opts) {
-  std::string Text = vaxSpecText(Opts);
+  return buildVaxGrammar(G, Spec, Diags, vaxSpecText(Opts));
+}
+
+bool gg::buildVaxGrammar(Grammar &G, MdSpec &Spec, DiagnosticSink &Diags,
+                         const std::string &Text) {
   if (!parseSpec(Text, Spec, Diags))
     return false;
   if (!Spec.expand(G, Diags))

@@ -40,6 +40,10 @@ std::string vaxSpecText(const VaxGrammarOptions &Opts = {});
 bool buildVaxGrammar(Grammar &G, MdSpec &Spec, DiagnosticSink &Diags,
                      const VaxGrammarOptions &Opts = {});
 
+/// As above, from description text in vaxSpecText()'s format.
+bool buildVaxGrammar(Grammar &G, MdSpec &Spec, DiagnosticSink &Diags,
+                     const std::string &SpecText);
+
 /// Terminal-category function for the syntactic-block check: operator
 /// terminals of equal arity and result size class share a category; leaf
 /// and special terminals are exempt (category 0).

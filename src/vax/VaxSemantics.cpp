@@ -38,20 +38,6 @@ Ty tyForSize(char SC, bool Unsigned = false) {
 
 int sizeRank(char SC) { return SC == 'b' ? 1 : SC == 'w' ? 2 : 4; }
 
-/// Splits a semantic tag "base_b_l" into its base and size characters.
-void parseTag(const std::string &Tag, std::string &Base, char &SC1,
-              char &SC2) {
-  Base.clear();
-  SC1 = SC2 = 0;
-  std::vector<std::string_view> Parts = splitString(Tag, '_');
-  Base = std::string(Parts[0]);
-  size_t I = 1;
-  if (I < Parts.size() && Parts[I].size() == 1)
-    SC1 = Parts[I++][0];
-  if (I < Parts.size() && Parts[I].size() == 1)
-    SC2 = Parts[I++][0];
-}
-
 bool isPowerOfTwo(int64_t V) { return V > 1 && (V & (V - 1)) == 0; }
 
 int log2Of(int64_t V) {
@@ -68,6 +54,173 @@ int64_t complementFor(int64_t V, char SC) {
 }
 
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// Semantic-tag decoding (once per target)
+//===----------------------------------------------------------------------===//
+
+/// Operand layout of a three-address arithmetic tag.
+struct gg::ArithShape {
+  const char *Tag;     // semantic tag base
+  const char *Cluster; // instruction-table cluster
+  int OpIdx;           // index of the operator leaf in Vals
+  int S1, S2;          // source indices (pre-swap)
+  int DstIdx;          // lvalue index or -1
+  bool SwapSrcs;       // reverse-operator form
+};
+
+namespace {
+
+const ArithShape Shapes[] = {
+    {"add", "add", 0, 1, 2, -1, false},
+    {"sub", "sub", 0, 1, 2, -1, false},
+    {"mul", "mul", 0, 1, 2, -1, false},
+    {"div", "div", 0, 1, 2, -1, false},
+    {"mod", "mod", 0, 1, 2, -1, false},
+    {"and", "and", 0, 1, 2, -1, false},
+    {"bis", "bis", 0, 1, 2, -1, false},
+    {"xor", "xor", 0, 1, 2, -1, false},
+    {"ash", "ash", 0, 1, 2, -1, false},
+    {"rsh", "rsh", 0, 1, 2, -1, false},
+    {"subr", "sub", 0, 1, 2, -1, true},
+    {"divr", "div", 0, 1, 2, -1, true},
+    {"modr", "mod", 0, 1, 2, -1, true},
+    {"ashr", "ash", 0, 1, 2, -1, true},
+    {"rshr", "rsh", 0, 1, 2, -1, true},
+    {"add3", "add", 2, 3, 4, 1, false},
+    {"sub3", "sub", 2, 3, 4, 1, false},
+    {"mul3", "mul", 2, 3, 4, 1, false},
+    {"div3", "div", 2, 3, 4, 1, false},
+    {"mod3", "mod", 2, 3, 4, 1, false},
+    {"and3", "and", 2, 3, 4, 1, false},
+    {"bis3", "bis", 2, 3, 4, 1, false},
+    {"xor3", "xor", 2, 3, 4, 1, false},
+    {"ash3", "ash", 2, 3, 4, 1, false},
+    {"rsh3", "rsh", 2, 3, 4, 1, false},
+    {"sub3r", "sub", 2, 3, 4, 1, true},
+    {"div3r", "div", 2, 3, 4, 1, true},
+    {"mod3r", "mod", 2, 3, 4, 1, true},
+    {"ash3r", "ash", 2, 3, 4, 1, true},
+    {"rsh3r", "rsh", 2, 3, 4, 1, true},
+    {"add3s", "add", 1, 2, 3, 4, false},
+    {"sub3s", "sub", 1, 2, 3, 4, false},
+    {"mul3s", "mul", 1, 2, 3, 4, false},
+    {"div3s", "div", 1, 2, 3, 4, false},
+    {"mod3s", "mod", 1, 2, 3, 4, false},
+    {"and3s", "and", 1, 2, 3, 4, false},
+    {"bis3s", "bis", 1, 2, 3, 4, false},
+    {"xor3s", "xor", 1, 2, 3, 4, false},
+    {"ash3s", "ash", 1, 2, 3, 4, false},
+    {"rsh3s", "rsh", 1, 2, 3, 4, false},
+    {"sub3sr", "sub", 1, 2, 3, 4, true},
+    {"div3sr", "div", 1, 2, 3, 4, true},
+    {"mod3sr", "mod", 1, 2, 3, 4, true},
+    {"ash3sr", "ash", 1, 2, 3, 4, true},
+    {"rsh3sr", "rsh", 1, 2, 3, 4, true},
+};
+
+struct NamedOp {
+  const char *Base;
+  SemOp Op;
+};
+
+const NamedOp EncapOps[] = {
+    {"imm", SemOp::Imm},         {"immsym", SemOp::ImmSym},
+    {"conwiden", SemOp::ConWiden}, {"dregloc", SemOp::DregLoc},
+    {"usedreg", SemOp::UseDreg}, {"abs", SemOp::Abs},
+    {"gabs", SemOp::GAbs},       {"regdef", SemOp::RegDef},
+    {"disp", SemOp::Disp},       {"def", SemOp::Def},
+    {"dxdisp", SemOp::DxDisp},   {"dxreg", SemOp::DxReg},
+    {"dxabs", SemOp::DxAbs},     {"autoinc", SemOp::AutoInc},
+    {"autodec", SemOp::AutoDec},
+};
+
+const NamedOp EmitOps[] = {
+    {"load", SemOp::Load},       {"loadcon", SemOp::LoadCon},
+    {"cvtm", SemOp::CvtM},       {"cvtr", SemOp::CvtR},
+    {"cvt", SemOp::Cvt},         {"cvta", SemOp::CvtA},
+    {"cvtas", SemOp::CvtAS},     {"mov", SemOp::Mov},
+    {"movr", SemOp::MovR},       {"neg", SemOp::Neg},
+    {"com", SemOp::Com},         {"neg2", SemOp::Neg2},
+    {"com2", SemOp::Com2},       {"neg2s", SemOp::Neg2S},
+    {"com2s", SemOp::Com2S},     {"cmpbr", SemOp::CmpBr},
+    {"tstbr", SemOp::TstBr},     {"dregbr", SemOp::DregBr},
+    {"push", SemOp::Push},       {"postinc", SemOp::PostInc},
+    {"predec", SemOp::PreDec},   {"bridgedx1", SemOp::BridgeDx1},
+    {"bridgedx2", SemOp::BridgeDx2}, {"bridgedx3", SemOp::BridgeDx3},
+};
+
+/// The arithmetic family of an instruction-table cluster: how doArith
+/// selects the instruction.
+SemOp arithFamily(std::string_view Cluster) {
+  if (Cluster == "div")
+    return SemOp::ArithDiv;
+  if (Cluster == "mod")
+    return SemOp::ArithMod;
+  if (Cluster == "and")
+    return SemOp::ArithAnd;
+  if (Cluster == "ash")
+    return SemOp::ArithAsh;
+  if (Cluster == "rsh")
+    return SemOp::ArithRsh;
+  return SemOp::Arith;
+}
+
+/// Decodes one tag "base_b_l": the base names the routine (looked up among
+/// the routines of the production's action kind), then up to two
+/// one-letter size classes follow.
+SemAction decodeTag(ActionKind Kind, const std::string &Tag) {
+  SemAction A;
+  if (Kind == ActionKind::Glue) {
+    A.Op = SemOp::Glue;
+    return A;
+  }
+  std::vector<std::string_view> Parts = splitString(Tag, '_');
+  size_t I = 1;
+  if (I < Parts.size() && Parts[I].size() == 1)
+    A.SC1 = Parts[I++][0];
+  if (I < Parts.size() && Parts[I].size() == 1)
+    A.SC2 = Parts[I++][0];
+  const std::string_view Base = Parts[0];
+  if (Kind == ActionKind::Encap) {
+    for (const NamedOp &N : EncapOps)
+      if (Base == N.Base)
+        A.Op = N.Op;
+    return A;
+  }
+  for (const NamedOp &N : EmitOps)
+    if (Base == N.Base)
+      A.Op = N.Op;
+  for (const ArithShape &S : Shapes)
+    if (Base == S.Tag) {
+      A.Op = arithFamily(S.Cluster);
+      A.Shape = &S;
+      A.Cluster = findCluster(S.Cluster);
+    }
+  return A;
+}
+
+} // namespace
+
+std::vector<SemAction> gg::decodeSemActions(const Grammar &G) {
+  std::vector<SemAction> Acts;
+  Acts.reserve(G.numProductions());
+  for (const Production &P : G.productions())
+    Acts.push_back(decodeTag(P.Kind, P.SemTag));
+  return Acts;
+}
+
+const char *gg::semActionBase(const SemAction &A) {
+  if (A.Shape)
+    return A.Shape->Tag;
+  for (const NamedOp &N : EncapOps)
+    if (N.Op == A.Op)
+      return N.Base;
+  for (const NamedOp &N : EmitOps)
+    if (N.Op == A.Op)
+      return N.Base;
+  return "";
+}
 
 VaxSemantics::VaxSemantics(AsmEmitter &Emit, Function &F,
                            const CgOptions &Opts)
@@ -213,7 +366,8 @@ void VaxSemantics::emitRet() {
 // Replay
 //===----------------------------------------------------------------------===//
 
-bool VaxSemantics::replay(const Grammar &G, const std::vector<LinToken> &Input,
+bool VaxSemantics::replay(const Grammar &G, const std::vector<SemAction> &Acts,
+                          const std::vector<LinToken> &Input,
                           const std::vector<MatchStep> &Steps,
                           std::string &Err) {
   ReplayErr.clear();
@@ -235,7 +389,7 @@ bool VaxSemantics::replay(const Grammar &G, const std::vector<LinToken> &Input,
     // action carry the production that selected them.
     if (Emit.explain())
       Emit.setContext(renderProduction(G, P));
-    SemVal Result = dispatch(P, &Stack[FrameBase], K);
+    SemVal Result = dispatch(P, Acts[S.ProdId], &Stack[FrameBase], K);
     Stack.resize(Stack.size() - K);
     Stack.push_back(Result);
     FrameBase = Stack.size();
@@ -255,20 +409,16 @@ bool VaxSemantics::replay(const Grammar &G, const std::vector<LinToken> &Input,
   return true;
 }
 
-SemVal VaxSemantics::dispatch(const Production &P, SemVal *Vals, size_t N) {
+SemVal VaxSemantics::dispatch(const Production &P, const SemAction &A,
+                              SemVal *Vals, size_t N) {
   switch (P.Kind) {
   case ActionKind::Glue:
     assert(N == 1 && "glue production with multi-symbol RHS");
     return Vals[0];
   case ActionKind::Encap:
-  case ActionKind::Emit: {
-    std::string Base;
-    char SC1, SC2;
-    parseTag(P.SemTag, Base, SC1, SC2);
-    if (P.Kind == ActionKind::Encap)
-      return doEncap(P, Vals, N, Base, SC1, SC2);
-    return doEmit(P, Vals, N, Base, SC1, SC2);
-  }
+    return doEncap(P, A, Vals);
+  case ActionKind::Emit:
+    return doEmit(P, A, Vals, N);
   }
   gg_unreachable("bad action kind");
 }
@@ -277,59 +427,58 @@ SemVal VaxSemantics::dispatch(const Production &P, SemVal *Vals, size_t N) {
 // Encapsulating reductions: addressing-mode condensation
 //===----------------------------------------------------------------------===//
 
-SemVal VaxSemantics::doEncap(const Production &P, SemVal *Vals, size_t N,
-                             const std::string &Base, char SC1, char SC2) {
-  (void)N;
-  (void)SC1;
+SemVal VaxSemantics::doEncap(const Production &P, const SemAction &A,
+                             SemVal *Vals) {
   SemVal R;
   auto PinIfReg = [&](const Operand &O) {
     if (O.isReg())
       RM.pin(O.Base);
   };
 
-  if (Base == "imm") {
+  switch (A.Op) {
+  case SemOp::Imm: {
     const Node *L = Vals[0].Leaf;
     R.Opnd = Operand::imm(L->Value, L->Type);
     return R;
   }
-  if (Base == "immsym") {
+  case SemOp::ImmSym: {
     const Node *L = Vals[0].Leaf;
     R.Opnd = Operand::immSym(L->Sym);
     R.Opnd.Disp = L->Value;
     return R;
   }
-  if (Base == "conwiden") {
+  case SemOp::ConWiden: {
     const Node *L = Vals[0].Leaf;
     // Node values are stored sign-/zero-extended per their own type, so
     // widening is a retype of the already-extended value.
-    R.Opnd = Operand::imm(L->Value, tyForSize(SC2, isUnsignedTy(L->Type)));
+    R.Opnd = Operand::imm(L->Value, tyForSize(A.SC2, isUnsignedTy(L->Type)));
     return R;
   }
-  if (Base == "dregloc" || Base == "usedreg") {
+  case SemOp::DregLoc:
+  case SemOp::UseDreg: {
     const Node *L = Vals[0].Leaf;
     R.Opnd = Operand::reg(L->Reg, L->Type);
     R.Opnd.DregRef = true; // a register location, not an allocated value
     return R;
   }
-  if (Base == "abs") {
+  case SemOp::Abs: {
     const Node *L = Vals[0].Leaf;
     R.Opnd = Operand::abs(L->Sym, L->Type);
     return R;
   }
-  if (Base == "gabs") {
+  case SemOp::GAbs: {
     // Indir_Y Gaddr_l
     const Node *Ind = Vals[0].Leaf, *GA = Vals[1].Leaf;
     R.Opnd = Operand::abs(GA->Sym, Ind->Type, GA->Value);
     return R;
   }
-  if (Base == "regdef") {
+  case SemOp::RegDef:
     // Indir_Y reg_l
     prepare(Vals[1].Opnd);
     R.Opnd = Operand::disp(Vals[1].Opnd.Base, 0, Vals[0].Leaf->Type);
     PinIfReg(Vals[1].Opnd);
     return R;
-  }
-  if (Base == "disp") {
+  case SemOp::Disp: {
     // Indir_Y Plus_l con_l reg_l
     prepare(Vals[3].Opnd);
     const Operand &Con = Vals[2].Opnd;
@@ -339,7 +488,7 @@ SemVal VaxSemantics::doEncap(const Production &P, SemVal *Vals, size_t N,
     PinIfReg(Vals[3].Opnd);
     return R;
   }
-  if (Base == "def") {
+  case SemOp::Def: {
     // Indir_Y mem_l : displacement- or absolute-deferred
     Operand Inner = Vals[1].Opnd;
     Ty T = Vals[0].Leaf->Type;
@@ -361,50 +510,56 @@ SemVal VaxSemantics::doEncap(const Production &P, SemVal *Vals, size_t N,
     PinIfReg(Ptr);
     return R;
   }
-  if (Base == "dxdisp" || Base == "dxreg" || Base == "dxabs") {
-    Ty T = Vals[0].Leaf->Type;
+  case SemOp::DxDisp: {
+    // Indir_Y Plus_l con_l Plus_l reg_l Mul_l @Y reg_l
+    prepare(Vals[4].Opnd);
+    prepare(Vals[7].Opnd);
+    const Operand &Con = Vals[2].Opnd;
     R.Opnd.Mode = AMode::Indexed;
-    R.Opnd.Type = T;
-    if (Base == "dxdisp") {
-      // Indir_Y Plus_l con_l Plus_l reg_l Mul_l @Y reg_l
-      prepare(Vals[4].Opnd);
-      prepare(Vals[7].Opnd);
-      const Operand &Con = Vals[2].Opnd;
-      R.Opnd.Base = Vals[4].Opnd.Base;
-      R.Opnd.Disp = Con.Disp;
-      if (Con.Mode == AMode::ImmSym)
-        R.Opnd.Sym = Con.Sym;
-      R.Opnd.Index = Vals[7].Opnd.Base;
-      PinIfReg(Vals[4].Opnd);
-      PinIfReg(Vals[7].Opnd);
-    } else if (Base == "dxreg") {
-      // Indir_Y Plus_l reg_l Mul_l @Y reg_l
-      prepare(Vals[2].Opnd);
-      prepare(Vals[5].Opnd);
-      R.Opnd.Base = Vals[2].Opnd.Base;
-      R.Opnd.Index = Vals[5].Opnd.Base;
-      PinIfReg(Vals[2].Opnd);
-      PinIfReg(Vals[5].Opnd);
-    } else {
-      // Indir_Y Plus_l con_l Mul_l @Y reg_l
-      prepare(Vals[5].Opnd);
-      const Operand &Con = Vals[2].Opnd;
-      if (Con.Mode == AMode::ImmSym)
-        R.Opnd.Sym = Con.Sym;
-      R.Opnd.Base = -1;
-      R.Opnd.Disp = Con.Disp;
-      R.Opnd.Index = Vals[5].Opnd.Base;
-      PinIfReg(Vals[5].Opnd);
-    }
+    R.Opnd.Type = Vals[0].Leaf->Type;
+    R.Opnd.Base = Vals[4].Opnd.Base;
+    R.Opnd.Disp = Con.Disp;
+    if (Con.Mode == AMode::ImmSym)
+      R.Opnd.Sym = Con.Sym;
+    R.Opnd.Index = Vals[7].Opnd.Base;
+    PinIfReg(Vals[4].Opnd);
+    PinIfReg(Vals[7].Opnd);
     return R;
   }
-  if (Base == "autoinc" || Base == "autodec") {
-    // Indir_Y PostInc_l Dreg_l @Y  /  Indir_Y PreDec_l Dreg_l @Y
-    Ty T = Vals[0].Leaf->Type;
-    R.Opnd.Mode = Base == "autoinc" ? AMode::AutoInc : AMode::AutoDec;
-    R.Opnd.Base = Vals[2].Leaf->Reg;
-    R.Opnd.Type = T;
+  case SemOp::DxReg:
+    // Indir_Y Plus_l reg_l Mul_l @Y reg_l
+    prepare(Vals[2].Opnd);
+    prepare(Vals[5].Opnd);
+    R.Opnd.Mode = AMode::Indexed;
+    R.Opnd.Type = Vals[0].Leaf->Type;
+    R.Opnd.Base = Vals[2].Opnd.Base;
+    R.Opnd.Index = Vals[5].Opnd.Base;
+    PinIfReg(Vals[2].Opnd);
+    PinIfReg(Vals[5].Opnd);
     return R;
+  case SemOp::DxAbs: {
+    // Indir_Y Plus_l con_l Mul_l @Y reg_l
+    prepare(Vals[5].Opnd);
+    const Operand &Con = Vals[2].Opnd;
+    R.Opnd.Mode = AMode::Indexed;
+    R.Opnd.Type = Vals[0].Leaf->Type;
+    if (Con.Mode == AMode::ImmSym)
+      R.Opnd.Sym = Con.Sym;
+    R.Opnd.Base = -1;
+    R.Opnd.Disp = Con.Disp;
+    R.Opnd.Index = Vals[5].Opnd.Base;
+    PinIfReg(Vals[5].Opnd);
+    return R;
+  }
+  case SemOp::AutoInc:
+  case SemOp::AutoDec:
+    // Indir_Y PostInc_l Dreg_l @Y  /  Indir_Y PreDec_l Dreg_l @Y
+    R.Opnd.Mode = A.Op == SemOp::AutoInc ? AMode::AutoInc : AMode::AutoDec;
+    R.Opnd.Base = Vals[2].Leaf->Reg;
+    R.Opnd.Type = Vals[0].Leaf->Type;
+    return R;
+  default:
+    break;
   }
 
   fail(strf("unknown encapsulation action '%s'", P.SemTag.c_str()));
@@ -415,16 +570,17 @@ SemVal VaxSemantics::doEncap(const Production &P, SemVal *Vals, size_t N,
 // Emitting reductions: instruction selection
 //===----------------------------------------------------------------------===//
 
-SemVal VaxSemantics::doEmit(const Production &P, SemVal *Vals, size_t N,
-                            const std::string &Base, char SC1, char SC2) {
+SemVal VaxSemantics::doEmit(const Production &P, const SemAction &A,
+                            SemVal *Vals, size_t N) {
+  const char SC1 = A.SC1, SC2 = A.SC2;
   SemVal R;
 
+  switch (A.Op) {
   // --- loads and conversions ---------------------------------------------
-  if (Base == "load") {
+  case SemOp::Load:
     R.Opnd = ensureReg(Vals[0].Opnd, SC1);
     return R;
-  }
-  if (Base == "loadcon") {
+  case SemOp::LoadCon: {
     Operand Con = Vals[0].Opnd;
     int Reg = RM.alloc();
     Operand Dst = Operand::reg(Reg, tyForSize(SC1));
@@ -438,20 +594,22 @@ SemVal VaxSemantics::doEmit(const Production &P, SemVal *Vals, size_t N,
     R.Opnd = Dst;
     return R;
   }
-  if (Base == "cvtm" || Base == "cvtr") {
+  case SemOp::CvtM:
+  case SemOp::CvtR: {
     Operand Src = Vals[0].Opnd;
     R.Opnd = convert(SC1, SC2, isUnsignedTy(Src.Type), Src, nullptr);
     return R;
   }
-  if (Base == "cvt") {
+  case SemOp::Cvt: {
     // Cvt_F_T rval_F
     Operand Src = Vals[1].Opnd;
     bool SrcUnsigned = isUnsignedTy(Vals[0].Leaf->left()->Type);
     R.Opnd = convert(SC1, SC2, SrcUnsigned, Src, nullptr);
     return R;
   }
-  if (Base == "cvta" || Base == "cvtas") {
-    bool Reverse = Base == "cvtas";
+  case SemOp::CvtA:
+  case SemOp::CvtAS: {
+    bool Reverse = A.Op == SemOp::CvtAS;
     // Widening forms: [Assign lval mem] / [AssignR mem lval].
     // Narrowing forms: [Assign lval Cvt rval] / [AssignR Cvt rval lval].
     Operand Src, Dst;
@@ -471,127 +629,57 @@ SemVal VaxSemantics::doEmit(const Production &P, SemVal *Vals, size_t N,
   }
 
   // --- moves ---------------------------------------------------------------
-  if (Base == "mov" || Base == "movr") {
-    Operand Src = Vals[Base == "mov" ? 2 : 1].Opnd;
-    Operand Dst = Vals[Base == "mov" ? 1 : 2].Opnd;
+  case SemOp::Mov:
+  case SemOp::MovR: {
+    Operand Src = Vals[A.Op == SemOp::Mov ? 2 : 1].Opnd;
+    Operand Dst = Vals[A.Op == SemOp::Mov ? 1 : 2].Opnd;
     move(SC1, Src, Dst);
     return R;
   }
 
   // --- three-address arithmetic (the Figure-3 clusters) --------------------
-  struct ArithShape {
-    const char *Tag;     // semantic tag base
-    const char *Cluster; // instruction-table cluster
-    int OpIdx;           // index of the operator leaf in Vals
-    int S1, S2;          // source indices (pre-swap)
-    int DstIdx;          // lvalue index or -1
-    bool SwapSrcs;       // reverse-operator form
-  };
-  static const ArithShape Shapes[] = {
-      {"add", "add", 0, 1, 2, -1, false},
-      {"sub", "sub", 0, 1, 2, -1, false},
-      {"mul", "mul", 0, 1, 2, -1, false},
-      {"div", "div", 0, 1, 2, -1, false},
-      {"mod", "mod", 0, 1, 2, -1, false},
-      {"and", "and", 0, 1, 2, -1, false},
-      {"bis", "bis", 0, 1, 2, -1, false},
-      {"xor", "xor", 0, 1, 2, -1, false},
-      {"ash", "ash", 0, 1, 2, -1, false},
-      {"rsh", "rsh", 0, 1, 2, -1, false},
-      {"subr", "sub", 0, 1, 2, -1, true},
-      {"divr", "div", 0, 1, 2, -1, true},
-      {"modr", "mod", 0, 1, 2, -1, true},
-      {"ashr", "ash", 0, 1, 2, -1, true},
-      {"rshr", "rsh", 0, 1, 2, -1, true},
-      {"add3", "add", 2, 3, 4, 1, false},
-      {"sub3", "sub", 2, 3, 4, 1, false},
-      {"mul3", "mul", 2, 3, 4, 1, false},
-      {"div3", "div", 2, 3, 4, 1, false},
-      {"mod3", "mod", 2, 3, 4, 1, false},
-      {"and3", "and", 2, 3, 4, 1, false},
-      {"bis3", "bis", 2, 3, 4, 1, false},
-      {"xor3", "xor", 2, 3, 4, 1, false},
-      {"ash3", "ash", 2, 3, 4, 1, false},
-      {"rsh3", "rsh", 2, 3, 4, 1, false},
-      {"sub3r", "sub", 2, 3, 4, 1, true},
-      {"div3r", "div", 2, 3, 4, 1, true},
-      {"mod3r", "mod", 2, 3, 4, 1, true},
-      {"ash3r", "ash", 2, 3, 4, 1, true},
-      {"rsh3r", "rsh", 2, 3, 4, 1, true},
-      {"add3s", "add", 1, 2, 3, 4, false},
-      {"sub3s", "sub", 1, 2, 3, 4, false},
-      {"mul3s", "mul", 1, 2, 3, 4, false},
-      {"div3s", "div", 1, 2, 3, 4, false},
-      {"mod3s", "mod", 1, 2, 3, 4, false},
-      {"and3s", "and", 1, 2, 3, 4, false},
-      {"bis3s", "bis", 1, 2, 3, 4, false},
-      {"xor3s", "xor", 1, 2, 3, 4, false},
-      {"ash3s", "ash", 1, 2, 3, 4, false},
-      {"rsh3s", "rsh", 1, 2, 3, 4, false},
-      {"sub3sr", "sub", 1, 2, 3, 4, true},
-      {"div3sr", "div", 1, 2, 3, 4, true},
-      {"mod3sr", "mod", 1, 2, 3, 4, true},
-      {"ash3sr", "ash", 1, 2, 3, 4, true},
-      {"rsh3sr", "rsh", 1, 2, 3, 4, true},
-  };
-  for (const ArithShape &S : Shapes) {
-    if (Base != S.Tag)
-      continue;
-    Operand S1 = Vals[S.S1].Opnd, S2 = Vals[S.S2].Opnd;
-    if (S.SwapSrcs)
-      std::swap(S1, S2);
-    const Node *OpLeaf = Vals[S.OpIdx].Leaf;
-    bool IsUnsigned = isUnsignedTy(OpLeaf->Type);
-    const Operand *Dst = S.DstIdx >= 0 ? &Vals[S.DstIdx].Opnd : nullptr;
-    std::string_view Cluster = S.Cluster;
-    if (Cluster == "mod")
-      R.Opnd = modulus(SC1, IsUnsigned, S1, S2, Dst);
-    else if (Cluster == "and")
-      R.Opnd = andOp(SC1, S1, S2, Dst);
-    else if (Cluster == "ash")
-      R.Opnd = shift(SC1, /*Right=*/false, IsUnsigned, S1, S2, Dst);
-    else if (Cluster == "rsh")
-      R.Opnd = shift(SC1, /*Right=*/true, IsUnsigned, S1, S2, Dst);
-    else if (Cluster == "div" && IsUnsigned)
-      R.Opnd = libCall2("__udiv", S1, S2, Dst);
-    else
-      R.Opnd = arith(*findCluster(S.Cluster), SC1, IsUnsigned, S1, S2, Dst);
+  case SemOp::Arith:
+  case SemOp::ArithDiv:
+  case SemOp::ArithMod:
+  case SemOp::ArithAnd:
+  case SemOp::ArithAsh:
+  case SemOp::ArithRsh:
+    R.Opnd = doArith(A, Vals);
     return R;
-  }
 
   // --- unary ----------------------------------------------------------------
-  if (Base == "neg" || Base == "com") {
-    R.Opnd = unary2(Base == "neg" ? "mneg" : "mcom", SC1, Vals[1].Opnd,
+  case SemOp::Neg:
+  case SemOp::Com:
+    R.Opnd = unary2(A.Op == SemOp::Neg ? "mneg" : "mcom", SC1, Vals[1].Opnd,
                     nullptr);
     return R;
-  }
-  if (Base == "neg2" || Base == "com2") {
-    unary2(Base == "neg2" ? "mneg" : "mcom", SC1, Vals[3].Opnd,
+  case SemOp::Neg2:
+  case SemOp::Com2:
+    unary2(A.Op == SemOp::Neg2 ? "mneg" : "mcom", SC1, Vals[3].Opnd,
            &Vals[1].Opnd);
     return R;
-  }
-  if (Base == "neg2s" || Base == "com2s") {
-    unary2(Base == "neg2s" ? "mneg" : "mcom", SC1, Vals[2].Opnd,
+  case SemOp::Neg2S:
+  case SemOp::Com2S:
+    unary2(A.Op == SemOp::Neg2S ? "mneg" : "mcom", SC1, Vals[2].Opnd,
            &Vals[3].Opnd);
     return R;
-  }
 
   // --- branches ---------------------------------------------------------------
-  if (Base == "cmpbr") {
+  case SemOp::CmpBr: {
     // CBranch Cmp_Y rval rval Label
     const Node *Cmp = Vals[1].Leaf;
     compareBranch(SC1, Cmp->CC, Vals[2].Opnd, Vals[3].Opnd,
                   Vals[4].Leaf->Sym);
     return R;
   }
-  if (Base == "tstbr") {
+  case SemOp::TstBr: {
     // CBranch Cmp_l reg_l Zero Label
     const Node *Cmp = Vals[1].Leaf;
     compareBranch('l', Cmp->CC, Vals[2].Opnd, Operand::imm(0, Ty::L),
                   Vals[4].Leaf->Sym);
     return R;
   }
-  if (Base == "dregbr") {
+  case SemOp::DregBr: {
     // CBranch Cmp_l Dreg_l Zero Label — added to fix the overfactored
     // "reg <- Dreg" chain (§6.2.1): a Dreg read sets no condition codes,
     // so the test is always explicit.
@@ -606,7 +694,7 @@ SemVal VaxSemantics::doEmit(const Production &P, SemVal *Vals, size_t N,
   }
 
   // --- calls / stack ------------------------------------------------------------
-  if (Base == "push") {
+  case SemOp::Push: {
     covRowByTag("push");
     Operand Src = Vals[1].Opnd;
     prepare(Src);
@@ -617,7 +705,7 @@ SemVal VaxSemantics::doEmit(const Production &P, SemVal *Vals, size_t N,
   }
 
   // --- autoincrement as a value -----------------------------------------------
-  if (Base == "postinc") {
+  case SemOp::PostInc: {
     // PostInc_l Dreg_l con_l: value is the old register contents.
     int DregNo = Vals[1].Leaf->Reg;
     Operand Amount = Vals[2].Opnd;
@@ -629,7 +717,7 @@ SemVal VaxSemantics::doEmit(const Production &P, SemVal *Vals, size_t N,
     R.Opnd = Dst;
     return R;
   }
-  if (Base == "predec") {
+  case SemOp::PreDec: {
     int DregNo = Vals[1].Leaf->Reg;
     Operand Amount = Vals[2].Opnd;
     int T = RM.alloc();
@@ -642,30 +730,56 @@ SemVal VaxSemantics::doEmit(const Production &P, SemVal *Vals, size_t N,
   }
 
   // --- bridge productions -------------------------------------------------------
-  if (Base == "bridgedx1") {
+  case SemOp::BridgeDx1:
     // Indir_Y Plus_l con_l Plus_l reg_l Mul_l rval_l rval_l
     R.Opnd = bridgeAddress(SC1, &Vals[2].Opnd, &Vals[4].Opnd, Vals[6].Opnd,
                            Vals[7].Opnd);
     R.Opnd.Type = Vals[0].Leaf->Type;
     return R;
-  }
-  if (Base == "bridgedx2") {
+  case SemOp::BridgeDx2:
     // Indir_Y Plus_l reg_l Mul_l rval_l rval_l
     R.Opnd = bridgeAddress(SC1, nullptr, &Vals[2].Opnd, Vals[4].Opnd,
                            Vals[5].Opnd);
     R.Opnd.Type = Vals[0].Leaf->Type;
     return R;
-  }
-  if (Base == "bridgedx3") {
+  case SemOp::BridgeDx3:
     // Indir_Y Plus_l con_l Mul_l rval_l rval_l
     R.Opnd = bridgeAddress(SC1, &Vals[2].Opnd, nullptr, Vals[4].Opnd,
                            Vals[5].Opnd);
     R.Opnd.Type = Vals[0].Leaf->Type;
     return R;
+  default:
+    break;
   }
 
   fail(strf("unknown emit action '%s'", P.SemTag.c_str()));
   return R;
+}
+
+Operand VaxSemantics::doArith(const SemAction &A, SemVal *Vals) {
+  const ArithShape &S = *A.Shape;
+  Operand S1 = Vals[S.S1].Opnd, S2 = Vals[S.S2].Opnd;
+  if (S.SwapSrcs)
+    std::swap(S1, S2);
+  const bool IsUnsigned = isUnsignedTy(Vals[S.OpIdx].Leaf->Type);
+  const Operand *Dst = S.DstIdx >= 0 ? &Vals[S.DstIdx].Opnd : nullptr;
+  switch (A.Op) {
+  case SemOp::ArithMod:
+    return modulus(A.SC1, IsUnsigned, S1, S2, Dst);
+  case SemOp::ArithAnd:
+    return andOp(A.SC1, S1, S2, Dst);
+  case SemOp::ArithAsh:
+    return shift(A.SC1, /*Right=*/false, IsUnsigned, S1, S2, Dst);
+  case SemOp::ArithRsh:
+    return shift(A.SC1, /*Right=*/true, IsUnsigned, S1, S2, Dst);
+  case SemOp::ArithDiv:
+    if (IsUnsigned)
+      return libCall2("__udiv", S1, S2, Dst);
+    break;
+  default:
+    break;
+  }
+  return arith(*A.Cluster, A.SC1, IsUnsigned, S1, S2, Dst);
 }
 
 //===----------------------------------------------------------------------===//

@@ -16,7 +16,9 @@
 ///
 /// This mirrors the paper's organization: these routines are the
 /// "VAX-specific routines hand-coded in C" standing behind the grammar's
-/// semantic tags.
+/// semantic tags. The tags are decoded once, when the target is built
+/// (decodeSemActions), so a reduction dispatches on a SemOp instead of
+/// parsing and comparing its tag string.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,6 +54,44 @@ struct IdiomStats {
   unsigned PseudoExpansions = 0;
 };
 
+/// What a production's semantic action does: one enumerator per tag base
+/// the routines below handle. The arithmetic families share one operand
+/// layout table (ArithShape) and differ in how the instruction is chosen.
+enum class SemOp : uint8_t {
+  Unknown, ///< no routine for the tag: replay fails, the ladder recovers
+  Glue,
+  // Encapsulating reductions: addressing-mode condensation.
+  Imm, ImmSym, ConWiden, DregLoc, UseDreg, Abs, GAbs, RegDef, Disp, Def,
+  DxDisp, DxReg, DxAbs, AutoInc, AutoDec,
+  // Emitting reductions: instruction selection.
+  Load, LoadCon, CvtM, CvtR, Cvt, CvtA, CvtAS, Mov, MovR,
+  Arith, ArithDiv, ArithMod, ArithAnd, ArithAsh, ArithRsh,
+  Neg, Com, Neg2, Com2, Neg2S, Com2S, CmpBr, TstBr, DregBr, Push, PostInc,
+  PreDec, BridgeDx1, BridgeDx2, BridgeDx3
+};
+
+/// Operand layout of one three-address arithmetic tag (VaxSemantics.cpp).
+struct ArithShape;
+
+/// One production's semantic tag, decoded: the routine, the size classes
+/// the tag names and, for arithmetic, the operand layout and the Figure-3
+/// row. "add3s_w" decodes to {Arith, 'w', 0, add3s, add}.
+struct SemAction {
+  SemOp Op = SemOp::Unknown;
+  char SC1 = 0, SC2 = 0; ///< size-class letters ('b', 'w', 'l'), 0 = none
+  const ArithShape *Shape = nullptr;    ///< arithmetic only
+  const InstCluster *Cluster = nullptr; ///< arithmetic only
+};
+
+/// Decodes the semantic tag of every production of \p G, indexed by
+/// production id. An unknown tag decodes to SemOp::Unknown; it fails only
+/// when a reduction by it is replayed.
+std::vector<SemAction> decodeSemActions(const Grammar &G);
+
+/// The tag base \p A was decoded from ("add3s", "imm", ...); "" for Glue
+/// and Unknown.
+const char *semActionBase(const SemAction &A);
+
 /// One semantic value on the replay stack: the operand an encapsulating
 /// reduction condensed, or the IR leaf a shift captured.
 struct SemVal {
@@ -64,9 +104,11 @@ class VaxSemantics {
 public:
   VaxSemantics(AsmEmitter &Emit, Function &F, const CgOptions &Opts);
 
-  /// Replays one matched statement tree. On failure sets \p Err (this
-  /// indicates a description/semantics bug, not bad input).
-  bool replay(const Grammar &G, const std::vector<LinToken> &Input,
+  /// Replays one matched statement tree of \p G, whose decoded actions
+  /// are \p Acts. On failure sets \p Err (this indicates a
+  /// description/semantics bug, not bad input).
+  bool replay(const Grammar &G, const std::vector<SemAction> &Acts,
+              const std::vector<LinToken> &Input,
               const std::vector<MatchStep> &Steps, std::string &Err);
 
   /// Statement-level helpers used by the driver between matched trees.
@@ -110,11 +152,12 @@ private:
   void emitInst(const std::string &Opcode, const std::vector<Operand> &Ops);
 
   // --- reduction dispatch --------------------------------------------------
-  SemVal dispatch(const Production &P, SemVal *Vals, size_t N);
-  SemVal doEncap(const Production &P, SemVal *Vals, size_t N,
-                 const std::string &Base, char SC1, char SC2);
-  SemVal doEmit(const Production &P, SemVal *Vals, size_t N,
-                const std::string &Base, char SC1, char SC2);
+  SemVal dispatch(const Production &P, const SemAction &A, SemVal *Vals,
+                  size_t N);
+  SemVal doEncap(const Production &P, const SemAction &A, SemVal *Vals);
+  SemVal doEmit(const Production &P, const SemAction &A, SemVal *Vals,
+                size_t N);
+  Operand doArith(const SemAction &A, SemVal *Vals);
 
   // --- instruction families -------------------------------------------------
   /// Three-operand arithmetic with idioms; returns the result operand.

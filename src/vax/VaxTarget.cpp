@@ -36,12 +36,18 @@ std::string VaxTarget::fingerprint(const Grammar &G, const PackedTables &T) {
 std::unique_ptr<VaxTarget>
 VaxTarget::create(std::string &Err, const VaxGrammarOptions &GrammarOpts,
                   BuildOptions TableOpts, MatcherOptions MatchOpts) {
+  return createFromSpec(Err, vaxSpecText(GrammarOpts), TableOpts, MatchOpts);
+}
+
+std::unique_ptr<VaxTarget>
+VaxTarget::createFromSpec(std::string &Err, const std::string &SpecText,
+                          BuildOptions TableOpts, MatcherOptions MatchOpts) {
   TraceSpan Span("target.create");
   std::unique_ptr<VaxTarget> T(new VaxTarget());
   DiagnosticSink Diags;
   {
     TraceSpan GrammarSpan("target.grammar");
-    if (!buildVaxGrammar(T->G, T->Spec, Diags, GrammarOpts)) {
+    if (!buildVaxGrammar(T->G, T->Spec, Diags, SpecText)) {
       Err = "VAX description error:\n" + Diags.renderAll();
       return nullptr;
     }
@@ -55,6 +61,7 @@ VaxTarget::create(std::string &Err, const VaxGrammarOptions &GrammarOpts,
   }
   T->Packed = PackedTables::pack(T->Build.Tables);
   T->M = std::make_unique<Matcher>(T->G, T->Packed, MatchOpts);
+  T->Sem = decodeSemActions(T->G);
   // Register the coverage dimensions while target construction is still
   // serial: instruction-table rows by name, and the grammar/tables
   // identity embedded in every gg-coverage-v1 / gg-profile-v1 artifact.

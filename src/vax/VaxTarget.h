@@ -6,9 +6,9 @@
 ///
 /// \file
 /// Bundles the static per-target artifacts: the expanded grammar, the
-/// constructed parse tables (packed), and a matcher over them. These are
-/// "used once for each target machine" (paper section 3) and shared by
-/// every compilation.
+/// constructed parse tables (packed), a matcher over them and every
+/// production's decoded semantic action. These are "used once for each
+/// target machine" (paper section 3) and shared by every compilation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +20,7 @@
 #include "tablegen/Packing.h"
 #include "tablegen/TableBuilder.h"
 #include "vax/VaxGrammar.h"
+#include "vax/VaxSemantics.h"
 
 #include <memory>
 #include <string>
@@ -37,11 +38,19 @@ public:
   create(std::string &Err, const VaxGrammarOptions &GrammarOpts = {},
          BuildOptions TableOpts = {}, MatcherOptions MatchOpts = {});
 
+  /// As create(), from description text in vaxSpecText()'s format; tests
+  /// edit that text to give the semantic routines a tag they lack.
+  static std::unique_ptr<VaxTarget>
+  createFromSpec(std::string &Err, const std::string &SpecText,
+                 BuildOptions TableOpts = {}, MatcherOptions MatchOpts = {});
+
   const Grammar &grammar() const { return G; }
   const MdSpec &spec() const { return Spec; }
   const BuildResult &build() const { return Build; }
   const PackedTables &packed() const { return Packed; }
   const Matcher &matcher() const { return *M; }
+  /// Per production id: its semantic tag, decoded once at creation.
+  const std::vector<SemAction> &semActions() const { return Sem; }
 
   /// Grammar/tables identity (hex digest) embedded in `gg-coverage-v1`
   /// artifacts; gg-report matches it before naming ids from a rebuilt
@@ -55,6 +64,7 @@ private:
   BuildResult Build;
   PackedTables Packed;
   std::unique_ptr<Matcher> M;
+  std::vector<SemAction> Sem;
 };
 
 } // namespace gg

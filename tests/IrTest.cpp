@@ -170,16 +170,28 @@ TEST(LinearizeTest, PrefixOrderAndNodes) {
   Node *T = A.bin(Op::Assign, Ty::L, A.name(Ty::L, Syms.intern("a")),
                   A.bin(Op::Plus, Ty::L, A.con(Ty::B, 27),
                         A.local(Ty::B, -4)));
-  std::vector<LinToken> Toks = linearize(T);
+  const std::vector<std::string> Names = terminalNames(T);
+  ASSERT_EQ(Names.size(), 8u);
+  EXPECT_EQ(Names[0], "Assign_l");
+  EXPECT_EQ(Names[1], "Name_l");
+  EXPECT_EQ(Names[2], "Plus_l");
+  EXPECT_EQ(Names[3], "Const_b");
+  EXPECT_EQ(Names[4], "Indir_b");
+  EXPECT_EQ(Names[5], "Plus_l");
+  EXPECT_EQ(Names[6], "Const_l");
+  EXPECT_EQ(Names[7], "Dreg_l");
+
+  // Through a terminal map: the same order, as indices into the map's
+  // names, each token carrying its node. Dreg_l is not in this map.
+  const std::vector<std::string> Grammar = {"Plus_l", "Assign_l", "Const_b",
+                                            "Name_l", "Indir_b", "Const_l"};
+  std::vector<LinToken> Toks = linearize(T, TerminalMap(Grammar));
   ASSERT_EQ(Toks.size(), 8u);
-  EXPECT_EQ(Toks[0].Term, "Assign_l");
-  EXPECT_EQ(Toks[1].Term, "Name_l");
-  EXPECT_EQ(Toks[2].Term, "Plus_l");
-  EXPECT_EQ(Toks[3].Term, "Const_b");
-  EXPECT_EQ(Toks[4].Term, "Indir_b");
-  EXPECT_EQ(Toks[5].Term, "Plus_l");
-  EXPECT_EQ(Toks[6].Term, "Const_l");
-  EXPECT_EQ(Toks[7].Term, "Dreg_l");
+  const int16_t Want[] = {1, 3, 0, 2, 4, 0, 5, -1};
+  for (size_t I = 0; I < Toks.size(); ++I) {
+    EXPECT_EQ(Toks[I].Term, Want[I]) << I;
+    EXPECT_EQ(terminalName(Toks[I].N), Names[I]) << I;
+  }
   EXPECT_EQ(Toks[3].N->Value, 27);
 }
 

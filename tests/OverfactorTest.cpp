@@ -93,20 +93,21 @@ Built build(const std::string &Spec) {
 /// a = *(5 + m): the address is a general add whose first operand is a
 /// constant and whose second is a memory value — the shape that makes
 /// the premature "shift into the displacement pattern" decision wrong.
-std::vector<LinToken> discriminatingInput(Interner &Syms, NodeArena &A) {
+std::vector<LinToken> discriminatingInput(const Matcher &M, Interner &Syms,
+                                         NodeArena &A) {
   Node *Tree = A.bin(
       Op::Assign, Ty::L, A.name(Ty::L, Syms.intern("a")),
       A.unary(Op::Indir, Ty::L,
               A.bin(Op::Plus, Ty::L, A.con(Ty::L, 5),
                     A.name(Ty::L, Syms.intern("m")))));
-  return linearize(Tree);
+  return linearize(Tree, M.driver().termMap());
 }
 
 TEST(Overfactor, UnfactoredGrammarCoversTheInput) {
   Built B = build(std::string(CommonRules) + GoodExtra);
   Interner Syms;
   NodeArena A;
-  MatchResult MR = B.M->match(discriminatingInput(Syms, A));
+  MatchResult MR = B.M->match(discriminatingInput(*B.M, Syms, A));
   EXPECT_TRUE(MR.Ok) << MR.Error;
 }
 
@@ -114,14 +115,14 @@ TEST(Overfactor, OrXorFactoringIsValid) {
   Built B = build(std::string(CommonRules) + OrXorFactoredExtra);
   Interner Syms;
   NodeArena A;
-  MatchResult MR = B.M->match(discriminatingInput(Syms, A));
+  MatchResult MR = B.M->match(discriminatingInput(*B.M, Syms, A));
   EXPECT_TRUE(MR.Ok) << MR.Error;
 
   // And logical operations still parse through the class non-terminal.
   Node *Tree = A.bin(Op::Assign, Ty::L, A.name(Ty::L, Syms.intern("a")),
                      A.bin(Op::Or, Ty::L, A.con(Ty::L, 3),
                            A.name(Ty::L, Syms.intern("m"))));
-  MatchResult MR2 = B.M->match(linearize(Tree));
+  MatchResult MR2 = B.M->match(linearize(Tree, B.M->driver().termMap()));
   EXPECT_TRUE(MR2.Ok) << MR2.Error;
 }
 
@@ -144,7 +145,7 @@ TEST(Overfactor, PlusInBinopCausesPrematureCommitmentAndBlocks) {
   // general-add input now hits a syntactic block.
   Interner Syms;
   NodeArena A;
-  MatchResult MR = B.M->match(discriminatingInput(Syms, A));
+  MatchResult MR = B.M->match(discriminatingInput(*B.M, Syms, A));
   EXPECT_FALSE(MR.Ok);
   EXPECT_NE(MR.Error.find("syntactic block"), std::string::npos)
       << MR.Error;

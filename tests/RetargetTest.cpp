@@ -13,6 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TerminalMapCheck.h"
 #include "ir/Linearize.h"
 #include "match/Matcher.h"
 #include "mdl/SpecParser.h"
@@ -126,7 +127,7 @@ TEST(Retarget, MatchesTreesWithMaximalMunch) {
   Node *Tree = A.bin(Op::Assign, Ty::W, A.name(Ty::W, Syms.intern("g")),
                      A.bin(Op::Plus, Ty::W, A.name(Ty::W, Syms.intern("g")),
                            A.con(Ty::W, 4)));
-  MatchResult MR = T.M->match(linearize(Tree));
+  MatchResult MR = T.M->match(linearize(Tree, T.M->driver().termMap()));
   ASSERT_TRUE(MR.Ok) << MR.Error;
   bool SawAddStore = false;
   for (const MatchStep &S : MR.Steps)
@@ -146,7 +147,7 @@ TEST(Retarget, CoversBranchesAndDeepTrees) {
   Node *Cmp = A.cmp(Cond::NE, A.bin(Op::Minus, Ty::L, X, A.con(Ty::L, 1)),
                     A.bin(Op::And, Ty::L, Y, A.con(Ty::L, 3)), Ty::L);
   Node *Br = A.bin(Op::CBranch, Ty::L, Cmp, A.label(Syms.intern("L1")));
-  MatchResult MR = T.M->match(linearize(Br));
+  MatchResult MR = T.M->match(linearize(Br, T.M->driver().termMap()));
   EXPECT_TRUE(MR.Ok) << MR.Error;
 }
 
@@ -160,9 +161,15 @@ TEST(Retarget, RejectsUnsupportedOperators) {
   Node *Tree = A.bin(Op::Assign, Ty::W, A.name(Ty::W, Syms.intern("g")),
                      A.bin(Op::Mul, Ty::W, A.con(Ty::W, 2),
                            A.name(Ty::W, Syms.intern("h"))));
-  MatchResult MR = T.M->match(linearize(Tree));
+  MatchResult MR = T.M->match(linearize(Tree, T.M->driver().termMap()));
   EXPECT_FALSE(MR.Ok);
   EXPECT_NE(MR.Error.find("Mul_w"), std::string::npos);
+}
+
+TEST(Retarget, TerminalMapFollowsTheNamingRules) {
+  // The map is built from this grammar's own terminals: no byte forms, no
+  // conversions, no multiply.
+  expectTerminalMapFollowsNames(*target2().M);
 }
 
 } // namespace

@@ -93,11 +93,11 @@ TEST_F(TinyGrammarTest, MatchesSimpleAssignment) {
   Node *Tree = A.bin(Op::Assign, Ty::L, A.name(Ty::L, Syms.intern("a")),
                      A.bin(Op::Plus, Ty::L, A.con(Ty::L, 1),
                            A.name(Ty::L, Syms.intern("b"))));
-  std::vector<LinToken> Input = linearize(Tree);
+  std::vector<LinToken> Input = linearize(Tree, M.driver().termMap());
   ASSERT_EQ(Input.size(), 5u);
-  EXPECT_EQ(Input[0].Term, "Assign_l");
-  EXPECT_EQ(Input[2].Term, "Plus_l");
-  EXPECT_EQ(Input[3].Term, "One");
+  EXPECT_EQ(M.driver().termName(Input[0].Term), "Assign_l");
+  EXPECT_EQ(M.driver().termName(Input[2].Term), "Plus_l");
+  EXPECT_EQ(M.driver().termName(Input[3].Term), "One");
 
   MatchResult MR = M.match(Input);
   ASSERT_TRUE(MR.Ok) << MR.Error;

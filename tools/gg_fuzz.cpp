@@ -404,12 +404,17 @@ int main(int Argc, char **Argv) {
     SimTrace Tr = F.walk().simulateNames(Toks);
     // The simulation runs the Matcher's own driver, so the Matcher blocks
     // exactly where it does; its block report says why.
+    const LRDriver &D = Target->matcher().driver();
     std::vector<LinToken> Input;
     for (const std::string &T : Toks)
-      Input.push_back({T, nullptr});
-    printf("probe: %s\n", Tr.Accepted
-                               ? "accepted"
-                               : Target->matcher().match(Input).Error.c_str());
+      Input.push_back({static_cast<int16_t>(D.termIndexFor(T)), nullptr});
+    MatchResult MR = Target->matcher().match(Input);
+    if (MR.Block && MR.Block->Why == BlockReport::Cause::UnknownTerminal) {
+      // The tokens are bare names, no nodes: name the unknown one.
+      MR.Block->Lookahead = Toks[MR.Block->TokenPos];
+      MR.Error = MR.Block->render();
+    }
+    printf("probe: %s\n", Tr.Accepted ? "accepted" : MR.Error.c_str());
     printf("  reduces:");
     for (int P : Tr.Reduces)
       printf(" p%d", P);
