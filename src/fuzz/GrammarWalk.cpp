@@ -263,7 +263,7 @@ GrammarWalk::GrammarWalk(const LRDriver &D)
       case ActionType::Error:
         break;
       }
-      if (T.dynChoicesAt(S, TI))
+      if (A.Tie)
         DynPoints.emplace_back(S, TI);
     }
     for (int NI = 0; NI < NumNT; ++NI) {
