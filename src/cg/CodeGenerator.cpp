@@ -130,7 +130,10 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
   static auto &BlockedTrees = gg::stats().counter("cg.blocked_trees");
   static auto &RecoveredTrees = gg::stats().counter("cg.recovered_trees");
   const TerminalMap &Terms = Target.matcher().driver().termMap();
-  std::vector<LinToken> Input; // reused across the function's trees
+  // Reused across the function's trees, so a tree's match allocates
+  // nothing once the buffers have grown to the function's largest tree.
+  std::vector<LinToken> Input;
+  MatchResult MR;
 
   auto CompileTree = [&](Node *Tree) -> bool {
     // Quarantine checks at tree granularity: a stopped budget or an
@@ -160,7 +163,6 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
       return false;
     }
 
-    MatchResult MR;
     // Everything this tree emits sits after the mark; a failed tree is
     // rolled back wholesale before the fallback path runs.
     AsmEmitter::Mark TreeMark = Emit.mark();
@@ -179,7 +181,7 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
       Input.resize(
           faultInject().truncatedInputSize(Input.size(), TreeOrdinal++));
       R.Stats.MatcherTokens += Input.size();
-      MR = Target.matcher().match(Input, Opts.Budget);
+      Target.matcher().match(Input, MR, Opts.Budget);
     }
     std::string TreeErr;
     bool TreeOk = MR.Ok;

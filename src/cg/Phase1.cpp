@@ -597,13 +597,11 @@ private:
       return;
     switch (S->Opcode) {
     case Op::Assign: {
-      order(S->Kids[0], /*InAddress=*/false);
-      order(S->Kids[1], false);
+      const int L = order(S->Kids[0], /*InAddress=*/false);
+      const int R = order(S->Kids[1], false);
       // The assignment itself: evaluate the bigger side first. Assignment
       // is not commutative, so this needs the reverse operator (§5.1.3).
-      if (Opts.ReverseOps &&
-          S->right()->treeSize() > S->left()->treeSize() &&
-          registerNeed(S->left()) >= 1) {
+      if (Opts.ReverseOps && R > L && registerNeed(S->left()) >= 1) {
         ++Stats.ReverseOpsUsed;
         S->Opcode = Op::AssignR;
         std::swap(S->Kids[0], S->Kids[1]);
@@ -612,10 +610,9 @@ private:
     }
     case Op::CBranch: {
       Node *Cmp = S->left();
-      order(Cmp->Kids[0], false);
-      order(Cmp->Kids[1], false);
-      if (Cmp->right()->treeSize() > Cmp->left()->treeSize() &&
-          !isConstLike(Cmp->left())) {
+      const int L = order(Cmp->Kids[0], false);
+      const int R = order(Cmp->Kids[1], false);
+      if (R > L && !isConstLike(Cmp->left())) {
         ++Stats.SubtreesSwapped;
         std::swap(Cmp->Kids[0], Cmp->Kids[1]);
         Cmp->CC = swapCond(Cmp->CC);
@@ -632,49 +629,49 @@ private:
     }
   }
 
-  void order(Node *N, bool InAddress) {
+  /// Orders \p N's subtrees bottom-up and returns its node count (what
+  /// Node::treeSize() would), so each size comparison costs nothing extra.
+  /// Swapping operands keeps a subtree's size.
+  int order(Node *N, bool InAddress) {
     if (!N)
-      return;
+      return 0;
     if (N->is(Op::Indir)) {
       // Addressing subtrees keep their canonical shapes so the indexing
       // patterns still match; reordering there would only trade an
       // addressing mode for explicit arithmetic.
-      order(N->Kids[0], /*InAddress=*/true);
-      return;
+      return 1 + order(N->Kids[0], /*InAddress=*/true);
     }
-    order(N->Kids[0], InAddress);
-    order(N->Kids[1], InAddress);
+    const int L = order(N->Kids[0], InAddress);
+    const int R = order(N->Kids[1], InAddress);
+    const int Size = 1 + L + R;
     if (InAddress || opArity(N->Opcode) != 2)
-      return;
+      return Size;
     switch (N->Opcode) {
     case Op::Plus:
     case Op::Mul:
     case Op::And:
     case Op::Or:
     case Op::Xor: {
-      if (N->right()->treeSize() > N->left()->treeSize() &&
-          !isConstLike(N->left())) {
+      if (R > L && !isConstLike(N->left())) {
         ++Stats.SubtreesSwapped;
         std::swap(N->Kids[0], N->Kids[1]);
       }
-      return;
+      return Size;
     }
     case Op::Minus:
     case Op::Div:
     case Op::Mod:
     case Op::Lsh:
     case Op::Rsh: {
-      if (Opts.ReverseOps &&
-          N->right()->treeSize() > N->left()->treeSize() &&
-          !isConstLike(N->left())) {
+      if (Opts.ReverseOps && R > L && !isConstLike(N->left())) {
         ++Stats.ReverseOpsUsed;
         N->Opcode = reverseOp(N->Opcode);
         std::swap(N->Kids[0], N->Kids[1]);
       }
-      return;
+      return Size;
     }
     default:
-      return;
+      return Size;
     }
   }
 

@@ -100,7 +100,8 @@ public:
   bool is(Op O) const { return Opcode == O; }
   bool isConst(int64_t V) const { return Opcode == Op::Const && Value == V; }
 
-  /// Number of nodes in this subtree (used by the phase-1c size heuristic).
+  /// Number of nodes in this subtree (phase 1c computes the same sizes
+  /// bottom-up as it orders a statement).
   int treeSize() const;
 };
 

@@ -21,6 +21,9 @@ LRDriver::LRDriver(const Grammar &G, const PackedTables &T,
       Terms(TermNames) {
   for (size_t I = 0; I < TermNames.size(); ++I)
     TermIndex.emplace(TermNames[I], static_cast<int>(I));
+  Shapes.reserve(G.numProductions());
+  for (const Production &P : G.productions())
+    Shapes.push_back({static_cast<uint32_t>(P.Rhs.size()), G.ntIndex(P.Lhs)});
 
   // Every edge into a state carries the symbol before the dot in its
   // kernel items, so a state stack spells its viable prefix.

@@ -11,6 +11,11 @@
 /// uses on the code generator's path, and the name -> index map the
 /// fuzzer and tests use. advance() feeds one terminal (every
 /// reduction it triggers, then the shift); finish() feeds end of input.
+/// Each step is constant time: the packed lookups are a mask test and a
+/// popcount (tablegen/Packing.h), and each production's length and goto
+/// column are resolved once, at construction. A caller can hand the state
+/// stack's storage from one parse to the next (start(Buffer)), so a parse
+/// need not allocate.
 /// What a parse records is up to the observer the calls are instantiated
 /// with: the Matcher's builds steps, block reports and telemetry; the
 /// fuzzer's record simulated parses without touching any registry.
@@ -48,8 +53,13 @@ enum class BlockCause : uint8_t {
 /// A parser configuration: the LR state stack and the depth it may not
 /// exceed. Copyable, so a search can fork a parse.
 struct LRConfig {
-  explicit LRConfig(size_t DepthCap) : DepthCap(DepthCap) {}
-  std::vector<int> Stack{0}; ///< states, bottom (state 0) to top
+  /// Starts in state 0, on \p Buffer's storage: a caller that hands the
+  /// stack back between parses reuses one allocation.
+  explicit LRConfig(size_t DepthCap, std::vector<int> &&Buffer = {})
+      : Stack(std::move(Buffer)), DepthCap(DepthCap) {
+    Stack.assign(1, 0);
+  }
+  std::vector<int> Stack; ///< states, bottom (state 0) to top
   size_t DepthCap;
   int top() const { return Stack.back(); }
 };
@@ -79,8 +89,11 @@ class LRDriver {
 public:
   LRDriver(const Grammar &G, const PackedTables &T, size_t MaxStackDepth);
 
-  /// A fresh configuration, capped at the driver's MaxStackDepth.
-  LRConfig start() const { return LRConfig(MaxStackDepth); }
+  /// A fresh configuration, capped at the driver's MaxStackDepth, with its
+  /// stack on \p Buffer's storage.
+  LRConfig start(std::vector<int> &&Buffer = {}) const {
+    return LRConfig(MaxStackDepth, std::move(Buffer));
+  }
 
   /// Dense index for a terminal name; -1 if the grammar lacks it. Off the
   /// code generator's path, which linearizes through termMap().
@@ -113,10 +126,18 @@ public:
   }
 
 private:
+  /// What a reduce by one production needs: how many states it pops and
+  /// the goto column of its left-hand side.
+  struct ReduceShape {
+    uint32_t RhsLen;
+    int32_t LhsNt;
+  };
+
   const Grammar &G;
   const PackedTables &T;
   size_t MaxStackDepth;
   int EofIdx;
+  std::vector<ReduceShape> Shapes; ///< per production
   std::vector<std::string> TermNames; ///< dense index -> name
   std::unordered_map<std::string, int> TermIndex;
   TerminalMap Terms;
@@ -160,11 +181,11 @@ LRStatus LRDriver::advance(LRConfig &Cfg, int TermIdx, Obs &O) const {
     case ActionType::Reduce: {
       const int Prod = A.Target;
       O.reducing(Cfg, State, TermIdx, Prod, A.Tie);
-      const Production &P = G.prod(Prod);
+      const ReduceShape P = Shapes[Prod];
       int GotoState = -1;
-      if (Cfg.Stack.size() > P.Rhs.size()) {
-        Cfg.Stack.resize(Cfg.Stack.size() - P.Rhs.size());
-        GotoState = T.gotoAt(Cfg.top(), G.ntIndex(P.Lhs));
+      if (Cfg.Stack.size() > P.RhsLen) {
+        Cfg.Stack.resize(Cfg.Stack.size() - P.RhsLen);
+        GotoState = T.gotoAt(Cfg.top(), P.LhsNt);
       }
       if (GotoState < 0) {
         O.blocked(BlockCause::MissingGoto, Cfg, TermIdx, Prod);

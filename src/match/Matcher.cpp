@@ -241,16 +241,19 @@ struct MatchObserver : LRObserver {
 
 } // namespace
 
-MatchResult Matcher::match(const std::vector<LinToken> &Input,
-                           RequestBudget *Budget) const {
-  MatchResult R;
+void Matcher::match(const std::vector<LinToken> &Input, MatchResult &R,
+                    RequestBudget *Budget) const {
+  R.Ok = false;
+  R.Error.clear();
+  R.Block.reset();
+  R.Steps.clear();
   R.Steps.reserve(Input.size() * 3);
   MatchObserver Obs(D, Input, Budget, R);
   TraceSpan Span("match.tree");
 
   // The request's effective stack cap: the budget may only tighten the
   // matcher's own configured cap, never widen it.
-  LRConfig Cfg = D.start();
+  LRConfig Cfg = D.start(std::move(R.StateStack));
   if (Budget && Budget->MaxStackDepth && Budget->MaxStackDepth < Cfg.DepthCap)
     Cfg.DepthCap = Budget->MaxStackDepth;
 
@@ -260,8 +263,8 @@ MatchResult Matcher::match(const std::vector<LinToken> &Input,
   while (St == LRStatus::Shifted)
     St = D.finish(Cfg, Obs);
   R.Ok = St == LRStatus::Accepted;
+  R.StateStack = std::move(Cfg.Stack);
   Obs.finish(Span);
-  return R;
 }
 
 std::string gg::renderTrace(const Grammar &G,

@@ -39,6 +39,8 @@ struct MatchStep {
   enum StepKind : uint8_t { Shift, Reduce } Kind;
   int TokenIndex = -1; ///< valid for Shift
   int ProdId = -1;     ///< valid for Reduce
+
+  bool operator==(const MatchStep &) const = default;
 };
 
 /// Structured description of a syntactic block (§6.2.2): everything the
@@ -63,14 +65,21 @@ struct BlockReport {
 
   /// One-line human rendering (used as MatchResult::Error).
   std::string render() const;
+
+  bool operator==(const BlockReport &) const = default;
 };
 
-/// Outcome of matching one tree.
+/// Outcome of matching one tree. A caller that matches many trees keeps one
+/// and refills it (Matcher::match(Input, R)), so Steps and the parse's
+/// state stack keep their storage from tree to tree.
 struct MatchResult {
   bool Ok = false;
   std::string Error; ///< syntactic-block description when !Ok
   std::optional<BlockReport> Block; ///< structured cause when !Ok
   std::vector<MatchStep> Steps;
+  /// Storage of the LR state stack, handed back after each match; not part
+  /// of the outcome.
+  std::vector<int> StateStack;
 };
 
 /// Tunables for one Matcher instance.
@@ -82,9 +91,9 @@ struct MatcherOptions {
 };
 
 /// A reusable matcher bound to one grammar and its packed tables. After
-/// construction a Matcher is immutable: match() touches only const state
-/// (plus the atomic stats registry), so one instance serves any number of
-/// concurrent code-generation workers.
+/// construction a Matcher is immutable: match() touches only const state,
+/// the caller's MatchResult and the atomic stats registry, so one instance
+/// serves any number of concurrent code-generation workers.
 class Matcher {
 public:
   Matcher(const Grammar &G, const PackedTables &T, MatcherOptions Opts = {});
@@ -101,8 +110,20 @@ public:
   /// tree's total steps to Budget->StepsUsed on every exit path. A budget
   /// stop surfaces as Cause::Budget, which the degradation ladder treats
   /// as non-recoverable (no PCC fallback: fail fast, free the worker).
+  ///
+  /// This form refills \p R, reusing its Steps and state-stack storage:
+  /// every field of the outcome is overwritten, so nothing of a previous
+  /// tree survives. A worker keeps one MatchResult per function it
+  /// compiles; two threads must not share one.
+  void match(const std::vector<LinToken> &Input, MatchResult &R,
+             RequestBudget *Budget = nullptr) const;
+  /// The same into a fresh result (the fuzzer and tests).
   MatchResult match(const std::vector<LinToken> &Input,
-                    RequestBudget *Budget = nullptr) const;
+                    RequestBudget *Budget = nullptr) const {
+    MatchResult R;
+    match(Input, R, Budget);
+    return R;
+  }
 
   const Grammar &grammar() const { return D.grammar(); }
   /// The driver match() runs, capped at MaxStackDepth. The fuzzer

@@ -5,25 +5,57 @@
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <map>
+#include <unordered_map>
 
 using namespace gg;
 
 namespace {
-/// Row-dedup key of one entry: its kind with the tie bit on top, and its
-/// target. Two states share a packed row only if their ties agree too.
-using EntryKey = std::pair<uint8_t, int32_t>;
-constexpr uint8_t TieKeyBit = 0x80;
+/// Row-dedup key of one action entry: its kind with the tie bit on top in
+/// the high word, its target in the low word. Two states share a packed
+/// row only if their ties agree too.
+constexpr uint64_t TieKeyBit = 0x80;
 
-EntryKey keyOf(const Action &A) {
-  return {static_cast<uint8_t>(static_cast<uint8_t>(A.Kind) |
-                               (A.Tie ? TieKeyBit : 0)),
-          A.Target};
+uint64_t keyOf(const Action &A, bool Tie) {
+  return (static_cast<uint64_t>(static_cast<uint8_t>(A.Kind)) |
+          (Tie ? TieKeyBit : 0))
+             << 32 |
+         static_cast<uint32_t>(A.Target);
 }
 
-Action actionOf(const EntryKey &K) {
-  return Action(static_cast<ActionType>(K.first & ~TieKeyBit), K.second,
-                (K.first & TieKeyBit) != 0);
+Action actionOf(uint64_t K) {
+  return Action(static_cast<ActionType>((K >> 32) & ~TieKeyBit),
+                static_cast<int32_t>(static_cast<uint32_t>(K)),
+                ((K >> 32) & TieKeyBit) != 0);
+}
+
+/// Deduplicates the \p NumRows rows of \p Width cells each in \p Cells.
+/// Fills \p RowOf with each row's class and returns, per class in order of
+/// first appearance, the first row that has it.
+template <typename Cell>
+std::vector<size_t> dedupRows(const Cell *Cells, size_t NumRows, size_t Width,
+                              std::vector<int32_t> &RowOf) {
+  std::vector<size_t> First;
+  std::unordered_map<uint64_t, int32_t> ByHash;
+  ByHash.reserve(NumRows);
+  RowOf.resize(NumRows);
+  for (size_t R = 0; R < NumRows; ++R) {
+    const Cell *Row = Cells + R * Width;
+    uint64_t H = 1469598103934665603ull;
+    for (size_t I = 0; I < Width; ++I)
+      H = (H ^ static_cast<uint64_t>(Row[I])) * 1099511628211ull;
+    // A hash shared by two different rows probes on to the next key.
+    for (;; ++H) {
+      auto [It, Inserted] =
+          ByHash.try_emplace(H, static_cast<int32_t>(First.size()));
+      if (Inserted)
+        First.push_back(R);
+      else if (!std::equal(Row, Row + Width, Cells + First[It->second] * Width))
+        continue;
+      RowOf[R] = It->second;
+      break;
+    }
+  }
+  return First;
 }
 } // namespace
 
@@ -34,97 +66,79 @@ PackedTables PackedTables::pack(const LRTables &T) {
   P.NumTerms = T.NumTerms;
   P.NumNonterms = T.NumNonterms;
   P.NumDynPoints = T.DynChoices.size();
+  const size_t NumTerms = T.NumTerms;
 
-  // Deduplicate action rows keyed by their full contents. A reduce at a
-  // DynChoices point carries the tie bit, so no one probes the DynChoices
-  // map after packing.
-  std::map<std::vector<EntryKey>, int32_t> ActionKey;
-  for (int S = 0; S < T.NumStates; ++S) {
-    std::vector<EntryKey> Key(T.NumTerms);
-    for (int TI = 0; TI < T.NumTerms; ++TI) {
-      Action A = T.actionAt(S, TI);
-      A.Tie = A.Kind == ActionType::Reduce && T.dynChoicesAt(S, TI);
-      Key[TI] = keyOf(A);
-    }
-    auto [It, Inserted] =
-        ActionKey.emplace(Key, static_cast<int32_t>(P.ActionRows.size()));
-    if (Inserted) {
-      // Pick the most frequent action as the row default.
-      std::map<EntryKey, int> Freq;
-      for (auto &E : Key)
-        ++Freq[E];
-      EntryKey Best = Key[0];
-      int BestN = -1;
-      for (auto &[Val, N] : Freq)
-        if (N > BestN) {
-          BestN = N;
-          Best = Val;
-        }
-      PackedActionRow Row;
-      Row.Default = actionOf(Best);
-      for (int TI = 0; TI < T.NumTerms; ++TI)
-        if (Key[TI] != Best)
-          Row.Except.emplace_back(TI, actionOf(Key[TI]));
-      P.ActionRows.push_back(std::move(Row));
-    }
-    P.ActionRowOf.push_back(It->second);
+  // Entry keys, row major. A reduce at a DynChoices point carries the tie
+  // bit, so no one probes the DynChoices map after packing.
+  std::vector<uint64_t> Keys(T.Actions.size());
+  for (size_t I = 0; I < Keys.size(); ++I)
+    Keys[I] = keyOf(T.Actions[I], false);
+  for (const auto &Choice : T.DynChoices) {
+    const uint64_t S = Choice.first >> 32;
+    const uint32_t TI = static_cast<uint32_t>(Choice.first);
+    if (S >= static_cast<uint64_t>(T.NumStates) || TI >= NumTerms)
+      continue;
+    const size_t I = S * NumTerms + TI;
+    if (T.Actions[I].Kind == ActionType::Reduce)
+      Keys[I] = keyOf(T.Actions[I], true);
   }
 
-  std::map<std::vector<int32_t>, int32_t> GotoKey;
-  for (int S = 0; S < T.NumStates; ++S) {
-    std::vector<int32_t> Key(T.NumNonterms);
-    for (int NI = 0; NI < T.NumNonterms; ++NI)
-      Key[NI] = T.gotoAt(S, NI);
-    auto [It, Inserted] =
-        GotoKey.emplace(Key, static_cast<int32_t>(P.GotoRows.size()));
-    if (Inserted) {
-      PackedGotoRow Row;
-      for (int NI = 0; NI < T.NumNonterms; ++NI)
-        if (Key[NI] >= 0)
-          Row.Entries.emplace_back(NI, Key[NI]);
-      P.GotoRows.push_back(std::move(Row));
+  const std::vector<size_t> ActionFirst =
+      dedupRows(Keys.data(), T.NumStates, NumTerms, P.ActionRowOf);
+  P.MaskWords = static_cast<int>((NumTerms + 63) / 64);
+  P.Defaults.reserve(ActionFirst.size());
+  P.Masks.assign(ActionFirst.size() * P.MaskWords, 0);
+  P.WordBase.assign(ActionFirst.size() * P.MaskWords, 0);
+  std::vector<uint64_t> Sorted;
+  for (size_t R = 0; R < ActionFirst.size(); ++R) {
+    const uint64_t *Row = Keys.data() + ActionFirst[R] * NumTerms;
+    // The row default is its most frequent entry, the smallest key among
+    // equally frequent ones.
+    Sorted.assign(Row, Row + NumTerms);
+    std::sort(Sorted.begin(), Sorted.end());
+    uint64_t Best = keyOf(Action(), false);
+    size_t BestN = 0;
+    for (size_t I = 0, J; I < Sorted.size(); I = J) {
+      for (J = I + 1; J < Sorted.size() && Sorted[J] == Sorted[I]; ++J)
+        ;
+      if (J - I > BestN) {
+        BestN = J - I;
+        Best = Sorted[I];
+      }
     }
-    P.GotoRowOf.push_back(It->second);
+    P.Defaults.push_back(actionOf(Best));
+    for (size_t TI = 0; TI < NumTerms; ++TI) {
+      const size_t W = R * P.MaskWords + TI / 64;
+      if (TI % 64 == 0)
+        P.WordBase[W] = static_cast<int32_t>(P.Exceptions.size());
+      if (Row[TI] != Best) {
+        P.Masks[W] |= uint64_t(1) << (TI % 64);
+        P.Exceptions.push_back(actionOf(Row[TI]));
+      }
+    }
+  }
+
+  const std::vector<size_t> GotoFirst =
+      dedupRows(T.Gotos.data(), T.NumStates, T.NumNonterms, P.GotoRowOf);
+  P.Gotos.reserve(GotoFirst.size() * T.NumNonterms);
+  for (size_t S : GotoFirst) {
+    const int32_t *Row = T.Gotos.data() + S * T.NumNonterms;
+    P.Gotos.insert(P.Gotos.end(), Row, Row + T.NumNonterms);
   }
 
   StatsRegistry &S = stats();
-  S.counter("tablegen.packed.action_rows") += P.ActionRows.size();
-  S.counter("tablegen.packed.goto_rows") += P.GotoRows.size();
+  S.counter("tablegen.packed.action_rows") += P.numActionRows();
+  S.counter("tablegen.packed.goto_rows") += P.numGotoRows();
   S.counter("tablegen.packed.bytes") += P.memoryBytes();
   Span.arg("bytes", static_cast<int64_t>(P.memoryBytes()));
-  Span.arg("action_rows", static_cast<int64_t>(P.ActionRows.size()));
+  Span.arg("action_rows", static_cast<int64_t>(P.numActionRows()));
   return P;
 }
 
-Action PackedTables::actionAt(int State, int TermIdx) const {
-  const PackedActionRow &Row = ActionRows[ActionRowOf[State]];
-  auto It = std::lower_bound(
-      Row.Except.begin(), Row.Except.end(), TermIdx,
-      [](const std::pair<int32_t, Action> &E, int V) { return E.first < V; });
-  if (It != Row.Except.end() && It->first == TermIdx)
-    return It->second;
-  return Row.Default;
-}
-
-int32_t PackedTables::gotoAt(int State, int NtIdx) const {
-  const PackedGotoRow &Row = GotoRows[GotoRowOf[State]];
-  auto It = std::lower_bound(
-      Row.Entries.begin(), Row.Entries.end(), NtIdx,
-      [](const std::pair<int32_t, int32_t> &E, int V) {
-        return E.first < V;
-      });
-  if (It != Row.Entries.end() && It->first == NtIdx)
-    return It->second;
-  return -1;
-}
-
 size_t PackedTables::memoryBytes() const {
-  size_t Bytes = ActionRowOf.size() * sizeof(int32_t) +
-                 GotoRowOf.size() * sizeof(int32_t);
-  for (const PackedActionRow &Row : ActionRows)
-    Bytes += sizeof(Action) +
-             Row.Except.size() * (sizeof(int32_t) + sizeof(Action));
-  for (const PackedGotoRow &Row : GotoRows)
-    Bytes += Row.Entries.size() * 2 * sizeof(int32_t);
-  return Bytes;
+  return (ActionRowOf.size() + GotoRowOf.size() + WordBase.size() +
+          Gotos.size()) *
+             sizeof(int32_t) +
+         Masks.size() * sizeof(uint64_t) +
+         (Defaults.size() + Exceptions.size()) * sizeof(Action);
 }

@@ -5,12 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Compressed parse tables. Rows are deduplicated and stored sparsely as a
-/// default action plus sorted exceptions. The pattern matcher runs off
-/// this representation — the paper notes its code generator spends much of
-/// its time "manipulating and unpacking the description tables", and the
-/// binary-search lookup here reproduces that cost profile honestly (it
-/// stays until row-displacement "comb-vector" packing replaces it).
+/// Compressed parse tables. The paper notes its code generator spends much
+/// of its time "manipulating and unpacking the description tables"; here
+/// both lookups are constant time, so the matcher's inner loop pays a few
+/// loads per step and no search.
+///
+/// Action rows are deduplicated. Each row keeps its most frequent entry as
+/// the default and stores the rest once, in terminal order, in one flat
+/// exception array shared by all rows. A row has one 64-bit presence mask
+/// per 64 terminals, plus the exception-array index of each mask word's
+/// first exception, so actionAt is a mask test and a popcount rank. Goto
+/// rows are deduplicated too and stored dense (a grammar has only a few
+/// nonterminals). The layout is chosen here, at pack time: the serialized
+/// table format, its checksum and the table fingerprint do not see it.
 ///
 /// Each packed Reduce entry carries a Tie bit, set at pack time for every
 /// (state, terminal) with a DynChoices list, so the driver learns of a
@@ -26,21 +33,11 @@
 
 #include "tablegen/LRTables.h"
 
+#include <bit>
 #include <cstddef>
 #include <vector>
 
 namespace gg {
-
-/// One deduplicated sparse action row.
-struct PackedActionRow {
-  Action Default;
-  std::vector<std::pair<int32_t, Action>> Except; ///< sorted by terminal
-};
-
-/// One deduplicated sparse goto row.
-struct PackedGotoRow {
-  std::vector<std::pair<int32_t, int32_t>> Entries; ///< sorted by nonterm
-};
 
 /// Compressed tables with the same lookup interface as LRTables.
 class PackedTables {
@@ -49,8 +46,20 @@ public:
   /// afterwards: a DynChoices point survives as its entry's Tie bit.
   static PackedTables pack(const LRTables &T);
 
-  Action actionAt(int State, int TermIdx) const;
-  int32_t gotoAt(int State, int NtIdx) const;
+  Action actionAt(int State, int TermIdx) const {
+    const size_t Row = ActionRowOf[State];
+    const size_t W = Row * MaskWords + (static_cast<unsigned>(TermIdx) >> 6);
+    const uint64_t Bit = uint64_t(1) << (TermIdx & 63);
+    const uint64_t Mask = Masks[W];
+    if (!(Mask & Bit))
+      return Defaults[Row];
+    return Exceptions[WordBase[W] + std::popcount(Mask & (Bit - 1))];
+  }
+
+  /// The goto target, or -1 for none.
+  int32_t gotoAt(int State, int NtIdx) const {
+    return Gotos[static_cast<size_t>(GotoRowOf[State]) * NumNonterms + NtIdx];
+  }
 
   int numStates() const { return NumStates; }
   int numTerms() const { return NumTerms; }
@@ -58,18 +67,24 @@ public:
   /// Dynamic-tie points carried over from the constructor (the coverage
   /// profiler's denominator for dynamic-tie utilization).
   size_t numDynPoints() const { return NumDynPoints; }
-  size_t numActionRows() const { return ActionRows.size(); }
-  size_t numGotoRows() const { return GotoRows.size(); }
+  size_t numActionRows() const { return Defaults.size(); }
+  size_t numGotoRows() const {
+    return NumNonterms ? Gotos.size() / NumNonterms : 0;
+  }
 
-  /// Approximate footprint in bytes (experiments E1/E9).
+  /// Footprint of the lookup arrays in bytes (experiments E1/E9).
   size_t memoryBytes() const;
 
 private:
   int NumStates = 0, NumTerms = 0, NumNonterms = 0;
-  std::vector<int32_t> ActionRowOf, GotoRowOf; ///< per state
-  std::vector<PackedActionRow> ActionRows;
-  std::vector<PackedGotoRow> GotoRows;
+  int MaskWords = 0;                   ///< 64-terminal words per action row
   size_t NumDynPoints = 0;
+  std::vector<int32_t> ActionRowOf, GotoRowOf; ///< per state
+  std::vector<Action> Defaults;        ///< per action row
+  std::vector<uint64_t> Masks;         ///< per action row x MaskWords
+  std::vector<int32_t> WordBase;       ///< per mask word: first exception
+  std::vector<Action> Exceptions;      ///< all rows, in terminal order
+  std::vector<int32_t> Gotos;          ///< per goto row x NumNonterms
 };
 
 } // namespace gg

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 using namespace gg;
 
 namespace {
@@ -117,6 +119,114 @@ s <- Plus_l Const_l Const_l : emit add
   MatchResult MR = B.M->match(Input);
   EXPECT_FALSE(MR.Ok);
   EXPECT_NE(MR.Error.find("$end"), std::string::npos);
+}
+
+/// A right-recursive list: "Plus_l Const_l" x Pairs, then Const_l. The
+/// step count grows with Pairs.
+const char *ListSpec = R"(
+%start s
+s <- Plus_l Const_l s : emit add
+s <- Const_l : emit move
+)";
+
+std::vector<LinToken> listInput(const LRDriver &D, int Pairs) {
+  std::vector<LinToken> Input;
+  for (int I = 0; I < Pairs; ++I) {
+    Input.push_back(tokenFor(D, "Plus_l"));
+    Input.push_back(tokenFor(D, "Const_l"));
+  }
+  Input.push_back(tokenFor(D, "Const_l"));
+  return Input;
+}
+
+/// One tree of the reuse sequence: its input and, when MaxSteps is set, a
+/// fresh step budget per match.
+struct ReuseCase {
+  const char *Name;
+  std::vector<LinToken> Input;
+  uint64_t MaxSteps = 0;
+};
+
+/// accept -> NoAction block -> budget stop -> accept.
+std::vector<ReuseCase> reuseSequence(const LRDriver &D) {
+  return {{"accept", listInput(D, 40)},
+          {"no-action", {tokenFor(D, "Plus_l"), tokenFor(D, "Plus_l")}},
+          {"budget", listInput(D, 600), 256},
+          {"accept-again", listInput(D, 40)}};
+}
+
+MatchResult matchCase(const Matcher &M, const ReuseCase &C) {
+  RequestBudget Budget;
+  Budget.MaxSteps = C.MaxSteps;
+  return M.match(C.Input, C.MaxSteps ? &Budget : nullptr);
+}
+
+void matchCaseInto(const Matcher &M, const ReuseCase &C, MatchResult &R) {
+  RequestBudget Budget;
+  Budget.MaxSteps = C.MaxSteps;
+  M.match(C.Input, R, C.MaxSteps ? &Budget : nullptr);
+}
+
+bool sameOutcome(const MatchResult &A, const MatchResult &B) {
+  return A.Ok == B.Ok && A.Steps == B.Steps && A.Block == B.Block &&
+         A.Error == B.Error;
+}
+
+TEST(MatcherExtra, ReusedResultEqualsFreshMatch) {
+  Built B = buildFrom(ListSpec);
+  const std::vector<ReuseCase> Cases = reuseSequence(B.M->driver());
+  MatchResult R;
+  for (const ReuseCase &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    matchCaseInto(*B.M, C, R);
+    const MatchResult Fresh = matchCase(*B.M, C);
+    EXPECT_EQ(R.Ok, Fresh.Ok);
+    EXPECT_EQ(R.Steps, Fresh.Steps);
+    EXPECT_EQ(R.Block, Fresh.Block);
+    EXPECT_EQ(R.Error, Fresh.Error);
+  }
+  // The sequence really visits each outcome.
+  ASSERT_TRUE(matchCase(*B.M, Cases[0]).Ok);
+  ASSERT_EQ(matchCase(*B.M, Cases[1]).Block->Why, BlockCause::NoAction);
+  ASSERT_EQ(matchCase(*B.M, Cases[2]).Block->Why, BlockCause::Budget);
+  EXPECT_TRUE(R.Ok);
+  EXPECT_FALSE(R.Block.has_value());
+  EXPECT_TRUE(R.Error.empty());
+
+  // A second tree of the same size reuses both buffers.
+  const MatchStep *Steps = R.Steps.data();
+  const int *Stack = R.StateStack.data();
+  B.M->match(listInput(B.M->driver(), 40), R);
+  EXPECT_TRUE(R.Ok);
+  EXPECT_EQ(R.Steps.data(), Steps);
+  EXPECT_EQ(R.StateStack.data(), Stack);
+}
+
+TEST(MatcherExtra, ReusedResultsOnFourThreads) {
+  Built B = buildFrom(ListSpec);
+  const std::vector<ReuseCase> Cases = reuseSequence(B.M->driver());
+  std::vector<MatchResult> Want;
+  for (const ReuseCase &C : Cases)
+    Want.push_back(matchCase(*B.M, C));
+
+  constexpr int Threads = 4, Rounds = 25;
+  std::vector<int> Mismatches(Threads, 0);
+  std::vector<std::thread> Pool;
+  for (int T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      MatchResult R; // this thread's own scratch
+      for (int Round = 0; Round < Rounds; ++Round)
+        for (size_t I = 0; I < Cases.size(); ++I) {
+          // Threads start at different points of the sequence.
+          const size_t K = (I + T) % Cases.size();
+          matchCaseInto(*B.M, Cases[K], R);
+          Mismatches[T] += !sameOutcome(R, Want[K]);
+        }
+    });
+  for (std::thread &Th : Pool)
+    Th.join();
+  for (int T = 0; T < Threads; ++T)
+    EXPECT_EQ(Mismatches[T], 0) << "thread " << T;
 }
 
 TEST(SpecParserExtra, CommentsAndBlankLines) {

@@ -3,13 +3,51 @@
 #include "ir/Linearize.h"
 #include "match/Matcher.h"
 #include "mdl/SpecParser.h"
+#include "support/Strings.h"
+#include "tablegen/Serialize.h"
 #include "tablegen/TableBuilder.h"
+#include "vax/VaxGrammar.h"
 
 #include <gtest/gtest.h>
 
 using namespace gg;
 
 namespace {
+
+/// Compares packed tables with the dense ones they were packed from, cell
+/// by cell: every action's Kind and Target, its Tie bit (set exactly on a
+/// Reduce at a DynChoices point) and every goto. Returns the number of
+/// mismatching cells; \p First describes the first.
+size_t packedMismatches(const LRTables &T, const PackedTables &P,
+                        std::string &First) {
+  size_t Bad = 0;
+  auto Note = [&](const std::string &What) {
+    if (!Bad++)
+      First = What;
+  };
+  if (P.numStates() != T.NumStates || P.numTerms() != T.NumTerms ||
+      P.numNonterms() != T.NumNonterms ||
+      P.numDynPoints() != T.DynChoices.size())
+    Note("shape");
+  for (int S = 0; S < T.NumStates; ++S) {
+    for (int TI = 0; TI < T.NumTerms; ++TI) {
+      const Action &Want = T.actionAt(S, TI);
+      const bool WantTie =
+          Want.Kind == ActionType::Reduce && T.dynChoicesAt(S, TI);
+      const Action Got = P.actionAt(S, TI);
+      if (Got.Kind != Want.Kind || Got.Target != Want.Target ||
+          Got.Tie != WantTie)
+        Note(strf("action (%d, %d): kind %d target %d tie %d, want %d %d %d",
+                  S, TI, static_cast<int>(Got.Kind), Got.Target, Got.Tie,
+                  static_cast<int>(Want.Kind), Want.Target, WantTie));
+    }
+    for (int NI = 0; NI < T.NumNonterms; ++NI)
+      if (P.gotoAt(S, NI) != T.gotoAt(S, NI))
+        Note(strf("goto (%d, %d): %d, want %d", S, NI, P.gotoAt(S, NI),
+                  T.gotoAt(S, NI)));
+  }
+  return Bad;
+}
 
 /// Tiny expression grammar in the paper's style: register-register adds
 /// with memory fetches and constants.
@@ -114,16 +152,86 @@ TEST_F(TinyGrammarTest, PackedTablesMatchDense) {
   BuildResult R = buildTables(G);
   ASSERT_TRUE(R.Ok);
   PackedTables P = PackedTables::pack(R.Tables);
-  for (int S = 0; S < R.Tables.NumStates; ++S) {
-    for (int TI = 0; TI < R.Tables.NumTerms; ++TI) {
-      const Action &Want = R.Tables.actionAt(S, TI);
-      Action Got = P.actionAt(S, TI);
-      EXPECT_EQ(static_cast<int>(Want.Kind), static_cast<int>(Got.Kind));
-      EXPECT_EQ(Want.Target, Got.Target);
-    }
-    for (int NI = 0; NI < R.Tables.NumNonterms; ++NI)
-      EXPECT_EQ(R.Tables.gotoAt(S, NI), P.gotoAt(S, NI));
+  std::string First;
+  EXPECT_EQ(packedMismatches(R.Tables, P, First), 0u) << First;
+  EXPECT_LT(P.memoryBytes(), R.Tables.memoryBytes());
+}
+
+TEST(PackedTables, MatchDenseOnEveryVaxVariant) {
+  struct Variant {
+    const char *Name;
+    VaxGrammarOptions Opts;
+  };
+  const Variant Variants[] = {{"default", {}},
+                              {"sizes=1", {true, 1}},
+                              {"sizes=2", {true, 2}},
+                              {"sizes=3", {true, 3}},
+                              {"no-reverse-ops", {false, 3}}};
+  for (const Variant &V : Variants) {
+    SCOPED_TRACE(V.Name);
+    Grammar VG;
+    MdSpec Spec;
+    DiagnosticSink D;
+    ASSERT_TRUE(buildVaxGrammar(VG, Spec, D, V.Opts)) << D.renderAll();
+    BuildResult R = buildTables(VG);
+    ASSERT_TRUE(R.Ok) << R.Error;
+    PackedTables P = PackedTables::pack(R.Tables);
+    std::string First;
+    EXPECT_EQ(packedMismatches(R.Tables, P, First), 0u) << First;
+    EXPECT_LT(P.memoryBytes(), R.Tables.memoryBytes());
   }
+}
+
+TEST(PackedTables, MatchDenseAfterSerializeRoundTrip) {
+  Grammar VG;
+  MdSpec Spec;
+  DiagnosticSink D;
+  ASSERT_TRUE(buildVaxGrammar(VG, Spec, D)) << D.renderAll();
+  BuildResult R = buildTables(VG);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  ASSERT_FALSE(R.Tables.DynChoices.empty()) << "no tie bits to check";
+  LRTables Loaded;
+  ASSERT_TRUE(deserializeTables(serializeTables(VG, R.Tables), VG, Loaded, D))
+      << D.renderAll();
+  PackedTables P = PackedTables::pack(Loaded);
+  std::string First;
+  EXPECT_EQ(packedMismatches(R.Tables, P, First), 0u) << First;
+  EXPECT_EQ(packedMismatches(Loaded, P, First), 0u) << First;
+  PackedTables Direct = PackedTables::pack(R.Tables);
+  EXPECT_EQ(P.memoryBytes(), Direct.memoryBytes());
+  EXPECT_EQ(P.numActionRows(), Direct.numActionRows());
+  EXPECT_EQ(P.numGotoRows(), Direct.numGotoRows());
+}
+
+TEST(PackedTables, MatchDenseWithThreeMaskWords) {
+  // 150 terminals in three roles, so action rows carry exceptions in all
+  // three 64-terminal mask words:
+  //   s <- Ti s   (i % 3 == 0)      s <- Ti   (i % 3 == 1)
+  //   s <- Open e Ti, e <- Ti       (i % 3 == 2)
+  Grammar WG;
+  for (int I = 0; I < 150; ++I) {
+    const std::string Term = strf("T%d", I);
+    switch (I % 3) {
+    case 0:
+      WG.addProduction("s", {Term, "s"}, ActionKind::Glue);
+      break;
+    case 1:
+      WG.addProduction("s", {Term}, ActionKind::Glue);
+      break;
+    default:
+      WG.addProduction("s", {"Open", "e", Term}, ActionKind::Glue);
+      WG.addProduction("e", {Term}, ActionKind::Glue);
+      break;
+    }
+  }
+  WG.setStart(WG.lookup("s"));
+  WG.freeze();
+  ASSERT_GT(WG.numTerminals(), 128u);
+  BuildResult R = buildTables(WG);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  PackedTables P = PackedTables::pack(R.Tables);
+  std::string First;
+  EXPECT_EQ(packedMismatches(R.Tables, P, First), 0u) << First;
   EXPECT_LT(P.memoryBytes(), R.Tables.memoryBytes());
 }
 
