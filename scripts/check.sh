@@ -37,7 +37,8 @@
 # 10. builds the parallel-determinism test under -fsanitize=thread and
 #    runs it: the work-stealing compile pipeline must be race-free, not
 #    just deterministic. The matcher equivalence golden (4 threads,
-#    telemetry armed) and matcher_extra_test run there too.
+#    telemetry armed), matcher_extra_test, the per-function match tally
+#    and the chained phase scopes run there too.
 #
 # --fast reuses the plain ./build tree (no sanitizers), runs only the
 # tier1 gate and skips the TSAN leg: a quick pre-commit pass.
@@ -580,16 +581,20 @@ cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j"$(nproc)" --target parallel_test support_test \
   coverage_test profile_test match_golden_test matcher_extra_test
+# parallel_test includes MatchTally.*: each worker publishes its
+# function's match tally into the shared registry at 4 threads.
 build-tsan/tests/parallel_test
-# The phase clock is thread-local; PhaseScope.* nests scopes on eight
-# threads at once beside the shared-registry hammers.
+# The phase clock is thread-local; PhaseScope.* nests and chains
+# (PhaseScope::to) scopes and stamps flight events from the clock, beside
+# the shared-registry hammers, including per-thread LocalHistograms
+# merged into one LogHistogram.
 build-tsan/tests/support_test --gtest_filter='StatsThreading.*:PhaseScope.*'
 build-tsan/tests/coverage_test \
   --gtest_filter='CoverageRegistry.ShardsSumExactlyUnderContention:CoveragePipeline.*'
 build-tsan/tests/profile_test --gtest_filter='ProfilePipeline.*'
-# The matcher adds its per-tree counts to the registry once per tree; the
+# The value-returning match() publishes each tree's tally at once; the
 # equivalence golden at 4 threads with coverage + profile armed hammers
-# that flush from concurrent matchers.
+# those publishes from concurrent matchers.
 build-tsan/tests/match_golden_test \
   --gtest_filter='MatchGolden.FourThreadsTelemetryArmed'
 build-tsan/tests/matcher_extra_test

@@ -166,13 +166,15 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
     // Everything this tree emits sits after the mark; a failed tree is
     // rolled back wholesale before the fallback path runs.
     AsmEmitter::Mark TreeMark = Emit.mark();
+    std::string SemErr;
+    bool TreeOk = false;
     {
+      // One scope carries the tree through linearize, match and replay,
+      // one phase-clock read per transition. It closes before the
+      // degradation ladder, so Fallback nests outside every tree phase.
       PhaseScope PS(Phase::Linearize);
       linearize(Tree, Terms, Input);
-    }
-    {
-      PhaseScope PS(Phase::Match, Opts.Budget,
-                    static_cast<int64_t>(Input.size()));
+      PS.to(Phase::Match, Opts.Budget, static_cast<int64_t>(Input.size()));
       // truncate-input fault: models a phase-1/linearizer bug. A proper
       // prefix of a prefix linearization can never parse to completion,
       // so the matcher blocks instead of accepting a wrong parse. The
@@ -182,27 +184,18 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
           faultInject().truncatedInputSize(Input.size(), TreeOrdinal++));
       R.Stats.MatcherTokens += Input.size();
       Target.matcher().match(Input, MR, Opts.Budget);
-    }
-    std::string TreeErr;
-    bool TreeOk = MR.Ok;
-    if (MR.Ok) {
-      R.Stats.MatcherSteps += MR.Steps.size();
-      if (Opts.Trace) {
-        R.TraceText += printLinear(Tree, Prog.Syms) + "\n";
-        R.TraceText += renderTrace(Target.grammar(), Input, MR, Prog.Syms);
-        R.TraceText += "\n";
+      if (MR.Ok) {
+        R.Stats.MatcherSteps += MR.Steps.size();
+        if (Opts.Trace) {
+          R.TraceText += printLinear(Tree, Prog.Syms) + "\n";
+          R.TraceText += renderTrace(Target.grammar(), Input, MR, Prog.Syms);
+          R.TraceText += "\n";
+        }
+        PS.to(Phase::Replay, Opts.Budget,
+              static_cast<int64_t>(MR.Steps.size()));
+        TreeOk = Sem.replay(Target.grammar(), Target.semActions(), Input,
+                            MR.Steps, SemErr);
       }
-      PhaseScope PS(Phase::Replay, Opts.Budget,
-                    static_cast<int64_t>(MR.Steps.size()));
-      std::string SemErr;
-      TreeOk = Sem.replay(Target.grammar(), Target.semActions(), Input,
-                          MR.Steps, SemErr);
-      if (!TreeOk)
-        TreeErr = strf("%s\n  while generating: %s", SemErr.c_str(),
-                       printLinear(Tree, Prog.Syms).c_str());
-    } else {
-      TreeErr = strf("%s\n  while matching: %s", MR.Error.c_str(),
-                     printLinear(Tree, Prog.Syms).c_str());
     }
     if (TreeOk) {
       ++R.Stats.StatementTrees;
@@ -212,6 +205,11 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
     // Degradation ladder: one tree failing the table-driven path must
     // not kill the module. Discard the tree's partial output and
     // per-statement state, then regenerate it through the PCC baseline.
+    const std::string TreeErr =
+        MR.Ok ? strf("%s\n  while generating: %s", SemErr.c_str(),
+                     printLinear(Tree, Prog.Syms).c_str())
+              : strf("%s\n  while matching: %s", MR.Error.c_str(),
+                     printLinear(Tree, Prog.Syms).c_str());
     ++R.Stats.BlockedTrees;
     ++BlockedTrees;
     flightRecord(FlightKind::Block,
@@ -269,7 +267,7 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
                                     S->left());
         if (!CompileTree(Copy)) {
           R.Ok = false;
-          return;
+          break;
         }
       }
       Sem.emitRet();
@@ -282,21 +280,23 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
         Node *Copy = LocalArena.bin(Op::Assign, S->left()->Type,
                                     S->left(),
                                     LocalArena.dreg(RegR0, Ty::L));
-        if (!CompileTree(Copy)) {
+        if (!CompileTree(Copy))
           R.Ok = false;
-          return;
-        }
       }
       break;
     }
     default:
-      if (!CompileTree(S)) {
-        R.Ok = false;
-        return;
-      }
+      R.Ok = CompileTree(S);
       break;
     }
+    if (!R.Ok)
+      break;
   }
+  // The function's match.* counts reach the registry once, whether it
+  // compiled or failed.
+  MR.Tally.publish();
+  if (!R.Ok)
+    return;
   if (!EndsWithRet)
     Sem.emitRet();
 
@@ -445,6 +445,10 @@ bool GGCodeGenerator::compile(Program &Prog, std::string &Asm,
   // render are all serial post-join work.
   PhaseScope StitchScope(Phase::Stitch, Opts.Budget,
                          static_cast<int64_t>(NumFns));
+  size_t NumLines = Emit.lineCount();
+  for (const FunctionResult &R : Results)
+    NumLines += R.Emit->lineCount();
+  Emit.reserve(NumLines);
   StatsRegistry &Reg = gg::stats();
   for (size_t I = 0; I < NumFns; ++I) {
     FunctionResult &R = Results[I];

@@ -15,8 +15,9 @@
 ///
 /// Per-phase wall-clock accounting reproduces the paper's observation
 /// that "roughly one half the code generation time is spent in the
-/// pattern matching phase" (experiment E5). Each phase transition is one
-/// PhaseScope (support/Phase.h).
+/// pattern matching phase" (experiment E5). Each phase transition goes
+/// through a PhaseScope (support/Phase.h); a tree's linearize, match and
+/// replay share one.
 ///
 /// Phases 2-4 are embarrassingly parallel across functions: the SLR
 /// tables and instruction table are immutable once built, and all

@@ -70,7 +70,7 @@ namespace {
 
 /// The matcher's registry entries. Entry references are stable, so they
 /// are looked up once (and the entries are atomics, safe for concurrent
-/// workers).
+/// publishers).
 struct MatchStats {
   StatsRegistry &Reg = stats();
   std::atomic<uint64_t> &Trees = Reg.counter("match.trees");
@@ -92,7 +92,7 @@ struct MatchStats {
 
 /// Everything match() does beyond the parse: records the MatchStep
 /// sequence, polls the request budget, builds the BlockReport, and charges
-/// coverage, the cost profile and the per-tree counters.
+/// coverage, the cost profile and the result's tally.
 struct MatchObserver : LRObserver {
   MatchObserver(const LRDriver &D, const std::vector<LinToken> &Input,
                 RequestBudget *Budget, MatchResult &R)
@@ -109,7 +109,7 @@ struct MatchObserver : LRObserver {
     if (!Budget || (R.Steps.size() & BudgetPollMask) != 0 ||
         !Budget->shouldStop(R.Steps.size()))
       return false;
-    ++MatchStats::get().BudgetStops;
+    ++R.Tally.BudgetStops;
     blocked(BlockCause::Budget, Cfg, -1, -1);
     return true;
   }
@@ -166,7 +166,7 @@ struct MatchObserver : LRObserver {
   /// Block so string-matching consumers keep working.
   void blocked(BlockCause Why, const LRConfig &Cfg, int, int Prod) {
     if (Why == BlockCause::DepthCap)
-      ++MatchStats::get().CapHits;
+      ++R.Tally.CapHits;
     BlockReport B;
     B.Why = Why;
     if (Why == BlockCause::Budget)
@@ -194,18 +194,18 @@ struct MatchObserver : LRObserver {
     return Tok.N ? terminalName(Tok.N) : "?";
   }
 
-  /// Per-tree bookkeeping, on every exit path: one registry update per
-  /// counter for the whole tree.
+  /// Per-tree bookkeeping, on every exit path: the tree's counts go to
+  /// the result's tally and its steps to the request budget.
   void finish(TraceSpan &Span) {
-    MatchStats &S = MatchStats::get();
-    ++S.Trees;
-    S.Shifts += Shifts;
-    S.Reduces += Reduces;
-    S.Ties += Ties;
-    S.Blocks += !R.Ok;
-    S.Depth.record(MaxDepth);
-    S.Tokens.record(Input.size());
-    S.Steps.record(R.Steps.size());
+    MatchTally &T = R.Tally;
+    ++T.Trees;
+    T.Shifts += Shifts;
+    T.Reduces += Reduces;
+    T.Ties += Ties;
+    T.Blocks += !R.Ok;
+    T.Depth.record(MaxDepth);
+    T.Tokens.record(Input.size());
+    T.Steps.record(R.Steps.size());
     if (Budget)
       Budget->StepsUsed.fetch_add(R.Steps.size(), std::memory_order_relaxed);
     Span.arg("tokens", static_cast<int64_t>(Input.size()));
@@ -240,6 +240,23 @@ struct MatchObserver : LRObserver {
 };
 
 } // namespace
+
+void MatchTally::publish() {
+  if (!Trees)
+    return;
+  MatchStats &S = MatchStats::get();
+  S.Trees += Trees;
+  S.Shifts += Shifts;
+  S.Reduces += Reduces;
+  S.Ties += Ties;
+  S.Blocks += Blocks;
+  S.CapHits += CapHits;
+  S.BudgetStops += BudgetStops;
+  S.Depth.merge(Depth);
+  S.Tokens.merge(Tokens);
+  S.Steps.merge(Steps);
+  *this = MatchTally();
+}
 
 void Matcher::match(const std::vector<LinToken> &Input, MatchResult &R,
                     RequestBudget *Budget) const {

@@ -26,6 +26,7 @@
 #include "ir/Linearize.h"
 #include "match/LRDriver.h"
 #include "support/Deadline.h"
+#include "support/Stats.h"
 
 #include <optional>
 #include <string>
@@ -69,6 +70,19 @@ struct BlockReport {
   bool operator==(const BlockReport &) const = default;
 };
 
+/// The matcher's match.* counters and histograms for the trees matched
+/// since the last publish(), in plain single-owner fields: a tree adds to
+/// them without touching the shared registry, and publish() folds them
+/// into it once.
+struct MatchTally {
+  uint64_t Trees = 0, Shifts = 0, Reduces = 0, Ties = 0, Blocks = 0,
+           CapHits = 0, BudgetStops = 0;
+  LocalHistogram Depth, Tokens, Steps;
+
+  /// Adds the tally to the stats registry and zeroes it.
+  void publish();
+};
+
 /// Outcome of matching one tree. A caller that matches many trees keeps one
 /// and refills it (Matcher::match(Input, R)), so Steps and the parse's
 /// state stack keep their storage from tree to tree.
@@ -80,6 +94,9 @@ struct MatchResult {
   /// Storage of the LR state stack, handed back after each match; not part
   /// of the outcome.
   std::vector<int> StateStack;
+  /// Counts of every tree matched into this result since its owner last
+  /// published them; not part of the outcome.
+  MatchTally Tally;
 };
 
 /// Tunables for one Matcher instance.
@@ -92,8 +109,8 @@ struct MatcherOptions {
 
 /// A reusable matcher bound to one grammar and its packed tables. After
 /// construction a Matcher is immutable: match() touches only const state,
-/// the caller's MatchResult and the atomic stats registry, so one instance
-/// serves any number of concurrent code-generation workers.
+/// the caller's MatchResult and the sharded telemetry registries, so one
+/// instance serves any number of concurrent code-generation workers.
 class Matcher {
 public:
   Matcher(const Grammar &G, const PackedTables &T, MatcherOptions Opts = {});
@@ -113,15 +130,19 @@ public:
   ///
   /// This form refills \p R, reusing its Steps and state-stack storage:
   /// every field of the outcome is overwritten, so nothing of a previous
-  /// tree survives. A worker keeps one MatchResult per function it
-  /// compiles; two threads must not share one.
+  /// tree survives. The tree's counts are added to R.Tally, which the
+  /// caller publishes (compileOneFunction does so once per function). A
+  /// worker keeps one MatchResult per function it compiles; two threads
+  /// must not share one.
   void match(const std::vector<LinToken> &Input, MatchResult &R,
              RequestBudget *Budget = nullptr) const;
-  /// The same into a fresh result (the fuzzer and tests).
+  /// The same into a fresh result, with the tally published at once (the
+  /// fuzzer and tests).
   MatchResult match(const std::vector<LinToken> &Input,
                     RequestBudget *Budget = nullptr) const {
     MatchResult R;
     match(Input, R, Budget);
+    R.Tally.publish();
     return R;
   }
 

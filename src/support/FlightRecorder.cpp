@@ -1,6 +1,7 @@
 //===- FlightRecorder.cpp - always-on crash flight recorder -------------------===//
 
 #include "support/FlightRecorder.h"
+#include "support/Clock.h"
 #include "support/Phase.h"
 #include "support/Trace.h"
 
@@ -28,7 +29,9 @@ constexpr uint32_t MaxRings = 64;   ///< threads that can ever record
 /// *fields* — the dump is best-effort recent history, not a log.
 struct Event {
   std::atomic<uint64_t> Seq{0};
-  uint64_t Ns = 0;
+  /// Monotonic ns; for a Transition, the phase clock's profTicks() read,
+  /// which the dump converts.
+  uint64_t Stamp = 0;
   uint64_t Req = 0;
   uint64_t Gen = 0;
   int64_t Arg = 0;
@@ -60,8 +63,36 @@ uint64_t monoNs() {
          static_cast<uint64_t>(TS.tv_nsec);
 }
 
+/// A profTicks() read and the monotonic ns at the same instant: the tick
+/// is read between two clock reads and paired with their midpoint.
+struct ClockPair {
+  uint64_t Ticks, Ns;
+};
+
+ClockPair readClockPair() {
+  const uint64_t Before = monoNs();
+  const uint64_t Ticks = profTicks();
+  const uint64_t After = monoNs();
+  return {Ticks, Before + (After - Before) / 2};
+}
+
+/// Read at load time, before any event: with a pair read at dump time it
+/// gives the tick rate over the process's whole life.
+const ClockPair LoadPair = readClockPair();
+
+/// Monotonic ns of tick \p Ticks, interpolated between LoadPair and \p At.
+/// Async-signal-safe.
+uint64_t ticksToNs(uint64_t Ticks, const ClockPair &At) {
+  if (At.Ticks <= LoadPair.Ticks)
+    return At.Ns;
+  const double NsPerTick = static_cast<double>(At.Ns - LoadPair.Ns) /
+                           static_cast<double>(At.Ticks - LoadPair.Ticks);
+  const double Ago = static_cast<double>(static_cast<int64_t>(At.Ticks - Ticks));
+  return At.Ns - static_cast<int64_t>(Ago * NsPerTick);
+}
+
 void record(FlightKind K, uint64_t Req, uint64_t Gen, int64_t Arg,
-            uint8_t PhaseId = 0) {
+            uint64_t Stamp, uint8_t PhaseId = 0) {
   if (MyRing == -2) {
     uint32_t I = RingCount.fetch_add(1, std::memory_order_relaxed);
     MyRing = I < MaxRings ? static_cast<int>(I) : -1;
@@ -73,7 +104,7 @@ void record(FlightKind K, uint64_t Req, uint64_t Gen, int64_t Arg,
   Event &E = R.Events[R.Head.fetch_add(1, std::memory_order_relaxed) %
                       RingSize];
   E.Seq.store(0, std::memory_order_release);
-  E.Ns = monoNs();
+  E.Stamp = Stamp;
   E.Req = Req;
   E.Gen = Gen;
   E.Arg = Arg;
@@ -172,7 +203,7 @@ void heapSort(Snap *A, size_t N) {
 }
 
 void crashHandler(int Sig) {
-  record(FlightKind::CrashSignal, 0, 0, Sig);
+  record(FlightKind::CrashSignal, 0, 0, Sig, monoNs());
   flightDump("crash-signal");
   // Restore the default disposition and re-raise so the process still
   // dies with the original signal (core dumps, wait status intact).
@@ -219,18 +250,18 @@ const char *gg::flightKindName(FlightKind K) {
 
 void gg::flightRecord(FlightKind K, int64_t Arg) {
   RequestContext C = RequestScope::current();
-  record(K, C.Id, C.Generation, Arg);
+  record(K, C.Id, C.Generation, Arg, monoNs());
 }
 
-void gg::flightRecordPhase(Phase P, int64_t Arg) {
+void gg::flightRecordPhase(Phase P, int64_t Arg, uint64_t Ticks) {
   RequestContext C = RequestScope::current();
-  record(FlightKind::Transition, C.Id, C.Generation, Arg,
+  record(FlightKind::Transition, C.Id, C.Generation, Arg, Ticks,
          static_cast<uint8_t>(P));
 }
 
 void gg::flightRecordFor(FlightKind K, uint64_t Req, uint64_t Gen,
                          int64_t Arg) {
-  record(K, Req, Gen, Arg);
+  record(K, Req, Gen, Arg, monoNs());
 }
 
 void gg::flightSetDumpPath(const char *Path) {
@@ -251,6 +282,7 @@ void gg::flightDumpFd(int Fd, const char *Reason) {
   uint32_t NRings = RingCount.load(std::memory_order_acquire);
   if (NRings > MaxRings)
     NRings = MaxRings;
+  const ClockPair At = readClockPair();
   size_t N = 0;
   for (uint32_t R = 0; R < NRings; ++R) {
     for (uint32_t I = 0; I < RingSize; ++I) {
@@ -260,7 +292,9 @@ void gg::flightDumpFd(int Fd, const char *Reason) {
         continue;
       Snap &S = Collected[N++];
       S.Seq = Seq;
-      S.Ns = E.Ns;
+      S.Ns = E.Kind == static_cast<uint8_t>(FlightKind::Transition)
+                 ? ticksToNs(E.Stamp, At)
+                 : E.Stamp;
       S.Req = E.Req;
       S.Gen = E.Gen;
       S.Arg = E.Arg;

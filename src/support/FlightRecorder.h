@@ -64,8 +64,11 @@ void flightRecordFor(FlightKind K, uint64_t Req, uint64_t Gen,
 
 /// Records the Transition event of \p P (support/Phase.h): transform and
 /// stitch once per compile, match and replay once per tree (not per
-/// function), fallback once per blocked tree.
-void flightRecordPhase(Phase P, int64_t Arg);
+/// function), fallback once per blocked tree. \p Ticks is the profTicks()
+/// read the phase clock made for the transition (support/Clock.h): the
+/// event reads no clock of its own, and the dump converts the tick to
+/// monotonic nanoseconds.
+void flightRecordPhase(Phase P, int64_t Arg, uint64_t Ticks);
 
 /// Sets the artifact path for flightDump()'s convenience form and the
 /// signal handlers. Copied into static storage; empty disables dumping.

@@ -48,22 +48,26 @@ struct PhaseClock {
   double SecondsPerTick = 0;
   PhaseTimes *Account = nullptr;
 
-  /// Charges Cur's self time up to now and restarts the interval.
-  void charge() {
-    if (!Account)
-      return;
-    uint64_t Now = profTicks();
-    if (Cur != Phase::NumPhases && Now > Since)
-      Account->Seconds[static_cast<size_t>(Cur)] +=
-          static_cast<double>(Now - Since) * SecondsPerTick;
-    Since = Now;
+  /// Charges Cur's self time up to now and continues in \p Next. Returns
+  /// the tick it read, or 0 on a thread without an account, which reads
+  /// no clock.
+  uint64_t enter(Phase Next) {
+    uint64_t Now = 0;
+    if (Account) {
+      Now = profTicks();
+      if (Cur != Phase::NumPhases && Now > Since)
+        Account->Seconds[static_cast<size_t>(Cur)] +=
+            static_cast<double>(Now - Since) * SecondsPerTick;
+      Since = Now;
+    }
+    Cur = Next;
+    return Now;
   }
 
   /// Charges Cur, then continues in phase \p P on account \p A.
   void switchAccount(PhaseTimes *A, Phase P) {
-    charge();
+    enter(P);
     Account = A;
-    Cur = P;
     SecondsPerTick = 1 / profTicksPerSecond();
     Since = profTicks();
   }
@@ -92,22 +96,35 @@ PhaseAccount::~PhaseAccount() {
 
 PhaseScope::PhaseScope(Phase P, RequestBudget *Budget, int64_t Arg)
     : P(P), Outer(Clock.Cur) {
-  Clock.charge();
-  Clock.Cur = P;
+  begin(Budget, Arg, Clock.enter(P));
+}
+
+PhaseScope::~PhaseScope() {
+  end();
+  Clock.enter(Outer);
+}
+
+void PhaseScope::to(Phase Next, RequestBudget *Budget, int64_t Arg) {
+  end();
+  P = Next;
+  begin(Budget, Arg, Clock.enter(Next));
+}
+
+void PhaseScope::begin(RequestBudget *Budget, int64_t Arg, uint64_t Now) {
   const uint8_t Sinks = Table[static_cast<size_t>(P)].Sinks;
   if (Sinks & SinkProfile)
     Prof.begin(Sinks & SinkWallOnly);
   if (Budget && (Sinks & SinkStatus))
     Budget->CurPhase.store(P, std::memory_order_relaxed);
+  // The flight event reuses the phase clock's tick; a thread without an
+  // account reads one for it.
   if (Sinks & SinkFlight)
-    flightRecordPhase(P, Arg);
+    flightRecordPhase(P, Arg, Now ? Now : profTicks());
   if ((Sinks & SinkTrace) && TraceRecorder::global().enabled())
     Span.emplace(phaseName(P));
 }
 
-PhaseScope::~PhaseScope() {
+void PhaseScope::end() {
   Span.reset();
   Prof.end(P);
-  Clock.charge();
-  Clock.Cur = Outer;
 }

@@ -90,8 +90,22 @@ public:
   explicit PhaseScope(Phase P, RequestBudget *Budget = nullptr,
                       int64_t Arg = 0);
   ~PhaseScope();
+  PhaseScope(const PhaseScope &) = delete;
+  PhaseScope &operator=(const PhaseScope &) = delete;
+
+  /// Continues this scope in \p Next: ends the current phase's sinks and
+  /// begins \p Next's, as closing the scope and opening a sibling would,
+  /// but on one phase-clock read, so the two self times meet exactly.
+  /// Call it only with no nested scope open. A tree runs Linearize ->
+  /// Match -> Replay on one scope.
+  void to(Phase Next, RequestBudget *Budget = nullptr, int64_t Arg = 0);
 
 private:
+  /// Drives P's entry sinks; \p Now is the phase clock's read.
+  void begin(RequestBudget *Budget, int64_t Arg, uint64_t Now);
+  /// Ends P's sinks.
+  void end();
+
   Phase P;
   Phase Outer;
   ProfileInterval Prof;

@@ -292,14 +292,14 @@ void ProfileInterval::begin(bool WallOnly) {
   if (WallOnly && TB == ProfileTimebase::Steps)
     return;
   Live = true;
-  if (R.perfEnabled())
-    PerfLive = threadPerf().read(PerfStart);
+  PerfLive = R.perfEnabled() && threadPerf().read(PerfStart);
   StartTicks = ProfileRegistry::now(TB);
 }
 
 void ProfileInterval::end(Phase P) {
   if (!Live)
     return;
+  Live = false;
   uint64_t End = ProfileRegistry::now(TB);
   HwCounters Now, Delta;
   if (PerfLive && threadPerf().read(Now))

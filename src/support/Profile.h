@@ -284,7 +284,8 @@ inline ProfileRegistry &profile() { return ProfileRegistry::global(); }
 
 /// PhaseScope's profile sink (support/Phase.h): end() charges the phase
 /// the tick delta since begin() and, in perf mode, its hardware-counter
-/// deltas. A disabled registry makes begin() a single relaxed load.
+/// deltas; the interval may then begin again for the scope's next phase.
+/// A disabled registry makes begin() a single relaxed load.
 /// \p WallOnly intervals no-op under the steps timebase, where a delta
 /// across the parallel region (cg.total) would depend on the schedule.
 class ProfileInterval {

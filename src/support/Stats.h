@@ -55,6 +55,16 @@
 
 namespace gg {
 
+/// A LogHistogram's single-owner twin: the same buckets in plain fields,
+/// for a caller that records many samples privately and folds them into
+/// a shared histogram with one LogHistogram::merge.
+struct LocalHistogram {
+  uint64_t Count = 0, Sum = 0, Min = ~0ull, Max = 0;
+  std::array<uint64_t, 65> Buckets{};
+
+  inline void record(uint64_t Sample);
+};
+
 /// A log2-bucketed histogram of unsigned samples. Bucket i holds samples
 /// whose bit width is i, i.e. the ranges {0}, {1}, [2,3], [4,7], [8,15]…
 /// — compact, O(1) to record, and faithful enough for the scale questions
@@ -65,15 +75,24 @@ public:
   void record(uint64_t Sample) {
     Count.fetch_add(1, std::memory_order_relaxed);
     Sum.fetch_add(Sample, std::memory_order_relaxed);
-    uint64_t Cur = Min.load(std::memory_order_relaxed);
-    while (Sample < Cur &&
-           !Min.compare_exchange_weak(Cur, Sample, std::memory_order_relaxed)) {
-    }
-    Cur = Max.load(std::memory_order_relaxed);
-    while (Sample > Cur &&
-           !Max.compare_exchange_weak(Cur, Sample, std::memory_order_relaxed)) {
-    }
+    lowerMin(Sample);
+    raiseMax(Sample);
     Buckets[bitWidth(Sample)].fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// Adds every sample of \p H at once: the same totals as recording
+  /// them one by one.
+  void merge(const LocalHistogram &H) {
+    if (!H.Count)
+      return;
+    Count.fetch_add(H.Count, std::memory_order_relaxed);
+    Sum.fetch_add(H.Sum, std::memory_order_relaxed);
+    lowerMin(H.Min);
+    raiseMax(H.Max);
+    // No sample is wider than the largest.
+    for (int W = 0, Top = bitWidth(H.Max); W <= Top; ++W)
+      if (H.Buckets[W])
+        Buckets[W].fetch_add(H.Buckets[W], std::memory_order_relaxed);
   }
 
   void reset() {
@@ -117,10 +136,31 @@ public:
   }
 
 private:
+  void lowerMin(uint64_t V) {
+    uint64_t Cur = Min.load(std::memory_order_relaxed);
+    while (V < Cur &&
+           !Min.compare_exchange_weak(Cur, V, std::memory_order_relaxed)) {
+    }
+  }
+  void raiseMax(uint64_t V) {
+    uint64_t Cur = Max.load(std::memory_order_relaxed);
+    while (V > Cur &&
+           !Max.compare_exchange_weak(Cur, V, std::memory_order_relaxed)) {
+    }
+  }
+
   static constexpr uint64_t NoSample = ~0ull; ///< Min sentinel: no samples yet
   std::atomic<uint64_t> Count{0}, Sum{0}, Min{NoSample}, Max{0};
   std::array<std::atomic<uint64_t>, 65> Buckets{};
 };
+
+void LocalHistogram::record(uint64_t Sample) {
+  ++Count;
+  Sum += Sample;
+  Min = Sample < Min ? Sample : Min;
+  Max = Sample > Max ? Sample : Max;
+  ++Buckets[LogHistogram::bitWidth(Sample)];
+}
 
 /// Named counters, gauges and histograms. One process-wide instance
 /// (global()) serves the pipeline; tests may create private instances.

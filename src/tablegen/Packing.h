@@ -33,11 +33,21 @@
 
 #include "tablegen/LRTables.h"
 
-#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace gg {
+
+/// The number of set bits in \p X, branch-free and inline. At the x86-64
+/// baseline (no POPCNT) std::popcount is a call into libgcc; this SWAR
+/// count is a dozen register operations.
+constexpr int popcount64(uint64_t X) {
+  X -= (X >> 1) & 0x5555555555555555ull;
+  X = (X & 0x3333333333333333ull) + ((X >> 2) & 0x3333333333333333ull);
+  X = (X + (X >> 4)) & 0x0f0f0f0f0f0f0f0full;
+  return static_cast<int>((X * 0x0101010101010101ull) >> 56);
+}
 
 /// Compressed tables with the same lookup interface as LRTables.
 class PackedTables {
@@ -53,7 +63,7 @@ public:
     const uint64_t Mask = Masks[W];
     if (!(Mask & Bit))
       return Defaults[Row];
-    return Exceptions[WordBase[W] + std::popcount(Mask & (Bit - 1))];
+    return Exceptions[WordBase[W] + popcount64(Mask & (Bit - 1))];
   }
 
   /// The goto target, or -1 for none.

@@ -72,6 +72,10 @@ public:
     NumInsts = M.NumInsts;
   }
 
+  /// Makes room for \p NumLines lines in all, so appends up to that size
+  /// move no earlier line.
+  void reserve(size_t NumLines) { Lines.reserve(NumLines); }
+
   /// Splices another emitter's whole output onto the end of this one,
   /// consuming it. The parallel code generator compiles each function into
   /// a private buffer and stitches the buffers in source order, so output

@@ -22,9 +22,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "MatcherInputs.h"
 #include "TerminalMapCheck.h"
 #include "cg/CodeGenerator.h"
-#include "cg/Transform.h"
 #include "frontend/Parser.h"
 #include "fuzz/Fuzzer.h"
 #include "ir/Linearize.h"
@@ -113,40 +113,8 @@ matchAll(const Matcher &M, const std::vector<std::vector<LinToken>> &Inputs,
   return Out;
 }
 
-/// The token sequences the code generator hands the matcher for \p P:
-/// phase-1 output statement by statement, with Ret and CallStmt rewritten
-/// into the r0 assignments the code generator builds for them.
 std::vector<std::vector<LinToken>> matcherInputs(Program &P) {
-  const TerminalMap &Terms = vaxTarget().matcher().driver().termMap();
-  std::vector<std::vector<LinToken>> Inputs;
-  for (Function &F : P.Functions) {
-    runPhase1(P, F);
-    for (Node *S : F.Body) {
-      switch (S->Opcode) {
-      case Op::LabelDef:
-      case Op::Jump:
-        break;
-      case Op::Ret:
-        if (S->left())
-          Inputs.push_back(linearize(
-              P.Arena->bin(Op::Assign, Ty::L, P.Arena->dreg(RegR0, Ty::L),
-                           S->left()),
-              Terms));
-        break;
-      case Op::CallStmt:
-        if (S->left())
-          Inputs.push_back(linearize(
-              P.Arena->bin(Op::Assign, S->left()->Type, S->left(),
-                           P.Arena->dreg(RegR0, Ty::L)),
-              Terms));
-        break;
-      default:
-        Inputs.push_back(linearize(S, Terms));
-        break;
-      }
-    }
-  }
-  return Inputs;
+  return gg::matcherInputs(P, vaxTarget().matcher().driver().termMap());
 }
 
 std::string compileAsm(Program &P, int Threads) {

@@ -8,10 +8,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "MatcherInputs.h"
 #include "cg/CodeGenerator.h"
 #include "frontend/Parser.h"
+#include "support/Deadline.h"
 #include "support/FaultInject.h"
 #include "support/Stats.h"
+#include "support/Strings.h"
 #include "support/ThreadPool.h"
 #include "vaxsim/Simulator.h"
 #include "workload/ProgramGen.h"
@@ -203,9 +206,9 @@ TEST(Parallel, RecoveryCountersIdenticalAcrossThreadCounts) {
   std::string Err;
   ASSERT_TRUE(faultInject().configure("drop-prod=push_l", Err)) << Err;
 
-  // The matcher counts each tree in locals and adds them to the registry
-  // once per tree; the totals must not depend on how the trees are dealt
-  // to workers.
+  // The matcher counts each tree into its function's tally, published
+  // once per function; the totals must not depend on how the trees are
+  // dealt to workers.
   const char *MatchKeys[] = {"match.trees", "match.shifts", "match.reduces",
                              "match.dynamic_ties", "match.syntactic_blocks"};
   auto CompileCounting = [&](int Threads, std::string &Asm,
@@ -293,6 +296,132 @@ TEST(Parallel, TraceTextIdenticalAcrossThreadCounts) {
   std::string Serial = TraceAt(1);
   ASSERT_FALSE(Serial.empty());
   EXPECT_EQ(Serial, TraceAt(4)) << "shift/reduce trace order diverged";
+}
+
+//===----------------------------------------------------------------------===//
+// The matcher's per-function tally
+//===----------------------------------------------------------------------===//
+
+/// The registry's nonzero match.* counters and histograms, rendered whole.
+std::string matchTelemetry() {
+  std::string Out;
+  for (const auto &[Name, V] : stats().counters())
+    if (Name.rfind("match.", 0) == 0 && V.load())
+      Out += strf("%s=%llu\n", Name.c_str(),
+                  static_cast<unsigned long long>(V.load()));
+  for (const auto &[Name, H] : stats().histograms()) {
+    if (Name.rfind("match.", 0) != 0 || !H.count())
+      continue;
+    Out += strf("%s n=%llu sum=%llu min=%llu max=%llu", Name.c_str(),
+                static_cast<unsigned long long>(H.count()),
+                static_cast<unsigned long long>(H.sum()),
+                static_cast<unsigned long long>(H.min()),
+                static_cast<unsigned long long>(H.max()));
+    for (int W = 0; W <= 64; ++W)
+      if (H.bucket(W))
+        Out += strf(" %d:%llu", W, static_cast<unsigned long long>(H.bucket(W)));
+    Out += '\n';
+  }
+  return Out;
+}
+
+/// Compiles \p Source on \p Target with \p Opts from a zeroed registry;
+/// returns whether the compile succeeded.
+bool compileFromZero(const VaxTarget &Target, const std::string &Source,
+                     const CodeGenOptions &Opts) {
+  Program P;
+  DiagnosticSink D;
+  EXPECT_TRUE(compileMiniC(Source, P, D)) << D.renderAll();
+  GGCodeGenerator CG(Target, Opts);
+  std::string Asm, Err;
+  stats().reset();
+  return CG.compile(P, Asm, Err);
+}
+
+TEST(MatchTally, CompilePublishesWhatPerTreeMatchesCount) {
+  // Each function publishes its trees' counts once; the registry must end
+  // up exactly where matching the same trees one at a time through the
+  // value-returning match() (which publishes per tree) puts it.
+  GenOptions GOpts;
+  GOpts.Functions = 6;
+  GOpts.StmtsPerFunction = 8;
+  const std::string Sources[] = {MultiFnSource,
+                                 generateProgram(0x7A11E5u, GOpts)};
+  const Matcher &M = sharedTarget().matcher();
+  for (const std::string &Source : Sources) {
+    Program ForMatch;
+    DiagnosticSink D;
+    ASSERT_TRUE(compileMiniC(Source, ForMatch, D)) << D.renderAll();
+    const std::vector<std::vector<LinToken>> Inputs =
+        matcherInputs(ForMatch, M.driver().termMap());
+    stats().reset();
+    for (const std::vector<LinToken> &Input : Inputs)
+      ASSERT_TRUE(M.match(Input).Ok);
+    const std::string PerTree = matchTelemetry();
+    ASSERT_NE(PerTree.find(strf("match.trees=%zu\n", Inputs.size())),
+              std::string::npos)
+        << PerTree;
+
+    for (int Threads : {1, 4}) {
+      CodeGenOptions Opts;
+      Opts.Parallel.Threads = Threads;
+      ASSERT_TRUE(compileFromZero(sharedTarget(), Source, Opts));
+      EXPECT_EQ(PerTree, matchTelemetry()) << "threads=" << Threads;
+    }
+  }
+}
+
+TEST(MatchTally, BudgetStoppedFunctionStillPublishes) {
+  // The budget stops a long tree midway and fails its function; that tree
+  // and the trees before it are still counted.
+  std::string Long = "a";
+  for (int I = 0; I < 300; ++I)
+    Long += " + a";
+  const std::string Source = "int f(int a) { int b = a + 1; return b; }\n"
+                             "int g(int a) { int b = a; return " +
+                             Long + "; }\n";
+  for (int Threads : {1, 4}) {
+    RequestBudget Budget;
+    Budget.MaxSteps = 600;
+    CodeGenOptions Opts;
+    Opts.Parallel.Threads = Threads;
+    Opts.Budget = &Budget;
+    EXPECT_FALSE(compileFromZero(sharedTarget(), Source, Opts));
+    const uint64_t Stops = stats().counter("match.budget_stops");
+    if (Threads == 1) {
+      EXPECT_EQ(Stops, 1u);
+    } else {
+      EXPECT_GE(Stops, 1u);
+    }
+    EXPECT_EQ(stats().counter("match.syntactic_blocks").load(), Stops);
+    EXPECT_GT(stats().counter("match.trees"), Stops);
+    EXPECT_EQ(stats().histogram("match.steps_per_tree").count(),
+              stats().counter("match.trees").load());
+  }
+}
+
+TEST(MatchTally, BlockedFunctionWithoutRecoverStillPublishes) {
+  // Without Recover, the first blocked tree fails its function; every
+  // function still runs, so the totals are the same at any thread count.
+  FaultGuard Guard;
+  std::string Err;
+  ASSERT_TRUE(faultInject().configure("drop-prod=push_l", Err)) << Err;
+  std::unique_ptr<VaxTarget> Target = VaxTarget::create(Err);
+  ASSERT_NE(Target, nullptr) << Err;
+  std::string Serial;
+  for (int Threads : {1, 4}) {
+    CodeGenOptions Opts;
+    Opts.Parallel.Threads = Threads;
+    Opts.Recover = false;
+    EXPECT_FALSE(compileFromZero(*Target, MultiFnSource, Opts));
+    EXPECT_GE(stats().counter("match.syntactic_blocks"), 1u);
+    EXPECT_EQ(stats().histogram("match.tokens_per_tree").count(),
+              stats().counter("match.trees").load());
+    if (Threads == 1)
+      Serial = matchTelemetry();
+    else
+      EXPECT_EQ(Serial, matchTelemetry());
+  }
 }
 
 } // namespace

@@ -2,14 +2,17 @@
 
 #include "support/CliOptions.h"
 #include "support/Error.h"
+#include "support/FlightRecorder.h"
 #include "support/Interner.h"
 #include "support/Json.h"
 #include "support/Phase.h"
+#include "support/Profile.h"
 #include "support/Stats.h"
 #include "support/Strings.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <thread>
 #include <vector>
 
@@ -222,6 +225,172 @@ TEST(PhaseScope, ThreadsKeepSeparateClocks) {
     EXPECT_GE(Times[I][Own], 0.001) << I;
     EXPECT_EQ(Times[I][Other], 0.0) << I;
   }
+}
+
+TEST(PhaseScope, ToTilesTheTreeInterval) {
+  // One scope carries a tree through three phases. Each transition reads
+  // the clock once, so the three self times (plus the Emit nested in
+  // Replay) meet exactly: the enclosing phase keeps only the instants
+  // around the tree scope.
+  PhaseTimes T;
+  const uint64_t Start = profTicks();
+  {
+    PhaseAccount Account(T);
+    PhaseScope Stitch(Phase::Stitch);
+    PhaseScope Tree(Phase::Linearize);
+    spinFor(0.001);
+    Tree.to(Phase::Match);
+    spinFor(0.002);
+    Tree.to(Phase::Replay);
+    spinFor(0.001);
+    {
+      PhaseScope Emit(Phase::Emit);
+      spinFor(0.001);
+    }
+    spinFor(0.001);
+  }
+  const double Wall = secondsSince(Start);
+  EXPECT_GE(T[Phase::Linearize], 0.001);
+  EXPECT_GE(T[Phase::Match], 0.002);
+  EXPECT_GE(T[Phase::Replay], 0.002);
+  EXPECT_GE(T[Phase::Emit], 0.001);
+  const double TreeSeconds = T[Phase::Linearize] + T[Phase::Match] +
+                             T[Phase::Replay] + T[Phase::Emit];
+  EXPECT_EQ(sumOf(T), T[Phase::Stitch] + TreeSeconds);
+  EXPECT_LT(T[Phase::Stitch], 0.0005);
+  EXPECT_LE(sumOf(T), Wall);
+}
+
+/// Runs one tree's phases on one scope (\p Chained) or on three sibling
+/// scopes, with \p Steps virtual clock reads standing in for the
+/// matcher's per-step profile charges.
+void runTreePhases(bool Chained, int Steps) {
+  auto Match = [Steps] {
+    for (int I = 0; I < Steps; ++I)
+      ProfileRegistry::now(ProfileTimebase::Steps);
+  };
+  if (Chained) {
+    PhaseScope Tree(Phase::Linearize);
+    Tree.to(Phase::Match, nullptr, Steps);
+    Match();
+    Tree.to(Phase::Replay, nullptr, 2 * Steps);
+    PhaseScope Emit(Phase::Emit);
+    return;
+  }
+  { PhaseScope Linearize(Phase::Linearize); }
+  {
+    PhaseScope S(Phase::Match, nullptr, Steps);
+    Match();
+  }
+  PhaseScope Replay(Phase::Replay, nullptr, 2 * Steps);
+  PhaseScope Emit(Phase::Emit);
+}
+
+TEST(PhaseScope, ToKeepsTheStepsProfile) {
+  // The steps timebase counts clock reads, so the artifact shows whether
+  // a chained scope reads the profile clock exactly as sibling scopes do.
+  ProfileRegistry &R = profile();
+  R.configure(ProfileMode::Instr, ProfileTimebase::Steps);
+  std::string Profiles[2];
+  for (bool Chained : {false, true}) {
+    R.reset();
+    PhaseTimes T;
+    PhaseAccount Account(T);
+    for (int Steps : {3, 0, 7})
+      runTreePhases(Chained, Steps);
+    { PhaseScope Fallback(Phase::Fallback); }
+    Profiles[Chained] = R.toJson();
+  }
+  R.configure(ProfileMode::Off);
+  R.reset();
+  EXPECT_NE(Profiles[0].find("cg.replay"), std::string::npos) << Profiles[0];
+  EXPECT_EQ(Profiles[0], Profiles[1]);
+}
+
+/// The dumped flight events of request \p Req, in sequence order.
+std::vector<JsonValue> flightEventsOf(uint64_t Req) {
+  std::FILE *F = std::tmpfile();
+  EXPECT_NE(F, nullptr);
+  flightDumpFd(fileno(F), "unit-test");
+  std::rewind(F);
+  std::string Text;
+  char Buf[4096];
+  for (size_t N; (N = std::fread(Buf, 1, sizeof(Buf), F)) > 0;)
+    Text.append(Buf, N);
+  std::fclose(F);
+  JsonValue V;
+  std::string Err;
+  EXPECT_TRUE(parseJson(Text, V, Err)) << Err;
+  std::vector<JsonValue> Out;
+  if (const JsonValue *Events = V.find("events"))
+    for (const JsonValue &E : Events->Arr)
+      if (E.numberOr("req") == static_cast<double>(Req))
+        Out.push_back(E);
+  return Out;
+}
+
+TEST(PhaseScope, ToStampsFlightEventsFromThePhaseClock) {
+  // Phase events carry the phase clock's tick, converted when dumped: the
+  // same kinds, args and order as sibling scopes record, with ns between
+  // the clock_gettime-stamped events recorded around them.
+  static uint64_t NextReq = 0x70ED0000; // fresh ids when the test repeats
+  std::vector<std::string> Kinds[2];
+  for (bool Chained : {false, true}) {
+    const uint64_t Req = ++NextReq;
+    {
+      RequestScope Scope(Req);
+      PhaseTimes T;
+      PhaseAccount Account(T);
+      flightRecord(FlightKind::Admit);
+      spinFor(0.0002);
+      runTreePhases(Chained, 5);
+      spinFor(0.0002);
+      runTreePhases(Chained, 9);
+      spinFor(0.0002);
+      flightRecord(FlightKind::Respond);
+    }
+    const std::vector<JsonValue> Events = flightEventsOf(Req);
+    ASSERT_EQ(Events.size(), 6u);
+    double PrevNs = 0;
+    for (const JsonValue &E : Events) {
+      Kinds[Chained].push_back(
+          strf("%s %g", E.find("kind")->Str.c_str(), E.numberOr("arg")));
+      EXPECT_GT(E.numberOr("ns"), PrevNs) << Kinds[Chained].back();
+      PrevNs = E.numberOr("ns");
+    }
+  }
+  const std::vector<std::string> Want = {"admit 0",         "phase-match 5",
+                                         "phase-replay 10", "phase-match 9",
+                                         "phase-replay 18", "respond 0"};
+  EXPECT_EQ(Kinds[0], Want);
+  EXPECT_EQ(Kinds[1], Want);
+}
+
+TEST(StatsThreading, LocalHistogramsMergeFromEightThreads) {
+  // Each thread records into its own LocalHistogram and merges it once;
+  // the shared histogram ends where recording every sample would.
+  constexpr int Threads = 8, PerThread = 5000;
+  LogHistogram Direct, Merged;
+  std::vector<std::thread> Pool;
+  for (int T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      LocalHistogram Local;
+      for (int I = 0; I < PerThread; ++I) {
+        const uint64_t Sample = static_cast<uint64_t>(I * (T + 1) + T);
+        Local.record(Sample);
+        Direct.record(Sample);
+      }
+      Merged.merge(Local);
+      Merged.merge(LocalHistogram()); // an empty tally changes nothing
+    });
+  for (std::thread &T : Pool)
+    T.join();
+  EXPECT_EQ(Merged.count(), Direct.count());
+  EXPECT_EQ(Merged.sum(), Direct.sum());
+  EXPECT_EQ(Merged.min(), Direct.min());
+  EXPECT_EQ(Merged.max(), Direct.max());
+  for (int W = 0; W <= 64; ++W)
+    EXPECT_EQ(Merged.bucket(W), Direct.bucket(W)) << W;
 }
 
 TEST(StatsThreading, OneCounterHammeredFromEightThreads) {

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <random>
+
 using namespace gg;
 
 namespace {
@@ -233,6 +236,23 @@ TEST(PackedTables, MatchDenseWithThreeMaskWords) {
   std::string First;
   EXPECT_EQ(packedMismatches(R.Tables, P, First), 0u) << First;
   EXPECT_LT(P.memoryBytes(), R.Tables.memoryBytes());
+}
+
+TEST(PackedTables, Popcount64MatchesStdPopcount) {
+  // actionAt's rank: the SWAR count must agree with std::popcount.
+  EXPECT_EQ(popcount64(0), 0);
+  EXPECT_EQ(popcount64(~0ull), 64);
+  for (int B = 0; B < 64; ++B) {
+    const uint64_t Bit = uint64_t(1) << B;
+    EXPECT_EQ(popcount64(Bit), 1) << B;
+    EXPECT_EQ(popcount64(Bit - 1), std::popcount(Bit - 1)) << B;
+  }
+  std::mt19937_64 Rng(0x9E3779B97F4A7C15ull);
+  for (int I = 0; I < 10000; ++I) {
+    const uint64_t X = Rng();
+    ASSERT_EQ(popcount64(X), std::popcount(X)) << X;
+  }
+  static_assert(popcount64(0xF0F0) == 8);
 }
 
 TEST(ChainLoopTest, DetectsCycle) {
