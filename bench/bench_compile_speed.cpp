@@ -14,8 +14,8 @@
 #include "BenchCommon.h"
 
 #include "support/CliOptions.h"
-#include "support/Profile.h"
 #include "support/Clock.h"
+#include "support/TableEvents.h"
 #include <benchmark/benchmark.h>
 #include <cstring>
 
@@ -112,7 +112,7 @@ int main(int argc, char **argv) {
   // artifact attributes exactly one generator's work.
   const bool Profiling = !ProfilePath.empty() || !PccProfilePath.empty();
   if (Profiling)
-    gg::profile().configure(ProfileMode::Instr);
+    gg::tableEvents().configureProfile(ProfileMode::Instr);
 
   ggbench::header("E3", "code generation speed and output size, GG vs PCC",
                   "GG 80.1s vs PCC 55.4s (1.45x slower); "
@@ -139,8 +139,9 @@ int main(int argc, char **argv) {
   }
   if (Profiling) {
     if (!ProfilePath.empty())
-      gg::writeTextOrStdout(ProfilePath, gg::profile().toJson() + "\n");
-    gg::profile().reset();
+      gg::writeTextOrStdout(
+          ProfilePath, gg::tableEvents().profileSnapshot().toJson() + "\n");
+    gg::tableEvents().reset();
   }
   {
     const MonoClock::time_point Start = MonoClock::now();
@@ -154,9 +155,11 @@ int main(int argc, char **argv) {
   }
   if (Profiling) {
     if (!PccProfilePath.empty())
-      gg::writeTextOrStdout(PccProfilePath, gg::profile().toJson() + "\n");
-    gg::profile().reset();
-    gg::profile().configure(ProfileMode::Off);
+      gg::writeTextOrStdout(
+          PccProfilePath,
+          gg::tableEvents().profileSnapshot().toJson() + "\n");
+    gg::tableEvents().reset();
+    gg::tableEvents().configureProfile(ProfileMode::Off);
   }
 
   printf("%-24s %12s %12s %9s\n", "", "GG (table)", "PCC (hand)", "ratio");

@@ -27,7 +27,7 @@
 // contract as run_vax (support/CliOptions.h — it used to mean stderr
 // here). --profile=/--profile-json= arm the hot-path cost profiler and
 // dump its gg-profile-v1 artifact for gg-report --profile
-// (support/Profile.h; docs/observability.md).
+// (support/TableEvents.h; docs/observability.md).
 //
 // --gen-corpus=N replaces FILE: it generates the N-seed deterministic
 // program corpus the differential tests use (seed 0xD1FF0000+i) and

@@ -23,7 +23,7 @@
 // --coverage-json dumps the gg-coverage-v1 table-coverage artifact
 // (per-production/state/dyn-point/instruction-row hits) for gg-report;
 // --profile=/--profile-json= dump the gg-profile-v1 cost-attribution
-// artifact (support/Profile.h) for gg-report --profile.
+// artifact (support/TableEvents.h) for gg-report --profile.
 // "-" writes to stdout. These flags are shared with compile_minic
 // (support/CliOptions.h).
 //

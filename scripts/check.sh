@@ -21,7 +21,9 @@
 #    and --profile-json, merges the gg-profile-v1 artifacts with
 #    gg-report --profile, gates on >= 90% of the GG wall time being
 #    attributed to instrumented phases, and asserts the steps-timebase
-#    artifact is byte-identical across worker counts,
+#    artifact is byte-identical across worker counts; both legs also
+#    assert that arming coverage and the profile together leaves each
+#    artifact byte-identical to a run that arms it alone,
 # 7. runs the compile-server smoke: a live `compile_minic --serve`
 #    daemon (docs/server.md) under the sanitizers takes >= 1000 gg-load
 #    corpus requests across the whole fault matrix plus a supervisor
@@ -242,6 +244,15 @@ echo "   coverage gates: bridge families live, dynamic ties exercised"
 cmp "$TMP/cov.t1.json" "$TMP/cov.t4.json" ||
   { echo "coverage artifact differs between thread counts" >&2; exit 1; }
 echo "   coverage artifact byte-identical at --threads=1 vs 4"
+# One table-event registry serves both artifacts: arming the profile
+# beside coverage must not change the coverage artifact (the profile
+# leg below checks the other direction on the same run).
+"$BUILD_DIR"/examples/compile_minic --gen-corpus=6 --threads=4 \
+  --coverage-json="$TMP/cov.both.json" --profile=instr,steps \
+  --profile-json="$TMP/prof.both.json" >/dev/null 2>&1
+cmp "$TMP/cov.t4.json" "$TMP/cov.both.json" ||
+  { echo "coverage artifact changed with the profile armed too" >&2; exit 1; }
+echo "   coverage artifact byte-identical with the profile armed too"
 
 echo "== fuzz smoke (grammar-aware differential fuzzer under sanitizers)"
 # Two fixed seeds through the full coverage plan: every program must pass
@@ -318,6 +329,9 @@ echo "   profile+coverage join ok"
 cmp "$TMP/prof.t1.json" "$TMP/prof.t4.json" ||
   { echo "profile artifact differs between thread counts" >&2; exit 1; }
 echo "   steps-timebase artifact byte-identical at --threads=1 vs 4"
+cmp "$TMP/prof.t4.json" "$TMP/prof.both.json" ||
+  { echo "profile artifact changed with coverage armed too" >&2; exit 1; }
+echo "   steps-timebase artifact byte-identical with coverage armed too"
 
 # The no-artifact misuse paths must diagnose, not silently succeed.
 if "$BUILD_DIR"/tools/gg-report >/dev/null 2>"$TMP/noargs.err"; then

@@ -3,13 +3,12 @@
 #include "cg/CodeGenerator.h"
 #include "ir/Linearize.h"
 #include "pcc/PccCodeGen.h"
-#include "support/Coverage.h"
 #include "support/FaultInject.h"
 #include "support/FlightRecorder.h"
 #include "support/Phase.h"
-#include "support/Profile.h"
 #include "support/Stats.h"
 #include "support/Strings.h"
+#include "support/TableEvents.h"
 #include "support/Trace.h"
 
 #include <memory>
@@ -18,41 +17,63 @@ using namespace gg;
 
 namespace {
 
+/// The code generator's registry entries, looked up once (the references
+/// are stable), so a compile takes no registry lock.
+struct CgStats {
+  using Counter = std::atomic<uint64_t>;
+  StatsRegistry &Reg = gg::stats();
+  Counter &Compiles = Reg.counter("cg.compiles");
+  Counter &Functions = Reg.counter("cg.functions");
+  Counter &Trees = Reg.counter("cg.trees");
+  Counter &BlockedTrees = Reg.counter("cg.blocked_trees");
+  Counter &RecoveredTrees = Reg.counter("cg.recovered_trees");
+  Counter &Threads = Reg.counter("cg.parallel.threads");
+  Counter &Tasks = Reg.counter("cg.parallel.tasks");
+  Counter &Steals = Reg.counter("cg.parallel.steals");
+  Counter &Binding = Reg.counter("idiom.binding_applied");
+  Counter &Range = Reg.counter("idiom.range_applied");
+  Counter &CCTestsElided = Reg.counter("idiom.cc_tests_elided");
+  Counter &PseudoExpansions = Reg.counter("idiom.pseudo_expansions");
+  Counter &AsmLines = Reg.counter("emit.asm_lines");
+  std::atomic<double> &TransformSeconds = Reg.value("cg.transform_seconds");
+  std::atomic<double> &MatchSeconds = Reg.value("cg.match_seconds");
+  std::atomic<double> &InstrGenSeconds = Reg.value("cg.instrgen_seconds");
+  std::atomic<double> &EmitSeconds = Reg.value("cg.emit_seconds");
+  std::atomic<double> &WorkerEmitSeconds =
+      Reg.value("cg.parallel.worker_emit_seconds");
+
+  static CgStats &get() {
+    static CgStats S;
+    return S;
+  }
+};
+
 /// Creates-at-zero every key the code generator's --stats-json schema
-/// promises, so consumers (and the golden-schema test) see a stable key
-/// set even when a counter legitimately never fires — e.g. the peephole
-/// counters with the optimizer off, or regs.spills on spill-free input.
+/// promises (CgStats' own and the other stages'), so consumers (and the
+/// golden-schema test) see a stable key set even when a counter
+/// legitimately never fires — e.g. the peephole counters with the
+/// optimizer off, or regs.spills on spill-free input.
 /// match.chooser_invocations is always 0 (there is no tie-chooser hook;
 /// ties take the table's default) and stays only to keep gg-stats-v1.
 void touchSchemaKeys() {
   static bool Done = [] {
-    StatsRegistry &S = gg::stats();
+    StatsRegistry &S = CgStats::get().Reg;
     for (const char *Name :
-         {"cg.compiles", "cg.functions", "cg.trees", "cg.blocked_trees",
-          "cg.recovered_trees", "cg.parallel.threads", "cg.parallel.tasks",
-          "cg.parallel.steals", "match.trees",
-          "match.shifts", "match.reduces", "match.dynamic_ties",
-          "match.chooser_invocations", "match.syntactic_blocks",
-          "match.depth_cap_hits", "match.budget_stops",
-          "fault.productions_dropped",
+         {"match.trees", "match.shifts", "match.reduces",
+          "match.dynamic_ties", "match.chooser_invocations",
+          "match.syntactic_blocks", "match.depth_cap_hits",
+          "match.budget_stops", "fault.productions_dropped",
           "fault.trees_truncated", "fault.table_bytes_corrupted",
           "fault.worker_stalls", "fault.arena_exhaustions",
           "phase1.cond_branch_rewrites", "phase1.bool_value_rewrites",
           "phase1.calls_factored", "phase1.constants_folded",
           "phase1.canonicalizations", "phase1.subtrees_swapped",
           "phase1.reverse_ops_used", "phase1.spill_splits",
-          "idiom.binding_applied", "idiom.range_applied",
-          "idiom.cc_tests_elided", "idiom.pseudo_expansions",
           "regs.allocations", "regs.spills", "regs.unspills",
           "peephole.branch_to_next_removed", "peephole.branches_inverted",
           "peephole.chains_collapsed", "peephole.unreachable_removed",
-          "emit.instructions", "emit.asm_lines"})
+          "emit.instructions"})
       S.counter(Name);
-    for (const char *Name :
-         {"cg.transform_seconds", "cg.match_seconds",
-          "cg.instrgen_seconds", "cg.emit_seconds",
-          "cg.parallel.worker_emit_seconds"})
-      S.value(Name);
     for (const char *Name :
          {"match.stack_depth", "match.tokens_per_tree",
           "match.steps_per_tree", "regs.live"})
@@ -126,9 +147,7 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
   Emit.instRaw("subl2", {"$FRAME", "sp"});
 
   VaxSemantics Sem(Emit, F, Opts.Idioms);
-  // Registry entries are stable: look the per-tree counters up once.
-  static auto &BlockedTrees = gg::stats().counter("cg.blocked_trees");
-  static auto &RecoveredTrees = gg::stats().counter("cg.recovered_trees");
+  CgStats &Shared = CgStats::get();
   const TerminalMap &Terms = Target.matcher().driver().termMap();
   // Reused across the function's trees, so a tree's match allocates
   // nothing once the buffers have grown to the function's largest tree.
@@ -142,7 +161,7 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
     // its worker on the slower path.
     if (Opts.Budget && Opts.Budget->shouldStop(0)) {
       ++R.Stats.BlockedTrees;
-      ++BlockedTrees;
+      ++Shared.BlockedTrees;
       R.Err = strf("request budget exhausted (%s) before tree: %s",
                    budgetStopName(Opts.Budget->Stopped.load(
                        std::memory_order_relaxed)),
@@ -154,7 +173,7 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
       if (Opts.Budget)
         Opts.Budget->stop(BudgetStop::Memory);
       ++R.Stats.BlockedTrees;
-      ++BlockedTrees;
+      ++Shared.BlockedTrees;
       R.Err = strf("node arena byte budget exhausted (%zu bytes) before "
                    "tree: %s",
                    LocalArena.bytes(),
@@ -211,7 +230,7 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
               : strf("%s\n  while matching: %s", MR.Error.c_str(),
                      printLinear(Tree, Prog.Syms).c_str());
     ++R.Stats.BlockedTrees;
-    ++BlockedTrees;
+    ++Shared.BlockedTrees;
     flightRecord(FlightKind::Block,
                  MR.Block ? static_cast<int64_t>(MR.Block->State) : -1);
     if (MR.Block && MR.Block->Why == BlockReport::Cause::Budget) {
@@ -244,7 +263,7 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
     // Spliced code clobbers condition codes behind the CC tracker's back.
     Sem.invalidateCC();
     ++R.Stats.RecoveredTrees;
-    ++RecoveredTrees;
+    ++Shared.RecoveredTrees;
     ++R.Stats.StatementTrees;
     return true;
   };
@@ -368,8 +387,7 @@ bool GGCodeGenerator::compile(Program &Prog, std::string &Asm,
   Trace.clear();
   Diags = DiagnosticSink();
   touchSchemaKeys();
-  coverage().noteCompile();
-  profile().noteCompile();
+  tableEvents().noteCompile();
   PhaseAccount Account(Stats.Phases);
   PhaseScope TotalScope(Phase::Total);
   TraceSpan CompileSpan("cg.compile");
@@ -449,7 +467,7 @@ bool GGCodeGenerator::compile(Program &Prog, std::string &Asm,
   for (const FunctionResult &R : Results)
     NumLines += R.Emit->lineCount();
   Emit.reserve(NumLines);
-  StatsRegistry &Reg = gg::stats();
+  CgStats &Shared = CgStats::get();
   for (size_t I = 0; I < NumFns; ++I) {
     FunctionResult &R = Results[I];
     Diags.append(R.Diags);
@@ -461,17 +479,17 @@ bool GGCodeGenerator::compile(Program &Prog, std::string &Asm,
     Stats += R.Stats;
     Emit.append(std::move(*R.Emit));
 
-    ++Reg.counter("cg.functions");
-    Reg.counter("idiom.binding_applied") += R.Stats.Idioms.BindingApplied;
-    Reg.counter("idiom.range_applied") += R.Stats.Idioms.RangeApplied;
-    Reg.counter("idiom.cc_tests_elided") += R.Stats.Idioms.CCTestsElided;
-    Reg.counter("idiom.pseudo_expansions") += R.Stats.Idioms.PseudoExpansions;
+    ++Shared.Functions;
+    Shared.Binding += R.Stats.Idioms.BindingApplied;
+    Shared.Range += R.Stats.Idioms.RangeApplied;
+    Shared.CCTestsElided += R.Stats.Idioms.CCTestsElided;
+    Shared.PseudoExpansions += R.Stats.Idioms.PseudoExpansions;
   }
 
   if (Opts.Peephole)
     Stats.Peephole = runPeephole(Emit.linesMutable());
   // Until the final render every Emit charge came from the workers.
-  Reg.value("cg.parallel.worker_emit_seconds") += Stats.Phases[Phase::Emit];
+  Shared.WorkerEmitSeconds += Stats.Phases[Phase::Emit];
 
   Stats.Instructions = Emit.instructionCount();
   Asm += Emit.text();
@@ -486,15 +504,15 @@ bool GGCodeGenerator::compile(Program &Prog, std::string &Asm,
       Stats.Phases[Phase::Replay] + Stats.Phases[Phase::Fallback];
   Stats.EmitSeconds = Stats.Phases[Phase::Emit];
 
-  ++Reg.counter("cg.compiles");
-  Reg.counter("cg.trees") += Stats.StatementTrees;
-  Reg.counter("emit.asm_lines") += Stats.AsmLines;
-  Reg.counter("cg.parallel.threads") += Stats.Parallel.Workers;
-  Reg.counter("cg.parallel.tasks") += Stats.Parallel.Tasks;
-  Reg.counter("cg.parallel.steals") += Stats.Parallel.Steals;
-  Reg.value("cg.transform_seconds") += Stats.TransformSeconds;
-  Reg.value("cg.match_seconds") += Stats.MatchSeconds;
-  Reg.value("cg.instrgen_seconds") += Stats.InstrGenSeconds;
-  Reg.value("cg.emit_seconds") += Stats.EmitSeconds;
+  ++Shared.Compiles;
+  Shared.Trees += Stats.StatementTrees;
+  Shared.AsmLines += Stats.AsmLines;
+  Shared.Threads += Stats.Parallel.Workers;
+  Shared.Tasks += Stats.Parallel.Tasks;
+  Shared.Steals += Stats.Parallel.Steals;
+  Shared.TransformSeconds += Stats.TransformSeconds;
+  Shared.MatchSeconds += Stats.MatchSeconds;
+  Shared.InstrGenSeconds += Stats.InstrGenSeconds;
+  Shared.EmitSeconds += Stats.EmitSeconds;
   return true;
 }

@@ -241,11 +241,16 @@ PeepholeStats gg::runPeephole(std::vector<std::string> &Lines) {
   PeepholePass Pass(Lines);
   PeepholeStats PS = Pass.run();
 
+  // Registry entries are stable: look them up once.
   StatsRegistry &S = stats();
-  S.counter("peephole.branch_to_next_removed") += PS.BranchToNextRemoved;
-  S.counter("peephole.branches_inverted") += PS.BranchesInverted;
-  S.counter("peephole.chains_collapsed") += PS.ChainsCollapsed;
-  S.counter("peephole.unreachable_removed") += PS.UnreachableRemoved;
+  static auto &ToNext = S.counter("peephole.branch_to_next_removed");
+  static auto &Inverted = S.counter("peephole.branches_inverted");
+  static auto &Chains = S.counter("peephole.chains_collapsed");
+  static auto &Unreachable = S.counter("peephole.unreachable_removed");
+  ToNext += PS.BranchToNextRemoved;
+  Inverted += PS.BranchesInverted;
+  Chains += PS.ChainsCollapsed;
+  Unreachable += PS.UnreachableRemoved;
   Span.arg("rewrites", PS.total());
   return PS;
 }

@@ -780,15 +780,24 @@ TransformStats gg::runPhase1(Program &P, Function &F,
   TransformStats TS = Impl.run();
 
   // Publish the rewrite-rule hit counts so --stats-json sees phase 1's
-  // contribution without every caller re-aggregating TransformStats.
+  // contribution without every caller re-aggregating TransformStats. The
+  // entries are stable: look them up once.
   StatsRegistry &S = stats();
-  S.counter("phase1.cond_branch_rewrites") += TS.CondBranchRewrites;
-  S.counter("phase1.bool_value_rewrites") += TS.BoolValueRewrites;
-  S.counter("phase1.calls_factored") += TS.CallsFactored;
-  S.counter("phase1.constants_folded") += TS.ConstantsFolded;
-  S.counter("phase1.canonicalizations") += TS.Canonicalizations;
-  S.counter("phase1.subtrees_swapped") += TS.SubtreesSwapped;
-  S.counter("phase1.reverse_ops_used") += TS.ReverseOpsUsed;
-  S.counter("phase1.spill_splits") += TS.SpillSplits;
+  static auto &CondBranch = S.counter("phase1.cond_branch_rewrites");
+  static auto &BoolValue = S.counter("phase1.bool_value_rewrites");
+  static auto &Calls = S.counter("phase1.calls_factored");
+  static auto &Folded = S.counter("phase1.constants_folded");
+  static auto &Canonical = S.counter("phase1.canonicalizations");
+  static auto &Swapped = S.counter("phase1.subtrees_swapped");
+  static auto &ReverseOps = S.counter("phase1.reverse_ops_used");
+  static auto &SpillSplits = S.counter("phase1.spill_splits");
+  CondBranch += TS.CondBranchRewrites;
+  BoolValue += TS.BoolValueRewrites;
+  Calls += TS.CallsFactored;
+  Folded += TS.ConstantsFolded;
+  Canonical += TS.Canonicalizations;
+  Swapped += TS.SubtreesSwapped;
+  ReverseOps += TS.ReverseOpsUsed;
+  SpillSplits += TS.SpillSplits;
   return TS;
 }

@@ -1,10 +1,9 @@
 //===- Matcher.cpp - instruction pattern matcher ---------------------------===//
 
 #include "match/Matcher.h"
-#include "support/Coverage.h"
-#include "support/Profile.h"
 #include "support/Stats.h"
 #include "support/Strings.h"
+#include "support/TableEvents.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -12,12 +11,7 @@
 using namespace gg;
 
 Matcher::Matcher(const Grammar &G, const PackedTables &T, MatcherOptions Opts)
-    : D(G, T, Opts.MaxStackDepth) {
-  // Size the coverage and cost-profile counter arrays while construction
-  // is still serial (workers never resize; see support/Coverage.h).
-  coverage().sizeGrammar(G.numProductions(), T.numStates(), T.numDynPoints());
-  profile().sizeGrammar(G.numProductions(), T.numStates());
-}
+    : D(G, T, Opts.MaxStackDepth) {}
 
 std::string BlockReport::render() const {
   // Joins up to \p Cap names; real grammars have dozens of shiftable
@@ -92,14 +86,11 @@ struct MatchStats {
 
 /// Everything match() does beyond the parse: records the MatchStep
 /// sequence, polls the request budget, builds the BlockReport, and charges
-/// coverage, the cost profile and the result's tally.
+/// the table events and the result's tally.
 struct MatchObserver : LRObserver {
   MatchObserver(const LRDriver &D, const std::vector<LinToken> &Input,
                 RequestBudget *Budget, MatchResult &R)
-      : D(D), Input(Input), Budget(Budget), R(R) {
-    if (Covering)
-      Cov.noteStateVisit(0);
-  }
+      : D(D), Input(Input), Budget(Budget), R(R) {}
 
   /// Cooperative quarantine poll (docs/server.md): cancellation, the
   /// wall-clock deadline and the step budget, every BudgetPollMask+1 steps
@@ -116,50 +107,52 @@ struct MatchObserver : LRObserver {
 
   void shifted(const LRConfig &Cfg, int State, int) {
     ++Shifts;
-    if (Covering)
-      Cov.noteStateVisit(Cfg.top());
     R.Steps.push_back({MatchStep::Shift, static_cast<int>(Pos), -1});
     MaxDepth = std::max(MaxDepth, Cfg.Stack.size());
     ++Pos;
-    if (Profiling) {
-      uint64_t Now = ProfileRegistry::now(ProfTB);
-      Prof.chargeState(State, Now - LastTs);
-      LastTs = Now;
-    }
+    if (Armed)
+      stepped(Cfg, State, -1);
   }
 
   void reducing(const LRConfig &, int State, int TermIdx, int Prod,
                 bool Tie) {
     ++Reduces;
+    Ties += Tie;
+    if (!Armed)
+      return;
+    Ev.noteReduce(Prod);
     TieTs = LastTs;
     if (Tie) {
       // A longest-rule tie the table constructor deferred to match time
       // (§3.2); its share of the time lands on the dyn point, the rest of
       // the reduce stays with the production and state in reduced().
-      ++Ties;
-      if (Profiling) {
-        TieTs = ProfileRegistry::now(ProfTB);
-        Prof.chargeDyn(State, TermIdx, TieTs - LastTs);
-      }
-    }
-    if (Covering) {
-      Cov.noteReduce(Prod);
-      if (Tie)
-        Cov.noteDynChoice(State, TermIdx, Prod);
+      if (Profiling)
+        TieTs = TableEventRegistry::now(ProfTB);
+      Ev.noteTie(State, TermIdx, Prod, TieTs - LastTs);
     }
   }
 
   void reduced(const LRConfig &Cfg, int State, int Prod) {
-    if (Covering)
-      Cov.noteStateVisit(Cfg.top());
     R.Steps.push_back({MatchStep::Reduce, -1, Prod});
     MaxDepth = std::max(MaxDepth, Cfg.Stack.size());
+    if (Armed)
+      stepped(Cfg, State, Prod);
+  }
+
+  /// Counts a step that acted in \p State and pushed Cfg.top(); profiling
+  /// charges it the time since the previous step, and a reduce (\p Prod)
+  /// the time since its tie charge.
+  void stepped(const LRConfig &Cfg, int State, int Prod) {
+    Top = Cfg.top();
+    uint64_t Ticks = 0;
     if (Profiling) {
-      uint64_t Now = ProfileRegistry::now(ProfTB);
-      Prof.chargeProd(Prod, Now - TieTs);
-      Prof.chargeState(State, Now - LastTs);
+      uint64_t Now = TableEventRegistry::now(ProfTB);
+      if (Prod >= 0)
+        Ev.chargeReduce(Prod, Now - TieTs);
+      Ticks = Now - LastTs;
       LastTs = Now;
     }
+    Ev.noteStep(State, Ticks);
   }
 
   /// Fails the match with a structured report; Error is the rendering of
@@ -208,6 +201,8 @@ struct MatchObserver : LRObserver {
     T.Steps.record(R.Steps.size());
     if (Budget)
       Budget->StepsUsed.fetch_add(R.Steps.size(), std::memory_order_relaxed);
+    if (Armed)
+      Ev.noteFinalState(Top);
     Span.arg("tokens", static_cast<int64_t>(Input.size()));
     Span.arg("steps", static_cast<int64_t>(R.Steps.size()));
     Span.arg("max_depth", static_cast<int64_t>(MaxDepth));
@@ -221,21 +216,21 @@ struct MatchObserver : LRObserver {
   size_t MaxDepth = 1;
   uint64_t Shifts = 0, Reduces = 0, Ties = 0;
 
-  // Coverage recording costs one relaxed load per tree when disabled.
-  CoverageRegistry &Cov = coverage();
-  const bool Covering = Cov.enabled();
-
-  // Cost attribution costs one relaxed load per tree when off. When on,
-  // each step's timestamp delta (since the previous step's end) charges
-  // the acting state — a complete projection: the sum over states is the
-  // whole matcher loop. Reduce steps additionally charge the production,
-  // and a deferred reduce/reduce tie charges its share to the (state,
-  // terminal) dyn point. See support/Profile.h for the timebases.
-  ProfileRegistry &Prof = profile();
-  const bool Profiling = Prof.instrEnabled();
+  // Table events cost one relaxed load per tree when nothing is armed.
+  // Armed, every step counts its acting state, every reduce its
+  // production, and the tree its final state (support/TableEvents.h).
+  // Profiling also charges each step's timestamp delta (since the
+  // previous step's end) to the acting state — a complete projection:
+  // the sum over states is the whole matcher loop. Reduce steps
+  // additionally charge the production, and a deferred reduce/reduce tie
+  // charges its share to the (state, terminal) dyn point.
+  TableEventRegistry &Ev = tableEvents();
+  const bool Armed = Ev.armed();
+  const bool Profiling = Armed && Ev.profiling();
   const ProfileTimebase ProfTB =
-      Profiling ? Prof.timebase() : ProfileTimebase::Cycles;
-  uint64_t LastTs = Profiling ? ProfileRegistry::now(ProfTB) : 0;
+      Profiling ? Ev.timebase() : ProfileTimebase::Cycles;
+  uint64_t LastTs = Profiling ? TableEventRegistry::now(ProfTB) : 0;
+  int Top = 0; ///< the state the last step pushed
   uint64_t TieTs = 0; ///< end of the current reduce's tie charge
 };
 

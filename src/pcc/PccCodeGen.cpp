@@ -5,8 +5,8 @@
 #include "cg/Transform.h"
 #include "support/Error.h"
 #include "support/Phase.h"
-#include "support/Profile.h"
 #include "support/Strings.h"
+#include "support/TableEvents.h"
 #include "vax/Emitter.h"
 #include "vax/Operand.h"
 
@@ -571,7 +571,7 @@ bool PccCodeGenerator::compile(Program &Prog, std::string &Asm,
   // The whole baseline compile is one phase: the --diff-pcc leg compares
   // its profile against the GG side's per-phase breakdown.
   PhaseScope PS(Phase::PccCompile);
-  profile().noteCompile();
+  tableEvents().noteCompile(/*Coverage=*/false);
   AsmEmitter Emit(Prog.Syms);
   emitDataSection(Prog, Emit);
   Emit.directive(".text");

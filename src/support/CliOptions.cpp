@@ -1,11 +1,10 @@
 //===- CliOptions.cpp - shared example-driver options -------------------------===//
 
 #include "support/CliOptions.h"
-#include "support/Coverage.h"
 #include "support/FaultInject.h"
 #include "support/FlightRecorder.h"
-#include "support/Profile.h"
 #include "support/Stats.h"
+#include "support/TableEvents.h"
 #include "support/Trace.h"
 
 #include <cstdio>
@@ -96,13 +95,13 @@ TelemetryDump::TelemetryDump(const CommonDriverOptions &O) : Opts(O) {
   if (!Opts.TraceJsonPath.empty())
     TraceRecorder::global().enable();
   if (!Opts.CoverageJsonPath.empty())
-    coverage().enable();
+    tableEvents().armCoverage();
   // Asking for the artifact without picking a mode means instr; an
   // explicit --profile= wins (including --profile=off to disarm).
   if (!Opts.ProfileGiven && !Opts.ProfileJsonPath.empty())
     Opts.Profile = ProfileMode::Instr;
   if (Opts.Profile != ProfileMode::Off || Opts.ProfileGiven)
-    profile().configure(Opts.Profile, Opts.ProfileTb);
+    tableEvents().configureProfile(Opts.Profile, Opts.ProfileTb);
   if (!Opts.FlightJsonPath.empty()) {
     flightSetDumpPath(Opts.FlightJsonPath.c_str());
     flightInstallHandlers();
@@ -116,9 +115,11 @@ TelemetryDump::~TelemetryDump() {
     writeTextOrStdout(Opts.TraceJsonPath,
                       TraceRecorder::global().toChromeJson());
   if (!Opts.CoverageJsonPath.empty())
-    writeTextOrStdout(Opts.CoverageJsonPath, coverage().toJson() + "\n");
+    writeTextOrStdout(Opts.CoverageJsonPath,
+                      tableEvents().coverageSnapshot().toJson() + "\n");
   if (!Opts.ProfileJsonPath.empty())
-    writeTextOrStdout(Opts.ProfileJsonPath, profile().toJson() + "\n");
+    writeTextOrStdout(Opts.ProfileJsonPath,
+                      tableEvents().profileSnapshot().toJson() + "\n");
   // Every normal exit leaves a flight dump too, so the artifact exists
   // whether the process died screaming (crash handler) or politely.
   if (!Opts.FlightJsonPath.empty())

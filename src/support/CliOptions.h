@@ -22,7 +22,7 @@
 #ifndef GG_SUPPORT_CLIOPTIONS_H
 #define GG_SUPPORT_CLIOPTIONS_H
 
-#include "support/Profile.h"
+#include "support/TableArtifacts.h"
 
 #include <string>
 

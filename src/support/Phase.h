@@ -17,7 +17,7 @@
 #ifndef GG_SUPPORT_PHASE_H
 #define GG_SUPPORT_PHASE_H
 
-#include "support/Profile.h"
+#include "support/TableEvents.h"
 #include "support/Trace.h"
 
 #include <cstddef>

@@ -23,31 +23,46 @@ using namespace gg;
 
 namespace {
 
-/// Creates-at-zero every server.* key the gg-stats-v1 artifact promises,
-/// so a freshly started server dumps a stable schema even before its
-/// first request (mirrors cg's touchSchemaKeys).
-void touchServerSchemaKeys() {
-  static bool Done = [] {
-    for (const char *Name :
-         {"server.requests", "server.ok", "server.compile_errors",
-          "server.quarantined", "server.deadline_kills",
-          "server.step_budget_kills", "server.mem_budget_kills",
-          "server.watchdog_kills", "server.protocol_errors",
-          "server.resyncs", "server.restarts", "server.fallback_trees",
-          "server.blocked_trees", "server.discarded_results",
-          "server.connections", "server.overloaded",
-          "server.shed_queue_full", "server.shed_oldest",
-          "server.shed_queue_deadline", "server.shed_admission_deadline",
-          "server.shed_draining", "server.drains", "server.reloads",
-          "server.reload_failures"})
-      stats().counter(Name);
-    stats().histogram("server.request_ms");
-    stats().histogram("server.queue_depth");
-    stats().histogram("server.queue_wait_ms");
-    return true;
-  }();
-  (void)Done;
-}
+/// The server's registry entries, looked up once: a served request takes
+/// no registry lock. Constructing them creates every server.* key the
+/// gg-stats-v1 artifact promises, so a freshly started server dumps a
+/// stable schema even before its first request.
+struct ServerStats {
+  using Counter = std::atomic<uint64_t>;
+  StatsRegistry &Reg = stats();
+  Counter &Requests = Reg.counter("server.requests");
+  Counter &Ok = Reg.counter("server.ok");
+  Counter &CompileErrors = Reg.counter("server.compile_errors");
+  Counter &Quarantined = Reg.counter("server.quarantined");
+  Counter &DeadlineKills = Reg.counter("server.deadline_kills");
+  Counter &StepBudgetKills = Reg.counter("server.step_budget_kills");
+  Counter &MemBudgetKills = Reg.counter("server.mem_budget_kills");
+  Counter &WatchdogKills = Reg.counter("server.watchdog_kills");
+  Counter &ProtocolErrors = Reg.counter("server.protocol_errors");
+  Counter &Resyncs = Reg.counter("server.resyncs");
+  Counter &Restarts = Reg.counter("server.restarts");
+  Counter &FallbackTrees = Reg.counter("server.fallback_trees");
+  Counter &BlockedTrees = Reg.counter("server.blocked_trees");
+  Counter &DiscardedResults = Reg.counter("server.discarded_results");
+  Counter &Connections = Reg.counter("server.connections");
+  Counter &Overloaded = Reg.counter("server.overloaded");
+  Counter &ShedQueueFull = Reg.counter("server.shed_queue_full");
+  Counter &ShedOldest = Reg.counter("server.shed_oldest");
+  Counter &ShedQueueDeadline = Reg.counter("server.shed_queue_deadline");
+  Counter &ShedAdmission = Reg.counter("server.shed_admission_deadline");
+  Counter &ShedDraining = Reg.counter("server.shed_draining");
+  Counter &Drains = Reg.counter("server.drains");
+  Counter &Reloads = Reg.counter("server.reloads");
+  Counter &ReloadFailures = Reg.counter("server.reload_failures");
+  LogHistogram &RequestMs = Reg.histogram("server.request_ms");
+  LogHistogram &QueueDepth = Reg.histogram("server.queue_depth");
+  LogHistogram &QueueWaitMs = Reg.histogram("server.queue_wait_ms");
+
+  static ServerStats &get() {
+    static ServerStats S;
+    return S;
+  }
+};
 
 /// Writes all of \p Data to \p Fd, retrying short writes and EINTR.
 /// Returns false once the peer is gone (EPIPE/ECONNRESET); SIGPIPE is
@@ -120,8 +135,7 @@ struct Server::Active {
 
 Server::Server(CompileHandler Handler, ServerOptions Opts)
     : Handler(std::move(Handler)), Opts(Opts) {
-  touchServerSchemaKeys();
-  stats().counter("server.restarts") += Opts.Generation;
+  ServerStats::get().Restarts += Opts.Generation;
   LatRing = std::make_unique<LatSample[]>(LatRingSize);
   if (::pipe(WakePipe) != 0)
     WakePipe[0] = WakePipe[1] = -1;
@@ -276,7 +290,7 @@ void Server::requestDrain() {
     Stopping = true;
     DrainStartNs = RequestBudget::nowNs();
   }
-  ++stats().counter("server.drains");
+  ++ServerStats::get().Drains;
   flightRecord(FlightKind::Drain);
   closeQueue(); // queued work still completes; only admissions stop
   wakePumps();
@@ -383,8 +397,8 @@ void Server::watchdogScan() {
     // result is discarded by the Responded flag.
     if (!A->claimResponse())
       continue;
-    ++stats().counter("server.watchdog_kills");
-    ++stats().counter("server.quarantined");
+    ++ServerStats::get().WatchdogKills;
+    ++ServerStats::get().Quarantined;
     flightRecordFor(FlightKind::WatchdogKill, A->TraceId, 0,
                     static_cast<int64_t>((Now - Deadline) / 1000000ull));
     ResponseMsg M;
@@ -428,25 +442,25 @@ void Server::shed(const std::shared_ptr<Active> &A, OverloadCause Cause,
   }
   if (!A->claimResponse())
     return; // the watchdog already answered for this request
-  StatsRegistry &Reg = stats();
-  ++Reg.counter("server.overloaded");
+  ServerStats &Stat = ServerStats::get();
+  ++Stat.Overloaded;
   flightRecordFor(FlightKind::Shed, A->TraceId, 0,
                   static_cast<int64_t>(Cause));
   switch (Cause) {
   case OverloadCause::QueueFull:
-    ++Reg.counter("server.shed_queue_full");
+    ++Stat.ShedQueueFull;
     break;
   case OverloadCause::ShedOldest:
-    ++Reg.counter("server.shed_oldest");
+    ++Stat.ShedOldest;
     break;
   case OverloadCause::QueueDeadline:
-    ++Reg.counter("server.shed_queue_deadline");
+    ++Stat.ShedQueueDeadline;
     break;
   case OverloadCause::AdmissionDeadline:
-    ++Reg.counter("server.shed_admission_deadline");
+    ++Stat.ShedAdmission;
     break;
   case OverloadCause::Draining:
-    ++Reg.counter("server.shed_draining");
+    ++Stat.ShedDraining;
     break;
   }
   OverloadMsg M;
@@ -516,7 +530,7 @@ void Server::runReload() {
   // reload N complete while its ack queue is still open — a Reload frame
   // sent at that instant would be acked by reload N with N's generation
   // instead of starting reload N+1.
-  ++stats().counter(Ok ? "server.reloads" : "server.reload_failures");
+  ++(Ok ? ServerStats::get().Reloads : ServerStats::get().ReloadFailures);
   flightRecordFor(FlightKind::Reload, 0, Gen, Ok ? 1 : 0);
   ReloadRunning.store(false, std::memory_order_release);
 }
@@ -557,7 +571,7 @@ void Server::admit(const std::shared_ptr<Conn> &C, RequestMsg Req) {
   {
     std::lock_guard<std::mutex> Lock(QueueM);
     Depth = Queue.size();
-    stats().histogram("server.queue_depth").record(Depth);
+    ServerStats::get().QueueDepth.record(Depth);
     if (Stopping) {
       DoShed = true;
       Cause = OverloadCause::Draining;
@@ -607,8 +621,8 @@ void Server::admit(const std::shared_ptr<Conn> &C, RequestMsg Req) {
 }
 
 void Server::serveOne(const std::shared_ptr<Active> &A) {
-  StatsRegistry &Reg = stats();
-  ++Reg.counter("server.requests");
+  ServerStats &Stat = ServerStats::get();
+  ++Stat.Requests;
   // The span is created *outside* the request scope (its req/gen/status
   // args are attached explicitly below, once the handler has told us the
   // serving generation), so it is not double-tagged by TraceSpan's
@@ -616,7 +630,7 @@ void Server::serveOne(const std::shared_ptr<Active> &A) {
   TraceSpan Span("server.request");
   uint64_t StartNs = RequestBudget::nowNs();
   uint64_t QueueWaitMs = (StartNs - A->AdmitNs) / 1000000ull;
-  Reg.histogram("server.queue_wait_ms").record(QueueWaitMs);
+  Stat.QueueWaitMs.record(QueueWaitMs);
   flightRecordFor(FlightKind::Dispatch, A->TraceId, 0,
                   static_cast<int64_t>(QueueWaitMs));
   Executing.fetch_add(1, std::memory_order_acq_rel);
@@ -646,8 +660,8 @@ void Server::serveOne(const std::shared_ptr<Active> &A) {
   EwmaServiceNs.store(Prev ? Prev - Prev / 8 + Sample / 8 : Sample,
                       std::memory_order_relaxed);
 
-  Reg.counter("server.fallback_trees") += R.RecoveredTrees;
-  Reg.counter("server.blocked_trees") += R.BlockedTrees;
+  Stat.FallbackTrees += R.RecoveredTrees;
+  Stat.BlockedTrees += R.BlockedTrees;
 
   Span.arg("req", static_cast<int64_t>(A->TraceId));
   Span.arg("gen", static_cast<int64_t>(R.Generation));
@@ -656,7 +670,7 @@ void Server::serveOne(const std::shared_ptr<Active> &A) {
 
   if (!A->claimResponse()) {
     // The watchdog already failed this request; drop the late result.
-    ++Reg.counter("server.discarded_results");
+    ++Stat.DiscardedResults;
   } else {
     switch (R.Status) {
     case ResponseStatus::Deadline:
@@ -670,26 +684,26 @@ void Server::serveOne(const std::shared_ptr<Active> &A) {
     }
     switch (R.Status) {
     case ResponseStatus::Ok:
-      ++Reg.counter("server.ok");
+      ++Stat.Ok;
       break;
     case ResponseStatus::CompileError:
-      ++Reg.counter("server.compile_errors");
+      ++Stat.CompileErrors;
       break;
     case ResponseStatus::Deadline:
-      ++Reg.counter("server.deadline_kills");
-      ++Reg.counter("server.quarantined");
+      ++Stat.DeadlineKills;
+      ++Stat.Quarantined;
       break;
     case ResponseStatus::StepBudget:
-      ++Reg.counter("server.step_budget_kills");
-      ++Reg.counter("server.quarantined");
+      ++Stat.StepBudgetKills;
+      ++Stat.Quarantined;
       break;
     case ResponseStatus::MemBudget:
-      ++Reg.counter("server.mem_budget_kills");
-      ++Reg.counter("server.quarantined");
+      ++Stat.MemBudgetKills;
+      ++Stat.Quarantined;
       break;
     case ResponseStatus::Watchdog:
     case ResponseStatus::Protocol:
-      ++Reg.counter("server.quarantined");
+      ++Stat.Quarantined;
       break;
     }
     ResponseMsg M;
@@ -701,7 +715,7 @@ void Server::serveOne(const std::shared_ptr<Active> &A) {
     M.Payload = std::move(R.Payload);
     A->C->respond(M);
     uint64_t TotalMs = (RequestBudget::nowNs() - A->AdmitNs) / 1000000ull;
-    Reg.histogram("server.request_ms").record(TotalMs);
+    Stat.RequestMs.record(TotalMs);
     recordLatency(TotalMs, R.Status == ResponseStatus::Ok);
     flightRecordFor(FlightKind::Respond, A->TraceId, R.Generation,
                     static_cast<int64_t>(R.Status));
@@ -749,7 +763,7 @@ void Server::pumpInput(const std::shared_ptr<Conn> &C, int InFd,
   SawShutdown = false;
   FrameReader Reader;
   char Chunk[65536];
-  StatsRegistry &Reg = stats();
+  ServerStats &Stat = ServerStats::get();
   while (true) {
     Frame F;
     FrameReader::Status S = Reader.next(F);
@@ -778,7 +792,7 @@ void Server::pumpInput(const std::shared_ptr<Conn> &C, int InFd,
         // EOF mid-frame is itself a protocol event worth counting: the
         // client died between header and payload.
         if (Reader.buffered() > 0)
-          ++Reg.counter("server.protocol_errors");
+          ++Stat.ProtocolErrors;
         return;
       }
       Reader.feed(Chunk, static_cast<size_t>(N));
@@ -786,8 +800,8 @@ void Server::pumpInput(const std::shared_ptr<Conn> &C, int InFd,
     }
     if (S == FrameReader::Status::Corrupt) {
       // Quarantine the poisoned bytes, tell the client, keep serving.
-      ++Reg.counter("server.resyncs");
-      ++Reg.counter("server.protocol_errors");
+      ++Stat.Resyncs;
+      ++Stat.ProtocolErrors;
       ResponseMsg M;
       M.Status = ResponseStatus::Protocol;
       M.Payload = Reader.error();
@@ -799,7 +813,7 @@ void Server::pumpInput(const std::shared_ptr<Conn> &C, int InFd,
       RequestMsg Req;
       std::string Err;
       if (!decodeRequest(F.Payload, Req, Err)) {
-        ++Reg.counter("server.protocol_errors");
+        ++Stat.ProtocolErrors;
         ResponseMsg M;
         M.Status = ResponseStatus::Protocol;
         M.Payload = "bad request payload: " + Err;
@@ -831,7 +845,7 @@ void Server::pumpInput(const std::shared_ptr<Conn> &C, int InFd,
         // which means "restart cannot help") so the supervisor restarts us.
         ::abort();
       }
-      ++Reg.counter("server.protocol_errors");
+      ++Stat.ProtocolErrors;
       {
         ResponseMsg M;
         M.Status = ResponseStatus::Protocol;
@@ -846,7 +860,7 @@ void Server::pumpInput(const std::shared_ptr<Conn> &C, int InFd,
       StatusMsg SM;
       std::string Err;
       if (!decodeStatus(F.Payload, SM, Err)) {
-        ++Reg.counter("server.protocol_errors");
+        ++Stat.ProtocolErrors;
         ResponseMsg M;
         M.Status = ResponseStatus::Protocol;
         M.Payload = "bad status payload: " + Err;
@@ -864,7 +878,7 @@ void Server::pumpInput(const std::shared_ptr<Conn> &C, int InFd,
     case FrameType::Overloaded:
     case FrameType::Reloaded:
     case FrameType::StatusReply:
-      ++Reg.counter("server.protocol_errors");
+      ++Stat.ProtocolErrors;
       break;
     }
   }
@@ -873,7 +887,7 @@ void Server::pumpInput(const std::shared_ptr<Conn> &C, int InFd,
 int Server::serveFds(int InFd, int OutFd) {
   ::signal(SIGPIPE, SIG_IGN);
   auto C = std::make_shared<Conn>(OutFd);
-  ++stats().counter("server.connections");
+  ++ServerStats::get().Connections;
   ResolvedWorkers = resolveWorkerCount(Opts.Workers, 1u << 16);
   ServeStartNs = RequestBudget::nowNs();
   startWatchdog();
@@ -940,7 +954,7 @@ int Server::serveUnixSocket(const std::string &Path) {
           continue;
         break; // listen fd closed: shutting down
       }
-      ++stats().counter("server.connections");
+      ++ServerStats::get().Connections;
       auto C = std::make_shared<Conn>(Fd);
       std::lock_guard<std::mutex> Lock(ConnsM);
       Conns.push_back(C);

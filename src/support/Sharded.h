@@ -5,11 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The sharded counter store behind both hot-path profilers: coverage
-/// (support/Coverage.h) counts hits, the cost profiler
-/// (support/Profile.h) accumulates tick deltas, and both need the same
-/// thing — id-indexed uint64 accumulators that parallel workers mutate
-/// lock-free without sharing cache lines, summed only at dump time.
+/// The sharded counter store behind the table-event registry
+/// (support/TableEvents.h): id-indexed uint64 accumulators — event counts
+/// and tick totals — that parallel workers mutate lock-free without
+/// sharing cache lines, summed only at dump time.
 ///
 /// One family is NumShards independent atomic arrays. Each thread is
 /// dealt a shard round-robin on first use (the work-stealing pool tops
@@ -104,7 +103,7 @@ public:
 
   /// Zeroes every counter, keeping the capacity. Caller holds its
   /// registry mutex (racing recorders may land in either epoch, which
-  /// both registries tolerate).
+  /// the registry tolerates).
   void resetLocked() {
     if (Store *S = Cur.load(std::memory_order_relaxed))
       for (int I = 0; I < NumShards; ++I)

@@ -172,6 +172,7 @@ public:
   /// stable; hot paths may cache it. Mutation (++, +=) is atomic.
   std::atomic<uint64_t> &counter(const std::string &Name) {
     std::lock_guard<std::mutex> Lock(M);
+    ++Lookups;
     return Counters[Name];
   }
 
@@ -179,13 +180,22 @@ public:
   /// Mutation (+=) is atomic (C++20 floating-point fetch_add).
   std::atomic<double> &value(const std::string &Name) {
     std::lock_guard<std::mutex> Lock(M);
+    ++Lookups;
     return Values[Name];
   }
 
   /// The named histogram.
   LogHistogram &histogram(const std::string &Name) {
     std::lock_guard<std::mutex> Lock(M);
+    ++Lookups;
     return Histograms[Name];
+  }
+
+  /// Name lookups so far, each of which took the registry mutex: a
+  /// steady-state hot path keeps its references and adds none.
+  uint64_t lookups() const {
+    std::lock_guard<std::mutex> Lock(M);
+    return Lookups;
   }
 
   /// Zeroes every entry, keeping all registrations (and thus all cached
@@ -217,6 +227,7 @@ private:
   std::map<std::string, std::atomic<uint64_t>> Counters;
   std::map<std::string, std::atomic<double>> Values;
   std::map<std::string, LogHistogram> Histograms;
+  uint64_t Lookups = 0;
 };
 
 /// Shorthand for the global registry.

@@ -9,7 +9,7 @@
 using namespace gg;
 
 namespace {
-const InstCluster Clusters[] = {
+constexpr InstCluster Clusters[] = {
     {"add", ClusterKind::Arith3, "add", true, RangeIdiom::AddSub,
      "addX3 / addX2 / incX,decX"},
     {"sub", ClusterKind::Arith3, "sub", false, RangeIdiom::AddSub,
@@ -39,6 +39,17 @@ const InstCluster Clusters[] = {
     {"push", ClusterKind::Special, "push", false, RangeIdiom::None,
      "pushl (arguments are longs)"},
 };
+
+constexpr bool rowIs(InstRow Row, std::string_view Tag) {
+  return Clusters[Row].Tag == Tag;
+}
+static_assert(std::size(Clusters) == RowPush + 1 && rowIs(RowMul, "mul") &&
+                  rowIs(RowMod, "mod") && rowIs(RowAnd, "and") &&
+                  rowIs(RowAsh, "ash") && rowIs(RowRsh, "rsh") &&
+                  rowIs(RowMov, "mov") && rowIs(RowNeg, "neg") &&
+                  rowIs(RowCom, "com") && rowIs(RowCmp, "cmp") &&
+                  rowIs(RowPush, "push"),
+              "InstRow must follow the table's row order");
 } // namespace
 
 const InstCluster *gg::findCluster(std::string_view TagBase) {

@@ -57,10 +57,15 @@ struct InstCluster {
 /// Looks up the cluster for a semantic-tag base; null if absent.
 const InstCluster *findCluster(std::string_view TagBase);
 
-/// Row enumeration for the coverage profiler: the table's rows in
-/// Figure-3 order. clusterId() is the dense row id of a cluster returned
-/// by findCluster()/clusterAt() — stable for the process lifetime, used
-/// as the `instr_rows` dimension of `gg-coverage-v1` artifacts.
+/// The table's rows in Figure-3 order: the dense row ids clusterId()
+/// returns and the `instr_rows` dimension of `gg-coverage-v1` artifacts.
+/// Semantic routines that consult a fixed row name it here, so no row is
+/// looked up by tag at code-generation time.
+enum InstRow : uint8_t {
+  RowAdd, RowSub, RowMul, RowDiv, RowMod, RowAnd, RowBis, RowXor,
+  RowAsh, RowRsh, RowMov, RowNeg, RowCom, RowCmp, RowPush,
+};
+
 size_t numClusters();
 const InstCluster &clusterAt(size_t Row);
 int clusterId(const InstCluster &C);

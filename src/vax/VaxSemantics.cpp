@@ -1,25 +1,22 @@
 //===- VaxSemantics.cpp - phase-3 instruction generation ---------------------===//
 
 #include "vax/VaxSemantics.h"
-#include "support/Coverage.h"
 #include "support/Error.h"
 #include "support/Strings.h"
-
-#include <cstring>
+#include "support/TableEvents.h"
 
 using namespace gg;
 
 namespace {
 
-/// Records a consultation of a Figure-3 row for the coverage profiler;
-/// when coverage is off both forms cost one relaxed load.
-void covRow(const InstCluster &C) { coverage().noteInstrRow(clusterId(C)); }
-void covRowByTag(std::string_view TagBase) {
-  if (!coverage().enabled())
-    return;
-  if (const InstCluster *C = findCluster(TagBase))
-    coverage().noteInstrRow(clusterId(*C));
+/// Records a consultation of a Figure-3 row in the table-event registry;
+/// unarmed it costs one relaxed load.
+void covRow(int Row) {
+  TableEventRegistry &Ev = tableEvents();
+  if (Ev.armed())
+    Ev.noteRow(Row);
 }
+void covRow(const InstCluster &C) { covRow(clusterId(C)); }
 
 } // namespace
 
@@ -650,17 +647,17 @@ SemVal VaxSemantics::doEmit(const Production &P, const SemAction &A,
   // --- unary ----------------------------------------------------------------
   case SemOp::Neg:
   case SemOp::Com:
-    R.Opnd = unary2(A.Op == SemOp::Neg ? "mneg" : "mcom", SC1, Vals[1].Opnd,
+    R.Opnd = unary2(A.Op == SemOp::Neg ? RowNeg : RowCom, SC1, Vals[1].Opnd,
                     nullptr);
     return R;
   case SemOp::Neg2:
   case SemOp::Com2:
-    unary2(A.Op == SemOp::Neg2 ? "mneg" : "mcom", SC1, Vals[3].Opnd,
+    unary2(A.Op == SemOp::Neg2 ? RowNeg : RowCom, SC1, Vals[3].Opnd,
            &Vals[1].Opnd);
     return R;
   case SemOp::Neg2S:
   case SemOp::Com2S:
-    unary2(A.Op == SemOp::Neg2S ? "mneg" : "mcom", SC1, Vals[2].Opnd,
+    unary2(A.Op == SemOp::Neg2S ? RowNeg : RowCom, SC1, Vals[2].Opnd,
            &Vals[3].Opnd);
     return R;
 
@@ -685,7 +682,7 @@ SemVal VaxSemantics::doEmit(const Production &P, const SemAction &A,
     // so the test is always explicit.
     const Node *Cmp = Vals[1].Leaf;
     Operand Reg = Operand::reg(Vals[2].Leaf->Reg, Vals[2].Leaf->Type);
-    covRowByTag("cmp"); // tst is the cmp row's degenerate range form
+    covRow(RowCmp); // tst is the cmp row's degenerate range form
     emitInst("tstl", {Reg});
     Emit.instRaw(strf("j%s", condName(Cmp->CC)),
                  {Emit.interner().text(Vals[4].Leaf->Sym)});
@@ -695,7 +692,7 @@ SemVal VaxSemantics::doEmit(const Production &P, const SemAction &A,
 
   // --- calls / stack ------------------------------------------------------------
   case SemOp::Push: {
-    covRowByTag("push");
+    covRow(RowPush);
     Operand Src = Vals[1].Opnd;
     prepare(Src);
     emitInst("pushl", {Src});
@@ -873,7 +870,7 @@ Operand VaxSemantics::arith(const InstCluster &C, char SC, bool IsUnsigned,
       if (S1.isImm() && S1.Disp == 0 && C.Swappable)
         return MoveInto(S2); // 0 + x
       if (S1.isImm() && S1.Disp == 0 && !C.Swappable)
-        return unary2("mneg", SC, S2, DstOpt); // 0 - x
+        return unary2(RowNeg, SC, S2, DstOpt); // 0 - x
       // Address arithmetic: $c + reg computes an address; moval does it
       // in one operand fetch (the classic VAX address-of sequence).
       if (C.Swappable && SC == 'l' && S1.isImm() && S2.isReg() &&
@@ -950,7 +947,7 @@ Operand VaxSemantics::arith(const InstCluster &C, char SC, bool IsUnsigned,
 }
 
 void VaxSemantics::move(char SC, Operand Src, Operand Dst) {
-  covRowByTag("mov");
+  covRow(RowMov);
   prepare(Src);
   if (Src.sameLocation(Dst)) {
     // mov x,x: nothing to do (common for "return r0" when the value is
@@ -974,15 +971,14 @@ void VaxSemantics::move(char SC, Operand Src, Operand Dst) {
   RM.reclaim(Dst);
 }
 
-Operand VaxSemantics::unary2(const char *OpBase, char SC, Operand Src,
+Operand VaxSemantics::unary2(InstRow Row, char SC, Operand Src,
                              const Operand *DstOpt) {
-  // mneg/mcom are the neg/com rows of Figure 3.
-  covRowByTag(strcmp(OpBase, "mneg") == 0 ? "neg" : "com");
+  covRow(Row);
   prepare(Src);
   Operand Dst = DstOpt
                     ? *DstOpt
                     : Operand::reg(RM.allocPreferring(Src, Src), tyForSize(SC));
-  emitInst(mnemonic(OpBase, SC), {Src, Dst});
+  emitInst(mnemonic(clusterAt(Row).OpBase, SC), {Src, Dst});
   int Keep = !DstOpt && Dst.isReg() ? Dst.Base : -1;
   RM.reclaim(Src, Keep);
   setCC(Dst, SC);
@@ -1029,7 +1025,7 @@ Operand VaxSemantics::andOp(char SC, Operand S1, Operand S2,
   // The VAX has no and instruction: a & b == bic(~a, b). With a constant
   // mask the complement folds into the immediate; otherwise an mcom into a
   // scratch register is required (a pseudo-instruction of sorts).
-  covRowByTag("and");
+  covRow(RowAnd);
   prepare(S1);
   prepare(S2);
   if (!S1.isImm() && S2.isImm())
@@ -1071,7 +1067,7 @@ Operand VaxSemantics::andOp(char SC, Operand S1, Operand S2,
     Mask = Operand::imm(complementFor(S1.Disp, SC), tyForSize(SC));
   } else {
     ++Idioms.PseudoExpansions;
-    Mask = unary2("mcom", SC, S1, nullptr);
+    Mask = unary2(RowCom, SC, S1, nullptr);
   }
 
   // Binding idiom on the bic form.
@@ -1102,7 +1098,7 @@ Operand VaxSemantics::andOp(char SC, Operand S1, Operand S2,
 
 Operand VaxSemantics::shift(char SC, bool Right, bool IsUnsigned, Operand Val,
                             Operand Cnt, const Operand *DstOpt) {
-  covRowByTag(Right ? "rsh" : "ash");
+  covRow(Right ? RowRsh : RowAsh);
   prepare(Val);
   prepare(Cnt);
   if (SC != 'l') {
@@ -1153,7 +1149,7 @@ Operand VaxSemantics::shift(char SC, bool Right, bool IsUnsigned, Operand Val,
       NegCnt = Operand::imm(-Cnt.Disp, Ty::L);
     } else {
       ++Idioms.PseudoExpansions;
-      NegCnt = unary2("mneg", 'l', Cnt, nullptr);
+      NegCnt = unary2(RowNeg, 'l', Cnt, nullptr);
       Cnt = Operand(); // consumed
     }
     Operand Dst = DstOpt
@@ -1218,7 +1214,7 @@ Operand VaxSemantics::shift(char SC, bool Right, bool IsUnsigned, Operand Val,
 
 Operand VaxSemantics::modulus(char SC, bool IsUnsigned, Operand A, Operand B,
                               const Operand *DstOpt) {
-  covRowByTag("mod");
+  covRow(RowMod);
   if (IsUnsigned)
     return libCall2("__urem", A, B, DstOpt);
 
@@ -1301,7 +1297,7 @@ Operand VaxSemantics::libCall2(const char *Fn, Operand A, Operand B,
 
 void VaxSemantics::compareBranch(char SC, Cond C, Operand A, Operand B,
                                  InternedString Target) {
-  covRowByTag("cmp");
+  covRow(RowCmp);
   prepare(A);
   prepare(B);
   if (Opts.RangeIdioms && A.isImm() && !B.isImm()) {
@@ -1333,7 +1329,7 @@ Operand VaxSemantics::bridgeAddress(char MemSC, Operand *ConOpt,
   // addressing mode" (§6.2.2): compute con + base + s1*s2 into a register
   // and hand back a displacement operand.
   (void)MemSC;
-  Operand Prod = arith(*findCluster("mul"), 'l', false, S1, S2, nullptr);
+  Operand Prod = arith(clusterAt(RowMul), 'l', false, S1, S2, nullptr);
   Prod = ensureReg(Prod, 'l'); // mul range idiom may return a non-register
   if (BaseOpt) {
     prepare(*BaseOpt);

@@ -165,8 +165,8 @@ private:
   Operand arith(const InstCluster &C, char SC, bool IsUnsigned, Operand S1,
                 Operand S2, const Operand *Dst);
   void move(char SC, Operand Src, Operand Dst);
-  Operand unary2(const char *OpBase, char SC, Operand Src,
-                 const Operand *Dst);
+  /// mneg/mcom: the neg (\p Row = RowNeg) or com row of Figure 3.
+  Operand unary2(InstRow Row, char SC, Operand Src, const Operand *Dst);
   Operand convert(char FromSC, char ToSC, bool SrcUnsigned, Operand Src,
                   const Operand *Dst);
   Operand andOp(char SC, Operand S1, Operand S2, const Operand *Dst);

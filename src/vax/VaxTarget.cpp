@@ -1,9 +1,8 @@
 //===- VaxTarget.cpp - bundled VAX tables and matcher ------------------------===//
 
 #include "vax/VaxTarget.h"
-#include "support/Coverage.h"
-#include "support/Profile.h"
 #include "support/Strings.h"
+#include "support/TableEvents.h"
 #include "support/Trace.h"
 #include "vax/InstrTable.h"
 
@@ -62,15 +61,15 @@ VaxTarget::createFromSpec(std::string &Err, const std::string &SpecText,
   T->Packed = PackedTables::pack(T->Build.Tables);
   T->M = std::make_unique<Matcher>(T->G, T->Packed, MatchOpts);
   T->Sem = decodeSemActions(T->G);
-  // Register the coverage dimensions while target construction is still
-  // serial: instruction-table rows by name, and the grammar/tables
-  // identity embedded in every gg-coverage-v1 / gg-profile-v1 artifact.
-  std::vector<std::string> Rows;
-  Rows.reserve(numClusters());
+  // Size the table-event registry while target construction is still
+  // serial: the tables' dimensions, the instruction-table rows by name,
+  // and the identity embedded in every gg-coverage-v1 / gg-profile-v1
+  // artifact.
+  TableShape Shape{T->G.numProductions(),
+                   static_cast<size_t>(T->Packed.numStates()),
+                   T->Packed.numDynPoints(), {}, fingerprint(T->G, T->Packed)};
   for (size_t I = 0; I < numClusters(); ++I)
-    Rows.push_back(clusterAt(I).Tag);
-  coverage().sizeInstrRows(Rows);
-  coverage().setFingerprint(fingerprint(T->G, T->Packed));
-  profile().setFingerprint(fingerprint(T->G, T->Packed));
+    Shape.Rows.push_back(clusterAt(I).Tag);
+  tableEvents().sizeTables(Shape);
   return T;
 }

@@ -30,10 +30,9 @@
 #include "ir/Linearize.h"
 #include "match/Matcher.h"
 #include "mdl/SpecParser.h"
-#include "support/Coverage.h"
 #include "support/Deadline.h"
-#include "support/Profile.h"
 #include "support/Strings.h"
+#include "support/TableEvents.h"
 #include "tablegen/TableBuilder.h"
 #include "vax/VaxTarget.h"
 #include "workload/ProgramGen.h"
@@ -409,8 +408,8 @@ void checkGolden(int Threads) {
 /// Arms coverage and the instrumented profiler. Coverage has no disable,
 /// so the armed tests run after the telemetry-off ones in one process.
 void armTelemetry() {
-  coverage().enable();
-  profile().configure(ProfileMode::Instr);
+  tableEvents().armCoverage();
+  tableEvents().configureProfile(ProfileMode::Instr);
 }
 
 TEST(MatchGolden, OneThreadTelemetryOff) { checkGolden(1); }
@@ -420,13 +419,13 @@ TEST(MatchGolden, FourThreadsTelemetryOff) { checkGolden(4); }
 TEST(MatchGolden, OneThreadTelemetryArmed) {
   armTelemetry();
   checkGolden(1);
-  profile().configure(ProfileMode::Off);
+  tableEvents().configureProfile(ProfileMode::Off);
 }
 
 TEST(MatchGolden, FourThreadsTelemetryArmed) {
   armTelemetry();
   checkGolden(4);
-  profile().configure(ProfileMode::Off);
+  tableEvents().configureProfile(ProfileMode::Off);
 }
 
 } // namespace

@@ -1,7 +1,8 @@
 //===- ProfileTest.cpp - hot-path cost profiler tests -------------------------===//
 //
-// Covers the gg-profile-v1 pipeline end to end: registry gating
-// (off-by-default records nothing), spec parsing, artifact serialization
+// Covers the gg-profile-v1 pipeline end to end: the table-event
+// registry's profile side (the ProfileRegistry suite: off-by-default
+// records nothing, charges, reset), spec parsing, artifact serialization
 // and merging through support/Json, the perf-unavailable fallback, and
 // the determinism contract — under the steps timebase the artifact for a
 // given input is byte-identical at any worker count.
@@ -16,7 +17,7 @@
 #include "pcc/PccCodeGen.h"
 #include "support/Json.h"
 #include "support/Phase.h"
-#include "support/Profile.h"
+#include "support/TableEvents.h"
 #include "vax/VaxTarget.h"
 #include "workload/ProgramGen.h"
 
@@ -53,25 +54,26 @@ TEST(ProfileSpec, ParsesModesAndTimebases) {
 }
 
 TEST(ProfileRegistry, OffByDefaultAndStepsAreDeterministic) {
-  ProfileRegistry &R = profile();
-  EXPECT_FALSE(R.instrEnabled());
+  TableEventRegistry &R = tableEvents();
+  EXPECT_FALSE(R.profiling());
   EXPECT_FALSE(R.perfEnabled());
 
   // Phase scopes cost nothing and record nothing while off.
   { PhaseScope S(Phase::Match); }
   R.noteCompile();
-  ProfileSnapshot Off = R.snapshot();
+  ProfileSnapshot Off = R.profileSnapshot();
   EXPECT_TRUE(Off.Phases.empty());
   EXPECT_EQ(Off.Compiles, 0u);
 
-  R.configure(ProfileMode::Instr, ProfileTimebase::Steps);
-  EXPECT_TRUE(R.instrEnabled());
+  R.configureProfile(ProfileMode::Instr, ProfileTimebase::Steps);
+  EXPECT_TRUE(R.profiling());
+  EXPECT_TRUE(R.armed());
   EXPECT_FALSE(R.perfEnabled());
   // A steps-timebase scope charges exactly one virtual tick.
   { PhaseScope S(Phase::Match); }
   // Wall-only scopes (cg.total) no-op under steps.
   { PhaseScope S(Phase::Total); }
-  ProfileSnapshot On = R.snapshot();
+  ProfileSnapshot On = R.profileSnapshot();
   ASSERT_EQ(On.Phases.count("cg.match"), 1u);
   EXPECT_EQ(On.Phases["cg.match"].Cell.Ticks, 1u);
   EXPECT_EQ(On.Phases["cg.match"].Cell.Events, 1u);
@@ -80,22 +82,24 @@ TEST(ProfileRegistry, OffByDefaultAndStepsAreDeterministic) {
 }
 
 TEST(ProfileRegistry, ChargesAndResetKeepsShape) {
-  ProfileRegistry &R = profile();
-  R.configure(ProfileMode::Instr, ProfileTimebase::Steps);
-  R.sizeGrammar(8, 16);
-  R.setFingerprint("deadbeef00000000");
-  R.chargeState(3, 10);
-  R.chargeState(3, 5);
-  R.chargeProd(2, 7);
-  R.chargeDyn(4, 1, 9);
-  R.chargeState(-1, 99);     // dropped, not fatal
-  R.chargeState(1 << 20, 1); // dropped
+  TableEventRegistry &R = tableEvents();
+  R.configureProfile(ProfileMode::Instr, ProfileTimebase::Steps);
+  R.sizeTables({8, 16, 0, {}, "deadbeef00000000"});
+  R.noteStep(3, 10);
+  R.noteStep(3, 5);
+  R.noteReduce(2);
+  R.chargeReduce(2, 7);
+  R.noteTie(4, 1, 2, 9);
+  R.noteStep(-1, 99);     // dropped, not fatal
+  R.noteStep(1 << 20, 1); // dropped
+  R.noteFinalState(5);    // a coverage visit, not a profiled step
   R.noteCompile();
 
-  ProfileSnapshot S = R.snapshot();
+  ProfileSnapshot S = R.profileSnapshot();
   EXPECT_EQ(S.States[3].Ticks, 15u);
   EXPECT_EQ(S.States[3].Events, 2u);
   EXPECT_EQ(S.Prods[2].Ticks, 7u);
+  EXPECT_EQ(S.Prods[2].Events, 1u);
   EXPECT_EQ((S.Dyn[{4, 1}].Ticks), 9u);
   EXPECT_EQ((S.Dyn[{4, 1}].Events), 1u);
   EXPECT_EQ(S.States.size(), 1u) << "out-of-range charges must be dropped";
@@ -105,7 +109,7 @@ TEST(ProfileRegistry, ChargesAndResetKeepsShape) {
   EXPECT_EQ(S.Fingerprint, "deadbeef00000000");
 
   R.reset();
-  ProfileSnapshot Z = R.snapshot();
+  ProfileSnapshot Z = R.profileSnapshot();
   EXPECT_TRUE(Z.States.empty());
   EXPECT_TRUE(Z.Prods.empty());
   EXPECT_TRUE(Z.Dyn.empty());
@@ -171,6 +175,18 @@ TEST(ProfileSnapshot, ParseRejectsJunk) {
                        "\"phases\":{},\"states\":{},\"productions\":{},"
                        "\"dyn\":{\"nocolon\":{}}}",
                        Err));
+  // An unknown timebase must not be read as cycles: that would get it
+  // past merge()'s timebase-mismatch refusal.
+  EXPECT_FALSE(S.parse("{\"schema\":\"gg-profile-v1\",\"timebase\":"
+                       "\"bogus\",\"shape\":{},\"phases\":{},"
+                       "\"states\":{},\"productions\":{},\"dyn\":{}}",
+                       Err));
+  EXPECT_NE(Err.find("bogus"), std::string::npos) << Err;
+  EXPECT_FALSE(S.parse("{\"schema\":\"gg-profile-v1\",\"shape\":{},"
+                       "\"phases\":{},\"states\":{\"4294967297\":{}},"
+                       "\"productions\":{},\"dyn\":{}}",
+                       Err))
+      << "overflowing state key must be rejected";
 }
 
 TEST(ProfileSnapshot, MergeSumsAndChecksIdentity) {
@@ -221,12 +237,12 @@ TEST(ProfileSnapshot, MergeSumsAndChecksIdentity) {
 }
 
 TEST(ProfileRegistry, PerfUnavailableFallsBackGracefully) {
-  ProfileRegistry &R = profile();
+  TableEventRegistry &R = tableEvents();
   R.forcePerfUnavailableForTests(true);
-  R.configure(ProfileMode::Perf, ProfileTimebase::Steps);
+  R.configureProfile(ProfileMode::Perf, ProfileTimebase::Steps);
   { PhaseScope S(Phase::Match); }
   EXPECT_FALSE(R.perfAvailable());
-  ProfileSnapshot S = R.snapshot();
+  ProfileSnapshot S = R.profileSnapshot();
   ASSERT_EQ(S.Phases.count("cg.match"), 1u);
   EXPECT_EQ(S.Phases["cg.match"].Cell.Ticks, 1u)
       << "instr timing must survive the perf fallback";
@@ -267,11 +283,11 @@ TEST(ProfilePipeline, OffRecordsNothing) {
   // Explicitly disarm and zero: under ctest every TEST is its own
   // process, but the sanitizer legs run several tests in one process and
   // the registry is process-global.
-  profile().configure(ProfileMode::Off);
-  profile().reset();
+  tableEvents().configureProfile(ProfileMode::Off);
+  tableEvents().reset();
   std::unique_ptr<VaxTarget> Target = mustTarget();
   compileOne(*Target, kProgram);
-  ProfileSnapshot S = profile().snapshot();
+  ProfileSnapshot S = tableEvents().profileSnapshot();
   EXPECT_TRUE(S.Phases.empty()) << "profiling off must record nothing";
   EXPECT_TRUE(S.States.empty());
   EXPECT_TRUE(S.Prods.empty());
@@ -280,11 +296,11 @@ TEST(ProfilePipeline, OffRecordsNothing) {
 
 TEST(ProfilePipeline, RealCompileAttributesCost) {
   std::unique_ptr<VaxTarget> Target = mustTarget();
-  profile().configure(ProfileMode::Instr, ProfileTimebase::Cycles);
-  profile().reset();
+  tableEvents().configureProfile(ProfileMode::Instr, ProfileTimebase::Cycles);
+  tableEvents().reset();
   compileOne(*Target, kProgram);
 
-  ProfileSnapshot S = profile().snapshot();
+  ProfileSnapshot S = tableEvents().profileSnapshot();
   EXPECT_EQ(S.Compiles, 1u);
   EXPECT_EQ(S.NumProds, Target->grammar().numProductions());
   EXPECT_EQ(S.Fingerprint,
@@ -312,21 +328,21 @@ TEST(ProfilePipeline, RealCompileAttributesCost) {
 
 TEST(ProfilePipeline, PccCompileChargesItsPhase) {
   std::unique_ptr<VaxTarget> Target = mustTarget();
-  profile().configure(ProfileMode::Instr, ProfileTimebase::Steps);
-  profile().reset();
+  tableEvents().configureProfile(ProfileMode::Instr, ProfileTimebase::Steps);
+  tableEvents().reset();
   Program P;
   DiagnosticSink Diags;
   ASSERT_TRUE(compileMiniC(kProgram, P, Diags));
   PccCodeGenerator CG;
   std::string Asm, Err;
   ASSERT_TRUE(CG.compile(P, Asm, Err)) << Err;
-  ProfileSnapshot S = profile().snapshot();
+  ProfileSnapshot S = tableEvents().profileSnapshot();
   ASSERT_EQ(S.Phases.count("pcc.compile"), 1u);
   EXPECT_EQ(S.Phases["pcc.compile"].Cell.Events, 1u);
 }
 
 std::string compileCorpusAndSnapshot(const VaxTarget &Target, int Threads) {
-  profile().reset();
+  tableEvents().reset();
   for (int Case = 0; Case < 6; ++Case) {
     GenOptions GOpts;
     GOpts.Functions = 4 + Case % 3;
@@ -341,12 +357,12 @@ std::string compileCorpusAndSnapshot(const VaxTarget &Target, int Threads) {
     std::string Asm, Err;
     EXPECT_TRUE(CG.compile(P, Asm, Err)) << Err;
   }
-  return profile().toJson();
+  return tableEvents().profileSnapshot().toJson();
 }
 
 TEST(ProfilePipeline, StepsArtifactIdenticalAcrossWorkerCounts) {
   std::unique_ptr<VaxTarget> Target = mustTarget();
-  profile().configure(ProfileMode::Instr, ProfileTimebase::Steps);
+  tableEvents().configureProfile(ProfileMode::Instr, ProfileTimebase::Steps);
 
   std::string Baseline = compileCorpusAndSnapshot(*Target, 1);
   ASSERT_NE(Baseline.find("\"states\":{\""), std::string::npos)
@@ -361,11 +377,11 @@ TEST(ProfilePipeline, CyclesBucketKeysIdenticalAcrossWorkerCounts) {
   // Under the cycles timebase the tick *values* are hardware noise, but
   // which buckets exist is still a property of the input alone.
   std::unique_ptr<VaxTarget> Target = mustTarget();
-  profile().configure(ProfileMode::Instr, ProfileTimebase::Cycles);
+  tableEvents().configureProfile(ProfileMode::Instr, ProfileTimebase::Cycles);
 
   auto Keys = [&](int Threads) {
     compileCorpusAndSnapshot(*Target, Threads);
-    ProfileSnapshot S = profile().snapshot();
+    ProfileSnapshot S = tableEvents().profileSnapshot();
     std::string Out;
     for (const auto &[Name, P] : S.Phases)
       Out += Name + ";";

@@ -1300,4 +1300,47 @@ TEST(CompileServiceTest, ServerStatsKeysAreRegistered) {
     EXPECT_NE(Json.find(Key), std::string::npos) << Key;
 }
 
+TEST(CompileServiceTest, WarmServedRequestsTakeNoStatsLock) {
+  // Every registry entry on the request path is a reference looked up
+  // once, so after warm-up a served request — frontend, phase 1, the
+  // parallel matcher, peephole, the server's own counters — adds no
+  // StatsRegistry lookup, and so takes no registry mutex.
+  std::string Err;
+  CodeGenOptions Base;
+  Base.Parallel.Threads = 2;
+  std::unique_ptr<CompileService> Svc = CompileService::create(Err, Base);
+  ASSERT_NE(Svc, nullptr) << Err;
+  ServerOptions Opts;
+  Opts.Workers = 2;
+  const CompileService &S = *Svc;
+  PipeHarness H([&S](const RequestMsg &Req,
+                     RequestBudget &B) { return S.compile(Req, B); },
+                Opts);
+  StatsRegistry &Reg = stats();
+  std::atomic<uint64_t> &Ok = Reg.counter("server.ok");
+  std::atomic<uint64_t> &Errors = Reg.counter("server.compile_errors");
+  const uint64_t Ok0 = Ok, Errors0 = Errors;
+  // Small programs: every response must fit the harness's pipe buffer.
+  const std::string Good =
+      "int sq(int x) { return x * x; }\n"
+      "int sum(int n) { int i; int s; s = 0;"
+      " for (i = 0; i < n; i = i + 1) s = s + sq(i); return s; }\n"
+      "int main() { if (sum(4) > 10) print(sum(3)); return 0; }\n";
+  const std::string Bad = "int main( { this is not minic";
+
+  H.sendRequest(1, Good);
+  H.sendRequest(2, Bad);
+  ASSERT_TRUE(
+      spinUntil([&] { return Ok == Ok0 + 1 && Errors == Errors0 + 1; }));
+  const uint64_t Warm = Reg.lookups();
+  for (uint64_t Id = 3; Id < 9; ++Id)
+    H.sendRequest(Id, Id % 3 ? Good : Bad);
+  ASSERT_TRUE(
+      spinUntil([&] { return Ok == Ok0 + 5 && Errors == Errors0 + 3; }))
+      << Ok - Ok0 << " " << Errors - Errors0;
+  EXPECT_EQ(Reg.lookups(), Warm) << "a warm request looked a stats entry up";
+  std::vector<ResponseMsg> Rs = H.finish();
+  EXPECT_EQ(Rs.size(), 8u);
+}
+
 } // namespace

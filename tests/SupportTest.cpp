@@ -6,9 +6,9 @@
 #include "support/Interner.h"
 #include "support/Json.h"
 #include "support/Phase.h"
-#include "support/Profile.h"
 #include "support/Stats.h"
 #include "support/Strings.h"
+#include "support/TableEvents.h"
 
 #include <gtest/gtest.h>
 
@@ -267,7 +267,7 @@ TEST(PhaseScope, ToTilesTheTreeInterval) {
 void runTreePhases(bool Chained, int Steps) {
   auto Match = [Steps] {
     for (int I = 0; I < Steps; ++I)
-      ProfileRegistry::now(ProfileTimebase::Steps);
+      TableEventRegistry::now(ProfileTimebase::Steps);
   };
   if (Chained) {
     PhaseScope Tree(Phase::Linearize);
@@ -289,8 +289,8 @@ void runTreePhases(bool Chained, int Steps) {
 TEST(PhaseScope, ToKeepsTheStepsProfile) {
   // The steps timebase counts clock reads, so the artifact shows whether
   // a chained scope reads the profile clock exactly as sibling scopes do.
-  ProfileRegistry &R = profile();
-  R.configure(ProfileMode::Instr, ProfileTimebase::Steps);
+  TableEventRegistry &R = tableEvents();
+  R.configureProfile(ProfileMode::Instr, ProfileTimebase::Steps);
   std::string Profiles[2];
   for (bool Chained : {false, true}) {
     R.reset();
@@ -299,9 +299,9 @@ TEST(PhaseScope, ToKeepsTheStepsProfile) {
     for (int Steps : {3, 0, 7})
       runTreePhases(Chained, Steps);
     { PhaseScope Fallback(Phase::Fallback); }
-    Profiles[Chained] = R.toJson();
+    Profiles[Chained] = R.profileSnapshot().toJson();
   }
-  R.configure(ProfileMode::Off);
+  R.configureProfile(ProfileMode::Off);
   R.reset();
   EXPECT_NE(Profiles[0].find("cg.replay"), std::string::npos) << Profiles[0];
   EXPECT_EQ(Profiles[0], Profiles[1]);

@@ -36,7 +36,6 @@
 #include "pcc/PccCodeGen.h"
 #include "support/CliOptions.h"
 #include "vaxsim/Simulator.h"
-#include "support/Coverage.h"
 #include "support/ExitCodes.h"
 #include "support/Strings.h"
 #include "vax/VaxTarget.h"

@@ -87,11 +87,10 @@
 
 #include "fuzz/GrammarWalk.h"
 #include "mdl/Grammar.h"
-#include "support/Coverage.h"
 #include "support/Frame.h"
 #include "support/Json.h"
-#include "support/Profile.h"
 #include "support/Strings.h"
+#include "support/TableArtifacts.h"
 #include "vax/VaxTarget.h"
 
 #include <algorithm>
