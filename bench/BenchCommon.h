@@ -140,8 +140,7 @@ inline void emitBenchJson(const char *Id) {
 /// Writes a `gg-bench-v1` metrics file — the input of the benchmark
 /// regression sentinel (`gg-report --check-bench`, scripts/bench.sh).
 /// Count metrics are deterministic across runs and machines; metrics with
-/// "seconds" in the name are wall-clock and only compared when gg-report
-/// is given --time-threshold.
+/// "seconds" in the name are wall-clock and never compared.
 inline bool writeBenchBaseline(const char *Bench, const std::string &Path,
                                const std::map<std::string, double> &Metrics) {
   std::ofstream Out(Path);

@@ -181,10 +181,8 @@ int main(int argc, char **argv) {
                 {"pcc_instructions", double(PccInsts)},
                 {"gg_seconds", GGSeconds},
                 // Per-phase wall seconds: like every "seconds" metric
-                // these are skipped by the sentinel unless a
-                // --time-threshold opts them in, but they make the
-                // committed baseline show where phase time goes and let
-                // bench.sh --check watch phase-level regressions.
+                // these are skipped by the sentinel, but they make the
+                // committed baseline show where phase time goes.
                 {"gg_transform_seconds", GGTransform},
                 {"gg_match_seconds", GGMatch},
                 {"gg_instrgen_seconds", GGInstrGen},

@@ -19,9 +19,8 @@ using namespace gg;
 
 int main(int argc, char **argv) {
   // --baseline-json=FILE: write the per-phase seconds and deterministic
-  // matcher work counts as a gg-bench-v1 file, so bench.sh --check can
-  // watch phase-level regressions (time metrics stay opt-in behind
-  // gg-report's --time-threshold, counts are checked tight).
+  // matcher work counts as a gg-bench-v1 file for bench.sh --check (time
+  // metrics are informational, counts are checked tight).
   std::string BaselinePath;
   for (int I = 1; I < argc; ++I)
     if (strncmp(argv[I], "--baseline-json=", 16) == 0)

@@ -39,8 +39,8 @@
 # 10. builds the parallel-determinism test under -fsanitize=thread and
 #    runs it: the work-stealing compile pipeline must be race-free, not
 #    just deterministic. The matcher equivalence golden (4 threads,
-#    telemetry armed), matcher_extra_test, the per-function match tally
-#    and the chained phase scopes run there too.
+#    telemetry armed), matcher_extra_test, the per-function match tally,
+#    the chained phase scopes and the trace recorder run there too.
 #
 # --fast reuses the plain ./build tree (no sanitizers), runs only the
 # tier1 gate and skips the TSAN leg: a quick pre-commit pass.
@@ -594,7 +594,8 @@ cmake -B build-tsan -S . \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j"$(nproc)" --target parallel_test support_test \
-  coverage_test profile_test match_golden_test matcher_extra_test
+  coverage_test profile_test match_golden_test matcher_extra_test \
+  stats_trace_test
 # parallel_test includes MatchTally.*: each worker publishes its
 # function's match tally into the shared registry at 4 threads.
 build-tsan/tests/parallel_test
@@ -612,6 +613,10 @@ build-tsan/tests/profile_test --gtest_filter='ProfilePipeline.*'
 build-tsan/tests/match_golden_test \
   --gtest_filter='MatchGolden.FourThreadsTelemetryArmed'
 build-tsan/tests/matcher_extra_test
-echo "   parallel_test + stats/phase/coverage/profile/matcher hammers: race-free under TSAN"
+# The trace recorder locks once per span, at its end, and reads its epoch
+# without the lock; the Trace.* tests close cg.function spans from 4
+# workers at once.
+build-tsan/tests/stats_trace_test --gtest_filter='Trace.*'
+echo "   parallel_test + stats/phase/coverage/profile/matcher/trace hammers: race-free under TSAN"
 
 echo "== all checks passed"

@@ -12,6 +12,7 @@
 #include "support/Trace.h"
 
 #include <memory>
+#include <optional>
 
 using namespace gg;
 
@@ -126,7 +127,9 @@ size_t countStatementTrees(const Function &F) {
 void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
                         Program &Prog, Function &F, uint64_t TreeOrdinal,
                         FunctionResult &R) {
-  TraceSpan FnSpan("cg.function " + Prog.Syms.text(F.Name));
+  std::optional<TraceSpan> FnSpan;
+  if (TraceRecorder::global().enabled())
+    FnSpan.emplace("cg.function " + Prog.Syms.text(F.Name));
   PhaseAccount Account(R.Stats.Phases);
   AsmEmitter &Emit = *R.Emit;
   // Worker-private arena: Ret/CallStmt copy trees and the fallback
@@ -311,19 +314,32 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
     if (!R.Ok)
       break;
   }
+  if (R.Ok) {
+    if (!EndsWithRet)
+      Sem.emitRet();
+
+    // Patch the prologue with the final frame size.
+    Emit.patchLine(PrologueLine, strf("\tsubl2\t$%d,sp", F.FrameSize));
+
+    R.Stats.Regs = Sem.regStats();
+    R.Stats.Idioms = Sem.idiomStats();
+  }
+  // The function span carries its trees' detail: the match tally and the
+  // self time of each phase the account charged, in nanoseconds.
+  if (FnSpan) {
+    const MatchTally &T = MR.Tally;
+    FnSpan->arg("trees", static_cast<int64_t>(T.Trees));
+    FnSpan->arg("tokens", static_cast<int64_t>(T.Tokens.Sum));
+    FnSpan->arg("steps", static_cast<int64_t>(T.Steps.Sum));
+    FnSpan->arg("max_depth", static_cast<int64_t>(T.Depth.Max));
+    for (size_t P = 0; P < NumPhases; ++P)
+      if (R.Stats.Phases.Seconds[P] > 0)
+        FnSpan->arg(phaseName(static_cast<Phase>(P)),
+                    static_cast<int64_t>(R.Stats.Phases.Seconds[P] * 1e9));
+  }
   // The function's match.* counts reach the registry once, whether it
   // compiled or failed.
   MR.Tally.publish();
-  if (!R.Ok)
-    return;
-  if (!EndsWithRet)
-    Sem.emitRet();
-
-  // Patch the prologue with the final frame size.
-  Emit.patchLine(PrologueLine, strf("\tsubl2\t$%d,sp", F.FrameSize));
-
-  R.Stats.Regs = Sem.regStats();
-  R.Stats.Idioms = Sem.idiomStats();
 }
 
 } // namespace

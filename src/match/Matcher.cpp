@@ -4,7 +4,6 @@
 #include "support/Stats.h"
 #include "support/Strings.h"
 #include "support/TableEvents.h"
-#include "support/Trace.h"
 
 #include <algorithm>
 
@@ -189,7 +188,7 @@ struct MatchObserver : LRObserver {
 
   /// Per-tree bookkeeping, on every exit path: the tree's counts go to
   /// the result's tally and its steps to the request budget.
-  void finish(TraceSpan &Span) {
+  void finish() {
     MatchTally &T = R.Tally;
     ++T.Trees;
     T.Shifts += Shifts;
@@ -203,9 +202,6 @@ struct MatchObserver : LRObserver {
       Budget->StepsUsed.fetch_add(R.Steps.size(), std::memory_order_relaxed);
     if (Armed)
       Ev.noteFinalState(Top);
-    Span.arg("tokens", static_cast<int64_t>(Input.size()));
-    Span.arg("steps", static_cast<int64_t>(R.Steps.size()));
-    Span.arg("max_depth", static_cast<int64_t>(MaxDepth));
   }
 
   const LRDriver &D;
@@ -261,7 +257,6 @@ void Matcher::match(const std::vector<LinToken> &Input, MatchResult &R,
   R.Steps.clear();
   R.Steps.reserve(Input.size() * 3);
   MatchObserver Obs(D, Input, Budget, R);
-  TraceSpan Span("match.tree");
 
   // The request's effective stack cap: the budget may only tighten the
   // matcher's own configured cap, never widen it.
@@ -276,7 +271,7 @@ void Matcher::match(const std::vector<LinToken> &Input, MatchResult &R,
     St = D.finish(Cfg, Obs);
   R.Ok = St == LRStatus::Accepted;
   R.StateStack = std::move(Cfg.Stack);
-  Obs.finish(Span);
+  Obs.finish();
 }
 
 std::string gg::renderTrace(const Grammar &G,

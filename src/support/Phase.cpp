@@ -30,7 +30,7 @@ constexpr struct {
     {"cg.transform", SinkProfile | SinkStatus | SinkFlight},
     {"cg.linearize", SinkProfile},
     {"cg.match", SinkProfile | SinkStatus | SinkFlight},
-    {"cg.replay", SinkProfile | SinkStatus | SinkFlight | SinkTrace},
+    {"cg.replay", SinkProfile | SinkStatus | SinkFlight},
     {"cg.emit", 0},
     {"cg.fallback", SinkProfile | SinkStatus | SinkFlight | SinkTrace},
     {"cg.stitch", SinkProfile | SinkStatus | SinkFlight},

@@ -7,22 +7,25 @@
 /// \file
 /// Structured tracing: RAII spans with nesting, recorded against one
 /// process-wide recorder and exportable as Chrome `trace_event`-format
-/// JSON (loadable in chrome://tracing / Perfetto) or a compact indented
-/// text form. The spans cover table construction, packing, and the four
-/// code-generation phases down to per-tree match/replay granularity —
-/// Nederhof & Satta's step-level view of a tabular parser, made
-/// first-class.
+/// JSON (loadable in chrome://tracing / Perfetto). The spans cover table
+/// construction, packing, and code generation down to one span per
+/// function; the function span carries its trees' match tally and its
+/// per-phase self times as args. The step-level view of the tabular
+/// matcher lives in the coverage and steps-profile artifacts
+/// (support/TableEvents.h), not in spans.
 ///
 /// The recorder is disabled by default; a disabled TraceSpan costs one
-/// branch. Timestamps are microseconds relative to the recorder's epoch
-/// (reset on enable()), taken from the shared MonoClock
-/// (support/Clock.h).
+/// branch and allocates nothing. Timestamps are microseconds relative to
+/// the recorder's epoch (set at construction and by clear()), taken from
+/// the shared MonoClock (support/Clock.h). The recorder keeps the most
+/// recent TraceRecorder::Capacity spans, so a traced server's memory stays
+/// bounded.
 ///
-/// Thread safety: span entry/exit lock a mutex when the recorder is
-/// enabled (the parallel code generator's workers open per-function and
-/// per-tree spans concurrently), and nothing when disabled. Each span
-/// records its thread's ordinal (1 for the first thread to open one) and
-/// its depth within that thread: one Chrome track per worker.
+/// Thread safety: a live span locks the recorder's mutex once, when it
+/// ends (the parallel code generator's workers close per-function spans
+/// concurrently); a disabled one locks nothing. Each span records its
+/// thread's ordinal (1 for the first thread to open one) and its depth
+/// within that thread: one Chrome track per worker.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,94 +34,118 @@
 
 #include "support/Clock.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace gg {
 
-/// One completed span (Chrome "X" complete event).
+/// One completed span (Chrome "X" complete event). It owns no heap
+/// memory: spans end on pool workers, and small blocks those threads leave
+/// alive for the recorder's lifetime fragment their malloc arenas (a traced
+/// server took about twice an untraced one's page faults).
 struct TraceEvent {
-  std::string Name;
+  static constexpr size_t MaxName = 47; ///< longer names are truncated
+  static constexpr size_t MaxArgs = 12; ///< further args are dropped
+  struct Arg {
+    const char *Key; ///< a string literal
+    int64_t Value;
+  };
+
+  char NameBuf[MaxName + 1] = "";
   const char *Category = "gg";
   double StartUs = 0;
   double DurUs = 0;
   uint32_t Tid = 0; ///< per-thread ordinal of the opening thread
   int Depth = 0;    ///< the thread's nesting depth at the span's start
-  std::vector<std::pair<std::string, int64_t>> Args;
+  uint32_t NumArgs = 0;
+  Arg ArgBuf[MaxArgs];
+
+  std::string_view name() const { return NameBuf; }
+  std::span<const Arg> args() const { return {ArgBuf, NumArgs}; }
 };
 
 /// Collects spans. One global instance serves the pipeline; tests may
 /// create private recorders.
 class TraceRecorder {
 public:
+  /// Spans kept: once full, each new span overwrites the oldest. Holds a
+  /// traced --gen-corpus=220 compile (about 3.5k spans) several times over.
+  static constexpr size_t Capacity = size_t{1} << 14;
+
   static TraceRecorder &global();
 
-  /// Enables recording and resets the epoch. Previously recorded events
-  /// are kept (enable is idempotent mid-run).
+  /// Enables recording, reserving the whole ring so that no span
+  /// reallocates it. Previously recorded events and the epoch are kept
+  /// (enable is idempotent mid-run).
   void enable() {
-    std::lock_guard<std::mutex> Lock(M);
+    {
+      std::lock_guard<std::mutex> Lock(M);
+      Events.reserve(Capacity);
+    }
     Enabled.store(true, std::memory_order_relaxed);
-    if (Events.empty() && OpenSpans == 0)
-      Epoch = Clock::now();
   }
   void disable() { Enabled.store(false, std::memory_order_relaxed); }
   bool enabled() const { return Enabled.load(std::memory_order_relaxed); }
 
+  /// Drops every event and restarts the epoch.
   void clear() {
     std::lock_guard<std::mutex> Lock(M);
     Events.clear();
-    OpenSpans = 0;
-    Epoch = Clock::now();
+    Overwritten = 0;
+    Epoch.store(ticks(), std::memory_order_relaxed);
   }
 
-  /// Not safe against concurrent recording; read after workers join.
+  /// The kept spans in no particular order. Not safe against concurrent
+  /// recording; read after workers join.
   const std::vector<TraceEvent> &events() const { return Events; }
 
   /// Microseconds since the recorder's epoch.
   double nowUs() const {
-    std::lock_guard<std::mutex> Lock(M);
-    return std::chrono::duration<double, std::micro>(Clock::now() - Epoch)
+    return std::chrono::duration<double, std::micro>(
+               Clock::duration(ticks() -
+                               Epoch.load(std::memory_order_relaxed)))
         .count();
   }
 
   /// Serializes as a Chrome trace_event JSON array (the "JSON Array
-  /// Format": a bare array of complete events, ph="X").
+  /// Format": a bare array of complete events, ph="X") in start order.
   std::string toChromeJson() const;
-
-  /// Compact indented text rendering, one line per span in start order.
-  std::string toText() const;
 
   // Span bookkeeping (used by TraceSpan); enter() stamps Tid and Depth.
   void enter(TraceEvent &E) {
     E.Tid = MyTid;
     E.Depth = MyDepth++;
-    std::lock_guard<std::mutex> Lock(M);
-    ++OpenSpans;
   }
-  void exit(TraceEvent E) {
+  void exit(const TraceEvent &E) {
     --MyDepth;
     std::lock_guard<std::mutex> Lock(M);
-    --OpenSpans;
-    Events.push_back(std::move(E));
+    if (Events.size() < Capacity)
+      Events.push_back(E);
+    else
+      Events[Overwritten++ % Capacity] = E;
   }
 
 private:
   using Clock = MonoClock;
-  mutable std::mutex M; ///< guards Events/OpenSpans/Epoch when enabled
+  static Clock::rep ticks() { return Clock::now().time_since_epoch().count(); }
+
+  std::mutex M; ///< guards Events/Overwritten
   std::atomic<bool> Enabled{false};
-  int OpenSpans = 0; ///< across all threads
+  std::atomic<Clock::rep> Epoch{ticks()};
   static inline std::atomic<uint32_t> NextTid{1};
   static inline thread_local uint32_t MyTid =
       NextTid.fetch_add(1, std::memory_order_relaxed);
   static inline thread_local int MyDepth = 0; ///< across recorders
-  Clock::time_point Epoch = Clock::now();
   std::vector<TraceEvent> Events;
+  size_t Overwritten = 0; ///< spans that replaced an older one
 };
 
 /// The request identity a thread is currently working for. Threaded
@@ -166,11 +193,13 @@ public:
     if (!R.enabled())
       return;
     Live = true;
-    E.Name = Name;
+    size_t N = std::min(Name.size(), TraceEvent::MaxName);
+    std::memcpy(E.NameBuf, Name.data(), N);
+    E.NameBuf[N] = '\0';
     RequestContext C = RequestScope::current();
     if (C.Id) {
-      E.Args.emplace_back("req", static_cast<int64_t>(C.Id));
-      E.Args.emplace_back("gen", static_cast<int64_t>(C.Generation));
+      arg("req", static_cast<int64_t>(C.Id));
+      arg("gen", static_cast<int64_t>(C.Generation));
     }
     E.StartUs = R.nowUs();
     R.enter(E);
@@ -180,14 +209,16 @@ public:
     if (!Live)
       return;
     E.DurUs = R.nowUs() - E.StartUs;
-    R.exit(std::move(E));
+    R.exit(E);
   }
 
   /// Attaches an integer argument, shown in the trace viewer's detail
-  /// pane. No-op when the recorder is disabled.
+  /// pane. \p Key is kept by pointer, so it must be a string literal (or
+  /// live as long). No-op when the recorder is disabled or the span already
+  /// holds TraceEvent::MaxArgs args.
   void arg(const char *Key, int64_t Value) {
-    if (Live)
-      E.Args.emplace_back(Key, Value);
+    if (Live && E.NumArgs < TraceEvent::MaxArgs)
+      E.ArgBuf[E.NumArgs++] = {Key, Value};
   }
 
   TraceSpan(const TraceSpan &) = delete;

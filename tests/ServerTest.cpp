@@ -1197,10 +1197,10 @@ TEST(CompileServiceTest, TracedRequestHasFrontendSpanAndStatus) {
   EXPECT_EQ(findById(Rs, 7301)->Status, ResponseStatus::Ok);
   int Frontend = 0;
   for (const TraceEvent &E : Rec.events()) {
-    if (E.Name != "cg.frontend")
+    if (E.name() != "cg.frontend")
       continue;
-    for (const auto &[Key, Value] : E.Args)
-      if (Key == "req" && Value == 7301)
+    for (const auto &[Key, Value] : E.args())
+      if (std::string_view(Key) == "req" && Value == 7301)
         ++Frontend;
   }
   Rec.clear();

@@ -267,6 +267,14 @@ TEST(Stats, JsonEscape) {
 // TraceRecorder
 //===----------------------------------------------------------------------===//
 
+/// The named arg of \p E, or -1 when it has none.
+int64_t argOf(const TraceEvent &E, std::string_view Key) {
+  for (const auto &[K, V] : E.args())
+    if (K == Key)
+      return V;
+  return -1;
+}
+
 TEST(Trace, DisabledRecorderRecordsNothing) {
   TraceRecorder R;
   {
@@ -291,7 +299,7 @@ TEST(Trace, SpanNesting) {
   // Events are recorded at destruction: inner2, inner, sibling, outer.
   auto Find = [&](const char *Name) -> const TraceEvent & {
     for (const TraceEvent &E : R.events())
-      if (E.Name == Name)
+      if (E.name() == Name)
         return E;
     static TraceEvent Missing;
     return Missing;
@@ -321,23 +329,50 @@ TEST(Trace, ChromeJsonWellFormed) {
   EXPECT_NE(Json.find("\"ts\":"), std::string::npos);
   EXPECT_NE(Json.find("\"dur\":"), std::string::npos);
   EXPECT_NE(Json.find("\"args\":{\"items\":12}"), std::string::npos);
-  EXPECT_NE(Json.find("phase \\\"one\\\""), std::string::npos);
+  size_t Outer = Json.find("phase \\\"one\\\""), Nested = Json.find("nested");
+  ASSERT_NE(Outer, std::string::npos);
+  ASSERT_NE(Nested, std::string::npos);
+  EXPECT_LT(Outer, Nested) << "events must be in start order, not "
+                              "destruction order:\n"
+                           << Json;
 }
 
-TEST(Trace, TextRenderingOrderedByStart) {
+TEST(Trace, RecorderKeepsTheNewestSpans) {
   TraceRecorder R;
   R.enable();
-  {
-    TraceSpan A("first", R);
-    TraceSpan B("second", R);
+  const size_t Extra = 5;
+  for (size_t I = 0; I < TraceRecorder::Capacity + Extra; ++I) {
+    TraceSpan S("span", R);
+    S.arg("i", static_cast<int64_t>(I));
   }
-  std::string Text = R.toText();
-  size_t First = Text.find("first"), Second = Text.find("second");
-  ASSERT_NE(First, std::string::npos);
-  ASSERT_NE(Second, std::string::npos);
-  EXPECT_LT(First, Second) << "text form must be in start order, not "
-                              "destruction order:\n"
-                           << Text;
+  ASSERT_EQ(R.events().size(), TraceRecorder::Capacity);
+  std::vector<int64_t> Kept;
+  for (const TraceEvent &E : R.events())
+    Kept.push_back(E.args()[0].Value);
+  std::sort(Kept.begin(), Kept.end());
+  EXPECT_EQ(Kept.front(), static_cast<int64_t>(Extra));
+  EXPECT_EQ(Kept.back(),
+            static_cast<int64_t>(TraceRecorder::Capacity + Extra - 1));
+  EXPECT_EQ(std::adjacent_find(Kept.begin(), Kept.end()), Kept.end());
+  R.clear();
+  EXPECT_TRUE(R.events().empty());
+}
+
+TEST(Trace, EventsHoldTruncatedNamesAndCappedArgs) {
+  TraceRecorder R;
+  R.enable();
+  const std::string Long(TraceEvent::MaxName + 10, 'n');
+  {
+    TraceSpan S(Long, R);
+    for (size_t I = 0; I < TraceEvent::MaxArgs + 3; ++I)
+      S.arg("k", static_cast<int64_t>(I));
+  }
+  ASSERT_EQ(R.events().size(), 1u);
+  const TraceEvent &E = R.events()[0];
+  EXPECT_EQ(E.name(), Long.substr(0, TraceEvent::MaxName));
+  ASSERT_EQ(E.args().size(), TraceEvent::MaxArgs);
+  EXPECT_EQ(E.args().back().Value,
+            static_cast<int64_t>(TraceEvent::MaxArgs - 1));
 }
 
 //===----------------------------------------------------------------------===//
@@ -375,10 +410,8 @@ TEST(Trace, RequestScopeTagsSpansAndNestsCorrectly) {
 
   auto ArgOf = [&](const char *Name, const char *Key) -> int64_t {
     for (const TraceEvent &E : R.events())
-      if (E.Name == Name)
-        for (const auto &A : E.Args)
-          if (A.first == Key)
-            return A.second;
+      if (E.name() == Name)
+        return argOf(E, Key);
     return -1;
   };
   EXPECT_EQ(ArgOf("outside", "req"), -1) << "no scope, no req arg";
@@ -454,17 +487,82 @@ TEST(Flight, DumpIsParseableOrderedAndNamesTheRequest) {
   EXPECT_STREQ(flightKindName(FlightKind::CrashSignal), "crash-signal");
 }
 
-// The acceptance criterion behind gg-report --trace: one request's span
-// structure is a deterministic function of the request, not of the
-// worker count. Filtering the trace by the req arg must yield the same
-// multiset of spans (names and request identity) at --threads=1 and 4.
-TEST(Trace, RequestSpanStructureIsThreadCountInvariant) {
-  const char *Source = R"(
+/// Four functions; the truncate-input fault blocks the first tree (the
+/// return in a), which the PCC fallback recovers.
+const char *FourFunctions = R"(
 int a(int x) { return x * 3 + 1; }
 int b(int x) { int i; int s; i = 0; s = 0; while (i < x) { s = s + i * i; i = i + 1; } return s; }
 int c(int x) { return a(x) + b(x); }
 int main() { print(c(6)); return a(1) + b(3); }
 )";
+
+/// Compiles FourFunctions at \p Threads with exactly one blocked tree.
+CodeGenStats compileWithOneBlockedTree(const VaxTarget &Target, int Threads) {
+  std::string Err;
+  faultInject().reset();
+  EXPECT_TRUE(faultInject().configure("truncate-input=1000", Err)) << Err;
+  Program P;
+  DiagnosticSink D;
+  EXPECT_TRUE(compileMiniC(FourFunctions, P, D)) << D.renderAll();
+  CodeGenOptions Opts;
+  Opts.Parallel.Threads = Threads;
+  GGCodeGenerator CG(Target, Opts);
+  std::string Asm;
+  EXPECT_TRUE(CG.compile(P, Asm, Err)) << Err;
+  faultInject().reset();
+  EXPECT_EQ(CG.stats().BlockedTrees, 1u);
+  EXPECT_EQ(CG.stats().RecoveredTrees, 1u);
+  return CG.stats();
+}
+
+// Tracing stops at function granularity: no per-tree spans, one
+// cg.fallback span per blocked tree, and each cg.function span carries
+// its trees' match tally, which adds up to what reached the registry.
+TEST(Trace, FunctionSpansCarryTheMatchTally) {
+  std::string Err;
+  std::unique_ptr<VaxTarget> Target = VaxTarget::create(Err);
+  ASSERT_TRUE(Target) << Err;
+  std::atomic<uint64_t> &Trees = stats().counter("match.trees");
+  LogHistogram &Steps = stats().histogram("match.steps_per_tree");
+  TraceRecorder &R = TraceRecorder::global();
+  for (int Threads : {1, 4}) {
+    SCOPED_TRACE(Threads);
+    const uint64_t Trees0 = Trees, Steps0 = Steps.sum();
+    R.clear();
+    R.enable();
+    compileWithOneBlockedTree(*Target, Threads);
+    R.disable();
+    int Functions = 0, Fallbacks = 0, FallbackArgs = 0;
+    int64_t FnTrees = 0, FnSteps = 0;
+    for (const TraceEvent &E : R.events()) {
+      EXPECT_NE(E.name(), "match.tree");
+      EXPECT_NE(E.name(), "cg.replay");
+      Fallbacks += E.name() == "cg.fallback";
+      if (E.name().rfind("cg.function ", 0) != 0)
+        continue;
+      ++Functions;
+      FnTrees += argOf(E, "trees");
+      FnSteps += argOf(E, "steps");
+      EXPECT_GT(argOf(E, "tokens"), 0) << E.name();
+      EXPECT_GT(argOf(E, "max_depth"), 0) << E.name();
+      EXPECT_GT(argOf(E, "cg.match"), 0) << E.name();
+      FallbackArgs += argOf(E, "cg.fallback") > 0;
+    }
+    EXPECT_EQ(Functions, 4);
+    EXPECT_EQ(Fallbacks, 1);
+    EXPECT_EQ(FallbackArgs, 1);
+    EXPECT_EQ(FnTrees, static_cast<int64_t>(Trees - Trees0));
+    EXPECT_EQ(FnSteps, static_cast<int64_t>(Steps.sum() - Steps0));
+  }
+  R.clear();
+}
+
+// The acceptance criterion behind gg-report --trace: one request's span
+// structure is a deterministic function of the request, not of the
+// worker count. Filtering the trace by the req arg must yield the same
+// multiset of spans (names, request identity and the function spans'
+// match tallies) at --threads=1 and 4, blocked tree included.
+TEST(Trace, RequestSpanStructureIsThreadCountInvariant) {
   std::string Err;
   std::unique_ptr<VaxTarget> Target = VaxTarget::create(Err);
   ASSERT_TRUE(Target) << Err;
@@ -475,29 +573,19 @@ int main() { print(c(6)); return a(1) + b(3); }
     R.enable();
     {
       RequestScope Scope(ReqId, 3);
-      Program P;
-      DiagnosticSink D;
-      EXPECT_TRUE(compileMiniC(Source, P, D)) << D.renderAll();
-      CodeGenOptions Opts;
-      Opts.Parallel.Threads = Threads;
-      GGCodeGenerator CG(*Target, Opts);
-      std::string Asm;
-      EXPECT_TRUE(CG.compile(P, Asm, Err)) << Err;
+      compileWithOneBlockedTree(*Target, Threads);
     }
     R.disable();
     std::vector<std::string> Names;
     for (const TraceEvent &E : R.events()) {
-      int64_t Req = -1, Gen = -1;
-      for (const auto &A : E.Args) {
-        if (A.first == "req")
-          Req = A.second;
-        else if (A.first == "gen")
-          Gen = A.second;
-      }
-      if (Req != static_cast<int64_t>(ReqId))
+      if (argOf(E, "req") != static_cast<int64_t>(ReqId))
         continue;
-      EXPECT_EQ(Gen, 3) << E.Name;
-      Names.push_back(E.Name);
+      EXPECT_EQ(argOf(E, "gen"), 3) << E.name();
+      std::string Span(E.name());
+      for (const char *Key : {"trees", "tokens", "steps", "max_depth"})
+        if (argOf(E, Key) >= 0)
+          Span += strf(" %s=%lld", Key, static_cast<long long>(argOf(E, Key)));
+      Names.push_back(Span);
     }
     std::sort(Names.begin(), Names.end());
     return Names;
@@ -507,8 +595,13 @@ int main() { print(c(6)); return a(1) + b(3); }
   std::vector<std::string> Parallel = SpansFor(4, 6002);
   ASSERT_FALSE(Serial.empty());
   // Per-function spans reached the trace from pool workers too.
-  EXPECT_NE(std::find(Serial.begin(), Serial.end(), "cg.function main"),
-            Serial.end());
+  auto Has = [&](const char *Prefix) {
+    return std::any_of(Serial.begin(), Serial.end(), [&](const auto &N) {
+      return N.rfind(Prefix, 0) == 0;
+    });
+  };
+  EXPECT_TRUE(Has("cg.function main trees="));
+  EXPECT_TRUE(Has("cg.fallback"));
   EXPECT_EQ(Serial, Parallel)
       << "span structure must not depend on the worker count";
 
@@ -541,7 +634,7 @@ int main() { print(c(6)); return a(1) + b(3); }
   std::set<uint32_t> FunctionTids;
   for (const TraceEvent &E : R.events()) {
     ByTid[E.Tid].push_back(&E);
-    if (E.Name.rfind("cg.function ", 0) == 0)
+    if (E.name().rfind("cg.function ", 0) == 0)
       FunctionTids.insert(E.Tid);
   }
   EXPECT_GT(FunctionTids.size(), 1u);
@@ -560,10 +653,10 @@ int main() { print(c(6)); return a(1) + b(3); }
       while (!Open.empty() && End(Open.back()) <= E->StartUs)
         Open.pop_back();
       EXPECT_EQ(E->Depth, static_cast<int>(Open.size()))
-          << E->Name << " on tid " << Tid;
+          << E->name() << " on tid " << Tid;
       if (!Open.empty()) {
         EXPECT_LE(End(E), End(Open.back()) + 1e-3)
-            << E->Name << " escapes " << Open.back()->Name;
+            << E->name() << " escapes " << Open.back()->name();
       }
       Open.push_back(E);
     }

@@ -986,8 +986,8 @@ int main(int argc, char **argv) {
 
   if (!Opt.BenchJsonPath.empty()) {
     // gg-bench-v1, same contract as bench/BenchCommon.h: metrics with
-    // "seconds" in the name are wall-clock (sentinel-exempt unless
-    // --time-threshold); the rest must be deterministic run to run.
+    // "seconds" in the name are wall-clock (sentinel-exempt); the rest
+    // must be deterministic run to run.
     // Overload legs write inherently noisy counts (sheds, retries) —
     // bench.sh names them via --bench-prefix and passes the prefix to
     // gg-report --noisy so the sentinel treats them as time-class.

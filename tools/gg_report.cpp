@@ -9,8 +9,7 @@
 //             [--fail-production-coverage=PCT]
 //             [--profile] [--profile-json=FILE] [--diff-pcc=FILE]
 //             [--fail-attribution-below=PCT]
-//             [--check-bench=FRESH:BASELINE] [--threshold=PCT]
-//             [--time-threshold=PCT] [--noisy=SUBSTR]
+//             [--check-bench=FRESH:BASELINE] [--threshold=PCT] [--noisy=SUBSTR]
 //             [--trace] [--slowest=N] [--fail-queue-wait-p99-ms=MS]
 //
 // Artifacts are dispatched on their "schema" field:
@@ -42,8 +41,8 @@
 // the raw event array). The server tags every span it emits with the
 // request id ("req" arg) and serving generation, so gg-report can join
 // each request's spans back into one end-to-end timeline: admission
-// (server.admit) -> queue wait (gap to server.request) -> the cg.* /
-// match.* phase spans -> total service time. --trace prints that
+// (server.admit) -> queue wait (gap to server.request) -> the cg.* phase
+// spans and cg.function phase args -> total service time. --trace prints that
 // per-request report (and fails if no trace artifact was given);
 // --slowest=N expands the N slowest requests with their per-phase
 // breakdown; --fail-queue-wait-p99-ms=MS exits nonzero when the joined
@@ -75,9 +74,8 @@
 // --check-bench=FRESH:BASELINE compares two gg-bench-v1 metric files: any
 // count metric deviating from the baseline by more than --threshold
 // percent (default 0.5) fails, as does a metric missing from FRESH.
-// Metrics with "seconds" in the name are wall-clock and skipped unless
-// --time-threshold=PCT opts them in; --noisy=SUBSTR (repeatable) extends
-// that treatment to any metric whose name contains SUBSTR — bench.sh
+// Metrics with "seconds" in the name are wall-clock and skipped, as is
+// any metric whose name contains a --noisy=SUBSTR (repeatable) — bench.sh
 // uses it for the overload leg's inherently scheduling-dependent counts
 // (sheds, retries). This is the benchmark regression sentinel:
 // scripts/bench.sh writes the files, check.sh runs the compare against
@@ -548,7 +546,8 @@ struct TraceRequest {
   double TotalUs = 0;   ///< server.request duration
   int64_t Gen = -1;     ///< serving table generation (span arg)
   int64_t Status = -1;  ///< wire ResponseStatus (span arg)
-  std::map<std::string, double> PhaseUs; ///< cg.*/match.* name -> summed dur
+  std::map<std::string, double> SpanUs;  ///< cg.*/match.* name -> summed dur
+  std::map<std::string, double> FnPhaseUs; ///< cg.function phase args
 
   /// Queue wait reconstructed from the admission-to-dispatch gap; the
   /// two spans live on different threads, but both timestamps come from
@@ -595,8 +594,13 @@ struct TraceReport {
           R.Gen = static_cast<int64_t>(G->Num);
         if (const JsonValue *S = Args->find("status"))
           R.Status = static_cast<int64_t>(S->Num);
+      } else if (N.rfind("cg.function ", 0) == 0) {
+        // A wrapper; its cg.* args are per-phase self times in ns.
+        for (const auto &[Key, V] : Args->Obj)
+          if (Key.rfind("cg.", 0) == 0)
+            R.FnPhaseUs[Key] += V.Num / 1000;
       } else if (N.rfind("cg.", 0) == 0 || N.rfind("match.", 0) == 0) {
-        R.PhaseUs[N] += Dur;
+        R.SpanUs[N] += Dur;
       }
     }
   }
@@ -656,11 +660,13 @@ bool TraceReport::print(int Slowest, double FailQueueP99Ms) const {
              static_cast<unsigned long long>(R.Id),
              static_cast<long long>(R.Gen), St, R.queueWaitMs(),
              R.TotalUs / 1000.0);
-    // Phase breakdown, largest first; cg.compile wraps the others, so
-    // name it separately rather than double-counting it into the sum.
+    // Phase breakdown, largest first. cg.compile wraps the others, and a
+    // span inside a function (cg.fallback) is in its args: count neither.
     std::vector<std::pair<double, std::string>> Phases;
-    for (const auto &[Name, Us] : R.PhaseUs)
-      if (Name != "cg.compile")
+    for (const auto &[Name, Us] : R.FnPhaseUs)
+      Phases.push_back({Us, Name});
+    for (const auto &[Name, Us] : R.SpanUs)
+      if (Name != "cg.compile" && !R.FnPhaseUs.count(Name))
         Phases.push_back({Us, Name});
     std::sort(Phases.begin(), Phases.end(),
               [](const auto &A, const auto &B) { return A.first > B.first; });
@@ -751,11 +757,9 @@ struct HistSummary {
 /// The sentinel compare: every baseline metric must exist in the fresh
 /// run and stay within the allowed relative deviation. Count metrics are
 /// deterministic, so the default threshold is tight; time metrics (and
-/// any metric matching a --noisy substring) are noisy and only checked
-/// when --time-threshold opts them in.
+/// any metric matching a --noisy substring) are noisy and skipped.
 bool checkBench(const BenchMetrics &Fresh, const BenchMetrics &Baseline,
-                double ThresholdPct, double TimeThresholdPct,
-                const std::vector<std::string> &Noisy) {
+                double ThresholdPct, const std::vector<std::string> &Noisy) {
   bool Ok = true;
   int Checked = 0, Skipped = 0;
   for (const auto &[Name, Base] : Baseline.Metrics) {
@@ -763,8 +767,7 @@ bool checkBench(const BenchMetrics &Fresh, const BenchMetrics &Baseline,
     for (const std::string &Sub : Noisy)
       if (Name.find(Sub) != std::string::npos)
         IsTime = true;
-    double Allowed = IsTime ? TimeThresholdPct : ThresholdPct;
-    if (Allowed < 0) {
+    if (IsTime) {
       ++Skipped;
       continue;
     }
@@ -777,10 +780,10 @@ bool checkBench(const BenchMetrics &Fresh, const BenchMetrics &Baseline,
     ++Checked;
     double Denom = std::max(std::fabs(Base), 1e-9);
     double DeltaPct = 100.0 * std::fabs(It->second - Base) / Denom;
-    if (DeltaPct > Allowed) {
+    if (DeltaPct > ThresholdPct) {
       fprintf(stderr, "  REGRESSION %s: %.6g -> %.6g (%+.2f%%, allowed %.2f%%)\n",
               Name.c_str(), Base, It->second,
-              100.0 * (It->second - Base) / Denom, Allowed);
+              100.0 * (It->second - Base) / Denom, ThresholdPct);
       Ok = false;
     }
   }
@@ -802,8 +805,7 @@ void printUsage(FILE *To) {
           "[--diff-pcc=FILE]\n"
           "                 [--fail-attribution-below=PCT]\n"
           "                 [--check-bench=FRESH:BASELINE] [--threshold=PCT]\n"
-          "                 [--time-threshold=PCT] [--noisy=SUBSTR]\n"
-          "                 [--trace] [--slowest=N]\n"
+          "                 [--noisy=SUBSTR] [--trace] [--slowest=N]\n"
           "                 [--fail-queue-wait-p99-ms=MS]\n"
           "\n"
           "Merges gg-coverage-v1 / gg-profile-v1 / gg-stats-v1 artifacts\n"
@@ -828,7 +830,7 @@ int main(int argc, char **argv) {
   int Top = 10, Slowest = 5;
   bool FailDeadBridge = false, FailZeroDyn = false, WantProfile = false;
   bool WantTrace = false;
-  double ThresholdPct = 0.5, TimeThresholdPct = -1, FailAttrBelow = -1;
+  double ThresholdPct = 0.5, FailAttrBelow = -1;
   double FailProdCovBelow = -1, FailQueueP99Ms = -1;
 
   for (int I = 1; I < argc; ++I) {
@@ -859,8 +861,6 @@ int main(int argc, char **argv) {
       FailAttrBelow = atof(A.c_str() + 25);
     else if (A.rfind("--threshold=", 0) == 0)
       ThresholdPct = atof(A.c_str() + 12);
-    else if (A.rfind("--time-threshold=", 0) == 0)
-      TimeThresholdPct = atof(A.c_str() + 17);
     else if (A.rfind("--noisy=", 0) == 0)
       Noisy.push_back(A.substr(8));
     else if (A == "--help" || A == "-h") {
@@ -1171,7 +1171,7 @@ int main(int argc, char **argv) {
     BenchMetrics Fresh, Base;
     if (!Fresh.load(FreshPath) || !Base.load(BasePath))
       return 1;
-    if (!checkBench(Fresh, Base, ThresholdPct, TimeThresholdPct, Noisy))
+    if (!checkBench(Fresh, Base, ThresholdPct, Noisy))
       Ok = false;
   }
 
