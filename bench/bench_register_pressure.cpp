@@ -94,7 +94,8 @@ int main() {
   for (const Row &R : Rows)
     printf("%-18s %-14s %8zu %8u %8u %9u %8u\n", R.Shape, R.Options,
            R.S.Instructions, R.S.Regs.Spills, R.S.Regs.Unspills,
-           R.S.Transform.SpillSplits, R.S.Regs.MaxLive);
+           R.S.Transform.SpillSplits,
+           static_cast<unsigned>(R.S.Regs.Live.Max));
   printf("\nexpected shape: with 1c off, the right-recursive tree forces "
          "runtime spills\n(virtual registers); 1c's explicit stores keep "
          "the selector inside the bank.\n");

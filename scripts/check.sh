@@ -23,7 +23,9 @@
 #    attributed to instrumented phases, and asserts the steps-timebase
 #    artifact is byte-identical across worker counts; both legs also
 #    assert that arming coverage and the profile together leaves each
-#    artifact byte-identical to a run that arms it alone,
+#    artifact byte-identical to a run that arms it alone, and a stats leg
+#    asserts every --stats-json counter (but cg.parallel.*) and histogram
+#    is identical across worker counts,
 # 7. runs the compile-server smoke: a live `compile_minic --serve`
 #    daemon (docs/server.md) under the sanitizers takes >= 1000 gg-load
 #    corpus requests across the whole fault matrix plus a supervisor
@@ -332,6 +334,21 @@ echo "   steps-timebase artifact byte-identical at --threads=1 vs 4"
 cmp "$TMP/prof.t4.json" "$TMP/prof.both.json" ||
   { echo "profile artifact changed with coverage armed too" >&2; exit 1; }
 echo "   steps-timebase artifact byte-identical with coverage armed too"
+
+# The stats map is a property of the input as well: every counter but the
+# pool's own cg.parallel.* ones, and every histogram, match across worker
+# counts. Values are seconds and are left out.
+"$BUILD_DIR"/examples/compile_minic --gen-corpus=6 --threads=1 \
+  --stats-json="$TMP/stats.t1.json" >/dev/null 2>&1
+"$BUILD_DIR"/examples/compile_minic --gen-corpus=6 --threads=4 \
+  --stats-json="$TMP/stats.t4.json" >/dev/null 2>&1
+stats_counts() {
+  sed -e 's/,"values":{[^}]*}//' -e 's/"cg\.parallel\.[a-z_]*":[0-9]*,//g' "$1"
+}
+cmp <(stats_counts "$TMP/stats.t1.json") <(stats_counts "$TMP/stats.t4.json") ||
+  { echo "stats counters or histograms differ between thread counts" >&2
+    exit 1; }
+echo "   stats counters and histograms identical at --threads=1 vs 4"
 
 # The no-artifact misuse paths must diagnose, not silently succeed.
 if "$BUILD_DIR"/tools/gg-report >/dev/null 2>"$TMP/noargs.err"; then

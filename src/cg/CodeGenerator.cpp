@@ -5,8 +5,8 @@
 #include "pcc/PccCodeGen.h"
 #include "support/FaultInject.h"
 #include "support/FlightRecorder.h"
+#include "support/Metrics.h"
 #include "support/Phase.h"
-#include "support/Stats.h"
 #include "support/Strings.h"
 #include "support/TableEvents.h"
 #include "support/Trace.h"
@@ -17,72 +17,6 @@
 using namespace gg;
 
 namespace {
-
-/// The code generator's registry entries, looked up once (the references
-/// are stable), so a compile takes no registry lock.
-struct CgStats {
-  using Counter = std::atomic<uint64_t>;
-  StatsRegistry &Reg = gg::stats();
-  Counter &Compiles = Reg.counter("cg.compiles");
-  Counter &Functions = Reg.counter("cg.functions");
-  Counter &Trees = Reg.counter("cg.trees");
-  Counter &BlockedTrees = Reg.counter("cg.blocked_trees");
-  Counter &RecoveredTrees = Reg.counter("cg.recovered_trees");
-  Counter &Threads = Reg.counter("cg.parallel.threads");
-  Counter &Tasks = Reg.counter("cg.parallel.tasks");
-  Counter &Steals = Reg.counter("cg.parallel.steals");
-  Counter &Binding = Reg.counter("idiom.binding_applied");
-  Counter &Range = Reg.counter("idiom.range_applied");
-  Counter &CCTestsElided = Reg.counter("idiom.cc_tests_elided");
-  Counter &PseudoExpansions = Reg.counter("idiom.pseudo_expansions");
-  Counter &AsmLines = Reg.counter("emit.asm_lines");
-  std::atomic<double> &TransformSeconds = Reg.value("cg.transform_seconds");
-  std::atomic<double> &MatchSeconds = Reg.value("cg.match_seconds");
-  std::atomic<double> &InstrGenSeconds = Reg.value("cg.instrgen_seconds");
-  std::atomic<double> &EmitSeconds = Reg.value("cg.emit_seconds");
-  std::atomic<double> &WorkerEmitSeconds =
-      Reg.value("cg.parallel.worker_emit_seconds");
-
-  static CgStats &get() {
-    static CgStats S;
-    return S;
-  }
-};
-
-/// Creates-at-zero every key the code generator's --stats-json schema
-/// promises (CgStats' own and the other stages'), so consumers (and the
-/// golden-schema test) see a stable key set even when a counter
-/// legitimately never fires — e.g. the peephole counters with the
-/// optimizer off, or regs.spills on spill-free input.
-/// match.chooser_invocations is always 0 (there is no tie-chooser hook;
-/// ties take the table's default) and stays only to keep gg-stats-v1.
-void touchSchemaKeys() {
-  static bool Done = [] {
-    StatsRegistry &S = CgStats::get().Reg;
-    for (const char *Name :
-         {"match.trees", "match.shifts", "match.reduces",
-          "match.dynamic_ties", "match.chooser_invocations",
-          "match.syntactic_blocks", "match.depth_cap_hits",
-          "match.budget_stops", "fault.productions_dropped",
-          "fault.trees_truncated", "fault.table_bytes_corrupted",
-          "fault.worker_stalls", "fault.arena_exhaustions",
-          "phase1.cond_branch_rewrites", "phase1.bool_value_rewrites",
-          "phase1.calls_factored", "phase1.constants_folded",
-          "phase1.canonicalizations", "phase1.subtrees_swapped",
-          "phase1.reverse_ops_used", "phase1.spill_splits",
-          "regs.allocations", "regs.spills", "regs.unspills",
-          "peephole.branch_to_next_removed", "peephole.branches_inverted",
-          "peephole.chains_collapsed", "peephole.unreachable_removed",
-          "emit.instructions"})
-      S.counter(Name);
-    for (const char *Name :
-         {"match.stack_depth", "match.tokens_per_tree",
-          "match.steps_per_tree", "regs.live"})
-      S.histogram(Name);
-    return true;
-  }();
-  (void)Done;
-}
 
 /// Everything one function's compilation produces, buffered privately so
 /// workers can run concurrently and compile() can stitch the results in
@@ -150,7 +84,6 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
   Emit.instRaw("subl2", {"$FRAME", "sp"});
 
   VaxSemantics Sem(Emit, F, Opts.Idioms);
-  CgStats &Shared = CgStats::get();
   const TerminalMap &Terms = Target.matcher().driver().termMap();
   // Reused across the function's trees, so a tree's match allocates
   // nothing once the buffers have grown to the function's largest tree.
@@ -164,7 +97,6 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
     // its worker on the slower path.
     if (Opts.Budget && Opts.Budget->shouldStop(0)) {
       ++R.Stats.BlockedTrees;
-      ++Shared.BlockedTrees;
       R.Err = strf("request budget exhausted (%s) before tree: %s",
                    budgetStopName(Opts.Budget->Stopped.load(
                        std::memory_order_relaxed)),
@@ -176,7 +108,6 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
       if (Opts.Budget)
         Opts.Budget->stop(BudgetStop::Memory);
       ++R.Stats.BlockedTrees;
-      ++Shared.BlockedTrees;
       R.Err = strf("node arena byte budget exhausted (%zu bytes) before "
                    "tree: %s",
                    LocalArena.bytes(),
@@ -233,7 +164,6 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
               : strf("%s\n  while matching: %s", MR.Error.c_str(),
                      printLinear(Tree, Prog.Syms).c_str());
     ++R.Stats.BlockedTrees;
-    ++Shared.BlockedTrees;
     flightRecord(FlightKind::Block,
                  MR.Block ? static_cast<int64_t>(MR.Block->State) : -1);
     if (MR.Block && MR.Block->Why == BlockReport::Cause::Budget) {
@@ -266,7 +196,6 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
     // Spliced code clobbers condition codes behind the CC tracker's back.
     Sem.invalidateCC();
     ++R.Stats.RecoveredTrees;
-    ++Shared.RecoveredTrees;
     ++R.Stats.StatementTrees;
     return true;
   };
@@ -320,10 +249,10 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
 
     // Patch the prologue with the final frame size.
     Emit.patchLine(PrologueLine, strf("\tsubl2\t$%d,sp", F.FrameSize));
-
-    R.Stats.Regs = Sem.regStats();
-    R.Stats.Idioms = Sem.idiomStats();
   }
+  R.Stats.Functions = 1;
+  R.Stats.Regs = Sem.regStats();
+  R.Stats.Idioms = Sem.idiomStats();
   // The function span carries its trees' detail: the match tally and the
   // self time of each phase the account charged, in nanoseconds.
   if (FnSpan) {
@@ -337,41 +266,18 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
         FnSpan->arg(phaseName(static_cast<Phase>(P)),
                     static_cast<int64_t>(R.Stats.Phases.Seconds[P] * 1e9));
   }
-  // The function's match.* counts reach the registry once, whether it
-  // compiled or failed.
+  // The function's counts reach the registry once, whether it compiled
+  // or failed.
+  publishMetrics<MetricWhen::Function>(R.Stats);
   MR.Tally.publish();
 }
 
 } // namespace
 
 CodeGenStats &CodeGenStats::operator+=(const CodeGenStats &O) {
-  TransformSeconds += O.TransformSeconds;
-  MatchSeconds += O.MatchSeconds;
-  InstrGenSeconds += O.InstrGenSeconds;
-  EmitSeconds += O.EmitSeconds;
-  StatementTrees += O.StatementTrees;
+  sumMetrics(*this, O);
   MatcherTokens += O.MatcherTokens;
   MatcherSteps += O.MatcherSteps;
-  Instructions += O.Instructions;
-  AsmLines += O.AsmLines;
-  BlockedTrees += O.BlockedTrees;
-  RecoveredTrees += O.RecoveredTrees;
-  Regs.Allocations += O.Regs.Allocations;
-  Regs.Spills += O.Regs.Spills;
-  Regs.Unspills += O.Regs.Unspills;
-  Regs.MaxLive = std::max(Regs.MaxLive, O.Regs.MaxLive);
-  Idioms.BindingApplied += O.Idioms.BindingApplied;
-  Idioms.RangeApplied += O.Idioms.RangeApplied;
-  Idioms.CCTestsElided += O.Idioms.CCTestsElided;
-  Idioms.PseudoExpansions += O.Idioms.PseudoExpansions;
-  Transform += O.Transform;
-  Peephole.BranchToNextRemoved += O.Peephole.BranchToNextRemoved;
-  Peephole.BranchesInverted += O.Peephole.BranchesInverted;
-  Peephole.ChainsCollapsed += O.Peephole.ChainsCollapsed;
-  Peephole.UnreachableRemoved += O.Peephole.UnreachableRemoved;
-  Parallel.Workers += O.Parallel.Workers;
-  Parallel.Tasks += O.Parallel.Tasks;
-  Parallel.Steals += O.Parallel.Steals;
   Phases += O.Phases;
   return *this;
 }
@@ -400,9 +306,15 @@ void gg::emitDataSection(const Program &Prog, AsmEmitter &Emit) {
 bool GGCodeGenerator::compile(Program &Prog, std::string &Asm,
                               std::string &Err) {
   Stats = CodeGenStats();
+  Stats.Compiles = 1;
+  // The compile's own counts reach the registry once, on every exit path
+  // (its functions publish theirs in compileOneFunction).
+  auto Publish = [this] {
+    publishMetrics<MetricWhen::Compile, MetricWhen::GGCompile>(Stats);
+  };
   Trace.clear();
   Diags = DiagnosticSink();
-  touchSchemaKeys();
+  touchMetrics(MetricGroup::Compile);
   tableEvents().noteCompile();
   PhaseAccount Account(Stats.Phases);
   PhaseScope TotalScope(Phase::Total);
@@ -424,7 +336,7 @@ bool GGCodeGenerator::compile(Program &Prog, std::string &Asm,
     PhaseScope PS(Phase::Transform, Opts.Budget,
                   static_cast<int64_t>(Prog.Functions.size()));
     for (Function &F : Prog.Functions)
-      Stats.Transform += runPhase1(Prog, F, Opts.Transform);
+      runPhase1(Prog, F, Opts.Transform, Stats.Transform);
   }
 
   // Phase 1 allocates from the program's shared arena; an exhausted arena
@@ -437,6 +349,7 @@ bool GGCodeGenerator::compile(Program &Prog, std::string &Asm,
                "transformation",
                Prog.Arena->bytes());
     Diags.error(Err);
+    Publish();
     return false;
   }
 
@@ -483,31 +396,27 @@ bool GGCodeGenerator::compile(Program &Prog, std::string &Asm,
   for (const FunctionResult &R : Results)
     NumLines += R.Emit->lineCount();
   Emit.reserve(NumLines);
-  CgStats &Shared = CgStats::get();
   for (size_t I = 0; I < NumFns; ++I) {
     FunctionResult &R = Results[I];
     Diags.append(R.Diags);
     if (!R.Ok) {
       Err = R.Err;
+      Publish();
       return false;
     }
     Trace += R.TraceText;
     Stats += R.Stats;
     Emit.append(std::move(*R.Emit));
-
-    ++Shared.Functions;
-    Shared.Binding += R.Stats.Idioms.BindingApplied;
-    Shared.Range += R.Stats.Idioms.RangeApplied;
-    Shared.CCTestsElided += R.Stats.Idioms.CCTestsElided;
-    Shared.PseudoExpansions += R.Stats.Idioms.PseudoExpansions;
   }
 
   if (Opts.Peephole)
     Stats.Peephole = runPeephole(Emit.linesMutable());
   // Until the final render every Emit charge came from the workers.
-  Shared.WorkerEmitSeconds += Stats.Phases[Phase::Emit];
+  Stats.WorkerEmitSeconds = Stats.Phases[Phase::Emit];
 
-  Stats.Instructions = Emit.instructionCount();
+  // The emitter counted the instructions the peephole pass deleted.
+  Stats.Instructions =
+      Emit.instructionCount() - Stats.Peephole.instructionsRemoved();
   Asm += Emit.text();
   Stats.AsmLines = Emit.lineCount();
   // Figure-2 accounting from the phase clock's self times: phase 3 is
@@ -519,16 +428,6 @@ bool GGCodeGenerator::compile(Program &Prog, std::string &Asm,
   Stats.InstrGenSeconds =
       Stats.Phases[Phase::Replay] + Stats.Phases[Phase::Fallback];
   Stats.EmitSeconds = Stats.Phases[Phase::Emit];
-
-  ++Shared.Compiles;
-  Shared.Trees += Stats.StatementTrees;
-  Shared.AsmLines += Stats.AsmLines;
-  Shared.Threads += Stats.Parallel.Workers;
-  Shared.Tasks += Stats.Parallel.Tasks;
-  Shared.Steals += Stats.Parallel.Steals;
-  Shared.TransformSeconds += Stats.TransformSeconds;
-  Shared.MatchSeconds += Stats.MatchSeconds;
-  Shared.InstrGenSeconds += Stats.InstrGenSeconds;
-  Shared.EmitSeconds += Stats.EmitSeconds;
+  Publish();
   return true;
 }

@@ -80,15 +80,19 @@ struct CodeGenOptions {
 /// are the paper's Figure-2 phases and are disjoint phase-clock self
 /// times: instruction generation (replay and PCC fallback) excludes the
 /// output formatting it is interleaved with, charged to EmitSeconds.
+/// support/Metrics.def maps the fields to their gg-stats-v1 keys.
 struct CodeGenStats {
   double TransformSeconds = 0;
   double MatchSeconds = 0;
   double InstrGenSeconds = 0;
   double EmitSeconds = 0; ///< phase 4: operand formatting + text rendering
+  double WorkerEmitSeconds = 0; ///< EmitSeconds before the final render
+  size_t Compiles = 0;
+  size_t Functions = 0;
   size_t StatementTrees = 0;
   size_t MatcherTokens = 0;
   size_t MatcherSteps = 0;
-  size_t Instructions = 0;
+  size_t Instructions = 0; ///< in the output, after the peephole pass
   size_t AsmLines = 0;
   /// Degradation-ladder outcomes: trees whose match/replay failed, and
   /// the subset regenerated successfully through the PCC baseline.
@@ -102,7 +106,7 @@ struct CodeGenStats {
   PoolRunStats Parallel;
   PhaseTimes Phases; ///< self seconds; the four above derive from it
 
-  /// Adds \p O into this (counts and seconds sum; MaxLive takes the max).
+  /// Adds \p O into this (counts, seconds and histograms sum).
   CodeGenStats &operator+=(const CodeGenStats &O);
 };
 

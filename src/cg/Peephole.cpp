@@ -1,7 +1,6 @@
 //===- Peephole.cpp - assembly-level peephole optimizer ------------------------===//
 
 #include "cg/Peephole.h"
-#include "support/Stats.h"
 #include "support/Strings.h"
 #include "support/Trace.h"
 
@@ -240,17 +239,6 @@ PeepholeStats gg::runPeephole(std::vector<std::string> &Lines) {
   TraceSpan Span("cg.peephole");
   PeepholePass Pass(Lines);
   PeepholeStats PS = Pass.run();
-
-  // Registry entries are stable: look them up once.
-  StatsRegistry &S = stats();
-  static auto &ToNext = S.counter("peephole.branch_to_next_removed");
-  static auto &Inverted = S.counter("peephole.branches_inverted");
-  static auto &Chains = S.counter("peephole.chains_collapsed");
-  static auto &Unreachable = S.counter("peephole.unreachable_removed");
-  ToNext += PS.BranchToNextRemoved;
-  Inverted += PS.BranchesInverted;
-  Chains += PS.ChainsCollapsed;
-  Unreachable += PS.UnreachableRemoved;
   Span.arg("rewrites", PS.total());
   return PS;
 }

@@ -44,6 +44,11 @@ struct PeepholeStats {
     return BranchToNextRemoved + BranchesInverted + ChainsCollapsed +
            UnreachableRemoved;
   }
+
+  /// Every rewrite but a chain collapse deletes one instruction line.
+  unsigned instructionsRemoved() const {
+    return BranchToNextRemoved + BranchesInverted + UnreachableRemoved;
+  }
 };
 
 /// Optimizes assembly \p Lines in place (the AsmEmitter line vector).

@@ -3,7 +3,6 @@
 #include "cg/Transform.h"
 #include "ir/Fold.h"
 #include "support/Error.h"
-#include "support/Stats.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -49,10 +48,11 @@ bool isConstLike(const Node *N) {
 
 class Phase1 {
 public:
-  Phase1(Program &P, Function &F, const TransformOptions &Opts)
-      : P(P), F(F), Opts(Opts), A(*P.Arena) {}
+  Phase1(Program &P, Function &F, const TransformOptions &Opts,
+         TransformStats &Stats)
+      : P(P), F(F), Opts(Opts), A(*P.Arena), Stats(Stats) {}
 
-  TransformStats run() {
+  void run() {
     std::vector<Node *> Original = std::move(F.Body);
     F.Body.clear();
     for (Node *S : Original)
@@ -69,7 +69,6 @@ public:
       Out.push_back(S);
     }
     F.Body = std::move(Out);
-    return Stats;
   }
 
 private:
@@ -78,7 +77,7 @@ private:
   TransformOptions Opts;
   NodeArena &A;
   std::vector<Node *> Out;
-  TransformStats Stats;
+  TransformStats &Stats;
 
   void emit(Node *S) { Out.push_back(S); }
 
@@ -773,31 +772,8 @@ int gg::registerNeed(const Node *N) {
   }
 }
 
-TransformStats gg::runPhase1(Program &P, Function &F,
-                             const TransformOptions &Opts) {
+void gg::runPhase1(Program &P, Function &F, const TransformOptions &Opts,
+                   TransformStats &Stats) {
   TraceSpan Span("cg.phase1");
-  Phase1 Impl(P, F, Opts);
-  TransformStats TS = Impl.run();
-
-  // Publish the rewrite-rule hit counts so --stats-json sees phase 1's
-  // contribution without every caller re-aggregating TransformStats. The
-  // entries are stable: look them up once.
-  StatsRegistry &S = stats();
-  static auto &CondBranch = S.counter("phase1.cond_branch_rewrites");
-  static auto &BoolValue = S.counter("phase1.bool_value_rewrites");
-  static auto &Calls = S.counter("phase1.calls_factored");
-  static auto &Folded = S.counter("phase1.constants_folded");
-  static auto &Canonical = S.counter("phase1.canonicalizations");
-  static auto &Swapped = S.counter("phase1.subtrees_swapped");
-  static auto &ReverseOps = S.counter("phase1.reverse_ops_used");
-  static auto &SpillSplits = S.counter("phase1.spill_splits");
-  CondBranch += TS.CondBranchRewrites;
-  BoolValue += TS.BoolValueRewrites;
-  Calls += TS.CallsFactored;
-  Folded += TS.ConstantsFolded;
-  Canonical += TS.Canonicalizations;
-  Swapped += TS.SubtreesSwapped;
-  ReverseOps += TS.ReverseOpsUsed;
-  SpillSplits += TS.SpillSplits;
-  return TS;
+  Phase1(P, F, Opts, Stats).run();
 }

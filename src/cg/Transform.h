@@ -51,23 +51,12 @@ struct TransformStats {
   unsigned SubtreesSwapped = 0;
   unsigned ReverseOpsUsed = 0;
   unsigned SpillSplits = 0;
-
-  TransformStats &operator+=(const TransformStats &O) {
-    CondBranchRewrites += O.CondBranchRewrites;
-    BoolValueRewrites += O.BoolValueRewrites;
-    CallsFactored += O.CallsFactored;
-    ConstantsFolded += O.ConstantsFolded;
-    Canonicalizations += O.Canonicalizations;
-    SubtreesSwapped += O.SubtreesSwapped;
-    ReverseOpsUsed += O.ReverseOpsUsed;
-    SpillSplits += O.SpillSplits;
-    return *this;
-  }
 };
 
-/// Runs phases 1a, 1b and 1c over \p F in place (new statement forest).
-TransformStats runPhase1(Program &P, Function &F,
-                         const TransformOptions &Opts = {});
+/// Runs phases 1a, 1b and 1c over \p F in place (new statement forest),
+/// adding its rewrite counts into \p Stats.
+void runPhase1(Program &P, Function &F, const TransformOptions &Opts,
+               TransformStats &Stats);
 
 /// Sethi-Ullman-style register-need estimate used by the 1c spill
 /// prevention (memory leaves need no register; operators need at least 1).

@@ -3,6 +3,7 @@
 #include "ir/Node.h"
 #include "support/Error.h"
 #include "support/FaultInject.h"
+#include "support/Metrics.h"
 #include "support/Strings.h"
 
 using namespace gg;
@@ -19,7 +20,7 @@ void NodeArena::noteExhausted() {
   if (Exhausted)
     return;
   Exhausted = true;
-  faultInject().noteArenaExhaustion();
+  ++counter(Metric::FaultArenaExhaustions);
 }
 
 namespace {

@@ -1,7 +1,7 @@
 //===- Matcher.cpp - instruction pattern matcher ---------------------------===//
 
 #include "match/Matcher.h"
-#include "support/Stats.h"
+#include "support/Metrics.h"
 #include "support/Strings.h"
 #include "support/TableEvents.h"
 
@@ -60,28 +60,6 @@ std::string BlockReport::render() const {
 }
 
 namespace {
-
-/// The matcher's registry entries. Entry references are stable, so they
-/// are looked up once (and the entries are atomics, safe for concurrent
-/// publishers).
-struct MatchStats {
-  StatsRegistry &Reg = stats();
-  std::atomic<uint64_t> &Trees = Reg.counter("match.trees");
-  std::atomic<uint64_t> &Shifts = Reg.counter("match.shifts");
-  std::atomic<uint64_t> &Reduces = Reg.counter("match.reduces");
-  std::atomic<uint64_t> &Ties = Reg.counter("match.dynamic_ties");
-  std::atomic<uint64_t> &Blocks = Reg.counter("match.syntactic_blocks");
-  std::atomic<uint64_t> &CapHits = Reg.counter("match.depth_cap_hits");
-  std::atomic<uint64_t> &BudgetStops = Reg.counter("match.budget_stops");
-  LogHistogram &Depth = Reg.histogram("match.stack_depth");
-  LogHistogram &Tokens = Reg.histogram("match.tokens_per_tree");
-  LogHistogram &Steps = Reg.histogram("match.steps_per_tree");
-
-  static MatchStats &get() {
-    static MatchStats S;
-    return S;
-  }
-};
 
 /// Everything match() does beyond the parse: records the MatchStep
 /// sequence, polls the request budget, builds the BlockReport, and charges
@@ -235,17 +213,7 @@ struct MatchObserver : LRObserver {
 void MatchTally::publish() {
   if (!Trees)
     return;
-  MatchStats &S = MatchStats::get();
-  S.Trees += Trees;
-  S.Shifts += Shifts;
-  S.Reduces += Reduces;
-  S.Ties += Ties;
-  S.Blocks += Blocks;
-  S.CapHits += CapHits;
-  S.BudgetStops += BudgetStops;
-  S.Depth.merge(Depth);
-  S.Tokens.merge(Tokens);
-  S.Steps.merge(Steps);
+  publishMetrics<MetricWhen::Tally>(*this);
   *this = MatchTally();
 }
 

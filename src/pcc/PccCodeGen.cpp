@@ -4,6 +4,7 @@
 #include "cg/CodeGenerator.h" // emitDataSection
 #include "cg/Transform.h"
 #include "support/Error.h"
+#include "support/Metrics.h"
 #include "support/Phase.h"
 #include "support/Strings.h"
 #include "support/TableEvents.h"
@@ -583,7 +584,7 @@ bool PccCodeGenerator::compile(Program &Prog, std::string &Asm,
     TO.Reorder = false;
     TO.ReverseOps = false;
     TO.PreventSpills = false;
-    runPhase1(Prog, F, TO);
+    runPhase1(Prog, F, TO, Stats.Transform);
     Stats.StatementTrees += F.Body.size();
 
     Emit.blank();
@@ -597,6 +598,7 @@ bool PccCodeGenerator::compile(Program &Prog, std::string &Asm,
     PccFunctionGen Gen(Prog, F, Emit, Diags);
     if (!Gen.run()) {
       Err = Diags.renderAll();
+      publishMetrics<MetricWhen::Compile>(Stats);
       return false;
     }
     Emit.patchLine(PrologueLine, strf("\tsubl2\t$%d,sp", F.FrameSize));
@@ -606,6 +608,8 @@ bool PccCodeGenerator::compile(Program &Prog, std::string &Asm,
   Stats.AsmLines = Emit.lineCount();
   // Charged up to the final render's Emit scope: the whole compile.
   Stats.Seconds = Times[Phase::PccCompile] + Times[Phase::Emit];
+  // The rows both backends share: phase-1 rewrites and instructions.
+  publishMetrics<MetricWhen::Compile>(Stats);
   return true;
 }
 

@@ -24,6 +24,7 @@
 #ifndef GG_PCC_PCCCODEGEN_H
 #define GG_PCC_PCCCODEGEN_H
 
+#include "cg/Transform.h"
 #include "ir/Program.h"
 #include "support/Error.h"
 
@@ -38,6 +39,7 @@ class AsmEmitter;
 struct PccStats {
   double Seconds = 0; ///< phase-clock seconds, final render included
   size_t Instructions = 0;
+  TransformStats Transform; ///< phase-1a rewrites
   size_t AsmLines = 0;
   size_t StatementTrees = 0;
 };

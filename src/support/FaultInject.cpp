@@ -1,7 +1,7 @@
 //===- FaultInject.cpp - deterministic fault injection ------------------------===//
 
 #include "support/FaultInject.h"
-#include "support/Stats.h"
+#include "support/Metrics.h"
 #include "support/Strings.h"
 
 #include <chrono>
@@ -152,8 +152,7 @@ bool FaultInjector::configure(std::string_view Spec, std::string &Err) {
 bool FaultInjector::shouldDropProduction(std::string_view SemTag) {
   if (C.DropProdTag.empty() || SemTag != C.DropProdTag)
     return false;
-  static auto &Dropped = stats().counter("fault.productions_dropped");
-  ++Dropped;
+  ++counter(Metric::FaultProductionsDropped);
   return true;
 }
 
@@ -169,14 +168,8 @@ size_t FaultInjector::truncatedInputSize(size_t NumTokens, uint64_t Ordinal) {
   if (NumTokens < 2)
     return NumTokens;
   size_t Keep = NumTokens - (NumTokens / 4 > 0 ? NumTokens / 4 : 1);
-  static auto &Truncated = stats().counter("fault.trees_truncated");
-  ++Truncated;
+  ++counter(Metric::FaultTreesTruncated);
   return Keep;
-}
-
-void FaultInjector::noteArenaExhaustion() {
-  static auto &Exhaustions = stats().counter("fault.arena_exhaustions");
-  ++Exhaustions;
 }
 
 void FaultInjector::stallWorker(uint64_t TaskOrdinal) {
@@ -188,8 +181,7 @@ void FaultInjector::stallWorker(uint64_t TaskOrdinal) {
   uint64_t H = (C.Seed * 2654435761u) ^ (TaskOrdinal * 0x9E3779B97F4A7C15ull);
   uint64_t DelayUs =
       (H >> 7) % (static_cast<uint64_t>(C.StallWorkerMs) * 1000 + 1);
-  static auto &Stalls = stats().counter("fault.worker_stalls");
-  ++Stalls;
+  ++counter(Metric::FaultWorkerStalls);
   std::this_thread::sleep_for(std::chrono::microseconds(DelayUs));
 }
 
@@ -201,14 +193,8 @@ void FaultInjector::overloadBurst() {
   uint64_t Ordinal = DispatchOrdinal.fetch_add(1, std::memory_order_relaxed);
   if ((Ordinal / 8) % 2 != 0)
     return;
-  static auto &Bursts = stats().counter("fault.overload_bursts");
-  ++Bursts;
+  ++counter(Metric::FaultOverloadBursts);
   std::this_thread::sleep_for(std::chrono::milliseconds(C.OverloadBurstMs));
-}
-
-void FaultInjector::noteSlowClientWrite() {
-  static auto &SlowWrites = stats().counter("fault.slow_client_writes");
-  ++SlowWrites;
 }
 
 int64_t FaultInjector::corruptTableBody(std::string &TableText,
@@ -221,7 +207,6 @@ int64_t FaultInjector::corruptTableBody(std::string &TableText,
                      : C.Seed * 2654435761u; // Knuth hash of the seed
   size_t Pos = BodyStart + static_cast<size_t>(Off % BodyLen);
   TableText[Pos] ^= 0x01;
-  static auto &Corrupted = stats().counter("fault.table_bytes_corrupted");
-  ++Corrupted;
+  ++counter(Metric::FaultTableBytesCorrupted);
   return static_cast<int64_t>(Pos - BodyStart);
 }

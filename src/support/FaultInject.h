@@ -142,11 +142,6 @@ public:
   /// NodeArena::setLimitBytes.
   int64_t arenaCapBytes() const { return C.ArenaCapBytes; }
 
-  /// Counts one sticky arena-cap trip under `fault.arena_exhaustions`
-  /// (called by NodeArena the first time an allocation exceeds its cap,
-  /// whether the cap came from the fault or from a request budget).
-  void noteArenaExhaustion();
-
   /// stall-worker fault: sleeps for a deterministic, seed-derived delay
   /// for compile task \p TaskOrdinal (counts `fault.worker_stalls`). No-op
   /// when the fault is off. Different ordinals get different delays, so
@@ -167,9 +162,8 @@ public:
 
   /// slow-client fault: the inter-chunk delay (ms) a load client should
   /// insert while writing a frame, or 0 when off. The caller counts
-  /// `fault.slow_client_writes` via noteSlowClientWrite() per frame.
+  /// `fault.slow_client_writes` per frame.
   int slowClientChunkMs() const { return C.SlowClientMs; }
-  void noteSlowClientWrite();
 
 private:
   FaultConfig C;

@@ -4,8 +4,8 @@
 #include "support/ExitCodes.h"
 #include "support/FaultInject.h"
 #include "support/FlightRecorder.h"
+#include "support/Metrics.h"
 #include "support/Phase.h"
-#include "support/Stats.h"
 #include "support/Strings.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
@@ -22,47 +22,6 @@
 using namespace gg;
 
 namespace {
-
-/// The server's registry entries, looked up once: a served request takes
-/// no registry lock. Constructing them creates every server.* key the
-/// gg-stats-v1 artifact promises, so a freshly started server dumps a
-/// stable schema even before its first request.
-struct ServerStats {
-  using Counter = std::atomic<uint64_t>;
-  StatsRegistry &Reg = stats();
-  Counter &Requests = Reg.counter("server.requests");
-  Counter &Ok = Reg.counter("server.ok");
-  Counter &CompileErrors = Reg.counter("server.compile_errors");
-  Counter &Quarantined = Reg.counter("server.quarantined");
-  Counter &DeadlineKills = Reg.counter("server.deadline_kills");
-  Counter &StepBudgetKills = Reg.counter("server.step_budget_kills");
-  Counter &MemBudgetKills = Reg.counter("server.mem_budget_kills");
-  Counter &WatchdogKills = Reg.counter("server.watchdog_kills");
-  Counter &ProtocolErrors = Reg.counter("server.protocol_errors");
-  Counter &Resyncs = Reg.counter("server.resyncs");
-  Counter &Restarts = Reg.counter("server.restarts");
-  Counter &FallbackTrees = Reg.counter("server.fallback_trees");
-  Counter &BlockedTrees = Reg.counter("server.blocked_trees");
-  Counter &DiscardedResults = Reg.counter("server.discarded_results");
-  Counter &Connections = Reg.counter("server.connections");
-  Counter &Overloaded = Reg.counter("server.overloaded");
-  Counter &ShedQueueFull = Reg.counter("server.shed_queue_full");
-  Counter &ShedOldest = Reg.counter("server.shed_oldest");
-  Counter &ShedQueueDeadline = Reg.counter("server.shed_queue_deadline");
-  Counter &ShedAdmission = Reg.counter("server.shed_admission_deadline");
-  Counter &ShedDraining = Reg.counter("server.shed_draining");
-  Counter &Drains = Reg.counter("server.drains");
-  Counter &Reloads = Reg.counter("server.reloads");
-  Counter &ReloadFailures = Reg.counter("server.reload_failures");
-  LogHistogram &RequestMs = Reg.histogram("server.request_ms");
-  LogHistogram &QueueDepth = Reg.histogram("server.queue_depth");
-  LogHistogram &QueueWaitMs = Reg.histogram("server.queue_wait_ms");
-
-  static ServerStats &get() {
-    static ServerStats S;
-    return S;
-  }
-};
 
 /// Writes all of \p Data to \p Fd, retrying short writes and EINTR.
 /// Returns false once the peer is gone (EPIPE/ECONNRESET); SIGPIPE is
@@ -135,7 +94,9 @@ struct Server::Active {
 
 Server::Server(CompileHandler Handler, ServerOptions Opts)
     : Handler(std::move(Handler)), Opts(Opts) {
-  ServerStats::get().Restarts += Opts.Generation;
+  // A fresh server dumps the whole server.* schema.
+  touchMetrics(MetricGroup::Server);
+  counter(Metric::ServerRestarts) += Opts.Generation;
   LatRing = std::make_unique<LatSample[]>(LatRingSize);
   if (::pipe(WakePipe) != 0)
     WakePipe[0] = WakePipe[1] = -1;
@@ -209,17 +170,14 @@ std::string Server::statusJson() {
   };
   double WindowS = static_cast<double>(EffWindow) / 1e9;
 
-  StatsRegistry &Reg = stats();
   std::string Counters = "{";
   bool FirstC = true;
-  for (const char *Name :
-       {"server.requests", "server.ok", "server.compile_errors",
-        "server.quarantined", "server.watchdog_kills", "server.overloaded",
-        "server.protocol_errors", "server.resyncs", "server.drains",
-        "server.reloads", "server.reload_failures", "server.connections",
-        "server.discarded_results"}) {
-    Counters += strf("%s\"%s\":%llu", FirstC ? "" : ",", Name + 7,
-                     static_cast<unsigned long long>(Reg.counter(Name)));
+  for (size_t I = 0; I < NumMetrics; ++I) {
+    const Metric M = static_cast<Metric>(I);
+    if (!inStatusFrame(M))
+      continue;
+    Counters += strf("%s\"%s\":%llu", FirstC ? "" : ",", metricKey(M) + 7,
+                     static_cast<unsigned long long>(counter(M)));
     FirstC = false;
   }
   Counters += "}";
@@ -290,7 +248,7 @@ void Server::requestDrain() {
     Stopping = true;
     DrainStartNs = RequestBudget::nowNs();
   }
-  ++ServerStats::get().Drains;
+  ++counter(Metric::ServerDrains);
   flightRecord(FlightKind::Drain);
   closeQueue(); // queued work still completes; only admissions stop
   wakePumps();
@@ -397,8 +355,8 @@ void Server::watchdogScan() {
     // result is discarded by the Responded flag.
     if (!A->claimResponse())
       continue;
-    ++ServerStats::get().WatchdogKills;
-    ++ServerStats::get().Quarantined;
+    ++counter(Metric::ServerWatchdogKills);
+    ++counter(Metric::ServerQuarantined);
     flightRecordFor(FlightKind::WatchdogKill, A->TraceId, 0,
                     static_cast<int64_t>((Now - Deadline) / 1000000ull));
     ResponseMsg M;
@@ -442,27 +400,15 @@ void Server::shed(const std::shared_ptr<Active> &A, OverloadCause Cause,
   }
   if (!A->claimResponse())
     return; // the watchdog already answered for this request
-  ServerStats &Stat = ServerStats::get();
-  ++Stat.Overloaded;
+  ++counter(Metric::ServerOverloaded);
   flightRecordFor(FlightKind::Shed, A->TraceId, 0,
                   static_cast<int64_t>(Cause));
-  switch (Cause) {
-  case OverloadCause::QueueFull:
-    ++Stat.ShedQueueFull;
-    break;
-  case OverloadCause::ShedOldest:
-    ++Stat.ShedOldest;
-    break;
-  case OverloadCause::QueueDeadline:
-    ++Stat.ShedQueueDeadline;
-    break;
-  case OverloadCause::AdmissionDeadline:
-    ++Stat.ShedAdmission;
-    break;
-  case OverloadCause::Draining:
-    ++Stat.ShedDraining;
-    break;
-  }
+  // In OverloadCause's wire order.
+  static constexpr Metric ShedCounters[] = {
+      Metric::ServerShedQueueFull, Metric::ServerShedOldest,
+      Metric::ServerShedQueueDeadline, Metric::ServerShedAdmission,
+      Metric::ServerShedDraining};
+  ++counter(ShedCounters[static_cast<size_t>(Cause)]);
   OverloadMsg M;
   M.Id = A->Req.Id;
   M.QueueDepth = QueueDepth;
@@ -530,7 +476,7 @@ void Server::runReload() {
   // reload N complete while its ack queue is still open — a Reload frame
   // sent at that instant would be acked by reload N with N's generation
   // instead of starting reload N+1.
-  ++(Ok ? ServerStats::get().Reloads : ServerStats::get().ReloadFailures);
+  ++counter(Ok ? Metric::ServerReloads : Metric::ServerReloadFailures);
   flightRecordFor(FlightKind::Reload, 0, Gen, Ok ? 1 : 0);
   ReloadRunning.store(false, std::memory_order_release);
 }
@@ -571,7 +517,7 @@ void Server::admit(const std::shared_ptr<Conn> &C, RequestMsg Req) {
   {
     std::lock_guard<std::mutex> Lock(QueueM);
     Depth = Queue.size();
-    ServerStats::get().QueueDepth.record(Depth);
+    histogram(Metric::ServerQueueDepth).record(Depth);
     if (Stopping) {
       DoShed = true;
       Cause = OverloadCause::Draining;
@@ -621,8 +567,7 @@ void Server::admit(const std::shared_ptr<Conn> &C, RequestMsg Req) {
 }
 
 void Server::serveOne(const std::shared_ptr<Active> &A) {
-  ServerStats &Stat = ServerStats::get();
-  ++Stat.Requests;
+  ++counter(Metric::ServerRequests);
   // The span is created *outside* the request scope (its req/gen/status
   // args are attached explicitly below, once the handler has told us the
   // serving generation), so it is not double-tagged by TraceSpan's
@@ -630,7 +575,7 @@ void Server::serveOne(const std::shared_ptr<Active> &A) {
   TraceSpan Span("server.request");
   uint64_t StartNs = RequestBudget::nowNs();
   uint64_t QueueWaitMs = (StartNs - A->AdmitNs) / 1000000ull;
-  Stat.QueueWaitMs.record(QueueWaitMs);
+  histogram(Metric::ServerQueueWaitMs).record(QueueWaitMs);
   flightRecordFor(FlightKind::Dispatch, A->TraceId, 0,
                   static_cast<int64_t>(QueueWaitMs));
   Executing.fetch_add(1, std::memory_order_acq_rel);
@@ -660,8 +605,8 @@ void Server::serveOne(const std::shared_ptr<Active> &A) {
   EwmaServiceNs.store(Prev ? Prev - Prev / 8 + Sample / 8 : Sample,
                       std::memory_order_relaxed);
 
-  Stat.FallbackTrees += R.RecoveredTrees;
-  Stat.BlockedTrees += R.BlockedTrees;
+  counter(Metric::ServerFallbackTrees) += R.RecoveredTrees;
+  counter(Metric::ServerBlockedTrees) += R.BlockedTrees;
 
   Span.arg("req", static_cast<int64_t>(A->TraceId));
   Span.arg("gen", static_cast<int64_t>(R.Generation));
@@ -670,7 +615,7 @@ void Server::serveOne(const std::shared_ptr<Active> &A) {
 
   if (!A->claimResponse()) {
     // The watchdog already failed this request; drop the late result.
-    ++Stat.DiscardedResults;
+    ++counter(Metric::ServerDiscardedResults);
   } else {
     switch (R.Status) {
     case ResponseStatus::Deadline:
@@ -684,26 +629,26 @@ void Server::serveOne(const std::shared_ptr<Active> &A) {
     }
     switch (R.Status) {
     case ResponseStatus::Ok:
-      ++Stat.Ok;
+      ++counter(Metric::ServerOk);
       break;
     case ResponseStatus::CompileError:
-      ++Stat.CompileErrors;
+      ++counter(Metric::ServerCompileErrors);
       break;
     case ResponseStatus::Deadline:
-      ++Stat.DeadlineKills;
-      ++Stat.Quarantined;
+      ++counter(Metric::ServerDeadlineKills);
+      ++counter(Metric::ServerQuarantined);
       break;
     case ResponseStatus::StepBudget:
-      ++Stat.StepBudgetKills;
-      ++Stat.Quarantined;
+      ++counter(Metric::ServerStepBudgetKills);
+      ++counter(Metric::ServerQuarantined);
       break;
     case ResponseStatus::MemBudget:
-      ++Stat.MemBudgetKills;
-      ++Stat.Quarantined;
+      ++counter(Metric::ServerMemBudgetKills);
+      ++counter(Metric::ServerQuarantined);
       break;
     case ResponseStatus::Watchdog:
     case ResponseStatus::Protocol:
-      ++Stat.Quarantined;
+      ++counter(Metric::ServerQuarantined);
       break;
     }
     ResponseMsg M;
@@ -715,7 +660,7 @@ void Server::serveOne(const std::shared_ptr<Active> &A) {
     M.Payload = std::move(R.Payload);
     A->C->respond(M);
     uint64_t TotalMs = (RequestBudget::nowNs() - A->AdmitNs) / 1000000ull;
-    Stat.RequestMs.record(TotalMs);
+    histogram(Metric::ServerRequestMs).record(TotalMs);
     recordLatency(TotalMs, R.Status == ResponseStatus::Ok);
     flightRecordFor(FlightKind::Respond, A->TraceId, R.Generation,
                     static_cast<int64_t>(R.Status));
@@ -763,7 +708,6 @@ void Server::pumpInput(const std::shared_ptr<Conn> &C, int InFd,
   SawShutdown = false;
   FrameReader Reader;
   char Chunk[65536];
-  ServerStats &Stat = ServerStats::get();
   while (true) {
     Frame F;
     FrameReader::Status S = Reader.next(F);
@@ -792,7 +736,7 @@ void Server::pumpInput(const std::shared_ptr<Conn> &C, int InFd,
         // EOF mid-frame is itself a protocol event worth counting: the
         // client died between header and payload.
         if (Reader.buffered() > 0)
-          ++Stat.ProtocolErrors;
+          ++counter(Metric::ServerProtocolErrors);
         return;
       }
       Reader.feed(Chunk, static_cast<size_t>(N));
@@ -800,8 +744,8 @@ void Server::pumpInput(const std::shared_ptr<Conn> &C, int InFd,
     }
     if (S == FrameReader::Status::Corrupt) {
       // Quarantine the poisoned bytes, tell the client, keep serving.
-      ++Stat.Resyncs;
-      ++Stat.ProtocolErrors;
+      ++counter(Metric::ServerResyncs);
+      ++counter(Metric::ServerProtocolErrors);
       ResponseMsg M;
       M.Status = ResponseStatus::Protocol;
       M.Payload = Reader.error();
@@ -813,7 +757,7 @@ void Server::pumpInput(const std::shared_ptr<Conn> &C, int InFd,
       RequestMsg Req;
       std::string Err;
       if (!decodeRequest(F.Payload, Req, Err)) {
-        ++Stat.ProtocolErrors;
+        ++counter(Metric::ServerProtocolErrors);
         ResponseMsg M;
         M.Status = ResponseStatus::Protocol;
         M.Payload = "bad request payload: " + Err;
@@ -845,7 +789,7 @@ void Server::pumpInput(const std::shared_ptr<Conn> &C, int InFd,
         // which means "restart cannot help") so the supervisor restarts us.
         ::abort();
       }
-      ++Stat.ProtocolErrors;
+      ++counter(Metric::ServerProtocolErrors);
       {
         ResponseMsg M;
         M.Status = ResponseStatus::Protocol;
@@ -860,7 +804,7 @@ void Server::pumpInput(const std::shared_ptr<Conn> &C, int InFd,
       StatusMsg SM;
       std::string Err;
       if (!decodeStatus(F.Payload, SM, Err)) {
-        ++Stat.ProtocolErrors;
+        ++counter(Metric::ServerProtocolErrors);
         ResponseMsg M;
         M.Status = ResponseStatus::Protocol;
         M.Payload = "bad status payload: " + Err;
@@ -878,7 +822,7 @@ void Server::pumpInput(const std::shared_ptr<Conn> &C, int InFd,
     case FrameType::Overloaded:
     case FrameType::Reloaded:
     case FrameType::StatusReply:
-      ++Stat.ProtocolErrors;
+      ++counter(Metric::ServerProtocolErrors);
       break;
     }
   }
@@ -887,7 +831,7 @@ void Server::pumpInput(const std::shared_ptr<Conn> &C, int InFd,
 int Server::serveFds(int InFd, int OutFd) {
   ::signal(SIGPIPE, SIG_IGN);
   auto C = std::make_shared<Conn>(OutFd);
-  ++ServerStats::get().Connections;
+  ++counter(Metric::ServerConnections);
   ResolvedWorkers = resolveWorkerCount(Opts.Workers, 1u << 16);
   ServeStartNs = RequestBudget::nowNs();
   startWatchdog();
@@ -954,7 +898,7 @@ int Server::serveUnixSocket(const std::string &Path) {
           continue;
         break; // listen fd closed: shutting down
       }
-      ++ServerStats::get().Connections;
+      ++counter(Metric::ServerConnections);
       auto C = std::make_shared<Conn>(Fd);
       std::lock_guard<std::mutex> Lock(ConnsM);
       Conns.push_back(C);

@@ -92,21 +92,3 @@ std::string StatsRegistry::toJson() const {
   Out += "}}";
   return Out;
 }
-
-std::string StatsRegistry::toText() const {
-  std::lock_guard<std::mutex> Lock(M);
-  std::string Out;
-  for (const auto &[Name, V] : Counters)
-    Out += strf("%-40s %12llu\n", Name.c_str(),
-                static_cast<unsigned long long>(
-                    V.load(std::memory_order_relaxed)));
-  for (const auto &[Name, V] : Values)
-    Out += strf("%-40s %12.6f\n", Name.c_str(),
-                V.load(std::memory_order_relaxed));
-  for (const auto &[Name, H] : Histograms)
-    Out += strf("%-40s n=%llu min=%llu mean=%.1f max=%llu\n", Name.c_str(),
-                static_cast<unsigned long long>(H.count()),
-                static_cast<unsigned long long>(H.min()), H.mean(),
-                static_cast<unsigned long long>(H.max()));
-  return Out;
-}

@@ -14,29 +14,21 @@
 /// shares, table sizes, conflict counts) are reproducible from emitted
 /// telemetry instead of ad-hoc printf accounting.
 ///
-/// Conventions:
-///   * counters — monotonically increasing event counts
-///     ("match.shifts", "regs.spills");
-///   * values   — accumulated doubles, used for seconds
-///     ("cg.match_seconds", "tablegen.seconds");
-///   * histograms — log2-bucketed distributions
-///     ("match.stack_depth").
+/// Counters are monotonic event counts ("regs.spills"), values summed
+/// doubles such as seconds ("cg.match_seconds"), histograms log2-bucketed
+/// distributions ("match.stack_depth").
 ///
-/// Names are dotted `<layer>.<metric>` strings. Registration is implicit:
-/// the first lookup creates the entry at zero, so touching a counter is
-/// enough to make its key appear in the JSON output (the golden-schema
-/// test relies on this for counters that are legitimately zero, e.g. the
-/// peephole counters when the optimizer is off).
+/// Names are dotted `<layer>.<metric>` strings; the first lookup creates
+/// the entry at zero, so a key can appear in the JSON output while zero.
+/// support/Metrics.def declares the keys of the compile path and server.
 ///
 /// Thread safety: mutation is lock-free once registered. Counters and
 /// values are atomics mutated with relaxed ordering; histogram recording
 /// uses relaxed atomics with CAS loops for min/max. Registration (the
 /// first lookup of a name) takes a mutex, and entry references are stable
-/// for the registry's lifetime (std::map nodes), so hot call sites cache
-/// them in function-local statics and never touch the lock again. The
-/// parallel code generator's workers all record into this registry
-/// concurrently; because every mutation is a commutative add (or an
-/// order-free min/max), totals are deterministic at any thread count.
+/// for the registry's lifetime (std::map nodes), so support/Metrics.h
+/// looks each key up once. Every mutation is a commutative add (or an
+/// order-free min/max), so totals are deterministic at any thread count.
 /// reset() zeroes every entry but never removes one; readers racing a
 /// reset or a recording may observe transiently inconsistent histogram
 /// aggregates (count vs. sum), never torn values.
@@ -63,6 +55,16 @@ struct LocalHistogram {
   std::array<uint64_t, 65> Buckets{};
 
   inline void record(uint64_t Sample);
+
+  LocalHistogram &operator+=(const LocalHistogram &O) {
+    Count += O.Count;
+    Sum += O.Sum;
+    Min = O.Min < Min ? O.Min : Min;
+    Max = O.Max > Max ? O.Max : Max;
+    for (size_t W = 0; W < Buckets.size(); ++W)
+      Buckets[W] += O.Buckets[W];
+    return *this;
+  }
 };
 
 /// A log2-bucketed histogram of unsigned samples. Bucket i holds samples
@@ -208,9 +210,6 @@ public:
   /// Keys are emitted in sorted order (std::map) so output is
   /// deterministic and golden-testable.
   std::string toJson() const;
-
-  /// Human-readable aligned text dump (the `--stats` surface).
-  std::string toText() const;
 
   const std::map<std::string, std::atomic<uint64_t>> &counters() const {
     return Counters;

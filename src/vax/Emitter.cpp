@@ -2,7 +2,6 @@
 
 #include "vax/Emitter.h"
 #include "support/Phase.h"
-#include "support/Stats.h"
 
 using namespace gg;
 
@@ -35,8 +34,6 @@ void AsmEmitter::appendInst(const std::string &Opcode,
   }
   Lines.push_back(std::move(Line));
   ++NumInsts;
-  static auto &Insts = stats().counter("emit.instructions");
-  ++Insts;
 }
 
 void AsmEmitter::label(InternedString Name) { labelText(Syms.text(Name)); }

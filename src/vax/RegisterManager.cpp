@@ -3,7 +3,6 @@
 #include "vax/RegisterManager.h"
 #include "support/Error.h"
 #include "support/FaultInject.h"
-#include "support/Stats.h"
 #include "support/Strings.h"
 
 #include <algorithm>
@@ -29,14 +28,10 @@ void RegisterManager::markBusy(int R) {
   Busy[R] = true;
   BusyOrder.push_back(R);
   ++Stats.Allocations;
-  static auto &Allocations = gg::stats().counter("regs.allocations");
-  static auto &LiveHist = gg::stats().histogram("regs.live");
-  ++Allocations;
   unsigned Live = 0;
   for (int I = RegFirstAlloc; I <= RegLastAlloc; ++I)
     Live += Busy[I];
-  Stats.MaxLive = std::max(Stats.MaxLive, Live);
-  LiveHist.record(Live);
+  Stats.Live.record(Live);
 }
 
 int RegisterManager::alloc() {
@@ -117,21 +112,16 @@ bool RegisterManager::evict(int R) {
                      regName(R)));
     return false;
   }
-  int CellOffset = AllocSpillCell();
-  Operand Cell = Operand::disp(RegFP, CellOffset, Ty::L);
-  Cell.Spilled = true;
-  SpillStore(R, Cell);
-  ++Stats.Spills;
-  static auto &Spills = gg::stats().counter("regs.spills");
-  ++Spills;
-  free(R);
+  spill(R);
   return true;
 }
 
-void RegisterManager::noteUnspill() {
-  ++Stats.Unspills;
-  static auto &Unspills = gg::stats().counter("regs.unspills");
-  ++Unspills;
+void RegisterManager::spill(int R) {
+  Operand Cell = Operand::disp(RegFP, AllocSpillCell(), Ty::L);
+  Cell.Spilled = true;
+  SpillStore(R, Cell);
+  ++Stats.Spills;
+  free(R);
 }
 
 int RegisterManager::numFree() const {
@@ -148,14 +138,7 @@ bool RegisterManager::spillOne() {
   for (int R : BusyOrder) {
     if (PinCount[R] > 0 || !Spillable(R))
       continue;
-    int CellOffset = AllocSpillCell();
-    Operand Cell = Operand::disp(RegFP, CellOffset, Ty::L);
-    Cell.Spilled = true;
-    SpillStore(R, Cell);
-    ++Stats.Spills;
-    static auto &Spills = gg::stats().counter("regs.spills");
-    ++Spills;
-    free(R);
+    spill(R);
     return true;
   }
   reportError("all registers are pinned inside addressing modes; "

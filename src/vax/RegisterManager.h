@@ -18,6 +18,7 @@
 #define GG_VAX_REGISTERMANAGER_H
 
 #include "ir/Node.h"
+#include "support/Stats.h"
 #include "vax/Operand.h"
 
 #include <functional>
@@ -31,7 +32,7 @@ struct RegAllocStats {
   unsigned Allocations = 0;
   unsigned Spills = 0;
   unsigned Unspills = 0;
-  unsigned MaxLive = 0;
+  LocalHistogram Live; ///< live allocatable registers at each allocation
 };
 
 /// Allocates the scratch registers r0..r5 with a stack discipline.
@@ -114,7 +115,7 @@ public:
   int numFree() const;
 
   const RegAllocStats &stats() const { return Stats; }
-  void noteUnspill();
+  void noteUnspill() { ++Stats.Unspills; }
 
   /// Resets all allocation state (between statements the expression stack
   /// must be empty; this asserts nothing is still live). Also clears any
@@ -142,6 +143,8 @@ private:
   std::string LastError;
 
   bool spillOne();
+  /// Stores \p R's value to a fresh virtual register and frees \p R.
+  void spill(int R);
   void markBusy(int R);
   void reportError(const std::string &Message);
   /// Highest allocatable register, honoring an injected cap-regs fault.

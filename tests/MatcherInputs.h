@@ -24,8 +24,9 @@ namespace gg {
 inline std::vector<std::vector<LinToken>>
 matcherInputs(Program &P, const TerminalMap &Terms) {
   std::vector<std::vector<LinToken>> Inputs;
+  TransformStats Rewrites;
   for (Function &F : P.Functions) {
-    runPhase1(P, F);
+    runPhase1(P, F, {}, Rewrites);
     for (Node *S : F.Body) {
       switch (S->Opcode) {
       case Op::LabelDef:

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <vector>
 
 using namespace gg;
@@ -206,44 +207,65 @@ TEST(Parallel, RecoveryCountersIdenticalAcrossThreadCounts) {
   std::string Err;
   ASSERT_TRUE(faultInject().configure("drop-prod=push_l", Err)) << Err;
 
-  // The matcher counts each tree into its function's tally, published
-  // once per function; the totals must not depend on how the trees are
-  // dealt to workers.
-  const char *MatchKeys[] = {"match.trees", "match.shifts", "match.reduces",
-                             "match.dynamic_ties", "match.syntactic_blocks"};
+  // Every count a compile publishes, per function (cg.*, idiom.*, regs.*,
+  // match.*) or per compile (phase1.*, emit.*), is a property of the
+  // input, not of how functions are dealt to workers: the whole stats map
+  // matches at every thread count. Only the pool's own cg.parallel.*
+  // counters may differ; values are seconds.
   auto CompileCounting = [&](int Threads, std::string &Asm,
                              CodeGenStats &Stats, std::string &Diags) {
-    std::vector<uint64_t> Deltas;
-    for (const char *Key : MatchKeys)
-      Deltas.push_back(stats().counter(Key).load());
+    stats().reset();
     EXPECT_TRUE(compileAt(Threads, MultiFnSource, Asm, &Stats, &Diags));
-    for (size_t I = 0; I < Deltas.size(); ++I)
-      Deltas[I] = stats().counter(MatchKeys[I]).load() - Deltas[I];
-    return Deltas;
+    std::map<std::string, std::string> Map;
+    for (const auto &[Name, C] : stats().counters())
+      if (Name.rfind("cg.parallel.", 0) != 0)
+        Map[Name] = std::to_string(C.load());
+    for (const auto &[Name, H] : stats().histograms()) {
+      std::string &Text = Map[Name];
+      Text = strf("n=%llu sum=%llu min=%llu max=%llu",
+                  static_cast<unsigned long long>(H.count()),
+                  static_cast<unsigned long long>(H.sum()),
+                  static_cast<unsigned long long>(H.min()),
+                  static_cast<unsigned long long>(H.max()));
+      for (int W = 0; W <= 64; ++W)
+        Text += strf(" %llu", static_cast<unsigned long long>(H.bucket(W)));
+    }
+    return Map;
   };
 
   std::string SerialAsm, SerialDiags;
   CodeGenStats SerialStats;
-  const std::vector<uint64_t> SerialDeltas =
+  const std::map<std::string, std::string> Serial =
       CompileCounting(1, SerialAsm, SerialStats, SerialDiags);
   ASSERT_GE(SerialStats.BlockedTrees, 1u)
       << "fault did not trigger; the test is vacuous";
   EXPECT_EQ(SerialStats.BlockedTrees, SerialStats.RecoveredTrees);
-  EXPECT_GT(SerialDeltas[1], 0u) << "no shifts counted";
-  EXPECT_GE(SerialDeltas[4], SerialStats.BlockedTrees);
+  EXPECT_GE(std::stoull(Serial.at("match.syntactic_blocks")),
+            SerialStats.BlockedTrees);
+  for (const char *Key : {"match.shifts", "cg.recovered_trees",
+                          "idiom.range_applied", "regs.allocations",
+                          "phase1.calls_factored", "emit.instructions"})
+    EXPECT_NE(Serial.at(Key), "0") << Key << " counted nothing";
+  for (const char *Key : {"regs.live", "match.stack_depth",
+                          "match.tokens_per_tree", "match.steps_per_tree"})
+    EXPECT_NE(Serial.at(Key).rfind("n=0 ", 0), 0u)
+        << Key << " recorded nothing";
 
   for (int Threads : {2, 4, 8}) {
     std::string Asm, Diags;
     CodeGenStats Stats;
-    const std::vector<uint64_t> Deltas =
+    const std::map<std::string, std::string> Map =
         CompileCounting(Threads, Asm, Stats, Diags);
     EXPECT_EQ(SerialStats.BlockedTrees, Stats.BlockedTrees)
         << "threads=" << Threads;
     EXPECT_EQ(SerialStats.RecoveredTrees, Stats.RecoveredTrees)
         << "threads=" << Threads;
-    for (size_t I = 0; I < Deltas.size(); ++I)
-      EXPECT_EQ(SerialDeltas[I], Deltas[I])
-          << MatchKeys[I] << " at threads=" << Threads;
+    EXPECT_EQ(Serial.size(), Map.size()) << "threads=" << Threads;
+    for (const auto &[Key, Text] : Serial) {
+      auto It = Map.find(Key);
+      ASSERT_NE(It, Map.end()) << Key << " missing at threads=" << Threads;
+      EXPECT_EQ(Text, It->second) << Key << " at threads=" << Threads;
+    }
     EXPECT_EQ(SerialAsm, Asm)
         << "recovered output diverged at threads=" << Threads;
     EXPECT_EQ(SerialDiags, Diags)

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 using namespace gg;
 
 namespace {
@@ -147,6 +149,13 @@ TEST_P(PeepholeSweep, PreservesSemantics) {
   ASSERT_TRUE(R.Ok) << R.Error << "\nseed " << Seed << "\n" << Source;
   EXPECT_EQ(Oracle.Output, R.Output) << "seed " << Seed << "\n" << Source;
   EXPECT_EQ(Oracle.ReturnValue, R.ReturnValue) << "seed " << Seed;
+  // The instruction count is the output's: the lines the peephole pass
+  // deleted are not in it.
+  size_t InstLines = 0;
+  std::istringstream Lines(Asm);
+  for (std::string Line; std::getline(Lines, Line);)
+    InstLines += Line.size() > 1 && Line[0] == '\t' && Line[1] != '.';
+  EXPECT_EQ(CG.stats().Instructions, InstLines) << "seed " << Seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, PeepholeSweep, ::testing::Range(0, 40));

@@ -1304,7 +1304,8 @@ TEST(CompileServiceTest, WarmServedRequestsTakeNoStatsLock) {
   // Every registry entry on the request path is a reference looked up
   // once, so after warm-up a served request — frontend, phase 1, the
   // parallel matcher, peephole, the server's own counters — adds no
-  // StatsRegistry lookup, and so takes no registry mutex.
+  // StatsRegistry lookup, and so takes no registry mutex. Neither does a
+  // Status probe, which reads the server.* counters it reports.
   std::string Err;
   CodeGenOptions Base;
   Base.Parallel.Threads = 2;
@@ -1333,14 +1334,18 @@ TEST(CompileServiceTest, WarmServedRequestsTakeNoStatsLock) {
   ASSERT_TRUE(
       spinUntil([&] { return Ok == Ok0 + 1 && Errors == Errors0 + 1; }));
   const uint64_t Warm = Reg.lookups();
-  for (uint64_t Id = 3; Id < 9; ++Id)
+  for (uint64_t Id = 3; Id < 9; ++Id) {
+    H.send(FrameType::Status, encodeStatus(StatusMsg{Id}));
     H.sendRequest(Id, Id % 3 ? Good : Bad);
+  }
   ASSERT_TRUE(
       spinUntil([&] { return Ok == Ok0 + 5 && Errors == Errors0 + 3; }))
       << Ok - Ok0 << " " << Errors - Errors0;
-  EXPECT_EQ(Reg.lookups(), Warm) << "a warm request looked a stats entry up";
+  EXPECT_EQ(Reg.lookups(), Warm)
+      << "a warm request or Status probe looked a stats entry up";
   std::vector<ResponseMsg> Rs = H.finish();
   EXPECT_EQ(Rs.size(), 8u);
+  EXPECT_EQ(H.StatusReplies.size(), 6u);
 }
 
 } // namespace

@@ -19,7 +19,8 @@ std::unique_ptr<Program> transformed(const std::string &Source,
   DiagnosticSink D;
   EXPECT_TRUE(compileMiniC(Source, *P, D)) << D.renderAll();
   for (Function &F : P->Functions) {
-    TransformStats S = runPhase1(*P, F, Opts);
+    TransformStats S;
+    runPhase1(*P, F, Opts, S);
     if (Stats && P->Syms.text(F.Name) == "main")
       *Stats = S;
   }
@@ -92,8 +93,9 @@ TEST(Phase1a, SemanticsPreservedOnHandPickedPrograms) {
     DiagnosticSink D;
     ASSERT_TRUE(compileMiniC(Source, P1, D));
     ASSERT_TRUE(compileMiniC(Source, P2, D));
+    TransformStats S;
     for (Function &F : P2.Functions)
-      runPhase1(P2, F, {});
+      runPhase1(P2, F, {}, S);
     InterpResult A = interpret(P1), B = interpret(P2);
     ASSERT_TRUE(A.Ok && B.Ok) << A.Error << B.Error;
     EXPECT_EQ(A.Output, B.Output) << Source;
@@ -165,8 +167,9 @@ TEST(Phase1b, IdentityRulesRespectWidth) {
                        "int main() { u = 65535; return (0 + u) > 4; }";
   ASSERT_TRUE(compileMiniC(Source, P1, D));
   ASSERT_TRUE(compileMiniC(Source, P2, D));
+  TransformStats S;
   for (Function &F : P2.Functions)
-    runPhase1(P2, F, {});
+    runPhase1(P2, F, {}, S);
   InterpResult A = interpret(P1), B = interpret(P2);
   ASSERT_TRUE(A.Ok && B.Ok);
   EXPECT_EQ(A.ReturnValue, B.ReturnValue);
@@ -251,8 +254,9 @@ TEST(Phase1a, OrderGuardPreservesReadBeforeCall) {
   InterpResult Pre = interpret(P);
   Program P2;
   ASSERT_TRUE(compileMiniC(Source, P2, D));
+  TransformStats S;
   for (Function &F : P2.Functions)
-    runPhase1(P2, F, {});
+    runPhase1(P2, F, {}, S);
   InterpResult Post = interpret(P2);
   ASSERT_TRUE(Pre.Ok && Post.Ok);
   EXPECT_EQ(Pre.ReturnValue, 6);

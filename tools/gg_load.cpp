@@ -16,7 +16,9 @@
 // --spawn=BIN forks BIN (compile_minic, or scripts/serve.sh for
 // supervisor drills) with --serve=SOCKET plus every --serve-arg, and
 // asserts at exit that the process died cleanly — the fault-matrix soak's
-// "zero process deaths" check. Without --spawn, gg-load connects to an
+// "zero process deaths" check. The wall clock (and the open-loop arrival
+// schedule) starts once the spawned server takes a connection, so server
+// start-up is not counted. Without --spawn, gg-load connects to an
 // already-running server at --socket.
 //
 // gg-load is also the client half of the crash-only recovery loop: when a
@@ -71,6 +73,7 @@
 #include "support/FaultInject.h"
 #include "support/Frame.h"
 #include "support/Json.h"
+#include "support/Metrics.h"
 #include "support/Strings.h"
 #include "workload/ProgramGen.h"
 
@@ -156,6 +159,11 @@ int connectWithRetry(const std::string &Path) {
   return -1;
 }
 
+/// The connection that saw a --spawn'ed server accept: the wall clock
+/// starts only then, and the first client to connect takes it over, so
+/// the readiness probe adds no connection to the server's count.
+std::atomic<int> SpawnedFd{-1};
+
 bool writeAll(int Fd, const char *P, size_t Len) {
   while (Len > 0) {
     ssize_t N = ::write(Fd, P, Len);
@@ -210,7 +218,9 @@ public:
   bool ensureConnected() {
     if (Fd >= 0)
       return true;
-    Fd = connectWithRetry(Socket);
+    Fd = SpawnedFd.exchange(-1);
+    if (Fd < 0)
+      Fd = connectWithRetry(Socket);
     Reader = FrameReader();
     // A crash restart legally resets the server's generation counter, so
     // monotonicity is asserted per connection, not per process.
@@ -234,7 +244,7 @@ public:
       // slow-client fault: dribble the frame onto the wire in ~16 slices
       // with a pause between each — the server's incremental reader must
       // treat every partial frame as NeedMore, never as corruption.
-      faultInject().noteSlowClientWrite();
+      ++counter(Metric::FaultSlowClientWrites);
       size_t Step = std::max<size_t>(Wire.size() / 16, 16);
       for (size_t Off = 0; Off < Wire.size(); Off += Step) {
         size_t Len = std::min(Step, Wire.size() - Off);
@@ -608,6 +618,8 @@ int main(int argc, char **argv) {
               strerror(errno));
       _exit(ExitFatalFault);
     }
+    // Start-up and connectWithRetry's backoff are not serving time.
+    SpawnedFd = connectWithRetry(Opt.Socket);
   }
 
   Tally T;
@@ -906,6 +918,8 @@ int main(int argc, char **argv) {
   for (std::thread &W : Workers)
     W.join();
   double WallSeconds = static_cast<double>(nowNs() - WallStart) / 1e9;
+  if (int Fd = SpawnedFd.exchange(-1); Fd >= 0)
+    ::close(Fd);
 
   // Clean shutdown + death audit.
   bool UncleanDeath = false;
