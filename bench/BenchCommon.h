@@ -16,14 +16,14 @@
 #include "frontend/Parser.h"
 #include "ir/Interp.h"
 #include "pcc/PccCodeGen.h"
+#include "support/CliOptions.h"
+#include "support/Json.h"
 #include "support/Stats.h"
 #include "vaxsim/Simulator.h"
 #include "workload/ProgramGen.h"
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -135,30 +135,6 @@ inline void resetStats() { gg::stats().reset(); }
 /// compared and post-processed by the same tooling.
 inline void emitBenchJson(const char *Id) {
   printf("BENCH_JSON %s %s\n", Id, gg::stats().toJson().c_str());
-}
-
-/// Writes a `gg-bench-v1` metrics file — the input of the benchmark
-/// regression sentinel (`gg-report --check-bench`, scripts/bench.sh).
-/// Count metrics are deterministic across runs and machines; metrics with
-/// "seconds" in the name are wall-clock and never compared.
-inline bool writeBenchBaseline(const char *Bench, const std::string &Path,
-                               const std::map<std::string, double> &Metrics) {
-  std::ofstream Out(Path);
-  if (!Out) {
-    fprintf(stderr, "cannot write %s\n", Path.c_str());
-    return false;
-  }
-  Out << "{\"schema\":\"gg-bench-v1\",\"bench\":\"" << Bench
-      << "\",\"metrics\":{";
-  bool First = true;
-  for (const auto &[Name, Value] : Metrics) {
-    char Buf[64];
-    snprintf(Buf, sizeof(Buf), "%.9g", Value);
-    Out << (First ? "" : ",") << "\"" << Name << "\":" << Buf;
-    First = false;
-  }
-  Out << "}}\n";
-  return true;
 }
 
 } // namespace ggbench

@@ -13,9 +13,7 @@
 
 #include "BenchCommon.h"
 
-#include "support/CliOptions.h"
 #include "support/Clock.h"
-#include "support/TableEvents.h"
 #include <benchmark/benchmark.h>
 #include <cstring>
 
@@ -82,46 +80,32 @@ BENCHMARK(BM_GGCompileThreads)
 } // namespace
 
 int main(int argc, char **argv) {
-  // Flags consumed here so the benchmark library never sees them:
-  //   --baseline-json=FILE      write the deterministic single-pass
-  //                             metrics as a gg-bench-v1 file for the
-  //                             regression sentinel and skip the noisy
-  //                             thread sweep / google-benchmark half
-  //   --profile-json=FILE       profile the GG leg (instr mode) and
-  //                             write its gg-profile-v1 artifact
-  //   --pcc-profile-json=FILE   same for the PCC leg — the --diff-pcc
-  //                             input of gg-report
-  std::string BaselinePath, ProfilePath, PccProfilePath;
-  for (int I = 1; I < argc;) {
-    auto Consume = [&](const char *Prefix, std::string &Dest) {
-      size_t N = strlen(Prefix);
-      if (strncmp(argv[I], Prefix, N) != 0)
-        return false;
-      Dest = argv[I] + N;
-      for (int J = I; J + 1 < argc; ++J)
-        argv[J] = argv[J + 1];
-      --argc;
-      return true;
-    };
-    if (!Consume("--baseline-json=", BaselinePath) &&
-        !Consume("--profile-json=", ProfilePath) &&
-        !Consume("--pcc-profile-json=", PccProfilePath))
-      ++I;
-  }
-  // The two legs are profiled separately (reset between them) so each
-  // artifact attributes exactly one generator's work.
-  const bool Profiling = !ProfilePath.empty() || !PccProfilePath.empty();
-  if (Profiling)
-    gg::tableEvents().configureProfile(ProfileMode::Instr);
+  // --baseline-json=FILE writes the deterministic counts of the single
+  // pass as a gg-bench-v1 file, compared for equality with the committed
+  // BENCH_compile_speed.json, and skips the thread sweep and the
+  // google-benchmark half. Every other flag goes to the benchmark library,
+  // which rejects the ones it does not know.
+  std::string BaselinePath;
+  int Kept = 1;
+  for (int I = 1; I < argc; ++I)
+    if (strncmp(argv[I], "--baseline-json=", 16) == 0)
+      BaselinePath = argv[I] + 16;
+    else
+      argv[Kept++] = argv[I];
+  argc = Kept;
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv))
+    return 2;
 
   ggbench::header("E3", "code generation speed and output size, GG vs PCC",
                   "GG 80.1s vs PCC 55.4s (1.45x slower); "
                   "11385 vs 11309 assembly lines (1.007x)");
 
-  // Deterministic single-pass measurement for the report table.
+  // One timed pass per backend for the report table; the baseline keeps
+  // only its counts.
   const auto &Corpus = largeCorpus();
   size_t GGLines = 0, PccLines = 0, GGInsts = 0, PccInsts = 0;
-  double GGTransform = 0, GGMatch = 0, GGInstrGen = 0, GGEmit = 0;
+  size_t GGTrees = 0, GGTokens = 0, GGSteps = 0;
   double GGSeconds = 0, PccSeconds = 0;
   {
     const MonoClock::time_point Start = MonoClock::now();
@@ -130,18 +114,11 @@ int main(int argc, char **argv) {
       ggbench::compileGG(Source, {}, &S);
       GGLines += S.AsmLines;
       GGInsts += S.Instructions;
-      GGTransform += S.TransformSeconds;
-      GGMatch += S.MatchSeconds;
-      GGInstrGen += S.InstrGenSeconds;
-      GGEmit += S.EmitSeconds;
+      GGTrees += S.StatementTrees;
+      GGTokens += S.MatcherTokens;
+      GGSteps += S.MatcherSteps;
     }
     GGSeconds = monoSeconds(Start, MonoClock::now());
-  }
-  if (Profiling) {
-    if (!ProfilePath.empty())
-      gg::writeTextOrStdout(
-          ProfilePath, gg::tableEvents().profileSnapshot().toJson() + "\n");
-    gg::tableEvents().reset();
   }
   {
     const MonoClock::time_point Start = MonoClock::now();
@@ -152,14 +129,6 @@ int main(int argc, char **argv) {
       PccInsts += S.Instructions;
     }
     PccSeconds = monoSeconds(Start, MonoClock::now());
-  }
-  if (Profiling) {
-    if (!PccProfilePath.empty())
-      gg::writeTextOrStdout(
-          PccProfilePath,
-          gg::tableEvents().profileSnapshot().toJson() + "\n");
-    gg::tableEvents().reset();
-    gg::tableEvents().configureProfile(ProfileMode::Off);
   }
 
   printf("%-24s %12s %12s %9s\n", "", "GG (table)", "PCC (hand)", "ratio");
@@ -173,22 +142,15 @@ int main(int argc, char **argv) {
          Corpus.size());
 
   if (!BaselinePath.empty())
-    return ggbench::writeBenchBaseline(
-               "compile_speed", BaselinePath,
-               {{"gg_asm_lines", double(GGLines)},
-                {"pcc_asm_lines", double(PccLines)},
-                {"gg_instructions", double(GGInsts)},
-                {"pcc_instructions", double(PccInsts)},
-                {"gg_seconds", GGSeconds},
-                // Per-phase wall seconds: like every "seconds" metric
-                // these are skipped by the sentinel, but they make the
-                // committed baseline show where phase time goes.
-                {"gg_transform_seconds", GGTransform},
-                {"gg_match_seconds", GGMatch},
-                {"gg_instrgen_seconds", GGInstrGen},
-                {"gg_emit_seconds", GGEmit},
-                {"pcc_seconds", PccSeconds},
-                {"gg_pcc_seconds_ratio", GGSeconds / PccSeconds}})
+    return writeTextOrStdout(BaselinePath,
+                             benchJson("compile_speed",
+                                       {{"gg_asm_lines", GGLines},
+                                        {"pcc_asm_lines", PccLines},
+                                        {"gg_instructions", GGInsts},
+                                        {"pcc_instructions", PccInsts},
+                                        {"gg_trees", GGTrees},
+                                        {"gg_matcher_tokens", GGTokens},
+                                        {"gg_matcher_steps", GGSteps}}))
                ? 0
                : 1;
 
@@ -225,7 +187,6 @@ int main(int argc, char **argv) {
   }
   printf("\n");
 
-  benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -13,19 +13,13 @@
 
 #include "BenchCommon.h"
 
-#include <cstring>
-
 using namespace gg;
 
-int main(int argc, char **argv) {
-  // --baseline-json=FILE: write the per-phase seconds and deterministic
-  // matcher work counts as a gg-bench-v1 file for bench.sh --check (time
-  // metrics are informational, counts are checked tight).
-  std::string BaselinePath;
-  for (int I = 1; I < argc; ++I)
-    if (strncmp(argv[I], "--baseline-json=", 16) == 0)
-      BaselinePath = argv[I] + 16;
-
+int main(int argc, char **) {
+  if (argc > 1) {
+    fprintf(stderr, "usage: bench_phase_breakdown (takes no options)\n");
+    return 2;
+  }
   ggbench::header("E5", "code generation time by phase",
                   "roughly one half of the time is pattern matching");
 
@@ -65,21 +59,5 @@ int main(int argc, char **argv) {
          "paper blames:\n conversions, operand-category glue, constant "
          "condensations)\n");
   ggbench::emitBenchJson("E5");
-
-  if (!BaselinePath.empty())
-    return ggbench::writeBenchBaseline(
-               "phase_breakdown", BaselinePath,
-               {{"trees", double(Trees)},
-                {"matcher_tokens", double(Tokens)},
-                {"matcher_steps", double(Steps)},
-                {"transform_seconds", Transform},
-                {"match_seconds", Match},
-                {"instrgen_seconds", Gen},
-                {"emit_seconds", Emit},
-                // "seconds" in the name keeps the share out of the
-                // tight count check — it is wall-clock-derived.
-                {"match_seconds_share_pct", 100 * Match / Total}})
-               ? 0
-               : 1;
   return 0;
 }

@@ -36,8 +36,9 @@
 #    get OVERLOADED frames, zero watchdog kills), a slow-client drip
 #    leg, a shed-oldest policy smoke, and a mid-soak SIGHUP hot-reload
 #    drill through scripts/serve.sh ending in a clean SIGTERM drain,
-# 9. runs the benchmark regression sentinel: fresh deterministic bench
-#    metrics vs the committed BENCH_*.json baselines (scripts/bench.sh),
+# 9. runs scripts/bench.sh --check: a fresh served run's exact counts
+#    must equal BENCH_server_throughput.json, and the tracing guard
+#    (ctest's bench_baseline_* entries check the other two baselines),
 # 10. builds the parallel-determinism test under -fsanitize=thread and
 #    runs it: the work-stealing compile pipeline must be race-free, not
 #    just deterministic. The matcher equivalence golden (4 threads,
@@ -600,7 +601,7 @@ grep -q 'req 50[0-9][0-9]' "$TMP/serve.tracereport.out" ||
     cat "$TMP/serve.tracereport.out" >&2; exit 1; }
 echo "   status probes, SIGQUIT black box, trace join: all answered"
 
-echo "== benchmark regression sentinel (vs committed BENCH_*.json)"
+echo "== bench sentinel (served counts, tracing guard)"
 scripts/bench.sh --check --build-dir "$BUILD_DIR"
 
 echo "== TSAN leg (parallel code generation under -fsanitize=thread)"

@@ -569,8 +569,8 @@ bool PccCodeGenerator::compile(Program &Prog, std::string &Asm,
   Stats = PccStats();
   PhaseTimes Times;
   PhaseAccount Account(Times);
-  // The whole baseline compile is one phase: the --diff-pcc leg compares
-  // its profile against the GG side's per-phase breakdown.
+  // The whole baseline compile is one phase (its time is
+  // PccStats::Seconds and the profile's pcc.compile bucket).
   PhaseScope PS(Phase::PccCompile);
   tableEvents().noteCompile(/*Coverage=*/false);
   AsmEmitter Emit(Prog.Syms);

@@ -221,3 +221,18 @@ bool gg::parseJson(std::string_view Text, JsonValue &Out, std::string &Err) {
   Out = JsonValue();
   return Parser(Text, Err).run(Out);
 }
+
+std::string gg::benchJson(std::string_view Bench,
+                          const std::map<std::string, uint64_t> &Counts) {
+  std::string Out = strf("{\n  \"schema\": \"gg-bench-v1\",\n"
+                         "  \"bench\": \"%.*s\",\n  \"metrics\": {",
+                         static_cast<int>(Bench.size()), Bench.data());
+  const char *Sep = "\n";
+  for (const auto &[Name, Count] : Counts) {
+    Out += strf("%s    \"%s\": %llu", Sep, Name.c_str(),
+                static_cast<unsigned long long>(Count));
+    Sep = ",\n";
+  }
+  Out += "\n  }\n}\n";
+  return Out;
+}

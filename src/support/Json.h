@@ -7,11 +7,11 @@
 /// \file
 /// A small recursive-descent JSON reader, just enough for the telemetry
 /// artifacts this repo emits (`gg-stats-v1`, `gg-coverage-v1`,
-/// `gg-bench-v1`): the offline `gg-report` tool and the coverage merge
+/// `gg-profile-v1`): the offline `gg-report` tool and the coverage merge
 /// path parse their inputs through it, so artifact consumers need no
 /// third-party dependency. Not a general-purpose validator — it accepts
 /// everything the writers produce and reports the first syntax error with
-/// a byte offset.
+/// a byte offset. Also the one writer of `gg-bench-v1` baselines.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +19,7 @@
 #define GG_SUPPORT_JSON_H
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -62,6 +63,12 @@ struct JsonValue {
 /// Parses \p Text into \p Out. On failure returns false and sets \p Err
 /// to a one-line message with the byte offset of the problem.
 bool parseJson(std::string_view Text, JsonValue &Out, std::string &Err);
+
+/// Renders a `gg-bench-v1` baseline: exact counts only, one metric per
+/// line in sorted key order, so fresh and committed files compare for
+/// equality and `diff -u` names the metric that changed.
+std::string benchJson(std::string_view Bench,
+                      const std::map<std::string, uint64_t> &Counts);
 
 } // namespace gg
 

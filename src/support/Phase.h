@@ -40,7 +40,7 @@ enum class Phase : uint8_t {
   Fallback,   ///< PCC regeneration of one blocked tree
   Stitch,     ///< serial result stitch, peephole and final render
   Total,      ///< the whole GGCodeGenerator::compile
-  PccCompile, ///< the PCC baseline's whole compile (the --diff-pcc leg)
+  PccCompile, ///< the PCC baseline's whole compile
   Responding, ///< handler returned; response being written
   NumPhases
 };

@@ -606,9 +606,11 @@ TEST(Trace, RequestSpanStructureIsThreadCountInvariant) {
       << "span structure must not depend on the worker count";
 
   // Each span carries its thread's ordinal and its depth within that
-  // thread. A 4-thread compile of functions big enough that the spawned
-  // workers start before the caller has drained the queue puts the
-  // per-function spans on more than one track.
+  // thread, and a 4-thread compile puts the per-function spans on more
+  // than one track. The calling thread runs task 0 first and then steals
+  // every deque the spawned workers have not reached yet, so a late thread
+  // start could leave it all the work: the stall-worker fault holds task 0
+  // for 47 ms (seed 20), long enough for the workers to start.
   std::string Big;
   for (int F = 0; F < 8; ++F) {
     Big += strf("int f%d(int x) { int s; s = x;", F);
@@ -620,6 +622,11 @@ TEST(Trace, RequestSpanStructureIsThreadCountInvariant) {
   R.clear();
   R.enable();
   {
+    struct Disarm {
+      ~Disarm() { faultInject().reset(); }
+    } Guard;
+    ASSERT_TRUE(faultInject().configure("stall-worker=50,seed=20", Err))
+        << Err;
     Program P;
     DiagnosticSink D;
     ASSERT_TRUE(compileMiniC(Big, P, D)) << D.renderAll();

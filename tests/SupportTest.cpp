@@ -476,6 +476,27 @@ TEST(Json, ReportsErrorsWithByteOffset) {
   EXPECT_FALSE(parseJson("{'a':1}", V, Err));
 }
 
+// A gg-bench-v1 baseline keeps one metric per line in key order, so a
+// changed count shows up in diff -u as its own line; the writer's output
+// is JSON the reader takes back with every count exact.
+TEST(Json, BenchBaselineIsOneSortedMetricPerLine) {
+  const uint64_t Big = (1ull << 53) + 1; // beyond a double's exact range
+  std::string Text = benchJson("demo", {{"zeta", 3}, {"alpha", Big}});
+  EXPECT_EQ(Text, "{\n"
+                  "  \"schema\": \"gg-bench-v1\",\n"
+                  "  \"bench\": \"demo\",\n"
+                  "  \"metrics\": {\n"
+                  "    \"alpha\": 9007199254740993,\n"
+                  "    \"zeta\": 3\n"
+                  "  }\n"
+                  "}\n");
+  JsonValue V;
+  std::string Err;
+  ASSERT_TRUE(parseJson(Text, V, Err)) << Err;
+  EXPECT_EQ(V.find("schema")->Str, "gg-bench-v1");
+  EXPECT_EQ(V.find("metrics")->find("zeta")->asU64(), 3u);
+}
+
 TEST(Json, DepthLimitStopsRunawayNesting) {
   std::string Deep(100, '[');
   JsonValue V;

@@ -2,8 +2,10 @@
 //
 // Drives a live `compile_minic --serve=SOCKET` daemon (docs/server.md)
 // with the deterministic --gen-corpus program population, concurrently,
-// and reports throughput + latency percentiles + error-frame counts as a
-// gg-bench-v1 metrics file for the regression sentinel.
+// and prints throughput, latency percentiles and error-frame counts.
+// --bench-json=FILE also writes the run's exact counts (requests, answers
+// by kind, sheds, retries, bytes of assembly) as a gg-bench-v1 file; its
+// times stay on stdout.
 //
 //   gg-load --socket=PATH [--spawn=BIN [--serve-arg=ARG]...]
 //           [--requests=N] [--clients=K] [--corpus=N] [--deadline-ms=N]
@@ -11,7 +13,7 @@
 //           [--timeout-ms=N] [--hedge-ms=N] [--open-loop=RPS] [--slo-ms=N]
 //           [--reload-every=N] [--min-generation=N] [--expect-sheds]
 //           [--trace-ids=BASE] [--verify] [--bench-json=FILE]
-//           [--bench-prefix=STR] [--bench-merge] [--no-shutdown]
+//           [--no-shutdown]
 //
 // --spawn=BIN forks BIN (compile_minic, or scripts/serve.sh for
 // supervisor drills) with --serve=SOCKET plus every --serve-arg, and
@@ -50,9 +52,9 @@
 // so several gg-load runs against one server (or one --trace-json trace)
 // stay distinguishable — the server threads the client id through its
 // spans and flight events, and gg-report --trace joins on it. Latencies
-// are also recorded per observed table generation and emitted as
-// gen<G>_* metrics in the gg-bench-v1 artifact, so a reload mid-run
-// shows up as two latency populations instead of one smeared tail.
+// are also recorded per observed table generation and printed per
+// generation, so a reload mid-run shows up as two latency populations
+// instead of one smeared tail.
 //
 // --verify recomputes each program's single-shot assembly in-process
 // (same CompileService the server uses) and asserts byte-identical
@@ -69,6 +71,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "cg/CompileService.h"
+#include "support/CliOptions.h"
 #include "support/ExitCodes.h"
 #include "support/FaultInject.h"
 #include "support/Frame.h"
@@ -84,8 +87,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <iterator>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -126,8 +127,6 @@ struct LoadOptions {
   bool Verify = false;
   bool Shutdown = true;
   std::string BenchJsonPath;
-  std::string BenchPrefix; ///< prepended to every metric name
-  bool BenchMerge = false; ///< keep existing metrics in --bench-json
 };
 
 uint64_t nowNs() {
@@ -201,9 +200,9 @@ struct Tally {
   std::atomic<uint64_t> AsmBytes{0};
   std::mutex LatM;
   std::vector<uint64_t> LatenciesNs;
-  /// Latency population per serving table generation (response-stamped),
-  /// for the gen<G>_* bench metrics. Generation 0 collects responses
-  /// that carried no generation stamp (e.g. protocol errors).
+  /// Latency population per serving table generation (response-stamped).
+  /// Generation 0 collects responses that carried no generation stamp
+  /// (e.g. protocol errors).
   std::map<uint64_t, std::vector<uint64_t>> LatenciesByGenNs;
 };
 
@@ -466,8 +465,7 @@ void usage() {
           "               [--hedge-ms=N] [--open-loop=RPS] [--slo-ms=N]\n"
           "               [--min-generation=N] [--trace-ids=BASE]\n"
           "               [--expect-sheds] [--verify]\n"
-          "               [--bench-json=FILE] [--bench-prefix=STR]\n"
-          "               [--bench-merge] [--no-shutdown]\n");
+          "               [--bench-json=FILE] [--no-shutdown]\n");
 }
 
 bool intFlag(const std::string &A, const char *Prefix, int64_t Min,
@@ -562,12 +560,8 @@ int main(int argc, char **argv) {
       Opt.Verify = true;
     else if (A == "--no-shutdown")
       Opt.Shutdown = false;
-    else if (A == "--bench-merge")
-      Opt.BenchMerge = true;
     else if (A.rfind("--bench-json=", 0) == 0)
       Opt.BenchJsonPath = A.substr(13);
-    else if (A.rfind("--bench-prefix=", 0) == 0)
-      Opt.BenchPrefix = A.substr(15);
     else {
       fprintf(stderr, "gg-load: unknown option %s\n", A.c_str());
       usage();
@@ -998,94 +992,29 @@ int main(int argc, char **argv) {
            static_cast<unsigned long long>(T.VerifySkipped.load()),
            static_cast<unsigned long long>(T.VerifyMismatches.load()));
 
-  if (!Opt.BenchJsonPath.empty()) {
-    // gg-bench-v1, same contract as bench/BenchCommon.h: metrics with
-    // "seconds" in the name are wall-clock (sentinel-exempt); the rest
-    // must be deterministic run to run.
-    // Overload legs write inherently noisy counts (sheds, retries) —
-    // bench.sh names them via --bench-prefix and passes the prefix to
-    // gg-report --noisy so the sentinel treats them as time-class.
-    std::map<std::string, double> Metrics;
-    Metrics["requests"] = Opt.Requests;
-    Metrics["requests_ok"] = static_cast<double>(T.Ok.load());
-    Metrics["compile_errors"] = static_cast<double>(T.CompileErrors.load());
-    Metrics["error_frames"] = static_cast<double>(T.Quarantined.load());
-    Metrics["gave_up"] = static_cast<double>(T.GaveUp.load());
-    Metrics["overloaded"] = static_cast<double>(T.Overloaded.load());
-    Metrics["shed_final"] = static_cast<double>(T.OverloadedFinal.load());
-    Metrics["retries"] = static_cast<double>(T.Retries.load());
-    Metrics["hedges"] = static_cast<double>(T.Hedges.load());
-    Metrics["replays"] = static_cast<double>(T.Replays.load());
-    Metrics["reload_acks"] = static_cast<double>(T.ReloadAcks.load());
-    Metrics["deadline_missed"] = static_cast<double>(T.DeadlineMissed.load());
-    Metrics["max_generation"] = static_cast<double>(T.MaxGeneration.load());
-    Metrics["generation_regressions"] =
-        static_cast<double>(T.GenerationRegressions.load());
-    Metrics["verify_mismatches"] =
-        static_cast<double>(T.VerifyMismatches.load());
-    Metrics["asm_bytes"] = static_cast<double>(T.AsmBytes.load());
-    Metrics["wall_seconds"] = WallSeconds;
-    Metrics["p50_seconds"] = Pct(0.50);
-    Metrics["p95_seconds"] = Pct(0.95);
-    Metrics["p99_seconds"] = Pct(0.99);
-    Metrics["throughput_per_wall_seconds"] =
-        Answered / std::max(WallSeconds, 1e-9);
-    Metrics["goodput_per_wall_seconds"] =
-        T.Ok.load() / std::max(WallSeconds, 1e-9);
-    // Per-generation latency histograms. The percentile names carry
-    // "seconds" so the sentinel gives them time-class treatment; the
-    // gen<G>_requests counts are deterministic in reload-free runs
-    // (every answered request lands in generation 1).
-    for (const auto &[Gen, Lats] : T.LatenciesByGenNs) {
-      std::string GPrefix = strf("gen%llu_",
-                                 static_cast<unsigned long long>(Gen));
-      Metrics[GPrefix + "requests"] = static_cast<double>(Lats.size());
-      Metrics[GPrefix + "p50_seconds"] = GenPct(Lats, 0.50);
-      Metrics[GPrefix + "p99_seconds"] = GenPct(Lats, 0.99);
-    }
-
-    std::map<std::string, double> Final;
-    for (const auto &[Name, Value] : Metrics)
-      Final[Opt.BenchPrefix + Name] = Value;
-
-    if (Opt.BenchMerge) {
-      // Keep whatever an earlier leg wrote under names this run did not
-      // produce — the throughput and overload legs share one artifact.
-      std::ifstream In(Opt.BenchJsonPath);
-      if (In) {
-        std::string Text((std::istreambuf_iterator<char>(In)),
-                         std::istreambuf_iterator<char>());
-        JsonValue Root;
-        std::string JErr;
-        if (parseJson(Text, Root, JErr)) {
-          if (const JsonValue *Old = Root.find("metrics"))
-            for (const auto &[Name, Value] : Old->Obj)
-              if (Value.K == JsonValue::Number && !Final.count(Name))
-                Final.emplace(Name, Value.Num);
-        } else {
-          fprintf(stderr, "gg-load: --bench-merge: ignoring unparsable %s: "
-                          "%s\n",
-                  Opt.BenchJsonPath.c_str(), JErr.c_str());
-        }
-      }
-    }
-
-    std::ofstream Out(Opt.BenchJsonPath);
-    if (!Out) {
-      fprintf(stderr, "gg-load: cannot write %s\n", Opt.BenchJsonPath.c_str());
-      return ExitCompileFailure;
-    }
-    Out << "{\"schema\":\"gg-bench-v1\",\"bench\":\"server_throughput\","
-           "\"metrics\":{";
-    bool First = true;
-    for (const auto &[Name, Value] : Final) {
-      char Buf[64];
-      snprintf(Buf, sizeof(Buf), "%.9g", Value);
-      Out << (First ? "" : ",") << "\"" << Name << "\":" << Buf;
-      First = false;
-    }
-    Out << "}}\n";
-  }
+  // Exact counts only: a closed-loop run without faults repeats them
+  // exactly, so the sentinel compares them for equality.
+  if (!Opt.BenchJsonPath.empty() &&
+      !writeTextOrStdout(
+          Opt.BenchJsonPath,
+          benchJson("server_throughput",
+                    {{"requests", static_cast<uint64_t>(Opt.Requests)},
+                     {"requests_ok", T.Ok},
+                     {"compile_errors", T.CompileErrors},
+                     {"error_frames", T.Quarantined},
+                     {"gave_up", T.GaveUp},
+                     {"overloaded", T.Overloaded},
+                     {"shed_final", T.OverloadedFinal},
+                     {"retries", T.Retries},
+                     {"hedges", T.Hedges},
+                     {"replays", T.Replays},
+                     {"reload_acks", T.ReloadAcks},
+                     {"deadline_missed", T.DeadlineMissed},
+                     {"max_generation", T.MaxGeneration},
+                     {"generation_regressions", T.GenerationRegressions},
+                     {"verify_mismatches", T.VerifyMismatches},
+                     {"asm_bytes", T.AsmBytes}})))
+    return ExitCompileFailure;
 
   bool Failed = false;
   auto Fail = [&](const char *Why) {

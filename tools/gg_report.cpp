@@ -7,9 +7,8 @@
 //   gg-report [ARTIFACT.json ...] [--top=N] [--json=FILE]
 //             [--fail-on-dead-bridge] [--fail-on-zero-dyn]
 //             [--fail-production-coverage=PCT]
-//             [--profile] [--profile-json=FILE] [--diff-pcc=FILE]
+//             [--profile] [--profile-json=FILE]
 //             [--fail-attribution-below=PCT]
-//             [--check-bench=FRESH:BASELINE] [--threshold=PCT] [--noisy=SUBSTR]
 //             [--trace] [--slowest=N] [--fail-queue-wait-p99-ms=MS]
 //
 // Artifacts are dispatched on their "schema" field:
@@ -34,7 +33,6 @@
 //                   additionally get an overload/lifecycle summary: shed
 //                   rate by cause, queue-depth and queue-wait histograms,
 //                   drain/reload/watchdog counts.
-//   gg-bench-v1     via --check-bench only (see below).
 //
 // A file whose top level is a bare JSON *array* is a Chrome trace (the
 // shape --trace-json writes; it has no schema key because viewers want
@@ -63,23 +61,9 @@
 // fixed-seed coverage artifact passes at PCT=100 (the check.sh fuzz leg).
 //
 // --profile requires at least one gg-profile-v1 artifact (diagnostic exit
-// otherwise). --diff-pcc=FILE ingests a PCC-leg profile (the one
-// bench_compile_speed --pcc-profile-json= writes) and prints side-by-side
-// phase attribution of the GG-vs-PCC compile-speed ratio plus a ranked
-// work-list of what closing each phase would buy.
-// --fail-attribution-below=PCT exits nonzero when the instrumented phases
-// cover less than PCT percent of cg.total wall time (the check.sh
-// profile-smoke gate).
-//
-// --check-bench=FRESH:BASELINE compares two gg-bench-v1 metric files: any
-// count metric deviating from the baseline by more than --threshold
-// percent (default 0.5) fails, as does a metric missing from FRESH.
-// Metrics with "seconds" in the name are wall-clock and skipped, as is
-// any metric whose name contains a --noisy=SUBSTR (repeatable) — bench.sh
-// uses it for the overload leg's inherently scheduling-dependent counts
-// (sheds, retries). This is the benchmark regression sentinel:
-// scripts/bench.sh writes the files, check.sh runs the compare against
-// the baselines committed at the repo root.
+// otherwise). --fail-attribution-below=PCT exits nonzero when the
+// instrumented phases cover less than PCT percent of cg.total wall time
+// (the check.sh profile-smoke gate).
 //
 //===----------------------------------------------------------------------===//
 
@@ -92,7 +76,6 @@
 #include "vax/VaxTarget.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -336,7 +319,6 @@ struct ProfileReport : Namer {
   }
 
   void print(int Top) const;
-  void diffPcc(const ProfileSnapshot &Pcc) const;
 
 private:
   void printHotCells(const char *What, const std::map<int, ProfCell> &Cells,
@@ -485,56 +467,6 @@ void ProfileReport::print(int Top) const {
            RegionTotal ? 100.0 * double(C.Ticks) / RegionTotal : 0.0,
            static_cast<unsigned long long>(C.Events));
   }
-}
-
-void ProfileReport::diffPcc(const ProfileSnapshot &Pcc) const {
-  uint64_t GgTotal = phaseTicks("cg.total");
-  auto It = Pcc.Phases.find("pcc.compile");
-  uint64_t PccTotal = It == Pcc.Phases.end() ? 0 : It->second.Cell.Ticks;
-  printf("\n== GG vs PCC differential\n");
-  if (!GgTotal || !PccTotal) {
-    printf("  (incomplete: need cg.total in the GG profile and pcc.compile "
-           "in the PCC profile, both on the cycles timebase)\n");
-    return;
-  }
-  double GgSec = Prof.seconds(GgTotal);
-  double PccSec = Pcc.seconds(PccTotal);
-  // Under the steps timebase seconds() is 0; fall back to raw tick ratio
-  // so the table still renders (with the caveat printed above it).
-  double Ratio = PccSec > 0   ? GgSec / PccSec
-                 : PccTotal   ? double(GgTotal) / double(PccTotal)
-                              : 0;
-  printf("  gg  cg.total     %s  (%llu compiles)\n", ticksStr(GgTotal).c_str(),
-         static_cast<unsigned long long>(Prof.Compiles));
-  printf("  pcc pcc.compile  %s  (%llu compiles)\n",
-         Pcc.TicksPerSecond > 0
-             ? strf("%10.4fs", PccSec).c_str()
-             : strf("%10llu steps", static_cast<unsigned long long>(PccTotal))
-                   .c_str(),
-         static_cast<unsigned long long>(Pcc.Compiles));
-  printf("  ratio: GG is %.2fx the PCC baseline\n\n", Ratio);
-
-  // Side-by-side: each GG phase against both totals, then the ranked
-  // work-list — what the ratio becomes if a phase's cost went to zero.
-  // That bound is what table packing / direct coding (ROADMAP items 1-2)
-  // can buy per phase.
-  std::vector<std::pair<uint64_t, std::string>> Phases;
-  for (const auto &[Name, P] : Prof.Phases)
-    if (Name.rfind("cg.", 0) == 0 && Name != "cg.total")
-      Phases.push_back({P.Cell.Ticks, Name});
-  std::sort(Phases.begin(), Phases.end(), [](const auto &A, const auto &B) {
-    return A.first != B.first ? A.first > B.first : A.second < B.second;
-  });
-  printf("  %-14s %12s %16s %16s\n", "phase", "cost", "share of GG",
-         "vs whole PCC");
-  for (const auto &[Ticks, Name] : Phases)
-    printf("  %-14s %s %15.1f%% %15.1f%%\n", Name.c_str(),
-           ticksStr(Ticks).c_str(), 100.0 * double(Ticks) / double(GgTotal),
-           100.0 * double(Ticks) / double(PccTotal));
-  printf("\n  work-list (ratio if the phase cost zero):\n");
-  for (const auto &[Ticks, Name] : Phases)
-    printf("    %-14s -> %.2fx\n", Name.c_str(),
-           double(GgTotal - std::min(Ticks, GgTotal)) / double(PccTotal));
 }
 
 /// One request's spans joined from Chrome trace events, keyed by the
@@ -686,39 +618,6 @@ bool TraceReport::print(int Slowest, double FailQueueP99Ms) const {
   return true;
 }
 
-/// One gg-bench-v1 file: {"schema":...,"bench":NAME,"metrics":{k:v}}.
-struct BenchMetrics {
-  std::string Bench;
-  std::map<std::string, double> Metrics;
-
-  bool load(const std::string &Path) {
-    std::string Text, Err;
-    JsonValue V;
-    if (!readFile(Path, Text))
-      return false;
-    if (!parseJson(Text, V, Err)) {
-      fprintf(stderr, "gg-report: %s: %s\n", Path.c_str(), Err.c_str());
-      return false;
-    }
-    const JsonValue *Schema = V.find("schema");
-    if (!Schema || Schema->Str != "gg-bench-v1") {
-      fprintf(stderr, "gg-report: %s is not a gg-bench-v1 file\n",
-              Path.c_str());
-      return false;
-    }
-    if (const JsonValue *B = V.find("bench"))
-      Bench = B->Str;
-    const JsonValue *M = V.find("metrics");
-    if (!M || M->K != JsonValue::Kind::Object) {
-      fprintf(stderr, "gg-report: %s has no metrics object\n", Path.c_str());
-      return false;
-    }
-    for (const auto &[K, Val] : M->Obj)
-      Metrics[K] = Val.Num;
-    return true;
-  }
-};
-
 /// One log-histogram summed across gg-stats-v1 artifacts (the JSON shape
 /// StatsRegistry::toJson emits: count/sum/min/max plus sparse buckets
 /// keyed by their upper bound).
@@ -754,63 +653,19 @@ struct HistSummary {
   }
 };
 
-/// The sentinel compare: every baseline metric must exist in the fresh
-/// run and stay within the allowed relative deviation. Count metrics are
-/// deterministic, so the default threshold is tight; time metrics (and
-/// any metric matching a --noisy substring) are noisy and skipped.
-bool checkBench(const BenchMetrics &Fresh, const BenchMetrics &Baseline,
-                double ThresholdPct, const std::vector<std::string> &Noisy) {
-  bool Ok = true;
-  int Checked = 0, Skipped = 0;
-  for (const auto &[Name, Base] : Baseline.Metrics) {
-    bool IsTime = Name.find("seconds") != std::string::npos;
-    for (const std::string &Sub : Noisy)
-      if (Name.find(Sub) != std::string::npos)
-        IsTime = true;
-    if (IsTime) {
-      ++Skipped;
-      continue;
-    }
-    auto It = Fresh.Metrics.find(Name);
-    if (It == Fresh.Metrics.end()) {
-      fprintf(stderr, "  MISSING %s (baseline %.6g)\n", Name.c_str(), Base);
-      Ok = false;
-      continue;
-    }
-    ++Checked;
-    double Denom = std::max(std::fabs(Base), 1e-9);
-    double DeltaPct = 100.0 * std::fabs(It->second - Base) / Denom;
-    if (DeltaPct > ThresholdPct) {
-      fprintf(stderr, "  REGRESSION %s: %.6g -> %.6g (%+.2f%%, allowed %.2f%%)\n",
-              Name.c_str(), Base, It->second,
-              100.0 * (It->second - Base) / Denom, ThresholdPct);
-      Ok = false;
-    }
-  }
-  for (const auto &[Name, Val] : Fresh.Metrics)
-    if (!Baseline.Metrics.count(Name))
-      printf("  note: new metric %s = %.6g (not in baseline)\n", Name.c_str(),
-             Val);
-  printf("== bench %s: %d metrics checked, %d skipped: %s\n",
-         Baseline.Bench.c_str(), Checked, Skipped, Ok ? "OK" : "REGRESSED");
-  return Ok;
-}
-
 void printUsage(FILE *To) {
   fprintf(To,
           "usage: gg-report [ARTIFACT.json ...] [--top=N] [--json=FILE]\n"
           "                 [--fail-on-dead-bridge] [--fail-on-zero-dyn]\n"
           "                 [--fail-production-coverage=PCT]\n"
-          "                 [--profile] [--profile-json=FILE] "
-          "[--diff-pcc=FILE]\n"
+          "                 [--profile] [--profile-json=FILE]\n"
           "                 [--fail-attribution-below=PCT]\n"
-          "                 [--check-bench=FRESH:BASELINE] [--threshold=PCT]\n"
-          "                 [--noisy=SUBSTR] [--trace] [--slowest=N]\n"
-          "                 [--fail-queue-wait-p99-ms=MS]\n"
+          "                 [--trace] [--slowest=N] "
+          "[--fail-queue-wait-p99-ms=MS]\n"
           "\n"
           "Merges gg-coverage-v1 / gg-profile-v1 / gg-stats-v1 artifacts\n"
-          "into one report, compares gg-bench-v1 baselines, and joins\n"
-          "--trace-json Chrome traces into per-request timelines.\n");
+          "into one report and joins --trace-json Chrome traces into\n"
+          "per-request timelines.\n");
 }
 
 /// Diagnostic + usage + the conventional usage-error exit code.
@@ -824,13 +679,11 @@ int usageError(const char *Diag) {
 
 int main(int argc, char **argv) {
   std::vector<std::string> Artifacts;
-  std::vector<std::pair<std::string, std::string>> BenchChecks;
-  std::vector<std::string> Noisy;
-  std::string MergedJsonPath, ProfileJsonPath, DiffPccPath;
+  std::string MergedJsonPath, ProfileJsonPath;
   int Top = 10, Slowest = 5;
   bool FailDeadBridge = false, FailZeroDyn = false, WantProfile = false;
   bool WantTrace = false;
-  double ThresholdPct = 0.5, FailAttrBelow = -1;
+  double FailAttrBelow = -1;
   double FailProdCovBelow = -1, FailQueueP99Ms = -1;
 
   for (int I = 1; I < argc; ++I) {
@@ -855,23 +708,11 @@ int main(int argc, char **argv) {
       FailQueueP99Ms = atof(A.c_str() + 25);
     else if (A.rfind("--profile-json=", 0) == 0)
       ProfileJsonPath = A.substr(15);
-    else if (A.rfind("--diff-pcc=", 0) == 0)
-      DiffPccPath = A.substr(11);
     else if (A.rfind("--fail-attribution-below=", 0) == 0)
       FailAttrBelow = atof(A.c_str() + 25);
-    else if (A.rfind("--threshold=", 0) == 0)
-      ThresholdPct = atof(A.c_str() + 12);
-    else if (A.rfind("--noisy=", 0) == 0)
-      Noisy.push_back(A.substr(8));
     else if (A == "--help" || A == "-h") {
       printUsage(stdout);
       return 0;
-    } else if (A.rfind("--check-bench=", 0) == 0) {
-      std::string Pair = A.substr(14);
-      size_t Colon = Pair.find(':');
-      if (Colon == std::string::npos)
-        return usageError("--check-bench wants FRESH:BASELINE");
-      BenchChecks.push_back({Pair.substr(0, Colon), Pair.substr(Colon + 1)});
     } else if (A[0] == '-')
       return usageError(strf("unknown option \"%s\"", A.c_str()).c_str());
     else
@@ -880,8 +721,8 @@ int main(int argc, char **argv) {
 
   // An empty invocation has nothing to do: say so instead of silently
   // exiting 0 (which read as "everything passed" in scripts).
-  if (Artifacts.empty() && BenchChecks.empty() && DiffPccPath.empty())
-    return usageError("no artifacts or actions given");
+  if (Artifacts.empty())
+    return usageError("no artifacts given");
 
   bool Ok = true;
 
@@ -1073,24 +914,9 @@ int main(int argc, char **argv) {
       }
       Out << Report.Prof.toJson() << "\n";
     }
-    if (!DiffPccPath.empty()) {
-      std::string Text, Err;
-      JsonValue V;
-      ProfileSnapshot Pcc;
-      if (!readFile(DiffPccPath, Text) || !parseJson(Text, V, Err) ||
-          !Pcc.parse(V, Err)) {
-        if (!Err.empty())
-          fprintf(stderr, "gg-report: %s: %s\n", DiffPccPath.c_str(),
-                  Err.c_str());
-        return 1;
-      }
-      Report.diffPcc(Pcc);
-    }
-  } else if (FailAttrBelow >= 0 || !ProfileJsonPath.empty() ||
-             !DiffPccPath.empty()) {
-    fprintf(stderr, "gg-report: --diff-pcc, --profile-json and "
-                    "--fail-attribution-below need at least one "
-                    "gg-profile-v1 artifact\n");
+  } else if (FailAttrBelow >= 0 || !ProfileJsonPath.empty()) {
+    fprintf(stderr, "gg-report: --profile-json and --fail-attribution-below "
+                    "need at least one gg-profile-v1 artifact\n");
     return 1;
   }
 
@@ -1165,14 +991,6 @@ int main(int argc, char **argv) {
       printf("  %-20s %s\n", Name + strlen("server."),
              It->second.render(Unit).c_str());
     }
-  }
-
-  for (const auto &[FreshPath, BasePath] : BenchChecks) {
-    BenchMetrics Fresh, Base;
-    if (!Fresh.load(FreshPath) || !Base.load(BasePath))
-      return 1;
-    if (!checkBench(Fresh, Base, ThresholdPct, Noisy))
-      Ok = false;
   }
 
   return Ok ? 0 : 1;
