@@ -53,9 +53,10 @@ inline void mustParse(const std::string &Source, gg::Program &P) {
   }
 }
 
-/// A deterministic corpus of source programs for the compile experiments.
-/// Programs whose execution exceeds \p MaxSteps interpreter statements are
-/// skipped (re-seeded) so that execution-based experiments finish quickly.
+/// A deterministic corpus of source programs for the experiments that run
+/// what they compile. Programs whose execution exceeds \p MaxSteps
+/// interpreter statements are skipped (re-seeded) so that those runs finish
+/// quickly.
 inline std::vector<std::string> corpus(int Count, int FunctionsEach,
                                        uint64_t Seed = 0x5EED,
                                        uint64_t MaxSteps = 3'000'000) {

@@ -3,100 +3,65 @@
 #include "frontend/Lexer.h"
 #include "support/Strings.h"
 
+#include <algorithm>
+#include <array>
 #include <cctype>
-#include <unordered_map>
 
 using namespace gg;
 
-const char *gg::tokName(Tok K) {
-  switch (K) {
-  case Tok::End:
-    return "end of input";
-  case Tok::Ident:
-    return "identifier";
-  case Tok::Number:
-    return "number";
-  case Tok::KwInt:
-    return "'int'";
-  case Tok::KwChar:
-    return "'char'";
-  case Tok::KwShort:
-    return "'short'";
-  case Tok::KwUnsigned:
-    return "'unsigned'";
-  case Tok::KwVoid:
-    return "'void'";
-  case Tok::KwRegister:
-    return "'register'";
-  case Tok::KwIf:
-    return "'if'";
-  case Tok::KwElse:
-    return "'else'";
-  case Tok::KwWhile:
-    return "'while'";
-  case Tok::KwFor:
-    return "'for'";
-  case Tok::KwDo:
-    return "'do'";
-  case Tok::KwBreak:
-    return "'break'";
-  case Tok::KwContinue:
-    return "'continue'";
-  case Tok::KwReturn:
-    return "'return'";
-  case Tok::KwSwitch:
-    return "'switch'";
-  case Tok::KwCase:
-    return "'case'";
-  case Tok::KwDefault:
-    return "'default'";
-  case Tok::LParen:
-    return "'('";
-  case Tok::RParen:
-    return "')'";
-  case Tok::LBrace:
-    return "'{'";
-  case Tok::RBrace:
-    return "'}'";
-  case Tok::LBracket:
-    return "'['";
-  case Tok::RBracket:
-    return "']'";
-  case Tok::Semi:
-    return "';'";
-  case Tok::Comma:
-    return "','";
-  case Tok::Assign:
-    return "'='";
-  case Tok::Question:
-    return "'?'";
-  case Tok::Colon:
-    return "':'";
-  default:
-    return "operator";
-  }
+namespace {
+
+constexpr const char *TokNames[] = {
+#define TOKEN(Id, Name) Name,
+#include "frontend/Tokens.def"
+};
+
+struct Spelled {
+  std::string_view Text;
+  Tok Kind;
+};
+
+constexpr Spelled Spellings[] = {
+#define SPELLED(Id, Spelling) {Spelling, Tok::Id},
+#include "frontend/Tokens.def"
+};
+
+using Buckets = std::array<std::vector<Spelled>, 256>;
+
+/// The spelled rows by first character, longest first: the first row of a
+/// bucket that matches is the longest match.
+const Buckets &spellingsByFirstChar() {
+  static const Buckets B = [] {
+    Buckets R;
+    for (const Spelled &S : Spellings)
+      R[static_cast<unsigned char>(S.Text[0])].push_back(S);
+    for (std::vector<Spelled> &Bucket : R)
+      std::stable_sort(Bucket.begin(), Bucket.end(),
+                       [](const Spelled &X, const Spelled &Y) {
+                         return X.Text.size() > Y.Text.size();
+                       });
+    return R;
+  }();
+  return B;
 }
+
+} // namespace
+
+const char *gg::tokName(Tok K) { return TokNames[static_cast<int>(K)]; }
 
 bool gg::lexMiniC(std::string_view Src, std::vector<Token> &Tokens,
                   DiagnosticSink &Diags) {
-  static const std::unordered_map<std::string, Tok> Keywords = {
-      {"int", Tok::KwInt},           {"char", Tok::KwChar},
-      {"short", Tok::KwShort},       {"unsigned", Tok::KwUnsigned},
-      {"void", Tok::KwVoid},         {"register", Tok::KwRegister},
-      {"if", Tok::KwIf},             {"else", Tok::KwElse},
-      {"while", Tok::KwWhile},       {"for", Tok::KwFor},
-      {"do", Tok::KwDo},             {"break", Tok::KwBreak},
-      {"continue", Tok::KwContinue}, {"return", Tok::KwReturn},
-      {"switch", Tok::KwSwitch},     {"case", Tok::KwCase},
-      {"default", Tok::KwDefault},
-  };
-
+  const Buckets &ByFirst = spellingsByFirstChar();
   size_t I = 0, N = Src.size();
   int Line = 1;
-  auto Push = [&](Tok K) { Tokens.push_back({K, "", 0, Line}); };
+  size_t Start = 0;
+  auto Push = [&](Tok K, int64_t V = 0) {
+    Tokens.push_back({K, Src.substr(Start, I - Start), V, Line});
+  };
 
   while (I < N) {
     char C = Src[I];
+    Start = I;
     if (C == '\n') {
       ++Line;
       ++I;
@@ -126,20 +91,20 @@ bool gg::lexMiniC(std::string_view Src, std::vector<Token> &Tokens,
       continue;
     }
     if (isalpha(static_cast<unsigned char>(C)) || C == '_') {
-      size_t Start = I;
       while (I < N && (isalnum(static_cast<unsigned char>(Src[I])) ||
                        Src[I] == '_'))
         ++I;
-      std::string Word(Src.substr(Start, I - Start));
-      auto It = Keywords.find(Word);
-      if (It != Keywords.end())
-        Push(It->second);
-      else
-        Tokens.push_back({Tok::Ident, Word, 0, Line});
+      std::string_view Word = Src.substr(Start, I - Start);
+      Tok K = Tok::Ident;
+      for (const Spelled &S : ByFirst[static_cast<unsigned char>(C)])
+        if (S.Text == Word) {
+          K = S.Kind;
+          break;
+        }
+      Push(K);
       continue;
     }
     if (isdigit(static_cast<unsigned char>(C))) {
-      size_t Start = I;
       while (I < N && (isalnum(static_cast<unsigned char>(Src[I]))))
         ++I;
       std::optional<int64_t> V = parseInt(Src.substr(Start, I - Start));
@@ -149,7 +114,7 @@ bool gg::lexMiniC(std::string_view Src, std::vector<Token> &Tokens,
                     Line);
         return false;
       }
-      Tokens.push_back({Tok::Number, "", *V, Line});
+      Push(Tok::Number, *V);
       continue;
     }
     if (C == '\'') {
@@ -173,73 +138,23 @@ bool gg::lexMiniC(std::string_view Src, std::vector<Token> &Tokens,
         return false;
       }
       ++I;
-      Tokens.push_back({Tok::Number, "", V, Line});
+      Push(Tok::Number, V);
       continue;
     }
 
-    auto Two = [&](char A, char B, Tok K) -> bool {
-      if (C == A && I + 1 < N && Src[I + 1] == B) {
-        Push(K);
-        I += 2;
-        return true;
+    const Spelled *Match = nullptr;
+    for (const Spelled &S : ByFirst[static_cast<unsigned char>(C)])
+      if (Src.substr(I, S.Text.size()) == S.Text) {
+        Match = &S;
+        break;
       }
-      return false;
-    };
-    auto Three = [&](const char *S, Tok K) -> bool {
-      if (I + 2 < N && Src[I] == S[0] && Src[I + 1] == S[1] &&
-          Src[I + 2] == S[2]) {
-        Push(K);
-        I += 3;
-        return true;
-      }
-      return false;
-    };
-
-    if (Three("<<=", Tok::ShlAssign) || Three(">>=", Tok::ShrAssign))
-      continue;
-    if (Two('<', '<', Tok::Shl) || Two('>', '>', Tok::Shr) ||
-        Two('<', '=', Tok::LessEq) || Two('>', '=', Tok::GreaterEq) ||
-        Two('=', '=', Tok::EqEq) || Two('!', '=', Tok::NotEq) ||
-        Two('&', '&', Tok::AmpAmp) || Two('|', '|', Tok::PipePipe) ||
-        Two('+', '+', Tok::PlusPlus) || Two('-', '-', Tok::MinusMinus) ||
-        Two('+', '=', Tok::PlusAssign) || Two('-', '=', Tok::MinusAssign) ||
-        Two('*', '=', Tok::StarAssign) || Two('/', '=', Tok::SlashAssign) ||
-        Two('%', '=', Tok::PercentAssign) || Two('&', '=', Tok::AmpAssign) ||
-        Two('|', '=', Tok::PipeAssign) || Two('^', '=', Tok::CaretAssign))
-      continue;
-
-    Tok K;
-    switch (C) {
-    case '(': K = Tok::LParen; break;
-    case ')': K = Tok::RParen; break;
-    case '{': K = Tok::LBrace; break;
-    case '}': K = Tok::RBrace; break;
-    case '[': K = Tok::LBracket; break;
-    case ']': K = Tok::RBracket; break;
-    case ';': K = Tok::Semi; break;
-    case ',': K = Tok::Comma; break;
-    case '=': K = Tok::Assign; break;
-    case '?': K = Tok::Question; break;
-    case ':': K = Tok::Colon; break;
-    case '|': K = Tok::Pipe; break;
-    case '^': K = Tok::Caret; break;
-    case '&': K = Tok::Amp; break;
-    case '<': K = Tok::Less; break;
-    case '>': K = Tok::Greater; break;
-    case '+': K = Tok::Plus; break;
-    case '-': K = Tok::Minus; break;
-    case '*': K = Tok::Star; break;
-    case '/': K = Tok::Slash; break;
-    case '%': K = Tok::Percent; break;
-    case '~': K = Tok::Tilde; break;
-    case '!': K = Tok::Bang; break;
-    default:
+    if (!Match) {
       Diags.error(strf("unexpected character '%c'", C), Line);
       return false;
     }
-    Push(K);
-    ++I;
+    I += Match->Text.size();
+    Push(Match->Kind);
   }
-  Tokens.push_back({Tok::End, "", 0, Line});
+  Tokens.push_back({Tok::End, {}, 0, Line});
   return true;
 }

@@ -16,91 +16,30 @@
 #include "support/Error.h"
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <vector>
 
 namespace gg {
 
 enum class Tok : uint8_t {
-  End,
-  Ident,
-  Number,
-  // keywords
-  KwInt,
-  KwChar,
-  KwShort,
-  KwUnsigned,
-  KwVoid,
-  KwRegister,
-  KwIf,
-  KwElse,
-  KwWhile,
-  KwFor,
-  KwDo,
-  KwBreak,
-  KwContinue,
-  KwReturn,
-  KwSwitch,
-  KwCase,
-  KwDefault,
-  // punctuation / operators
-  LParen,
-  RParen,
-  LBrace,
-  RBrace,
-  LBracket,
-  RBracket,
-  Semi,
-  Comma,
-  Assign,
-  PlusAssign,
-  MinusAssign,
-  StarAssign,
-  SlashAssign,
-  PercentAssign,
-  AmpAssign,
-  PipeAssign,
-  CaretAssign,
-  ShlAssign,
-  ShrAssign,
-  Question,
-  Colon,
-  PipePipe,
-  AmpAmp,
-  Pipe,
-  Caret,
-  Amp,
-  EqEq,
-  NotEq,
-  Less,
-  LessEq,
-  Greater,
-  GreaterEq,
-  Shl,
-  Shr,
-  Plus,
-  Minus,
-  Star,
-  Slash,
-  Percent,
-  PlusPlus,
-  MinusMinus,
-  Tilde,
-  Bang,
+#define TOKEN(Id, Name) Id,
+#include "frontend/Tokens.def"
 };
 
 struct Token {
   Tok Kind = Tok::End;
-  std::string Text;  ///< identifier spelling
-  int64_t Value = 0; ///< numeric value
+  std::string_view Text; ///< spelling, a view into the lexed source
+  int64_t Value = 0;     ///< numeric value
   int Line = 1;
 };
 
-/// Tokenizes \p Source; returns false on lexical errors.
+/// Tokenizes \p Source; returns false on lexical errors. The tokens' Text
+/// views point into \p Source, which must outlive them.
 bool lexMiniC(std::string_view Source, std::vector<Token> &Tokens,
               DiagnosticSink &Diags);
 
-/// Token spelling for diagnostics.
+/// The token kind as diagnostics name it: its quoted spelling, or its
+/// class ("identifier").
 const char *tokName(Tok K);
 
 } // namespace gg

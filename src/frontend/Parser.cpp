@@ -60,6 +60,24 @@ struct FnInfo {
   bool Defined = false;
 };
 
+/// What a token does between two operands, from Tokens.def: a binary
+/// operator's precedence (0: none), IR operator and, for Op::Rel, the
+/// condition; or an assignment's operator (Assign for '=').
+struct InfixRule {
+  uint8_t Prec = 0;
+  bool IsAssign = false;
+  Op O = Op::Const;
+  Cond CC = Cond::EQ;
+};
+
+constexpr InfixRule InfixRules[] = {
+#define TOKEN(Id, Name) {},
+#define BINARY(Id, Spelling, Prec, BinOp) {Prec, false, Op::BinOp},
+#define RELATIONAL(Id, Spelling, Prec, CC) {Prec, false, Op::Rel, Cond::CC},
+#define ASSIGN(Id, Spelling, BinOp) {0, true, Op::BinOp},
+#include "frontend/Tokens.def"
+};
+
 class ParserImpl {
 public:
   ParserImpl(const std::vector<Token> &Toks, Program &Prog,
@@ -80,8 +98,9 @@ private:
   size_t Pos = 0;
   bool Failed = false;
 
-  std::vector<std::unordered_map<std::string, VarInfo>> Scopes;
-  std::unordered_map<std::string, FnInfo> Funcs;
+  // Keyed by views into the source, which outlives the parse.
+  std::vector<std::unordered_map<std::string_view, VarInfo>> Scopes;
+  std::unordered_map<std::string_view, FnInfo> Funcs;
   Function *CurF = nullptr;
   CType CurRet;
   std::vector<InternedString> BreakTargets, ContinueTargets;
@@ -94,7 +113,7 @@ private:
   }
   bool at(Tok K) const { return peek().Kind == K; }
   int line() const { return peek().Line; }
-  Token take() { return Toks[Pos < Toks.size() - 1 ? Pos++ : Pos]; }
+  const Token &take() { return Toks[Pos < Toks.size() - 1 ? Pos++ : Pos]; }
   bool accept(Tok K) {
     if (!at(K))
       return false;
@@ -114,7 +133,7 @@ private:
   }
 
   //===--- symbols ------------------------------------------------------------
-  VarInfo *lookupVar(const std::string &Name) {
+  VarInfo *lookupVar(std::string_view Name) {
     for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It) {
       auto Found = It->find(Name);
       if (Found != It->end())
@@ -123,9 +142,9 @@ private:
     return nullptr;
   }
 
-  void declareVar(const std::string &Name, VarInfo Info) {
+  void declareVar(std::string_view Name, VarInfo Info) {
     if (Scopes.back().count(Name)) {
-      error(strf("redefinition of '%s'", Name.c_str()));
+      error(strf("redefinition of '%.*s'", int(Name.size()), Name.data()));
       return;
     }
     Scopes.back().emplace(Name, Info);
@@ -184,7 +203,7 @@ private:
       error("expected an identifier");
       return;
     }
-    std::string Name = take().Text;
+    std::string_view Name = take().Text;
     if (at(Tok::LParen)) {
       parseFunction(T, Name);
       return;
@@ -192,7 +211,7 @@ private:
     parseGlobal(T, Name);
   }
 
-  void parseGlobal(CType T, const std::string &Name) {
+  void parseGlobal(CType T, std::string_view Name) {
     if (T.IsVoid) {
       error("variables cannot have type void");
       return;
@@ -200,7 +219,8 @@ private:
     GlobalVar G;
     G.Name = Prog.Syms.intern(Name);
     if (Prog.findGlobal(G.Name)) {
-      error(strf("redefinition of global '%s'", Name.c_str()));
+      error(strf("redefinition of global '%.*s'", int(Name.size()),
+                 Name.data()));
       return;
     }
     CType VarT = T;
@@ -261,7 +281,7 @@ private:
     return Negate ? -V : V;
   }
 
-  void parseFunction(CType Ret, const std::string &Name) {
+  void parseFunction(CType Ret, std::string_view Name) {
     expect(Tok::LParen, "after function name");
     if (Scopes.empty())
       Scopes.emplace_back();
@@ -281,7 +301,7 @@ private:
           error("expected a parameter name");
           break;
         }
-        std::string PName = take().Text;
+        std::string_view PName = take().Text;
         VarInfo Info;
         Info.Kind = VarInfo::Param;
         Info.T = PT;
@@ -298,8 +318,8 @@ private:
     auto [It, Inserted] = Funcs.emplace(Name, FnInfo{Ret, ParamIndex, false});
     if (!Inserted &&
         (It->second.NumParams != ParamIndex || It->second.Defined)) {
-      error(strf("conflicting or duplicate definition of '%s'",
-                 Name.c_str()));
+      error(strf("conflicting or duplicate definition of '%.*s'",
+                 int(Name.size()), Name.data()));
     }
 
     if (accept(Tok::Semi)) { // prototype
@@ -459,7 +479,7 @@ private:
         error("expected a variable name");
         return;
       }
-      std::string Name = take().Text;
+      std::string_view Name = take().Text;
       VarInfo Info;
       Info.T = T;
       if (accept(Tok::LBracket)) {
@@ -801,51 +821,17 @@ private:
 
   Value parseAssignExpr() {
     Value L = parseTernary();
-    Tok K = peek().Kind;
-    Op BinOp;
-    switch (K) {
-    case Tok::Assign: {
-      take();
+    const InfixRule &Rule = InfixRules[static_cast<int>(peek().Kind)];
+    if (!Rule.IsAssign)
+      return L;
+    take();
+    if (Rule.O == Op::Assign) {
       Value R = parseAssignExpr();
       Value Out;
       Out.N = makeAssign(L, R);
       Out.T = L.T;
       return Out;
     }
-    case Tok::PlusAssign:
-      BinOp = Op::Plus;
-      break;
-    case Tok::MinusAssign:
-      BinOp = Op::Minus;
-      break;
-    case Tok::StarAssign:
-      BinOp = Op::Mul;
-      break;
-    case Tok::SlashAssign:
-      BinOp = Op::Div;
-      break;
-    case Tok::PercentAssign:
-      BinOp = Op::Mod;
-      break;
-    case Tok::AmpAssign:
-      BinOp = Op::And;
-      break;
-    case Tok::PipeAssign:
-      BinOp = Op::Or;
-      break;
-    case Tok::CaretAssign:
-      BinOp = Op::Xor;
-      break;
-    case Tok::ShlAssign:
-      BinOp = Op::Lsh;
-      break;
-    case Tok::ShrAssign:
-      BinOp = Op::Rsh;
-      break;
-    default:
-      return L;
-    }
-    take();
     // Compound assignment expands to a = a op b (§6.5); the destination
     // is duplicated, so it must be free of side effects.
     if (!L.IsLValue) {
@@ -861,7 +847,7 @@ private:
     LCopy.N = A.clone(L.N);
     LCopy.T = L.T;
     LCopy.IsLValue = true;
-    Value Sum = makeBinary(BinOp, LCopy, R);
+    Value Sum = makeBinary(Rule.O, LCopy, R);
     Value Out;
     Out.N = makeAssign(L, Sum);
     Out.T = L.T;
@@ -869,7 +855,7 @@ private:
   }
 
   Value parseTernary() {
-    Value C = parseBinary(0);
+    Value C = parseBinary(1);
     if (!accept(Tok::Question))
       return C;
     Value T = parseAssignExpr();
@@ -883,52 +869,18 @@ private:
     return Out;
   }
 
-  struct BinLevel {
-    Tok Kind;
-    Op Operator;
-    bool IsRel;
-    Cond CC;
-  };
-
-  /// Precedence-climbing over the binary levels (highest index binds
-  /// loosest is reversed: level 0 = ||).
-  Value parseBinary(int Level) {
-    static const std::vector<std::vector<BinLevel>> Levels = {
-        {{Tok::PipePipe, Op::OrOr, false, Cond::EQ}},
-        {{Tok::AmpAmp, Op::AndAnd, false, Cond::EQ}},
-        {{Tok::Pipe, Op::Or, false, Cond::EQ}},
-        {{Tok::Caret, Op::Xor, false, Cond::EQ}},
-        {{Tok::Amp, Op::And, false, Cond::EQ}},
-        {{Tok::EqEq, Op::Rel, true, Cond::EQ},
-         {Tok::NotEq, Op::Rel, true, Cond::NE}},
-        {{Tok::Less, Op::Rel, true, Cond::LT},
-         {Tok::LessEq, Op::Rel, true, Cond::LE},
-         {Tok::Greater, Op::Rel, true, Cond::GT},
-         {Tok::GreaterEq, Op::Rel, true, Cond::GE}},
-        {{Tok::Shl, Op::Lsh, false, Cond::EQ},
-         {Tok::Shr, Op::Rsh, false, Cond::EQ}},
-        {{Tok::Plus, Op::Plus, false, Cond::EQ},
-         {Tok::Minus, Op::Minus, false, Cond::EQ}},
-        {{Tok::Star, Op::Mul, false, Cond::EQ},
-         {Tok::Slash, Op::Div, false, Cond::EQ},
-         {Tok::Percent, Op::Mod, false, Cond::EQ}},
-    };
-    if (Level >= static_cast<int>(Levels.size()))
-      return parseUnary();
-    Value L = parseBinary(Level + 1);
+  /// Precedence climbing: parses operators that bind at least as tightly
+  /// as \p MinPrec; each level associates to the left.
+  Value parseBinary(int MinPrec) {
+    Value L = parseUnary();
     while (!Failed) {
-      const BinLevel *Match = nullptr;
-      for (const BinLevel &Cand : Levels[Level])
-        if (at(Cand.Kind))
-          Match = &Cand;
-      if (!Match)
+      const InfixRule &Rule = InfixRules[static_cast<int>(peek().Kind)];
+      if (Rule.Prec < MinPrec)
         return L;
       take();
-      Value R = parseBinary(Level + 1);
-      if (Match->IsRel)
-        L = makeRelational(Match->CC, L, R);
-      else
-        L = makeBinary(Match->Operator, L, R);
+      Value R = parseBinary(Rule.Prec + 1);
+      L = Rule.O == Op::Rel ? makeRelational(Rule.CC, L, R)
+                            : makeBinary(Rule.O, L, R);
     }
     return L;
   }
@@ -1013,8 +965,6 @@ private:
   }
 
   Value parseUnary() {
-    int Ln = line();
-    (void)Ln;
     if (accept(Tok::Minus)) {
       Value V = parseUnary();
       CType T = promote(V.T);
@@ -1167,7 +1117,7 @@ private:
 
   Value parsePrimary() {
     if (at(Tok::Number)) {
-      Token T = take();
+      const Token &T = take();
       Value V;
       V.T = CType::scalar(Ty::L);
       V.N = A.con(Ty::L, T.Value);
@@ -1198,12 +1148,13 @@ private:
       return V;
     }
     if (at(Tok::Ident)) {
-      Token T = take();
+      const Token &T = take();
       if (at(Tok::LParen))
         return parseCall(T.Text);
       VarInfo *V = lookupVar(T.Text);
       if (!V) {
-        error(strf("use of undeclared identifier '%s'", T.Text.c_str()));
+        error(strf("use of undeclared identifier '%.*s'", int(T.Text.size()),
+                   T.Text.data()));
         Value Bad;
         Bad.T = CType::scalar(Ty::L);
         Bad.N = A.con(Ty::L, 0);
@@ -1218,7 +1169,7 @@ private:
     return Bad;
   }
 
-  Value parseCall(const std::string &Name) {
+  Value parseCall(std::string_view Name) {
     expect(Tok::LParen, "in call");
     std::vector<Node *> Args;
     if (!at(Tok::RParen)) {
@@ -1232,13 +1183,15 @@ private:
     if (!Builtin) {
       auto It = Funcs.find(Name);
       if (It == Funcs.end()) {
-        error(strf("call to undeclared function '%s'", Name.c_str()));
+        error(strf("call to undeclared function '%.*s'", int(Name.size()),
+                   Name.data()));
       } else if (It->second.NumParams != static_cast<int>(Args.size())) {
-        error(strf("'%s' expects %d argument(s), got %zu", Name.c_str(),
-                   It->second.NumParams, Args.size()));
+        error(strf("'%.*s' expects %d argument(s), got %zu", int(Name.size()),
+                   Name.data(), It->second.NumParams, Args.size()));
       }
     } else if (Args.size() != 1) {
-      error(strf("'%s' expects exactly one argument", Name.c_str()));
+      error(strf("'%.*s' expects exactly one argument", int(Name.size()),
+                 Name.data()));
     }
 
     Node *Chain = nullptr;

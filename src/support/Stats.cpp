@@ -23,6 +23,11 @@ void StatsRegistry::reset() {
 std::string gg::jsonEscape(std::string_view Text) {
   std::string Out;
   Out.reserve(Text.size());
+  appendJsonEscaped(Out, Text);
+  return Out;
+}
+
+void gg::appendJsonEscaped(std::string &Out, std::string_view Text) {
   for (char C : Text) {
     switch (C) {
     case '"':
@@ -47,7 +52,6 @@ std::string gg::jsonEscape(std::string_view Text) {
         Out += C;
     }
   }
-  return Out;
 }
 
 std::string StatsRegistry::toJson() const {

@@ -235,6 +235,9 @@ inline StatsRegistry &stats() { return StatsRegistry::global(); }
 /// Escapes \p Text for inclusion in a JSON string literal.
 std::string jsonEscape(std::string_view Text);
 
+/// Appends \p Text to \p Out, escaped as jsonEscape does.
+void appendJsonEscaped(std::string &Out, std::string_view Text);
+
 } // namespace gg
 
 #endif // GG_SUPPORT_STATS_H

@@ -2,9 +2,10 @@
 
 #include "support/Trace.h"
 #include "support/Stats.h"
-#include "support/Strings.h"
 
 #include <algorithm>
+#include <charconv>
+#include <iterator>
 #include <numeric>
 
 using namespace gg;
@@ -42,20 +43,35 @@ std::string TraceRecorder::toChromeJson() const {
     return Events[A].StartUs < Events[B].StartUs;
   });
 
+  // Fields go straight into Out: a dump holds up to Capacity spans of a
+  // dozen args. to_chars writes what printf's %.3f and %lld would.
   std::string Out = "[";
+  Out.reserve(Events.size() * 192 + 8);
+  char Num[64];
+  auto Append = [&](auto V, auto... Format) {
+    Out.append(Num, std::to_chars(Num, std::end(Num), V, Format...).ptr);
+  };
   bool First = true;
   for (size_t I : Order) {
     const TraceEvent &E = Events[I];
-    Out += strf("%s\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\","
-                "\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%u",
-                First ? "" : ",", jsonEscape(E.name()).c_str(), E.Category,
-                E.StartUs, E.DurUs, E.Tid);
+    Out += First ? "\n{\"name\":\"" : ",\n{\"name\":\"";
+    appendJsonEscaped(Out, E.name());
+    Out += "\",\"cat\":\"";
+    Out += E.Category;
+    Out += "\",\"ph\":\"X\",\"ts\":";
+    Append(E.StartUs, std::chars_format::fixed, 3);
+    Out += ",\"dur\":";
+    Append(E.DurUs, std::chars_format::fixed, 3);
+    Out += ",\"pid\":1,\"tid\":";
+    Append(E.Tid);
     if (E.NumArgs) {
       Out += ",\"args\":{";
       bool FirstA = true;
       for (const auto &[K, V] : E.args()) {
-        Out += strf("%s\"%s\":%lld", FirstA ? "" : ",",
-                    jsonEscape(K).c_str(), static_cast<long long>(V));
+        Out += FirstA ? "\"" : ",\"";
+        appendJsonEscaped(Out, K);
+        Out += "\":";
+        Append(V);
         FirstA = false;
       }
       Out += "}";

@@ -337,6 +337,35 @@ TEST(Trace, ChromeJsonWellFormed) {
                            << Json;
 }
 
+TEST(Trace, ChromeJsonBytesArePinned) {
+  TraceRecorder R;
+  R.enable();
+  // Recorded out of start order, on two threads' tracks.
+  auto Record = [&](const char *Name, double StartUs, double DurUs,
+                    uint32_t Tid, std::vector<TraceEvent::Arg> Args) {
+    TraceEvent E;
+    R.enter(E);
+    std::strcpy(E.NameBuf, Name);
+    E.StartUs = StartUs;
+    E.DurUs = DurUs;
+    E.Tid = Tid;
+    for (const TraceEvent::Arg &A : Args)
+      E.ArgBuf[E.NumArgs++] = A;
+    R.exit(E);
+  };
+  Record("cg.function", 12.3456, 1000.5, 2,
+         {{"trees", 3}, {"steps", -7}, {"big", int64_t{1} << 40}});
+  Record("say \"hi\"\\\n\x01", 0.25, 0, 1, {});
+  EXPECT_EQ(R.toChromeJson(),
+            "[\n"
+            "{\"name\":\"say \\\"hi\\\"\\\\\\n\\u0001\",\"cat\":\"gg\","
+            "\"ph\":\"X\",\"ts\":0.250,\"dur\":0.000,\"pid\":1,\"tid\":1},\n"
+            "{\"name\":\"cg.function\",\"cat\":\"gg\",\"ph\":\"X\","
+            "\"ts\":12.346,\"dur\":1000.500,\"pid\":1,\"tid\":2,"
+            "\"args\":{\"trees\":3,\"steps\":-7,\"big\":1099511627776}}\n"
+            "]\n");
+}
+
 TEST(Trace, RecorderKeepsTheNewestSpans) {
   TraceRecorder R;
   R.enable();
