@@ -11,7 +11,6 @@
 #include "support/TableEvents.h"
 #include "support/Trace.h"
 
-#include <memory>
 #include <optional>
 
 using namespace gg;
@@ -22,7 +21,12 @@ namespace {
 /// workers can run concurrently and compile() can stitch the results in
 /// source order — the output must be byte-identical at any thread count.
 struct FunctionResult {
-  std::unique_ptr<AsmEmitter> Emit;
+  std::string Text; ///< the function's assembly, rendered by its worker
+  /// Output counts and peephole rewrites, which reach the compile's stats
+  /// only when the whole compile succeeds.
+  size_t Instructions = 0;
+  size_t AsmLines = 0;
+  PeepholeStats Peephole;
   DiagnosticSink Diags;
   std::string TraceText;
   bool Ok = true;
@@ -53,11 +57,12 @@ size_t countStatementTrees(const Function &F) {
   return N;
 }
 
-/// Compiles one function into \p R's private emitter. Runs on a pool
+/// Compiles one function and renders it into \p R's text. Runs on a pool
 /// worker: it may only touch shared state that is immutable (tables,
 /// grammar, phase-1-complete trees) or internally synchronized (the stats
 /// registry, the trace recorder). All scratch state — register manager,
-/// semantic stack, copy-tree/fallback arena, output buffer — is local.
+/// semantic stack, copy-tree/fallback arena, instruction records — is
+/// local.
 void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
                         Program &Prog, Function &F, uint64_t TreeOrdinal,
                         FunctionResult &R) {
@@ -65,7 +70,9 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
   if (TraceRecorder::global().enabled())
     FnSpan.emplace("cg.function " + Prog.Syms.text(F.Name));
   PhaseAccount Account(R.Stats.Phases);
-  AsmEmitter &Emit = *R.Emit;
+  AsmEmitter Emit(Prog.Syms);
+  if (Opts.Explain)
+    Emit.setExplain(&Target.grammar());
   // Worker-private arena: Ret/CallStmt copy trees and the fallback
   // generator's splitter temporaries must not contend on the program's
   // shared arena while other workers compile. The request budget's byte
@@ -74,14 +81,7 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
   if (Opts.Budget && Opts.Budget->MaxArenaBytes)
     LocalArena.setLimitBytes(Opts.Budget->MaxArenaBytes);
 
-  Emit.blank();
-  Emit.directive(strf(".globl %s", Prog.Syms.text(F.Name).c_str()));
-  Emit.labelText(Prog.Syms.text(F.Name));
-  Emit.directive(".word 0x0fc0"); // entry mask: save r6-r11
-  // The frame grows while compiling (spill cells, phase-1 temporaries of
-  // later statements): emit a placeholder and patch afterwards.
-  size_t PrologueLine = Emit.lines().size();
-  Emit.instRaw("subl2", {"$FRAME", "sp"});
+  const size_t Prologue = emitPrologue(Prog, F, Emit);
 
   VaxSemantics Sem(Emit, F, Opts.Idioms);
   const TerminalMap &Terms = Target.matcher().driver().termMap();
@@ -247,8 +247,12 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
     if (!EndsWithRet)
       Sem.emitRet();
 
-    // Patch the prologue with the final frame size.
-    Emit.patchLine(PrologueLine, strf("\tsubl2\t$%d,sp", F.FrameSize));
+    Emit.records()[Prologue].Ops[0].Disp = F.FrameSize;
+    if (Opts.Peephole)
+      R.Peephole = runPeephole(Emit.records());
+    Emit.render(R.Text);
+    R.Instructions = Emit.instructionCount();
+    R.AsmLines = Emit.lineCount();
   }
   R.Stats.Functions = 1;
   R.Stats.Regs = Sem.regStats();
@@ -282,13 +286,26 @@ CodeGenStats &CodeGenStats::operator+=(const CodeGenStats &O) {
   return *this;
 }
 
+size_t gg::emitPrologue(const Program &Prog, const Function &F,
+                        AsmEmitter &Emit) {
+  Emit.blank();
+  Emit.directive(".globl " + Prog.Syms.text(F.Name));
+  Emit.label(F.Name);
+  Emit.directive(".word 0x0fc0"); // entry mask: save r6-r11
+  // The frame grows while compiling (spill cells, phase-1 temporaries of
+  // later statements): allocate a placeholder size, patched afterwards.
+  const size_t At = Emit.records().size();
+  Emit.inst("subl2", {Operand::imm(0, Ty::L), Operand::reg(RegSP, Ty::L)});
+  return At;
+}
+
 void gg::emitDataSection(const Program &Prog, AsmEmitter &Emit) {
   if (Prog.Globals.empty())
     return;
   Emit.directive(".data");
   for (const GlobalVar &G : Prog.Globals) {
     Emit.directive(".align 2");
-    Emit.labelText(Prog.Syms.text(G.Name));
+    Emit.label(G.Name);
     const char *Dir = sizeOfTy(G.ElemTy) == 1   ? ".byte"
                       : sizeOfTy(G.ElemTy) == 2 ? ".word"
                                                 : ".long";
@@ -320,10 +337,9 @@ bool GGCodeGenerator::compile(Program &Prog, std::string &Asm,
   PhaseScope TotalScope(Phase::Total);
   TraceSpan CompileSpan("cg.compile");
   AsmEmitter Emit(Prog.Syms);
-  Emit.setExplain(Opts.Explain);
-
   emitDataSection(Prog, Emit);
   Emit.directive(".text");
+  internRuntimeRoutines(Prog.Syms);
 
   // Phase 1 runs serially up front: it allocates from the program's shared
   // node arena, interner and label counter. Code generation proper never
@@ -366,10 +382,6 @@ bool GGCodeGenerator::compile(Program &Prog, std::string &Asm,
   uint64_t FirstOrdinal = faultInject().reserveTreeOrdinals(TotalTrees);
 
   std::vector<FunctionResult> Results(NumFns);
-  for (FunctionResult &R : Results) {
-    R.Emit = std::make_unique<AsmEmitter>(Prog.Syms);
-    R.Emit->setExplain(Opts.Explain);
-  }
 
   // Every function runs even if another fails: the failure path then sees
   // identical global counters at any thread count (a worker cannot know
@@ -388,14 +400,10 @@ bool GGCodeGenerator::compile(Program &Prog, std::string &Asm,
 
   // Stitch in source order; on failure report the first failing function,
   // with diagnostics merged up to and including it (serial semantics).
-  // The stitch scope runs to function exit: append + peephole + final
-  // render are all serial post-join work.
+  // The stitch scope runs to function exit: it joins the functions' text
+  // behind the module header.
   PhaseScope StitchScope(Phase::Stitch, Opts.Budget,
                          static_cast<int64_t>(NumFns));
-  size_t NumLines = Emit.lineCount();
-  for (const FunctionResult &R : Results)
-    NumLines += R.Emit->lineCount();
-  Emit.reserve(NumLines);
   for (size_t I = 0; I < NumFns; ++I) {
     FunctionResult &R = Results[I];
     Diags.append(R.Diags);
@@ -406,22 +414,27 @@ bool GGCodeGenerator::compile(Program &Prog, std::string &Asm,
     }
     Trace += R.TraceText;
     Stats += R.Stats;
-    Emit.append(std::move(*R.Emit));
   }
-
-  if (Opts.Peephole)
-    Stats.Peephole = runPeephole(Emit.linesMutable());
-  // Until the final render every Emit charge came from the workers.
+  // Every function rendered in its worker.
   Stats.WorkerEmitSeconds = Stats.Phases[Phase::Emit];
 
-  // The emitter counted the instructions the peephole pass deleted.
-  Stats.Instructions =
-      Emit.instructionCount() - Stats.Peephole.instructionsRemoved();
-  Asm += Emit.text();
+  Emit.render(Asm);
+  size_t Bytes = Asm.size();
+  for (const FunctionResult &R : Results)
+    Bytes += R.Text.size();
+  Asm.reserve(Bytes);
+  Stats.Instructions = Emit.instructionCount();
   Stats.AsmLines = Emit.lineCount();
+  for (FunctionResult &R : Results) {
+    Asm += R.Text;
+    R.Text = std::string();
+    Stats.Instructions += R.Instructions;
+    Stats.AsmLines += R.AsmLines;
+    Stats.Peephole += R.Peephole;
+  }
   // Figure-2 accounting from the phase clock's self times: phase 3 is
-  // replay and fallback without the formatting nested in them; phase 4
-  // is all formatting (instructions, final text rendering).
+  // replay and fallback without the rendering they feed; phase 4 is the
+  // rendering of every function and of the module header.
   Stats.TransformSeconds = Stats.Phases[Phase::Transform];
   Stats.MatchSeconds =
       Stats.Phases[Phase::Linearize] + Stats.Phases[Phase::Match];

@@ -146,6 +146,12 @@ private:
 /// baseline so both backends produce directly comparable modules).
 void emitDataSection(const Program &Prog, AsmEmitter &Emit);
 
+/// Emits \p F's entry sequence (both backends): .globl, label, register
+/// save mask and the frame allocation "subl2 $size,sp". Returns the index
+/// of that instruction's record; its operand 0 takes the frame size once
+/// code generation has grown the frame to its final size.
+size_t emitPrologue(const Program &Prog, const Function &F, AsmEmitter &Emit);
+
 } // namespace gg
 
 #endif // GG_CG_CODEGENERATOR_H

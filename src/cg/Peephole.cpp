@@ -1,86 +1,32 @@
 //===- Peephole.cpp - assembly-level peephole optimizer ------------------------===//
 
 #include "cg/Peephole.h"
-#include "support/Strings.h"
 #include "support/Trace.h"
 
-#include <map>
-#include <string_view>
+#include <unordered_map>
 
 using namespace gg;
 
 namespace {
 
-enum class LineKind { Blank, Label, Directive, Inst, Comment };
-
-struct ParsedLine {
-  LineKind Kind = LineKind::Blank;
-  std::string_view Opcode;
-  std::string_view Operands; ///< raw operand text after the opcode
-};
-
-ParsedLine parseLine(const std::string &Line) {
-  ParsedLine P;
-  if (Line.empty()) {
-    P.Kind = LineKind::Blank;
-    return P;
-  }
-  if (Line[0] == '#') {
-    P.Kind = LineKind::Comment;
-    return P;
-  }
-  if (Line[0] != '\t') {
-    P.Kind = Line.back() == ':' ? LineKind::Label : LineKind::Blank;
-    return P;
-  }
-  std::string_view Body(Line);
-  Body.remove_prefix(1);
-  if (!Body.empty() && Body[0] == '.') {
-    P.Kind = LineKind::Directive;
-    return P;
-  }
-  P.Kind = LineKind::Inst;
-  size_t Tab = Body.find('\t');
-  if (Tab == std::string_view::npos) {
-    P.Opcode = Body;
-  } else {
-    P.Opcode = Body.substr(0, Tab);
-    P.Operands = Body.substr(Tab + 1);
-  }
-  return P;
+bool isUncondBranch(const AsmRecord &R) {
+  return R.isInst() && (R.Op == Spelling("brw") || R.Op == Spelling("brb") ||
+                        R.Op == Spelling("jbr"));
 }
 
-bool isUncondBranch(std::string_view Op) {
-  return Op == "brw" || Op == "brb" || Op == "jbr";
+bool isCondBranch(const AsmRecord &R, Cond &C) {
+  return R.isInst() && spellings().branchCond(R.Op, C);
 }
 
-bool isCondBranch(std::string_view Op) {
-  static const char *const Names[] = {"jeql", "jneq", "jlss",  "jleq",
-                                      "jgtr", "jgeq", "jlssu", "jlequ",
-                                      "jgtru", "jgequ"};
-  for (const char *N : Names)
-    if (Op == N)
-      return true;
-  return false;
-}
-
-std::string invertBranch(std::string_view Op) {
-  static const std::pair<const char *, const char *> Inv[] = {
-      {"jeql", "jneq"},   {"jlss", "jgeq"},   {"jleq", "jgtr"},
-      {"jlssu", "jgequ"}, {"jlequ", "jgtru"},
-  };
-  for (auto &[A, B] : Inv) {
-    if (Op == A)
-      return B;
-    if (Op == B)
-      return A;
-  }
-  return std::string(Op);
+/// The label a branch names. A branch that carries an explain annotation
+/// names none: the pass leaves it exactly as its production emitted it.
+InternedString targetOf(const AsmRecord &R) {
+  return R.Production < 0 ? R.Ops[0].Sym : InternedString();
 }
 
 class PeepholePass {
 public:
-  explicit PeepholePass(std::vector<std::string> &Lines) : Lines(Lines) {}
+  explicit PeepholePass(std::vector<AsmRecord> &Recs) : Recs(Recs) {}
 
   PeepholeStats run() {
     for (int Round = 0; Round < 8; ++Round) {
@@ -96,52 +42,37 @@ public:
   }
 
 private:
-  std::vector<std::string> &Lines;
+  std::vector<AsmRecord> &Recs;
   PeepholeStats Stats;
 
-  std::string labelNameAt(size_t I) const {
-    return Lines[I].substr(0, Lines[I].size() - 1);
+  void erase(size_t I) { Recs.erase(Recs.begin() + I); }
+
+  bool isCode(size_t I) const {
+    return Recs[I].K == AsmRecord::Kind::Inst ||
+           Recs[I].K == AsmRecord::Kind::Directive;
   }
 
-  void erase(size_t I) { Lines.erase(Lines.begin() + I); }
-
-  /// Index of the next line that is not a label/blank/comment, from I.
+  /// Index of the next record that is not a label or blank, from I.
   size_t nextCode(size_t I) const {
-    while (I < Lines.size()) {
-      LineKind K = parseLine(Lines[I]).Kind;
-      if (K == LineKind::Inst || K == LineKind::Directive)
-        return I;
+    while (I < Recs.size() && !isCode(I))
       ++I;
-    }
-    return Lines.size();
+    return I;
   }
 
-  /// True if label \p Name appears among the label lines in [From, To).
-  bool labelInRange(const std::string &Name, size_t From, size_t To) const {
-    for (size_t I = From; I < To && I < Lines.size(); ++I)
-      if (parseLine(Lines[I]).Kind == LineKind::Label &&
-          labelNameAt(I) == Name)
+  /// True if label \p Name is among the labels in [From, To).
+  bool labelInRange(InternedString Name, size_t From, size_t To) const {
+    for (size_t I = From; I < To && I < Recs.size(); ++I)
+      if (Recs[I].K == AsmRecord::Kind::Label && Recs[I].Label == Name)
         return true;
     return false;
   }
 
-  std::map<std::string, size_t> labelIndex() const {
-    std::map<std::string, size_t> Map;
-    for (size_t I = 0; I < Lines.size(); ++I)
-      if (parseLine(Lines[I]).Kind == LineKind::Label)
-        Map[labelNameAt(I)] = I;
-    return Map;
-  }
-
   bool removeBranchToNext() {
     bool Changed = false;
-    for (size_t I = 0; I < Lines.size(); ++I) {
-      ParsedLine P = parseLine(Lines[I]);
-      if (P.Kind != LineKind::Inst || !isUncondBranch(P.Opcode))
+    for (size_t I = 0; I < Recs.size(); ++I) {
+      if (!isUncondBranch(Recs[I]))
         continue;
-      std::string Target(P.Operands);
-      size_t Next = nextCode(I + 1);
-      if (labelInRange(Target, I + 1, Next)) {
+      if (labelInRange(targetOf(Recs[I]), I + 1, nextCode(I + 1))) {
         erase(I);
         ++Stats.BranchToNextRemoved;
         Changed = true;
@@ -153,23 +84,16 @@ private:
 
   bool invertOverUncond() {
     bool Changed = false;
-    for (size_t I = 0; I + 2 < Lines.size(); ++I) {
-      ParsedLine A = parseLine(Lines[I]);
-      if (A.Kind != LineKind::Inst || !isCondBranch(A.Opcode))
-        continue;
-      ParsedLine B = parseLine(Lines[I + 1]);
-      if (B.Kind != LineKind::Inst || !isUncondBranch(B.Opcode))
+    for (size_t I = 0; I + 2 < Recs.size(); ++I) {
+      Cond C;
+      if (!isCondBranch(Recs[I], C) || !isUncondBranch(Recs[I + 1]))
         continue;
       // jCC L1; brw L2; ... L1 among the labels immediately following.
-      std::string L1(A.Operands);
-      size_t Next = nextCode(I + 2);
-      if (!labelInRange(L1, I + 2, Next))
+      if (!labelInRange(targetOf(Recs[I]), I + 2, nextCode(I + 2)))
         continue;
-      std::string Inverted = invertBranch(A.Opcode);
-      if (Inverted == A.Opcode)
-        continue; // not invertible (jeql/jneq are; all our conds are)
-      Lines[I] = strf("\t%s\t%s", Inverted.c_str(),
-                      std::string(B.Operands).c_str());
+      // j!CC L2: the brw's target under the inverted condition.
+      Recs[I] = Recs[I + 1];
+      Recs[I].Op = spellings().branch(negateCond(C));
       erase(I + 1);
       ++Stats.BranchesInverted;
       Changed = true;
@@ -179,27 +103,25 @@ private:
 
   bool collapseChains() {
     bool Changed = false;
-    std::map<std::string, size_t> Labels = labelIndex();
-    for (size_t I = 0; I < Lines.size(); ++I) {
-      ParsedLine P = parseLine(Lines[I]);
-      if (P.Kind != LineKind::Inst ||
-          (!isUncondBranch(P.Opcode) && !isCondBranch(P.Opcode)))
+    std::unordered_map<uint32_t, size_t> Labels;
+    for (size_t I = 0; I < Recs.size(); ++I)
+      if (Recs[I].K == AsmRecord::Kind::Label)
+        Labels[Recs[I].Label.id()] = I;
+    for (size_t I = 0; I < Recs.size(); ++I) {
+      Cond C;
+      if (!isUncondBranch(Recs[I]) && !isCondBranch(Recs[I], C))
         continue;
-      std::string Target(P.Operands);
-      auto It = Labels.find(Target);
+      InternedString Target = targetOf(Recs[I]);
+      auto It = Labels.find(Target.id());
       if (It == Labels.end())
         continue;
       size_t Dest = nextCode(It->second + 1);
-      if (Dest >= Lines.size())
+      if (Dest >= Recs.size() || !isUncondBranch(Recs[Dest]))
         continue;
-      ParsedLine D = parseLine(Lines[Dest]);
-      if (D.Kind != LineKind::Inst || !isUncondBranch(D.Opcode))
-        continue;
-      std::string Final(D.Operands);
+      InternedString Final = Recs[Dest].Ops[0].Sym;
       if (Final == Target)
         continue; // self-loop; leave it
-      Lines[I] = strf("\t%s\t%s", std::string(P.Opcode).c_str(),
-                      Final.c_str());
+      Recs[I].Ops[0].Sym = Final;
       ++Stats.ChainsCollapsed;
       Changed = true;
     }
@@ -208,25 +130,15 @@ private:
 
   bool removeUnreachable() {
     bool Changed = false;
-    for (size_t I = 0; I < Lines.size(); ++I) {
-      ParsedLine P = parseLine(Lines[I]);
-      if (P.Kind != LineKind::Inst ||
-          (!isUncondBranch(P.Opcode) && P.Opcode != "ret"))
+    for (size_t I = 0; I < Recs.size(); ++I) {
+      if (!isUncondBranch(Recs[I]) &&
+          !(Recs[I].isInst() && Recs[I].Op == Spelling("ret")))
         continue;
-      // Delete instruction lines until a label or directive.
-      while (I + 1 < Lines.size()) {
-        ParsedLine N = parseLine(Lines[I + 1]);
-        if (N.Kind == LineKind::Inst) {
-          erase(I + 1);
-          ++Stats.UnreachableRemoved;
-          Changed = true;
-          continue;
-        }
-        if (N.Kind == LineKind::Blank || N.Kind == LineKind::Comment) {
-          ++I; // skip separators but keep scanning? stop to stay simple
-          break;
-        }
-        break;
+      // Delete instructions until a label, directive or blank line.
+      while (I + 1 < Recs.size() && Recs[I + 1].isInst()) {
+        erase(I + 1);
+        ++Stats.UnreachableRemoved;
+        Changed = true;
       }
     }
     return Changed;
@@ -235,9 +147,9 @@ private:
 
 } // namespace
 
-PeepholeStats gg::runPeephole(std::vector<std::string> &Lines) {
+PeepholeStats gg::runPeephole(std::vector<AsmRecord> &Records) {
   TraceSpan Span("cg.peephole");
-  PeepholePass Pass(Lines);
+  PeepholePass Pass(Records);
   PeepholeStats PS = Pass.run();
   Span.arg("rewrites", PS.total());
   return PS;

@@ -9,7 +9,7 @@
 /// interface between our method for table-driven code generation and
 /// peephole optimization" (citing Davidson/Fraser-style optimizers).
 /// This is the simple syntactic half of that program — a window
-/// optimizer over the emitted assembly:
+/// optimizer over the instruction records of one function:
 ///
 ///   * branch-to-next-instruction elimination,
 ///   * conditional-branch inversion over an unconditional branch
@@ -27,8 +27,8 @@
 #ifndef GG_CG_PEEPHOLE_H
 #define GG_CG_PEEPHOLE_H
 
-#include <cstddef>
-#include <string>
+#include "vax/Emitter.h"
+
 #include <vector>
 
 namespace gg {
@@ -40,20 +40,25 @@ struct PeepholeStats {
   unsigned ChainsCollapsed = 0;
   unsigned UnreachableRemoved = 0;
 
+  PeepholeStats &operator+=(const PeepholeStats &O) {
+    BranchToNextRemoved += O.BranchToNextRemoved;
+    BranchesInverted += O.BranchesInverted;
+    ChainsCollapsed += O.ChainsCollapsed;
+    UnreachableRemoved += O.UnreachableRemoved;
+    return *this;
+  }
+  friend bool operator==(const PeepholeStats &,
+                         const PeepholeStats &) = default;
+
   unsigned total() const {
     return BranchToNextRemoved + BranchesInverted + ChainsCollapsed +
            UnreachableRemoved;
   }
-
-  /// Every rewrite but a chain collapse deletes one instruction line.
-  unsigned instructionsRemoved() const {
-    return BranchToNextRemoved + BranchesInverted + UnreachableRemoved;
-  }
 };
 
-/// Optimizes assembly \p Lines in place (the AsmEmitter line vector).
-/// Iterates to a fixpoint (bounded). Labels are never removed.
-PeepholeStats runPeephole(std::vector<std::string> &Lines);
+/// Optimizes one function's instruction records in place, before they are
+/// rendered. Iterates to a fixpoint (bounded). Labels are never removed.
+PeepholeStats runPeephole(std::vector<AsmRecord> &Records);
 
 } // namespace gg
 

@@ -1,7 +1,7 @@
 //===- PccCodeGen.cpp - hand-coded baseline code generator --------------------===//
 
 #include "pcc/PccCodeGen.h"
-#include "cg/CodeGenerator.h" // emitDataSection
+#include "cg/CodeGenerator.h" // emitDataSection, emitPrologue
 #include "cg/Transform.h"
 #include "support/Error.h"
 #include "support/Metrics.h"
@@ -42,7 +42,7 @@ public:
       }
     }
     if (!EndsWithRet)
-      Emit.instRaw("ret", {});
+      Emit.inst("ret", {});
     return true;
   }
 
@@ -195,7 +195,7 @@ private:
       Emit.label(S->Sym);
       return;
     case Op::Jump:
-      Emit.instRaw("brw", {P.Syms.text(S->left()->Sym)});
+      Emit.inst("brw", {Operand::labelRef(S->left()->Sym)});
       return;
     case Op::CBranch: {
       Node *C = S->left();
@@ -209,8 +209,8 @@ private:
         Emit.inst(strf("tst%c", SC), {L});
       else
         Emit.inst(strf("cmp%c", SC), {L, R});
-      Emit.instRaw(strf("j%s", condName(C->CC)),
-                   {P.Syms.text(S->right()->Sym)});
+      Emit.inst(strf("j%s", condName(C->CC)),
+                {Operand::labelRef(S->right()->Sym)});
       reclaim(L);
       reclaim(R);
       return;
@@ -223,7 +223,7 @@ private:
           Emit.inst("movl", {V, Operand::reg(RegR0, Ty::L)});
         reclaim(V);
       }
-      Emit.instRaw("ret", {});
+      Emit.inst("ret", {});
       return;
     case Op::Push: {
       Operand V = genExpr(S->left());
@@ -234,8 +234,8 @@ private:
     }
     case Op::CallStmt: {
       const Node *Call = S->right();
-      Emit.instRaw("calls", {strf("$%lld", (long long)Call->Value),
-                             P.Syms.text(Call->left()->Sym)});
+      Emit.inst("calls", {Operand::imm(Call->Value, Ty::L),
+                          Operand::labelRef(Call->left()->Sym)});
       if (S->left()) {
         Operand Dst = lvalueOperand(S->left());
         Emit.inst(strf("mov%c", scOf(S->left()->Type)),
@@ -325,8 +325,7 @@ private:
     int R = alloc();
     Operand D = Operand::reg(R, To);
     const char *Opc = isUnsignedTy(From) ? "movz" : "cvt";
-    Emit.instRaw(strf("%s%c%c", Opc, suffixChar(From), suffixChar(To)),
-                 {formatOperand(O, P.Syms), formatOperand(D, P.Syms)});
+    Emit.inst(strf("%s%c%c", Opc, suffixChar(From), suffixChar(To)), {O, D});
     return D;
   }
 
@@ -360,8 +359,7 @@ private:
       reclaim(S);
       int R = alloc();
       Operand D = Operand::reg(R, T);
-      Emit.instRaw(strf("cvt%c%c", suffixChar(Kid->Type), SC),
-                   {formatOperand(S, P.Syms), formatOperand(D, P.Syms)});
+      Emit.inst(strf("cvt%c%c", suffixChar(Kid->Type), SC), {S, D});
       return D;
     }
     case Op::Neg:
@@ -556,7 +554,7 @@ private:
     reclaim(R);
     if (BusyMask & 1u)
       fatal("baseline: r0 busy across a library call");
-    Emit.instRaw("calls", {"$2", Fn});
+    Emit.inst("calls", {Operand::imm(2, Ty::L), runtimeRoutine(P.Syms, Fn)});
     BusyMask |= 1u; // claim r0
     return Operand::reg(RegR0, Ty::UL);
   }
@@ -576,6 +574,11 @@ bool PccCodeGenerator::compile(Program &Prog, std::string &Asm,
   AsmEmitter Emit(Prog.Syms);
   emitDataSection(Prog, Emit);
   Emit.directive(".text");
+  internRuntimeRoutines(Prog.Syms);
+  // The header, then each function as soon as it is generated: the
+  // emitter holds one function's records at a time.
+  const size_t AsmStart = Asm.size();
+  Emit.render(Asm);
 
   for (Function &F : Prog.Functions) {
     // Shared target-independent lowering (phase 1a only); the baseline
@@ -587,26 +590,21 @@ bool PccCodeGenerator::compile(Program &Prog, std::string &Asm,
     runPhase1(Prog, F, TO, Stats.Transform);
     Stats.StatementTrees += F.Body.size();
 
-    Emit.blank();
-    Emit.directive(strf(".globl %s", Prog.Syms.text(F.Name).c_str()));
-    Emit.labelText(Prog.Syms.text(F.Name));
-    Emit.directive(".word 0x0fc0");
-    size_t PrologueLine = Emit.lines().size();
-    Emit.instRaw("subl2", {"$FRAME", "sp"});
-
+    const size_t Prologue = emitPrologue(Prog, F, Emit);
     DiagnosticSink Diags;
     PccFunctionGen Gen(Prog, F, Emit, Diags);
     if (!Gen.run()) {
+      Asm.resize(AsmStart);
       Err = Diags.renderAll();
       publishMetrics<MetricWhen::Compile>(Stats);
       return false;
     }
-    Emit.patchLine(PrologueLine, strf("\tsubl2\t$%d,sp", F.FrameSize));
+    Emit.records()[Prologue].Ops[0].Disp = F.FrameSize;
+    Emit.render(Asm);
   }
   Stats.Instructions = Emit.instructionCount();
-  Asm += Emit.text();
   Stats.AsmLines = Emit.lineCount();
-  // Charged up to the final render's Emit scope: the whole compile.
+  // The compile scope with the renders nested in it: the whole compile.
   Stats.Seconds = Times[Phase::PccCompile] + Times[Phase::Emit];
   // The rows both backends share: phase-1 rewrites and instructions.
   publishMetrics<MetricWhen::Compile>(Stats);

@@ -61,6 +61,13 @@ public:
     return InternedString(Id);
   }
 
+  /// The handle of \p Text if it is interned, else the empty handle. It
+  /// never writes, so threads may share it while no one interns.
+  InternedString find(std::string_view Text) const {
+    auto It = Index.find(std::string(Text));
+    return InternedString(It == Index.end() ? 0 : It->second);
+  }
+
   /// Returns the text for \p Handle.
   const std::string &text(InternedString Handle) const {
     assert(Handle.id() < Strings.size() && "bad interned string id");

@@ -1,61 +1,84 @@
-//===- Emitter.cpp - assembly output buffer ---------------------------------===//
+//===- Emitter.cpp - instruction records and their rendering --------------===//
 
 #include "vax/Emitter.h"
+#include "mdl/Grammar.h"
 #include "support/Phase.h"
+
+#include <algorithm>
+#include <cassert>
 
 using namespace gg;
 
-void AsmEmitter::inst(const std::string &Opcode,
-                      const std::vector<Operand> &Ops) {
+namespace {
+const char *const RuntimeRoutines[] = {"__udiv", "__urem"};
+} // namespace
+
+void AsmEmitter::inst(Spelling Op, std::initializer_list<Operand> Ops) {
+  assert(Ops.size() <= AsmRecord::MaxOps && "too many operands");
+  AsmRecord &R = Records.emplace_back();
+  R.K = AsmRecord::Kind::Inst;
+  R.NumOps = static_cast<uint8_t>(Ops.size());
+  R.Op = Op;
+  R.Production = Explained ? Production : -1;
+  std::copy(Ops.begin(), Ops.end(), R.Ops);
+}
+
+void AsmEmitter::label(InternedString Name) {
+  AsmRecord &R = Records.emplace_back();
+  R.K = AsmRecord::Kind::Label;
+  R.Label = Name;
+}
+
+void AsmEmitter::directive(std::string_view Text) {
+  AsmRecord &R = Records.emplace_back();
+  R.K = AsmRecord::Kind::Directive;
+  R.TextBegin = static_cast<uint32_t>(Pool.size());
+  Pool += Text;
+  R.TextEnd = static_cast<uint32_t>(Pool.size());
+}
+
+void AsmEmitter::render(std::string &Out) {
   PhaseScope PS(Phase::Emit);
-  std::vector<std::string> Texts;
-  Texts.reserve(Ops.size());
-  for (const Operand &O : Ops)
-    Texts.push_back(formatOperand(O, Syms));
-  appendInst(Opcode, Texts);
-}
-
-void AsmEmitter::instRaw(const std::string &Opcode,
-                         const std::vector<std::string> &Ops) {
-  PhaseScope PS(Phase::Emit);
-  appendInst(Opcode, Ops);
-}
-
-void AsmEmitter::appendInst(const std::string &Opcode,
-                            const std::vector<std::string> &Ops) {
-  std::string Line = "\t" + Opcode;
-  for (size_t I = 0; I < Ops.size(); ++I) {
-    Line += I ? "," : "\t";
-    Line += Ops[I];
-  }
-  if (Explain && !Context.empty()) {
-    Line += "\t# ";
-    Line += Context;
-  }
-  Lines.push_back(std::move(Line));
-  ++NumInsts;
-}
-
-void AsmEmitter::label(InternedString Name) { labelText(Syms.text(Name)); }
-
-void AsmEmitter::labelText(const std::string &Name) {
-  Lines.push_back(Name + ":");
-}
-
-void AsmEmitter::directive(const std::string &Text) {
-  Lines.push_back("\t" + Text);
-}
-
-void AsmEmitter::comment(const std::string &Text) {
-  Lines.push_back("# " + Text);
-}
-
-std::string AsmEmitter::text() const {
-  PhaseScope PS(Phase::Emit);
-  std::string Out;
-  for (const std::string &Line : Lines) {
-    Out += Line;
+  for (const AsmRecord &R : Records) {
+    switch (R.K) {
+    case AsmRecord::Kind::Blank:
+      break;
+    case AsmRecord::Kind::Label:
+      Out += Syms.text(R.Label);
+      Out += ':';
+      break;
+    case AsmRecord::Kind::Directive:
+      Out += '\t';
+      Out.append(Pool, R.TextBegin, R.TextEnd - R.TextBegin);
+      break;
+    case AsmRecord::Kind::Inst:
+      Out += '\t';
+      Out += R.Op.view();
+      for (size_t I = 0; I < R.NumOps; ++I) {
+        Out += I ? ',' : '\t';
+        appendOperand(Out, R.Ops[I], Syms);
+      }
+      if (R.Production >= 0) {
+        Out += "\t# ";
+        Out += renderProduction(*Explained, Explained->prod(R.Production));
+      }
+      ++NumInsts;
+      break;
+    }
     Out += '\n';
   }
-  return Out;
+  NumLines += Records.size();
+  Records.clear();
+  Pool.clear();
+}
+
+void gg::internRuntimeRoutines(Interner &Syms) {
+  for (const char *Name : RuntimeRoutines)
+    Syms.intern(Name);
+}
+
+Operand gg::runtimeRoutine(const Interner &Syms, const char *Name) {
+  InternedString Sym = Syms.find(Name);
+  assert(!Sym.isEmpty() && "runtime routine not interned before codegen");
+  return Operand::labelRef(Sym);
 }

@@ -1,19 +1,23 @@
-//===- Emitter.h - assembly output buffer -----------------------*- C++ -*-===//
+//===- Emitter.h - instruction records and their rendering ------*- C++ -*-===//
 //
 // Part of the Graham-Glanville table-driven code generation reproduction.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Collects generated assembly text (phase 4 output). Tracks instruction
-/// counts for the code-quality experiments. Formatting and rendering run
-/// in Phase::Emit scopes (support/Phase.h), so phase 4 is reported apart
-/// from the replay or PCC fallback it is interleaved with.
+/// The hand-off between instruction generation (phase 3) and output
+/// (phase 4). Phase 3 appends one compact record per line: an instruction
+/// as selected (its spelling and its operand descriptors), a label, a
+/// directive or a blank line. Phase 4 renders a function's records once,
+/// into one text buffer, in one Phase::Emit scope (support/Phase.h): each
+/// operand goes through the addressing-mode format routine
+/// (appendOperand). Between the two, the peephole pass rewrites the
+/// records and the prologue's frame size is patched into its operand.
 ///
-/// In explain mode each instruction line is annotated with the grammar
-/// production whose semantic action emitted it (set via setContext() by
-/// the replay loop), turning the output into a self-describing record of
-/// which pattern matched what.
+/// In explain mode each instruction record keeps the production whose
+/// semantic action emitted it (set via setProduction() by the replay
+/// loop); rendering annotates the line with it, turning the output into a
+/// self-describing record of which pattern matched what.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,97 +25,100 @@
 #define GG_VAX_EMITTER_H
 
 #include "support/Interner.h"
+#include "vax/InstrTable.h"
 #include "vax/Operand.h"
 
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gg {
 
-/// An append-only assembly buffer.
+class Grammar;
+
+/// One line of output as phase 3 selected it.
+struct AsmRecord {
+  enum class Kind : uint8_t { Blank, Inst, Label, Directive };
+  /// The widest instruction emitted: extzv pos,size,base,dst.
+  static constexpr size_t MaxOps = 4;
+
+  Kind K = Kind::Blank;
+  uint8_t NumOps = 0;
+  Spelling Op;             ///< Inst: the mnemonic
+  int32_t Production = -1; ///< Inst: explain mode's production, else -1
+  InternedString Label;    ///< Label: its name
+  uint32_t TextBegin = 0;  ///< Directive: its text in the emitter's pool
+  uint32_t TextEnd = 0;
+  Operand Ops[MaxOps];
+
+  bool isInst() const { return K == Kind::Inst; }
+};
+
+/// A function's (or a module header's) records until they are rendered.
 class AsmEmitter {
 public:
   explicit AsmEmitter(const Interner &Syms) : Syms(Syms) {}
 
-  /// Emits "\topcode\top1,op2,...".
-  void inst(const std::string &Opcode, const std::vector<Operand> &Ops);
-
-  /// Emits an instruction with pre-formatted operand text.
-  void instRaw(const std::string &Opcode,
-               const std::vector<std::string> &Ops);
-
+  /// Records "\topcode\top1,op2,...".
+  void inst(Spelling Op, std::initializer_list<Operand> Ops);
   void label(InternedString Name);
-  void labelText(const std::string &Name);
-  void directive(const std::string &Text);
-  void comment(const std::string &Text);
-  void blank() { Lines.push_back(""); }
+  void directive(std::string_view Text);
+  void blank() { Records.emplace_back(); }
 
-  const std::vector<std::string> &lines() const { return Lines; }
+  /// The records not yet rendered, for rewriting in place: the peephole
+  /// pass and the prologue's frame-size patch.
+  std::vector<AsmRecord> &records() { return Records; }
 
-  /// Replaces a previously emitted line (prologue frame-size patching).
-  void patchLine(size_t Index, const std::string &Text) {
-    Lines[Index] = Text;
-  }
-
-  /// Mutable access for whole-stream rewriting (the peephole optimizer).
-  std::vector<std::string> &linesMutable() { return Lines; }
-  size_t instructionCount() const { return NumInsts; }
-  size_t lineCount() const { return Lines.size(); }
-
-  /// A position in the output stream; rollback() discards everything
-  /// emitted after the mark. The degradation ladder uses this to drop the
+  /// A position in the record stream; rollback() discards everything
+  /// recorded after the mark. The degradation ladder uses this to drop the
   /// partial output of a tree whose match or replay failed before
   /// splicing in the fallback generator's code.
   struct Mark {
-    size_t NumLines = 0;
-    size_t NumInsts = 0;
+    size_t NumRecords = 0;
+    size_t PoolSize = 0;
   };
-  Mark mark() const { return {Lines.size(), NumInsts}; }
+  Mark mark() const { return {Records.size(), Pool.size()}; }
   void rollback(const Mark &M) {
-    Lines.resize(M.NumLines);
-    NumInsts = M.NumInsts;
+    Records.resize(M.NumRecords);
+    Pool.resize(M.PoolSize);
   }
 
-  /// Makes room for \p NumLines lines in all, so appends up to that size
-  /// move no earlier line.
-  void reserve(size_t NumLines) { Lines.reserve(NumLines); }
+  /// Appends the text of every record to \p Out, one line each, in one
+  /// Phase::Emit scope; then drops the records, keeping their storage for
+  /// the next function.
+  void render(std::string &Out);
 
-  /// Splices another emitter's whole output onto the end of this one,
-  /// consuming it. The parallel code generator compiles each function into
-  /// a private buffer and stitches the buffers in source order, so output
-  /// is byte-identical to the single-threaded stream at any thread count.
-  void append(AsmEmitter &&Other) {
-    Lines.insert(Lines.end(),
-                 std::make_move_iterator(Other.Lines.begin()),
-                 std::make_move_iterator(Other.Lines.end()));
-    NumInsts += Other.NumInsts;
-    Other.Lines.clear();
-    Other.NumInsts = 0;
-  }
+  /// Instructions and lines rendered so far.
+  size_t instructionCount() const { return NumInsts; }
+  size_t lineCount() const { return NumLines; }
 
-  /// The full assembly text.
-  std::string text() const;
-
-  /// Explain mode: annotate each instruction with the production that
-  /// reduced it. The context string is set by the instruction generator
-  /// around each emitting reduction and cleared between statements.
-  void setExplain(bool On) { Explain = On; }
-  bool explain() const { return Explain; }
-  void setContext(std::string Text) { Context = std::move(Text); }
-  void clearContext() { Context.clear(); }
+  /// Explain mode: instructions recorded while a production is set carry
+  /// it, and render with its text from \p G. Null turns explain off.
+  void setExplain(const Grammar *G) { Explained = G; }
+  void setProduction(int32_t Id) { Production = Id; }
+  void clearProduction() { Production = -1; }
 
   const Interner &interner() const { return Syms; }
 
 private:
   const Interner &Syms;
-  std::vector<std::string> Lines;
+  const Grammar *Explained = nullptr;
+  int32_t Production = -1;
+  std::vector<AsmRecord> Records;
+  std::string Pool; ///< directive text
   size_t NumInsts = 0;
-  bool Explain = false;
-  std::string Context;
-
-  void appendInst(const std::string &Opcode,
-                  const std::vector<std::string> &Ops);
+  size_t NumLines = 0;
 };
+
+/// The runtime-library routines the generated code calls: unsigned divide
+/// and remainder, "known not to modify any registers" (paper §5.3.2).
+/// Each backend interns them before generating code, so a worker names
+/// them by lookup and never writes the program's interner.
+void internRuntimeRoutines(Interner &Syms);
+
+/// A branch-target operand naming runtime routine \p Name ("__udiv").
+Operand runtimeRoutine(const Interner &Syms, const char *Name);
 
 } // namespace gg
 

@@ -72,10 +72,44 @@ int gg::clusterId(const InstCluster &C) {
   return static_cast<int>(&C - Clusters);
 }
 
-std::string gg::mnemonic(const char *Base, char SizeChar, int NumOps) {
-  if (NumOps)
-    return strf("%s%c%d", Base, SizeChar, NumOps);
-  return strf("%s%c", Base, SizeChar);
+SpellingTable::SpellingTable() {
+  static const char Sizes[] = {'b', 'w', 'l'};
+  auto Sized = [](const char *Base, char SC, const char *Digit = "") {
+    return Spelling(strf("%s%c%s", Base, SC, Digit));
+  };
+  for (size_t S = 0; S < 3; ++S) {
+    const char SC = Sizes[S];
+    for (size_t R = 0; R < std::size(Clusters); ++R)
+      if (const char *Base = Clusters[R].OpBase)
+        for (int Form = 0; Form < 3; ++Form)
+          Rows[R][S][Form] = Sized(Base, SC, Form == 0   ? ""
+                                             : Form == 1 ? "2"
+                                                         : "3");
+    Clr[S] = Sized("clr", SC);
+    Tst[S] = Sized("tst", SC);
+    Inc[S] = Sized("inc", SC);
+    Dec[S] = Sized("dec", SC);
+    for (size_t T = 0; T < 3; ++T) {
+      Convert[0][S][T] = strf("cvt%c%c", SC, Sizes[T]);
+      Convert[1][S][T] = strf("movz%c%c", SC, Sizes[T]);
+    }
+  }
+  for (int C = 0; C < NumConds; ++C)
+    Branch[C] = strf("j%s", condName(static_cast<Cond>(C)));
+}
+
+bool SpellingTable::branchCond(Spelling S, Cond &C) const {
+  for (int I = 0; I < NumConds; ++I)
+    if (Branch[I] == S) {
+      C = static_cast<Cond>(I);
+      return true;
+    }
+  return false;
+}
+
+const SpellingTable &gg::spellings() {
+  static const SpellingTable Table;
+  return Table;
 }
 
 std::string gg::renderInstrTable() {

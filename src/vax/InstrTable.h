@@ -17,7 +17,11 @@
 #ifndef GG_VAX_INSTRTABLE_H
 #define GG_VAX_INSTRTABLE_H
 
+#include "ir/Type.h"
+
+#include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -73,9 +77,70 @@ int clusterId(const InstCluster &C);
 /// Renders the whole instruction table in the style of Figure 3.
 std::string renderInstrTable();
 
-/// Composes a sized mnemonic: ("add", 'l', 3) -> "addl3"; NumOps 0 omits
-/// the operand-count digit ("mnegl", "cmpl", "tstl").
-std::string mnemonic(const char *Base, char SizeChar, int NumOps = 0);
+/// A mnemonic's spelling held inline: at most seven characters,
+/// NUL-padded, so an instruction record carries it without a heap string.
+class Spelling {
+public:
+  static constexpr size_t MaxLen = 7;
+
+  Spelling() = default;
+  Spelling(std::string_view S) {
+    assert(S.size() <= MaxLen && "mnemonic spelling too long");
+    S.copy(Text, MaxLen);
+  }
+  Spelling(const char *S) : Spelling(std::string_view(S)) {}
+  Spelling(const std::string &S) : Spelling(std::string_view(S)) {}
+
+  std::string_view view() const { return {Text, strnlen(Text, MaxLen)}; }
+  friend bool operator==(const Spelling &A, const Spelling &B) {
+    return memcmp(A.Text, B.Text, sizeof(Text)) == 0;
+  }
+
+private:
+  char Text[MaxLen + 1] = {};
+};
+
+/// Every sized spelling instruction generation emits, composed once: the
+/// rows' mnemonic bases by size class and operand count, the range-idiom
+/// forms, the conversions and the conditional branches. Size classes are
+/// the letters 'b', 'w' and 'l'.
+class SpellingTable {
+public:
+  SpellingTable();
+
+  /// Row \p R's base at size class \p SC with the operand-count digit
+  /// \p NumOps (0 omits it): (RowAdd, 'l', 3) -> "addl3", (RowNeg, 'b') ->
+  /// "mnegb".
+  Spelling row(InstRow R, char SC, int NumOps = 0) const {
+    return Rows[R][sizeIndex(SC)][NumOps ? NumOps - 1 : 0];
+  }
+  Spelling clr(char SC) const { return Clr[sizeIndex(SC)]; }
+  Spelling tst(char SC) const { return Tst[sizeIndex(SC)]; }
+  Spelling incDec(bool Up, char SC) const {
+    return (Up ? Inc : Dec)[sizeIndex(SC)];
+  }
+  /// cvtXY, or movzXY when \p ZeroExtend.
+  Spelling convert(char From, char To, bool ZeroExtend) const {
+    return Convert[ZeroExtend][sizeIndex(From)][sizeIndex(To)];
+  }
+  /// The conditional branch on \p C: "jeql", "jlssu", ...
+  Spelling branch(Cond C) const { return Branch[static_cast<size_t>(C)]; }
+  /// The condition \p S branches on, if it is a conditional branch.
+  bool branchCond(Spelling S, Cond &C) const;
+
+private:
+  static constexpr int NumConds = static_cast<int>(Cond::UGE) + 1;
+  static size_t sizeIndex(char SC) { return SC == 'b' ? 0 : SC == 'w' ? 1 : 2; }
+
+  Spelling Rows[RowPush + 1][3][3];
+  Spelling Clr[3], Tst[3], Inc[3], Dec[3];
+  Spelling Convert[2][3][3];
+  Spelling Branch[NumConds];
+};
+
+/// The spelling table, built on first use; VaxTarget::create builds it, so
+/// a worker's replay only reads it.
+const SpellingTable &spellings();
 
 } // namespace gg
 

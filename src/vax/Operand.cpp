@@ -2,71 +2,101 @@
 
 #include "vax/Operand.h"
 #include "support/Error.h"
-#include "support/Strings.h"
+
+#include <charconv>
 
 using namespace gg;
 
-std::string gg::formatOperand(const Operand &O, const Interner &Syms) {
+namespace {
+
+void appendInt(std::string &Out, int64_t V) {
+  char Buf[24];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+}
+
+/// name, or name+disp when the displacement is nonzero (name+-4 when it
+/// is negative, as the assembler reads it).
+void appendSym(std::string &Out, const Operand &O, const Interner &Syms) {
+  Out += Syms.text(O.Sym);
+  if (O.Disp) {
+    Out += '+';
+    appendInt(Out, O.Disp);
+  }
+}
+
+/// (rN)
+void appendRegDef(std::string &Out, int Reg) {
+  Out += '(';
+  Out += regName(Reg);
+  Out += ')';
+}
+
+} // namespace
+
+void gg::appendOperand(std::string &Out, const Operand &O,
+                       const Interner &Syms) {
   switch (O.Mode) {
   case AMode::None:
     gg_unreachable("formatting an empty operand");
   case AMode::Reg:
-    return regName(O.Base);
+    Out += regName(O.Base);
+    return;
   case AMode::Imm:
-    return strf("$%lld", static_cast<long long>(O.Disp));
+    Out += '$';
+    appendInt(Out, O.Disp);
+    return;
   case AMode::ImmSym:
-    if (O.Disp)
-      return strf("$%s+%lld", Syms.text(O.Sym).c_str(),
-                  static_cast<long long>(O.Disp));
-    return strf("$%s", Syms.text(O.Sym).c_str());
+    Out += '$';
+    appendSym(Out, O, Syms);
+    return;
   case AMode::Abs:
-    if (O.Disp)
-      return strf("%s+%lld", Syms.text(O.Sym).c_str(),
-                  static_cast<long long>(O.Disp));
-    return Syms.text(O.Sym);
+    appendSym(Out, O, Syms);
+    return;
   case AMode::Disp:
-    if (!O.Sym.isEmpty()) {
-      // Symbolic displacement: the address of a global used as the offset
-      // from a register (e.g. a Gaddr folded into a disp pattern).
-      if (O.Disp)
-        return strf("%s+%lld(%s)", Syms.text(O.Sym).c_str(),
-                    static_cast<long long>(O.Disp), regName(O.Base));
-      return strf("%s(%s)", Syms.text(O.Sym).c_str(), regName(O.Base));
-    }
-    if (O.Disp)
-      return strf("%lld(%s)", static_cast<long long>(O.Disp),
-                  regName(O.Base));
-    return strf("(%s)", regName(O.Base));
-  case AMode::DispDef:
-    return strf("*%lld(%s)", static_cast<long long>(O.Disp),
-                regName(O.Base));
-  case AMode::AbsDef:
-    if (O.Disp)
-      return strf("*%s+%lld", Syms.text(O.Sym).c_str(),
-                  static_cast<long long>(O.Disp));
-    return strf("*%s", Syms.text(O.Sym).c_str());
-  case AMode::Indexed: {
-    std::string Basis;
+    // A symbolic displacement is the address of a global used as the
+    // offset from a register (e.g. a Gaddr folded into a disp pattern).
     if (!O.Sym.isEmpty())
-      Basis = O.Disp ? strf("%s+%lld", Syms.text(O.Sym).c_str(),
-                            static_cast<long long>(O.Disp))
-                     : Syms.text(O.Sym);
-    else if (O.Base < 0)
+      appendSym(Out, O, Syms);
+    else if (O.Disp)
+      appendInt(Out, O.Disp);
+    appendRegDef(Out, O.Base);
+    return;
+  case AMode::DispDef:
+    Out += '*';
+    appendInt(Out, O.Disp);
+    appendRegDef(Out, O.Base);
+    return;
+  case AMode::AbsDef:
+    Out += '*';
+    appendSym(Out, O, Syms);
+    return;
+  case AMode::Indexed:
+    if (!O.Sym.isEmpty()) {
+      appendSym(Out, O, Syms);
+    } else if (O.Base < 0) {
       // Absolute indexed (a constant folded into the basis with no base
       // register, e.g. Indir(Plus(con, Mul(scale, reg)))): disp[rX].
-      Basis = strf("%lld", static_cast<long long>(O.Disp));
-    else
-      Basis = O.Disp ? strf("%lld(%s)", static_cast<long long>(O.Disp),
-                            regName(O.Base))
-                     : strf("(%s)", regName(O.Base));
-    return strf("%s[%s]", Basis.c_str(), regName(O.Index));
-  }
+      appendInt(Out, O.Disp);
+    } else {
+      if (O.Disp)
+        appendInt(Out, O.Disp);
+      appendRegDef(Out, O.Base);
+    }
+    Out += '[';
+    Out += regName(O.Index);
+    Out += ']';
+    return;
   case AMode::AutoInc:
-    return strf("(%s)+", regName(O.Base));
+    appendRegDef(Out, O.Base);
+    Out += '+';
+    return;
   case AMode::AutoDec:
-    return strf("-(%s)", regName(O.Base));
+    Out += '-';
+    appendRegDef(Out, O.Base);
+    return;
   case AMode::LabelRef:
-    return Syms.text(O.Sym);
+    Out += Syms.text(O.Sym);
+    return;
   }
   gg_unreachable("bad addressing mode");
 }

@@ -7,7 +7,7 @@
 /// \file
 /// Semantic operand descriptors: the attribute each encapsulating
 /// reduction "condenses" (paper section 5.2). An Operand captures one VAX
-/// addressing mode; formatOperand() is the hand-written addressing-mode
+/// addressing mode; appendOperand() is the hand-written addressing-mode
 /// format table of phase 4 (section 5.4).
 ///
 //===----------------------------------------------------------------------===//
@@ -38,14 +38,11 @@ enum class AMode : uint8_t {
   LabelRef ///< branch target
 };
 
-/// One operand descriptor.
+/// One operand descriptor. The members are ordered so it packs into 24
+/// bytes: instruction records hold four of them inline.
 struct Operand {
   AMode Mode = AMode::None;
   Ty Type = Ty::L;       ///< access type of the cell / value
-  int Base = -1;         ///< base register (Disp/DispDef/Reg/AutoInc/AutoDec)
-  int Index = -1;        ///< index register (Indexed)
-  int64_t Disp = 0;      ///< displacement or immediate value
-  InternedString Sym;    ///< symbol (Abs/AbsDef/ImmSym/LabelRef/indexed-abs)
   /// This operand's register was spilled to a virtual register; Base/Disp
   /// now address the spill cell and the value must be reloaded before use.
   bool Spilled = false;
@@ -53,6 +50,10 @@ struct Operand {
   /// not a value the register manager allocated; spilling and relocation
   /// must never rewrite it.
   bool DregRef = false;
+  int Base = -1;         ///< base register (Disp/DispDef/Reg/AutoInc/AutoDec)
+  int Index = -1;        ///< index register (Indexed)
+  InternedString Sym;    ///< symbol (Abs/AbsDef/ImmSym/LabelRef/indexed-abs)
+  int64_t Disp = 0;      ///< displacement or immediate value
 
   bool isReg() const { return Mode == AMode::Reg; }
   bool isImm() const { return Mode == AMode::Imm; }
@@ -123,9 +124,18 @@ struct Operand {
   }
 };
 
-/// Renders an operand in UNIX VAX assembler syntax (the phase-4
-/// addressing-mode format table).
-std::string formatOperand(const Operand &O, const Interner &Syms);
+static_assert(sizeof(Operand) == 24, "Operand no longer packs");
+
+/// Appends \p O to \p Out in UNIX VAX assembler syntax: the phase-4
+/// addressing-mode format table, one case per mode.
+void appendOperand(std::string &Out, const Operand &O, const Interner &Syms);
+
+/// \p O as its own string.
+inline std::string formatOperand(const Operand &O, const Interner &Syms) {
+  std::string Out;
+  appendOperand(Out, O, Syms);
+  return Out;
+}
 
 } // namespace gg
 

@@ -221,7 +221,7 @@ const char *gg::semActionBase(const SemAction &A) {
 
 VaxSemantics::VaxSemantics(AsmEmitter &Emit, Function &F,
                            const CgOptions &Opts)
-    : Emit(Emit), F(F), Opts(Opts),
+    : Emit(Emit), F(F), Opts(Opts), Spell(spellings()),
       RM([this](int R, const Operand &Cell) { spillStore(R, Cell); },
          [this]() { return this->F.allocLocal(4); },
          [this](int R) { return isSpillable(R); },
@@ -238,7 +238,7 @@ void VaxSemantics::resetAfterFailure() {
   FrameBase = 0;
   RM.resetForStatement();
   invalidateCC();
-  Emit.clearContext();
+  Emit.clearProduction();
 }
 
 //===----------------------------------------------------------------------===//
@@ -309,7 +309,7 @@ Operand VaxSemantics::ensureReg(Operand O, char SC) {
   RM.reclaim(O);
   int R = RM.alloc();
   Operand Dst = Operand::reg(R, tyForSize(SC));
-  emitInst(mnemonic("mov", SC), {O, Dst});
+  emitInst(Spell.row(RowMov, SC), {O, Dst});
   setCC(Dst, SC);
   return Dst;
 }
@@ -329,9 +329,9 @@ void VaxSemantics::setCC(const Operand &O, char SC) {
   }
 }
 
-void VaxSemantics::emitInst(const std::string &Opcode,
-                            const std::vector<Operand> &Ops) {
-  Emit.inst(Opcode, Ops);
+void VaxSemantics::emitInst(Spelling Op,
+                            std::initializer_list<Operand> Ops) {
+  Emit.inst(Op, Ops);
 }
 
 //===----------------------------------------------------------------------===//
@@ -344,18 +344,17 @@ void VaxSemantics::emitLabel(InternedString L) {
 }
 
 void VaxSemantics::emitJump(InternedString L) {
-  Emit.instRaw("brw", {Emit.interner().text(L)});
+  emitInst("brw", {Operand::labelRef(L)});
   invalidateCC();
 }
 
 void VaxSemantics::emitCall(InternedString Fn, int NumArgs) {
-  Emit.instRaw("calls",
-               {strf("$%d", NumArgs), Emit.interner().text(Fn)});
+  emitInst("calls", {Operand::imm(NumArgs, Ty::L), Operand::labelRef(Fn)});
   invalidateCC();
 }
 
 void VaxSemantics::emitRet() {
-  Emit.instRaw("ret", {});
+  emitInst("ret", {});
   invalidateCC();
 }
 
@@ -384,8 +383,7 @@ bool VaxSemantics::replay(const Grammar &G, const std::vector<SemAction> &Acts,
     FrameBase = Stack.size() - K;
     // Explain mode: instructions emitted by this reduction's semantic
     // action carry the production that selected them.
-    if (Emit.explain())
-      Emit.setContext(renderProduction(G, P));
+    Emit.setProduction(S.ProdId);
     SemVal Result = dispatch(P, Acts[S.ProdId], &Stack[FrameBase], K);
     Stack.resize(Stack.size() - K);
     Stack.push_back(Result);
@@ -397,7 +395,7 @@ bool VaxSemantics::replay(const Grammar &G, const std::vector<SemAction> &Acts,
   }
   assert(Stack.size() == 1 && "statement did not reduce to one value");
   Stack.clear();
-  Emit.clearContext();
+  Emit.clearProduction();
   if (RM.anyBusy()) {
     Err = "register leak: allocatable registers still busy after statement";
     RM.resetForStatement();
@@ -583,9 +581,9 @@ SemVal VaxSemantics::doEmit(const Production &P, const SemAction &A,
     Operand Dst = Operand::reg(Reg, tyForSize(SC1));
     if (Opts.RangeIdioms && Con.isImm() && Con.Disp == 0) {
       ++Idioms.RangeApplied;
-      emitInst(mnemonic("clr", SC1), {Dst});
+      emitInst(Spell.clr(SC1), {Dst});
     } else {
-      emitInst(mnemonic("mov", SC1), {Con, Dst});
+      emitInst(Spell.row(RowMov, SC1), {Con, Dst});
     }
     setCC(Dst, SC1);
     R.Opnd = Dst;
@@ -684,8 +682,7 @@ SemVal VaxSemantics::doEmit(const Production &P, const SemAction &A,
     Operand Reg = Operand::reg(Vals[2].Leaf->Reg, Vals[2].Leaf->Type);
     covRow(RowCmp); // tst is the cmp row's degenerate range form
     emitInst("tstl", {Reg});
-    Emit.instRaw(strf("j%s", condName(Cmp->CC)),
-                 {Emit.interner().text(Vals[4].Leaf->Sym)});
+    emitInst(Spell.branch(Cmp->CC), {Operand::labelRef(Vals[4].Leaf->Sym)});
     invalidateCC();
     return R;
   }
@@ -787,6 +784,7 @@ Operand VaxSemantics::arith(const InstCluster &C, char SC, bool IsUnsigned,
                             Operand S1, Operand S2, const Operand *DstOpt) {
   (void)IsUnsigned; // signed/unsigned share add/sub/mul/bis/xor
   covRow(C);
+  const InstRow Row = static_cast<InstRow>(clusterId(C));
   prepare(S1);
   prepare(S2);
   bool SubLike = !C.Swappable; // sub/div print divisor-first
@@ -808,7 +806,7 @@ Operand VaxSemantics::arith(const InstCluster &C, char SC, bool IsUnsigned,
         if (C.Range == RangeIdiom::AddSub && (V == 1 || V == -1)) {
           ++Idioms.RangeApplied;
           bool Inc = (V == 1) != (C.Tag[0] == 's'); // sub flips direction
-          emitInst(mnemonic(Inc ? "inc" : "dec", SC), {Bound});
+          emitInst(Spell.incDec(Inc, SC), {Bound});
           RM.reclaim(S1);
           RM.reclaim(S2);
           RM.reclaim(Bound);
@@ -834,7 +832,7 @@ Operand VaxSemantics::arith(const InstCluster &C, char SC, bool IsUnsigned,
           return Operand();
         }
       }
-      emitInst(mnemonic(C.OpBase, SC, 2), {*Other, Bound});
+      emitInst(Spell.row(Row, SC, 2), {*Other, Bound});
       RM.reclaim(*Other);
       RM.reclaim(S1);
       RM.reclaim(S2);
@@ -932,9 +930,10 @@ Operand VaxSemantics::arith(const InstCluster &C, char SC, bool IsUnsigned,
   Operand Dst = DstOpt
                     ? *DstOpt
                     : Operand::reg(RM.allocPreferring(S1, S2), tyForSize(SC));
-  std::vector<Operand> Ops = SubLike ? std::vector<Operand>{S2, S1, Dst}
-                                     : std::vector<Operand>{S1, S2, Dst};
-  emitInst(mnemonic(C.OpBase, SC, 3), Ops);
+  if (SubLike)
+    emitInst(Spell.row(Row, SC, 3), {S2, S1, Dst});
+  else
+    emitInst(Spell.row(Row, SC, 3), {S1, S2, Dst});
   int Keep = !DstOpt && Dst.isReg() ? Dst.Base : -1;
   RM.reclaim(S1, Keep);
   RM.reclaim(S2, Keep);
@@ -958,10 +957,10 @@ void VaxSemantics::move(char SC, Operand Src, Operand Dst) {
   }
   if (Opts.RangeIdioms && Src.isImm() && Src.Disp == 0) {
     ++Idioms.RangeApplied;
-    emitInst(mnemonic("clr", SC), {Dst});
+    emitInst(Spell.clr(SC), {Dst});
     invalidateCC();
   } else {
-    emitInst(mnemonic("mov", SC), {Src, Dst});
+    emitInst(Spell.row(RowMov, SC), {Src, Dst});
     if (Dst.isReg())
       setCC(Dst, SC);
     else
@@ -978,7 +977,7 @@ Operand VaxSemantics::unary2(InstRow Row, char SC, Operand Src,
   Operand Dst = DstOpt
                     ? *DstOpt
                     : Operand::reg(RM.allocPreferring(Src, Src), tyForSize(SC));
-  emitInst(mnemonic(clusterAt(Row).OpBase, SC), {Src, Dst});
+  emitInst(Spell.row(Row, SC), {Src, Dst});
   int Keep = !DstOpt && Dst.isReg() ? Dst.Base : -1;
   RM.reclaim(Src, Keep);
   setCC(Dst, SC);
@@ -1003,9 +1002,7 @@ Operand VaxSemantics::convert(char FromSC, char ToSC, bool SrcUnsigned,
     return Folded;
   }
   bool Widening = sizeRank(FromSC) < sizeRank(ToSC);
-  std::string Opcode = Widening && SrcUnsigned
-                           ? strf("movz%c%c", FromSC, ToSC)
-                           : strf("cvt%c%c", FromSC, ToSC);
+  Spelling Opcode = Spell.convert(FromSC, ToSC, Widening && SrcUnsigned);
   Operand Dst = DstOpt
                     ? *DstOpt
                     : Operand::reg(RM.allocPreferring(Src, Src), ToTy);
@@ -1043,7 +1040,7 @@ Operand VaxSemantics::andOp(char SC, Operand S1, Operand S2,
       }
       int T = RM.alloc();
       Operand Dst = Operand::reg(T, tyForSize(SC));
-      emitInst(mnemonic("clr", SC), {Dst});
+      emitInst(Spell.clr(SC), {Dst});
       invalidateCC();
       return Dst;
     }
@@ -1073,7 +1070,7 @@ Operand VaxSemantics::andOp(char SC, Operand S1, Operand S2,
   // Binding idiom on the bic form.
   if (DstOpt && Opts.BindingIdioms && S2.sameLocation(*DstOpt)) {
     ++Idioms.BindingApplied;
-    emitInst(mnemonic("bic", SC, 2), {Mask, *DstOpt});
+    emitInst(Spell.row(RowAnd, SC, 2), {Mask, *DstOpt});
     RM.reclaim(Mask);
     RM.reclaim(S2);
     RM.reclaim(*DstOpt);
@@ -1084,7 +1081,7 @@ Operand VaxSemantics::andOp(char SC, Operand S1, Operand S2,
   Operand Dst = DstOpt
                     ? *DstOpt
                     : Operand::reg(RM.allocPreferring(Mask, S2), tyForSize(SC));
-  emitInst(mnemonic("bic", SC, 3), {Mask, S2, Dst});
+  emitInst(Spell.row(RowAnd, SC, 3), {Mask, S2, Dst});
   int Keep = !DstOpt && Dst.isReg() ? Dst.Base : -1;
   RM.reclaim(Mask, Keep);
   RM.reclaim(S2, Keep);
@@ -1228,10 +1225,10 @@ Operand VaxSemantics::modulus(char SC, bool IsUnsigned, Operand A, Operand B,
   B = stabilize(B, SC);
   int Q = RM.alloc();
   Operand QOp = Operand::reg(Q, tyForSize(SC));
-  emitInst(mnemonic("div", SC, 3), {B, A, QOp});
-  emitInst(mnemonic("mul", SC, 2), {B, QOp});
+  emitInst(Spell.row(RowDiv, SC, 3), {B, A, QOp});
+  emitInst(Spell.row(RowMul, SC, 2), {B, QOp});
   if (DstOpt) {
-    emitInst(mnemonic("sub", SC, 3), {QOp, A, *DstOpt});
+    emitInst(Spell.row(RowSub, SC, 3), {QOp, A, *DstOpt});
     RM.free(Q);
     RM.reclaim(A);
     RM.reclaim(B);
@@ -1239,7 +1236,7 @@ Operand VaxSemantics::modulus(char SC, bool IsUnsigned, Operand A, Operand B,
     invalidateCC();
     return Operand();
   }
-  emitInst(mnemonic("sub", SC, 3), {QOp, A, QOp});
+  emitInst(Spell.row(RowSub, SC, 3), {QOp, A, QOp});
   RM.reclaim(A, Q);
   RM.reclaim(B, Q);
   setCC(QOp, SC);
@@ -1282,7 +1279,8 @@ Operand VaxSemantics::libCall2(const char *Fn, Operand A, Operand B,
       RM.free(RegR0);
     }
   }
-  Emit.instRaw("calls", {"$2", Fn});
+  emitInst("calls",
+           {Operand::imm(2, Ty::L), runtimeRoutine(Emit.interner(), Fn)});
   invalidateCC();
   RM.claim(RegR0);
   Operand R0 = Operand::reg(RegR0, Ty::UL);
@@ -1311,12 +1309,12 @@ void VaxSemantics::compareBranch(char SC, Cond C, Operand A, Operand B,
       // The condition codes already reflect this value (§6.1): no test.
       ++Idioms.CCTestsElided;
     } else {
-      emitInst(mnemonic("tst", SC), {A});
+      emitInst(Spell.tst(SC), {A});
     }
   } else {
-    emitInst(mnemonic("cmp", SC), {A, B});
+    emitInst(Spell.row(RowCmp, SC), {A, B});
   }
-  Emit.instRaw(strf("j%s", condName(C)), {Emit.interner().text(Target)});
+  emitInst(Spell.branch(C), {Operand::labelRef(Target)});
   RM.reclaim(A);
   RM.reclaim(B);
   invalidateCC();

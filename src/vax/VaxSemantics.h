@@ -31,6 +31,7 @@
 #include "vax/InstrTable.h"
 #include "vax/RegisterManager.h"
 
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -131,6 +132,7 @@ private:
   AsmEmitter &Emit;
   Function &F;
   CgOptions Opts;
+  const SpellingTable &Spell;
   RegisterManager RM;
   IdiomStats Idioms;
   std::vector<SemVal> Stack;
@@ -149,7 +151,7 @@ private:
   Operand stabilize(Operand O, char SC); ///< strip side-effecting modes
   void setCC(const Operand &O, char SC);
 
-  void emitInst(const std::string &Opcode, const std::vector<Operand> &Ops);
+  void emitInst(Spelling Op, std::initializer_list<Operand> Ops);
 
   // --- reduction dispatch --------------------------------------------------
   SemVal dispatch(const Production &P, const SemAction &A, SemVal *Vals,

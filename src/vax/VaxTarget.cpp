@@ -61,6 +61,7 @@ VaxTarget::createFromSpec(std::string &Err, const std::string &SpecText,
   T->Packed = PackedTables::pack(T->Build.Tables);
   T->M = std::make_unique<Matcher>(T->G, T->Packed, MatchOpts);
   T->Sem = decodeSemActions(T->G);
+  spellings(); // compose every sized spelling before any worker replays
   // Size the table-event registry while target construction is still
   // serial: the tables' dimensions, the instruction-table rows by name,
   // and the identity embedded in every gg-coverage-v1 / gg-profile-v1

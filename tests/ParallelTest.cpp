@@ -200,6 +200,46 @@ TEST(Parallel, GeneratedProgramsIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(Parallel, PeepholeAndExplainIdenticalAcrossThreadCounts) {
+  // Both run in the workers: each function's records are rewritten by the
+  // peephole pass and rendered with their annotations before the stitch.
+  std::vector<std::string> Sources = {MultiFnSource};
+  for (uint64_t Seed = 1; Seed <= 3; ++Seed)
+    Sources.push_back(generateLargeProgram(Seed, 6));
+  unsigned Rewrites = 0;
+  for (const std::string &Source : Sources) {
+    auto Compile = [&](int Threads, std::string &Asm, CodeGenStats &Stats) {
+      Program P;
+      DiagnosticSink D;
+      ASSERT_TRUE(compileMiniC(Source, P, D)) << D.renderAll();
+      CodeGenOptions Opts;
+      Opts.Peephole = true;
+      Opts.Explain = true;
+      Opts.Parallel.Threads = Threads;
+      GGCodeGenerator CG(sharedTarget(), Opts);
+      std::string Err;
+      ASSERT_TRUE(CG.compile(P, Asm, Err)) << Err;
+      Stats = CG.stats();
+    };
+    std::string Serial;
+    CodeGenStats SerialStats;
+    Compile(1, Serial, SerialStats);
+    ASSERT_NE(Serial.find("\t# P"), std::string::npos);
+    Rewrites += SerialStats.Peephole.total();
+    for (int Threads : {2, 4, 8}) {
+      std::string Asm;
+      CodeGenStats Stats;
+      Compile(Threads, Asm, Stats);
+      EXPECT_EQ(Serial, Asm) << "threads=" << Threads;
+      EXPECT_TRUE(Stats.Peephole == SerialStats.Peephole)
+          << "peephole rewrites differ at threads=" << Threads;
+      EXPECT_EQ(Stats.Instructions, SerialStats.Instructions);
+      EXPECT_EQ(Stats.AsmLines, SerialStats.AsmLines);
+    }
+  }
+  EXPECT_GT(Rewrites, 0u) << "the corpus must give the pass work";
+}
+
 TEST(Parallel, RecoveryCountersIdenticalAcrossThreadCounts) {
   // Drop the call-argument production so every call-bearing tree blocks
   // and recovers through the PCC fallback, inside pool workers.

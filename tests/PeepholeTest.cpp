@@ -15,76 +15,125 @@ using namespace gg;
 
 namespace {
 
-std::vector<std::string> lines(std::initializer_list<const char *> L) {
-  return {L.begin(), L.end()};
-}
+/// One function's records, built line by line, rendered back to lines.
+class Listing {
+  Interner Syms;
+
+public:
+  AsmEmitter E{Syms};
+
+  Listing &label(const char *Name) {
+    E.label(Syms.intern(Name));
+    return *this;
+  }
+  Listing &branch(const char *Op, const char *Target) {
+    E.inst(Op, {Operand::labelRef(Syms.intern(Target))});
+    return *this;
+  }
+  Listing &inst(const char *Op, std::initializer_list<Operand> Ops = {}) {
+    E.inst(Op, Ops);
+    return *this;
+  }
+  Listing &directive(const char *Text) {
+    E.directive(Text);
+    return *this;
+  }
+  std::vector<AsmRecord> &records() { return E.records(); }
+
+  /// Renders the records, one string per line.
+  std::vector<std::string> lines() {
+    std::string Text;
+    E.render(Text);
+    std::vector<std::string> Out;
+    std::istringstream In(Text);
+    for (std::string Line; std::getline(In, Line);)
+      Out.push_back(Line);
+    return Out;
+  }
+};
+
+Operand r(int N) { return Operand::reg(N, Ty::L); }
 
 TEST(Peephole, BranchToNextRemoved) {
-  auto L = lines({"\tbrw\tL1", "L1:", "\tret"});
-  PeepholeStats S = runPeephole(L);
+  Listing L;
+  L.branch("brw", "L1").label("L1").inst("ret");
+  PeepholeStats S = runPeephole(L.records());
   EXPECT_EQ(S.BranchToNextRemoved, 1u);
-  ASSERT_EQ(L.size(), 2u);
-  EXPECT_EQ(L[0], "L1:");
+  std::vector<std::string> Out = L.lines();
+  ASSERT_EQ(Out.size(), 2u);
+  EXPECT_EQ(Out[0], "L1:");
 }
 
 TEST(Peephole, BranchToNextThroughSeveralLabels) {
-  auto L = lines({"\tbrw\tL2", "L1:", "L2:", "\tret"});
-  PeepholeStats S = runPeephole(L);
+  Listing L;
+  L.branch("brw", "L2").label("L1").label("L2").inst("ret");
+  PeepholeStats S = runPeephole(L.records());
   EXPECT_EQ(S.BranchToNextRemoved, 1u);
 }
 
 TEST(Peephole, BranchNotToNextKept) {
-  auto L = lines({"\tbrw\tL9", "L1:", "\tret", "L9:", "\tret"});
-  PeepholeStats S = runPeephole(L);
+  Listing L;
+  L.branch("brw", "L9").label("L1").inst("ret").label("L9").inst("ret");
+  PeepholeStats S = runPeephole(L.records());
   EXPECT_EQ(S.BranchToNextRemoved, 0u);
-  EXPECT_EQ(L[0], "\tbrw\tL9");
+  EXPECT_EQ(L.lines()[0], "\tbrw\tL9");
 }
 
 TEST(Peephole, ConditionalInversion) {
-  auto L = lines({"\tjeql\tL1", "\tbrw\tL2", "L1:", "\tincl\tr0", "L2:",
-                  "\tret"});
-  PeepholeStats S = runPeephole(L);
+  Listing L;
+  L.branch("jeql", "L1").branch("brw", "L2").label("L1").inst("incl", {r(0)});
+  L.label("L2").inst("ret");
+  PeepholeStats S = runPeephole(L.records());
   EXPECT_EQ(S.BranchesInverted, 1u);
-  EXPECT_EQ(L[0], "\tjneq\tL2");
+  std::vector<std::string> Out = L.lines();
+  EXPECT_EQ(Out[0], "\tjneq\tL2");
   // L1 label stays; the brw is gone.
-  EXPECT_EQ(L[1], "L1:");
+  EXPECT_EQ(Out[1], "L1:");
 }
 
 TEST(Peephole, InversionCoversUnsignedConds) {
-  auto L = lines({"\tjlssu\tL1", "\tbrw\tL2", "L1:", "\tret", "L2:",
-                  "\tret"});
-  runPeephole(L);
-  EXPECT_EQ(L[0], "\tjgequ\tL2");
+  Listing L;
+  L.branch("jlssu", "L1").branch("brw", "L2").label("L1").inst("ret");
+  L.label("L2").inst("ret");
+  runPeephole(L.records());
+  EXPECT_EQ(L.lines()[0], "\tjgequ\tL2");
 }
 
 TEST(Peephole, ChainCollapsing) {
-  auto L = lines({"\tjeql\tL1", "\tclrl\tr0", "\tret", "L1:", "\tbrw\tL2",
-                  "L2:", "\tmovl\t$1,r0", "\tret"});
-  PeepholeStats S = runPeephole(L);
+  Listing L;
+  L.branch("jeql", "L1").inst("clrl", {r(0)}).inst("ret").label("L1");
+  L.branch("brw", "L2").label("L2");
+  L.inst("movl", {Operand::imm(1, Ty::L), r(0)}).inst("ret");
+  PeepholeStats S = runPeephole(L.records());
   EXPECT_GE(S.ChainsCollapsed, 1u);
-  EXPECT_EQ(L[0], "\tjeql\tL2");
+  EXPECT_EQ(L.lines()[0], "\tjeql\tL2");
 }
 
 TEST(Peephole, SelfLoopLeftAlone) {
-  auto L = lines({"L:", "\tbrw\tL"});
-  PeepholeStats S = runPeephole(L);
+  Listing L;
+  L.label("L").branch("brw", "L");
+  PeepholeStats S = runPeephole(L.records());
   EXPECT_EQ(S.ChainsCollapsed, 0u);
-  EXPECT_EQ(L[1], "\tbrw\tL");
+  EXPECT_EQ(L.lines()[1], "\tbrw\tL");
 }
 
 TEST(Peephole, UnreachableAfterRetRemoved) {
-  auto L = lines({"\tret", "\tincl\tr0", "\tclrl\tr1", "Lx:", "\tret"});
-  PeepholeStats S = runPeephole(L);
+  Listing L;
+  L.inst("ret").inst("incl", {r(0)}).inst("clrl", {r(1)}).label("Lx");
+  L.inst("ret");
+  PeepholeStats S = runPeephole(L.records());
   EXPECT_EQ(S.UnreachableRemoved, 2u);
-  ASSERT_EQ(L.size(), 3u);
-  EXPECT_EQ(L[1], "Lx:");
+  std::vector<std::string> Out = L.lines();
+  ASSERT_EQ(Out.size(), 3u);
+  EXPECT_EQ(Out[1], "Lx:");
 }
 
 TEST(Peephole, DirectivesAreBarriers) {
-  auto L = lines({"\tret", "\t.globl next", "next:", "\tret"});
-  PeepholeStats S = runPeephole(L);
+  Listing L;
+  L.inst("ret").directive(".globl next").label("next").inst("ret");
+  PeepholeStats S = runPeephole(L.records());
   EXPECT_EQ(S.UnreachableRemoved, 0u);
-  EXPECT_EQ(L.size(), 4u);
+  EXPECT_EQ(L.lines().size(), 4u);
 }
 
 const VaxTarget &target() {
@@ -96,6 +145,21 @@ const VaxTarget &target() {
     return P;
   }();
   return *T;
+}
+
+TEST(Peephole, AnnotatedBranchLeftAsEmitted) {
+  // In explain mode a branch carries the production that emitted it; the
+  // pass neither retargets nor inverts it, so the annotation stays true.
+  Listing L;
+  L.E.setExplain(&target().grammar());
+  L.E.setProduction(0);
+  L.branch("jeql", "L1");
+  L.E.clearProduction();
+  L.branch("brw", "L2").label("L1").inst("ret").label("L2").inst("ret");
+  PeepholeStats S = runPeephole(L.records());
+  EXPECT_EQ(S.BranchesInverted, 0u);
+  EXPECT_EQ(S.ChainsCollapsed, 0u);
+  EXPECT_EQ(L.lines()[0].rfind("\tjeql\tL1\t# P0: ", 0), 0u);
 }
 
 TEST(Peephole, ShrinksGeneratedControlFlow) {

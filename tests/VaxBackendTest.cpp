@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 using namespace gg;
 
 namespace {
@@ -77,23 +79,91 @@ TEST(OperandFmt, SameLocation) {
   EXPECT_FALSE(A.sameLocation(Operand::reg(RegFP, Ty::L)));
 }
 
+TEST(OperandFmt, EveryModeAtDisplacementExtremes) {
+  // The format routine appends integers with std::to_chars; these pin the
+  // text printf's "%s+%lld" family produced, mode by mode.
+  Interner Syms;
+  InternedString X = Syms.intern("x");
+  auto Fmt = [&](AMode M, int Base, int64_t Disp, InternedString Sym = {},
+                 int Index = -1) {
+    Operand O;
+    O.Mode = M;
+    O.Base = Base;
+    O.Disp = Disp;
+    O.Sym = Sym;
+    O.Index = Index;
+    return formatOperand(O, Syms);
+  };
+  const int64_t Min = INT64_MIN, Max = INT64_MAX;
+  EXPECT_EQ(Fmt(AMode::Reg, RegSP, 0), "sp");
+  EXPECT_EQ(Fmt(AMode::Reg, RegFP, 0), "fp");
+  EXPECT_EQ(Fmt(AMode::Imm, -1, 0), "$0");
+  EXPECT_EQ(Fmt(AMode::Imm, -1, 4), "$4");
+  EXPECT_EQ(Fmt(AMode::Imm, -1, -4), "$-4");
+  EXPECT_EQ(Fmt(AMode::Imm, -1, Min), "$-9223372036854775808");
+  EXPECT_EQ(Fmt(AMode::Imm, -1, Max), "$9223372036854775807");
+  EXPECT_EQ(Fmt(AMode::ImmSym, -1, 0, X), "$x");
+  EXPECT_EQ(Fmt(AMode::ImmSym, -1, 4, X), "$x+4");
+  EXPECT_EQ(Fmt(AMode::ImmSym, -1, -4, X), "$x+-4");
+  EXPECT_EQ(Fmt(AMode::ImmSym, -1, Min, X), "$x+-9223372036854775808");
+  EXPECT_EQ(Fmt(AMode::Abs, -1, 0, X), "x");
+  EXPECT_EQ(Fmt(AMode::Abs, -1, -4, X), "x+-4");
+  EXPECT_EQ(Fmt(AMode::Abs, -1, Max, X), "x+9223372036854775807");
+  EXPECT_EQ(Fmt(AMode::Disp, RegFP, 0), "(fp)");
+  EXPECT_EQ(Fmt(AMode::Disp, RegFP, 8), "8(fp)");
+  EXPECT_EQ(Fmt(AMode::Disp, RegSP, -8), "-8(sp)");
+  EXPECT_EQ(Fmt(AMode::Disp, 1, Min), "-9223372036854775808(r1)");
+  EXPECT_EQ(Fmt(AMode::Disp, 1, Max), "9223372036854775807(r1)");
+  EXPECT_EQ(Fmt(AMode::Disp, 5, 0, X), "x(r5)");
+  EXPECT_EQ(Fmt(AMode::Disp, 5, -4, X), "x+-4(r5)");
+  EXPECT_EQ(Fmt(AMode::DispDef, RegFP, 0), "*0(fp)");
+  EXPECT_EQ(Fmt(AMode::DispDef, RegSP, 12), "*12(sp)");
+  EXPECT_EQ(Fmt(AMode::DispDef, RegFP, Min), "*-9223372036854775808(fp)");
+  EXPECT_EQ(Fmt(AMode::AbsDef, -1, 0, X), "*x");
+  EXPECT_EQ(Fmt(AMode::AbsDef, -1, -4, X), "*x+-4");
+  EXPECT_EQ(Fmt(AMode::AbsDef, -1, Max, X), "*x+9223372036854775807");
+  EXPECT_EQ(Fmt(AMode::Indexed, 2, 0, {}, 3), "(r2)[r3]");
+  EXPECT_EQ(Fmt(AMode::Indexed, RegFP, -16, {}, 3), "-16(fp)[r3]");
+  EXPECT_EQ(Fmt(AMode::Indexed, -1, 16, {}, 3), "16[r3]");
+  EXPECT_EQ(Fmt(AMode::Indexed, -1, 0, {}, 3), "0[r3]");
+  EXPECT_EQ(Fmt(AMode::Indexed, -1, Min, {}, 0), "-9223372036854775808[r0]");
+  EXPECT_EQ(Fmt(AMode::Indexed, -1, 0, X, 4), "x[r4]");
+  EXPECT_EQ(Fmt(AMode::Indexed, -1, -4, X, 4), "x+-4[r4]");
+  EXPECT_EQ(Fmt(AMode::AutoInc, RegSP, 0), "(sp)+");
+  EXPECT_EQ(Fmt(AMode::AutoDec, RegSP, 0), "-(sp)");
+  EXPECT_EQ(Fmt(AMode::LabelRef, -1, 0, X), "x");
+  // Appending extends what is there.
+  std::string Out = "\tmovl\t";
+  appendOperand(Out, Operand::disp(RegFP, -4, Ty::L), Syms);
+  EXPECT_EQ(Out, "\tmovl\t-4(fp)");
+}
+
 TEST(Emitter, FormattingAndCounts) {
   Interner Syms;
   AsmEmitter E(Syms);
   E.directive(".text");
-  E.labelText("main");
+  E.label(Syms.intern("main"));
+  E.inst("subl2", {Operand::imm(0, Ty::L), Operand::reg(RegSP, Ty::L)});
   E.inst("movl", {Operand::imm(1, Ty::L), Operand::reg(0, Ty::L)});
-  E.instRaw("ret", {});
-  E.comment("done");
-  EXPECT_EQ(E.instructionCount(), 2u);
-  std::string T = E.text();
-  EXPECT_NE(T.find("\tmovl\t$1,r0\n"), std::string::npos);
-  EXPECT_NE(T.find("main:\n"), std::string::npos);
-  EXPECT_NE(T.find("# done"), std::string::npos);
-  size_t Lines = E.lineCount();
-  E.patchLine(0, "\t.data");
-  EXPECT_EQ(E.lineCount(), Lines);
-  EXPECT_NE(E.text().find(".data"), std::string::npos);
+  AsmEmitter::Mark M = E.mark();
+  E.inst("brw", {Operand::labelRef(Syms.intern("L1"))});
+  E.directive(".word 0");
+  E.rollback(M);
+  E.inst("ret", {});
+  E.blank();
+  // The prologue's frame size is patched as its operand.
+  E.records()[2].Ops[0].Disp = 12;
+  std::string T;
+  E.render(T);
+  EXPECT_EQ(T, "\t.text\nmain:\n\tsubl2\t$12,sp\n\tmovl\t$1,r0\n\tret\n\n");
+  EXPECT_EQ(E.instructionCount(), 3u);
+  EXPECT_EQ(E.lineCount(), 6u);
+  // Rendering drops the records; the counts keep running.
+  EXPECT_TRUE(E.records().empty());
+  E.directive(".data");
+  E.render(T);
+  EXPECT_EQ(T.substr(T.size() - 7), "\t.data\n");
+  EXPECT_EQ(E.lineCount(), 7u);
 }
 
 TEST(InstrTableTest, ClustersAndMnemonics) {
@@ -102,8 +172,19 @@ TEST(InstrTableTest, ClustersAndMnemonics) {
   EXPECT_FALSE(findCluster("sub")->Swappable);
   EXPECT_EQ(findCluster("mod")->Kind, ClusterKind::Special);
   EXPECT_EQ(findCluster("nope"), nullptr);
-  EXPECT_EQ(mnemonic("add", 'l', 3), "addl3");
-  EXPECT_EQ(mnemonic("mneg", 'b'), "mnegb");
+  const SpellingTable &Sp = spellings();
+  EXPECT_EQ(Sp.row(RowAdd, 'l', 3).view(), "addl3");
+  EXPECT_EQ(Sp.row(RowXor, 'w', 2).view(), "xorw2");
+  EXPECT_EQ(Sp.row(RowNeg, 'b').view(), "mnegb");
+  EXPECT_EQ(Sp.row(RowAnd, 'b', 3).view(), "bicb3");
+  EXPECT_EQ(Sp.incDec(false, 'w').view(), "decw");
+  EXPECT_EQ(Sp.convert('b', 'l', /*ZeroExtend=*/true).view(), "movzbl");
+  EXPECT_EQ(Sp.convert('l', 'w', false).view(), "cvtlw");
+  EXPECT_EQ(Sp.branch(Cond::UGE).view(), "jgequ");
+  Cond C = Cond::EQ;
+  EXPECT_TRUE(Sp.branchCond("jlequ", C));
+  EXPECT_EQ(C, Cond::ULE);
+  EXPECT_FALSE(Sp.branchCond("brw", C));
   std::string Fig3 = renderInstrTable();
   EXPECT_NE(Fig3.find("addX3 / addX2 / incX"), std::string::npos);
 }
