@@ -6,7 +6,7 @@
 //                 [--no-idioms] [--no-reverse-ops] [--no-recover] [--stats]
 //                 [--explain] [--fault=SPEC] [--stats-json=FILE]
 //                 [--trace-json=FILE] [--coverage-json=FILE]
-//                 [--profile=off|instr|perf[,cycles|,steps]]
+//                 [--profile=off|instr[,cycles|,steps]]
 //                 [--profile-json=FILE]
 //   compile_minic --gen-corpus=N [--threads=N] [--coverage-json=FILE] ...
 //   compile_minic --serve[=SOCKET] [--serve-workers=N]

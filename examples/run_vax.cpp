@@ -6,7 +6,7 @@
 //
 //   run_vax FILE [--backend=gg|pcc] [--threads=N] [--compare]
 //           [--fault=SPEC] [--stats-json=FILE] [--trace-json=FILE]
-//           [--coverage-json=FILE] [--profile=off|instr|perf[,cycles|,steps]]
+//           [--coverage-json=FILE] [--profile=off|instr[,cycles|,steps]]
 //           [--profile-json=FILE]
 //
 // --threads=N compiles functions on N pool workers (0 = hardware

@@ -18,12 +18,6 @@ bool isCondBranch(const AsmRecord &R, Cond &C) {
   return R.isInst() && spellings().branchCond(R.Op, C);
 }
 
-/// The label a branch names. A branch that carries an explain annotation
-/// names none: the pass leaves it exactly as its production emitted it.
-InternedString targetOf(const AsmRecord &R) {
-  return R.Production < 0 ? R.Ops[0].Sym : InternedString();
-}
-
 class PeepholePass {
 public:
   explicit PeepholePass(std::vector<AsmRecord> &Recs) : Recs(Recs) {}
@@ -72,7 +66,7 @@ private:
     for (size_t I = 0; I < Recs.size(); ++I) {
       if (!isUncondBranch(Recs[I]))
         continue;
-      if (labelInRange(targetOf(Recs[I]), I + 1, nextCode(I + 1))) {
+      if (labelInRange(Recs[I].Ops[0].Sym, I + 1, nextCode(I + 1))) {
         erase(I);
         ++Stats.BranchToNextRemoved;
         Changed = true;
@@ -89,11 +83,13 @@ private:
       if (!isCondBranch(Recs[I], C) || !isUncondBranch(Recs[I + 1]))
         continue;
       // jCC L1; brw L2; ... L1 among the labels immediately following.
-      if (!labelInRange(targetOf(Recs[I]), I + 2, nextCode(I + 2)))
+      if (!labelInRange(Recs[I].Ops[0].Sym, I + 2, nextCode(I + 2)))
         continue;
-      // j!CC L2: the brw's target under the inverted condition.
+      // j!CC L2: the brw's target under the inverted condition. No
+      // production emitted this branch, so it carries no annotation.
       Recs[I] = Recs[I + 1];
       Recs[I].Op = spellings().branch(negateCond(C));
+      Recs[I].Production = -1;
       erase(I + 1);
       ++Stats.BranchesInverted;
       Changed = true;
@@ -111,7 +107,7 @@ private:
       Cond C;
       if (!isUncondBranch(Recs[I]) && !isCondBranch(Recs[I], C))
         continue;
-      InternedString Target = targetOf(Recs[I]);
+      InternedString Target = Recs[I].Ops[0].Sym;
       auto It = Labels.find(Target.id());
       if (It == Labels.end())
         continue;

@@ -18,6 +18,10 @@
 ///     retargets to the final destination),
 ///   * unreachable code removal after an unconditional branch.
 ///
+/// Explain mode's annotations change none of these rewrites. An inverted
+/// branch loses its annotation (no production emitted it); a retargeted
+/// one keeps its production's.
+///
 /// The data-flow-dependent half (autoincrement discovery, condition-code
 /// reuse across instructions) stays in the code generator proper, as the
 /// paper's generator did.

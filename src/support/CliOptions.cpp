@@ -73,7 +73,7 @@ CliParse gg::parseCommonDriverOption(const std::string &Arg,
 const char *gg::commonDriverUsage() {
   return "[--threads=N] [--fault=SPEC] [--stats-json=FILE] "
          "[--trace-json=FILE] [--coverage-json=FILE] "
-         "[--profile=off|instr|perf[,cycles|,steps]] [--profile-json=FILE] "
+         "[--profile=off|instr[,cycles|,steps]] [--profile-json=FILE] "
          "[--flight-json=FILE]";
 }
 

@@ -40,7 +40,7 @@ struct CommonDriverOptions {
   /// crash, SIGQUIT, and normal exit (reason "exit"). No "-" form — the
   /// dump must be async-signal-safe, so it only writes to a real file.
   std::string FlightJsonPath;
-  /// --profile=off|instr|perf[,cycles|,steps]. A --profile-json=
+  /// --profile=off|instr[,cycles|,steps]. A --profile-json=
   /// destination with no explicit --profile= implies instr.
   ProfileMode Profile = ProfileMode::Off;
   ProfileTimebase ProfileTb = ProfileTimebase::Cycles;

@@ -15,15 +15,7 @@ using namespace gg;
 //===----------------------------------------------------------------------===//
 
 static const char *modeName(ProfileMode M) {
-  switch (M) {
-  case ProfileMode::Off:
-    return "off";
-  case ProfileMode::Instr:
-    return "instr";
-  case ProfileMode::Perf:
-    return "perf";
-  }
-  return "?";
+  return M == ProfileMode::Instr ? "instr" : "off";
 }
 
 static const char *timebaseName(ProfileTimebase TB) {
@@ -49,10 +41,8 @@ bool gg::parseProfileSpec(const std::string &Spec, ProfileMode &Mode,
     Mode = ProfileMode::Off;
   else if (ModePart == "instr")
     Mode = ProfileMode::Instr;
-  else if (ModePart == "perf")
-    Mode = ProfileMode::Perf;
   else {
-    Err = strf("unknown profile mode \"%s\" (want off|instr|perf)",
+    Err = strf("unknown profile mode \"%s\" (want off|instr)",
                ModePart.c_str());
     return false;
   }
@@ -305,28 +295,14 @@ std::string ProfileSnapshot::toJson() const {
   std::string Out = strf(
       "{\"schema\":\"gg-profile-v1\",\"fingerprint\":\"%s\","
       "\"mode\":\"%s\",\"timebase\":\"%s\",\"ticks_per_second\":%.9g,"
-      "\"perf_available\":%s,\"compiles\":%llu,"
+      "\"compiles\":%llu,"
       "\"shape\":{\"productions\":%llu,\"states\":%llu,\"region_size\":%llu}",
       jsonEscape(Fingerprint).c_str(), modeName(Mode), timebaseName(Timebase),
-      TicksPerSecond, PerfAvailable ? "true" : "false",
-      static_cast<unsigned long long>(Compiles),
+      TicksPerSecond, static_cast<unsigned long long>(Compiles),
       static_cast<unsigned long long>(NumProds),
       static_cast<unsigned long long>(NumStates),
       static_cast<unsigned long long>(RegionSize));
-  appendObject(Out, "phases", Phases, [](const PhaseProfile &P) {
-    std::string Phase = cell(P.Cell);
-    Phase.pop_back();
-    if (P.Hw.any())
-      Phase += strf(",\"hw\":{\"cycles\":%llu,\"instructions\":%llu,"
-                    "\"l1d_misses\":%llu,\"llc_misses\":%llu,"
-                    "\"branch_misses\":%llu}",
-                    static_cast<unsigned long long>(P.Hw.Cycles),
-                    static_cast<unsigned long long>(P.Hw.Instructions),
-                    static_cast<unsigned long long>(P.Hw.L1dMisses),
-                    static_cast<unsigned long long>(P.Hw.LlcMisses),
-                    static_cast<unsigned long long>(P.Hw.BranchMisses));
-    return Phase + "}";
-  });
+  appendObject(Out, "phases", Phases, cell);
   appendObject(Out, "states", States, cell);
   appendObject(Out, "productions", Prods, cell);
   // Regions are a pure projection of "states"; emitted for consumers,
@@ -354,20 +330,7 @@ bool ProfileSnapshot::parse(const JsonValue &V, std::string &Err) {
     return false;
   }
   TicksPerSecond = V.numberOr("ticks_per_second");
-  if (const JsonValue *PA = V.find("perf_available"))
-    PerfAvailable = PA->B;
-  auto AddPhase = [](const JsonValue &Val, PhaseProfile &P) {
-    if (!addCell(Val, P.Cell))
-      return false;
-    if (const JsonValue *Hw = Val.find("hw"))
-      P.Hw.add({static_cast<uint64_t>(Hw->numberOr("cycles")),
-                static_cast<uint64_t>(Hw->numberOr("instructions")),
-                static_cast<uint64_t>(Hw->numberOr("l1d_misses")),
-                static_cast<uint64_t>(Hw->numberOr("llc_misses")),
-                static_cast<uint64_t>(Hw->numberOr("branch_misses"))});
-    return true;
-  };
-  return readObject(V, "phases", Phases, AddPhase, Err) &&
+  return readObject(V, "phases", Phases, addCell, Err) &&
          readObject(V, "states", States, addCell, Err) &&
          readObject(V, "productions", Prods, addCell, Err) &&
          readObject(V, "dyn", Dyn, addCell, Err);
@@ -394,12 +357,7 @@ bool ProfileSnapshot::merge(const ProfileSnapshot &Other, std::string &Err) {
   // larger sample's rate by preferring a nonzero existing value.
   if (TicksPerSecond == 0)
     TicksPerSecond = Other.TicksPerSecond;
-  PerfAvailable = PerfAvailable || Other.PerfAvailable;
-  for (const auto &[Name, P] : Other.Phases) {
-    PhaseProfile &Mine = Phases[Name];
-    Mine.Cell += P.Cell;
-    Mine.Hw.add(P.Hw);
-  }
+  addAll(Phases, Other.Phases);
   addAll(States, Other.States);
   addAll(Prods, Other.Prods);
   addAll(Dyn, Other.Dyn);

@@ -12,8 +12,7 @@
 ///     per parse state, hits and choices per dynamic-tie point, and
 ///     consultations per row of the Figure-3 instruction table;
 ///   * `gg-profile-v1` — *how much it costs*: ticks and events per state,
-///     production, dyn point and code-generation phase, with per-phase
-///     hardware counters in perf mode.
+///     production, dyn point and code-generation phase.
 ///
 /// Both carry the grammar/tables fingerprint and table shape, and share
 /// one header (TableArtifact): one id-key parser, and one identity check
@@ -34,10 +33,10 @@ namespace gg {
 
 struct JsonValue;
 
-enum class ProfileMode : uint8_t { Off = 0, Instr, Perf };
+enum class ProfileMode : uint8_t { Off = 0, Instr };
 enum class ProfileTimebase : uint8_t { Cycles = 0, Steps };
 
-/// Parses a `--profile=` spec: off | instr | perf, with an optional
+/// Parses a `--profile=` spec: off | instr, with an optional
 /// `,cycles` / `,steps` timebase suffix. Returns false and sets \p Err
 /// on junk.
 bool parseProfileSpec(const std::string &Spec, ProfileMode &Mode,
@@ -103,32 +102,6 @@ struct ProfCell {
   }
 };
 
-/// Per-phase hardware-counter deltas (perf mode; all zero otherwise).
-struct HwCounters {
-  uint64_t Cycles = 0;
-  uint64_t Instructions = 0;
-  uint64_t L1dMisses = 0;
-  uint64_t LlcMisses = 0;
-  uint64_t BranchMisses = 0;
-
-  bool any() const {
-    return Cycles | Instructions | L1dMisses | LlcMisses | BranchMisses;
-  }
-  void add(const HwCounters &O) {
-    Cycles += O.Cycles;
-    Instructions += O.Instructions;
-    L1dMisses += O.L1dMisses;
-    LlcMisses += O.LlcMisses;
-    BranchMisses += O.BranchMisses;
-  }
-};
-
-/// One phase's accumulated profile.
-struct PhaseProfile {
-  ProfCell Cell;
-  HwCounters Hw;
-};
-
 /// What one `gg-profile-v1` file holds.
 struct ProfileSnapshot : TableArtifact {
   /// States per derived table region. 64 states of the packed
@@ -139,8 +112,7 @@ struct ProfileSnapshot : TableArtifact {
   ProfileMode Mode = ProfileMode::Off;
   ProfileTimebase Timebase = ProfileTimebase::Cycles;
   double TicksPerSecond = 0; ///< 0 under the steps timebase
-  bool PerfAvailable = false;
-  std::map<std::string, PhaseProfile> Phases;
+  std::map<std::string, ProfCell> Phases; ///< phase name -> phase cost
   std::map<int, ProfCell> States; ///< state -> matcher loop cost
   std::map<int, ProfCell> Prods;  ///< production -> reduce-step cost
   std::map<std::pair<int, int>, ProfCell> Dyn; ///< (state,term) -> tie cost

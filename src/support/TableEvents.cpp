@@ -4,109 +4,8 @@
 #include "support/Phase.h"
 
 #include <algorithm>
-#include <cstring>
-
-#if defined(__linux__) && __has_include(<linux/perf_event.h>)
-#include <linux/perf_event.h>
-#include <sys/syscall.h>
-#include <unistd.h>
-#define GG_HAVE_PERF 1
-#endif
 
 using namespace gg;
-
-//===----------------------------------------------------------------------===//
-// Hardware counters (perf mode)
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// One thread's hardware-counter group, opened lazily on first phase
-/// scope. Five independent fds (no group leader: grouping fails hard
-/// when the PMU can't co-schedule all five, and phase-level sums do not
-/// need the counters snapshotted atomically). Unavailable counters stay
-/// at fd = -1 and read as 0 — partial data beats none on hosts that
-/// expose, say, cycles but no cache events.
-struct ThreadPerf {
-  enum { NCounters = 5 };
-  int Fds[NCounters] = {-1, -1, -1, -1, -1};
-  bool Tried = false;
-
-#ifdef GG_HAVE_PERF
-  static int openCounter(uint32_t Type, uint64_t Config) {
-    struct perf_event_attr PE;
-    memset(&PE, 0, sizeof(PE));
-    PE.size = sizeof(PE);
-    PE.type = Type;
-    PE.config = Config;
-    PE.disabled = 0;
-    PE.exclude_kernel = 1; // unprivileged-friendly
-    PE.exclude_hv = 1;
-    return static_cast<int>(
-        syscall(SYS_perf_event_open, &PE, 0 /*this thread*/, -1 /*any cpu*/,
-                -1 /*no group*/, 0));
-  }
-#endif
-
-  /// Opens the counters once per thread; reports whether any opened.
-  bool ensureOpen() {
-    if (Tried)
-      return Fds[0] >= 0 || Fds[1] >= 0;
-    Tried = true;
-    if (tableEvents().perfForcedOff())
-      return false;
-#ifdef GG_HAVE_PERF
-    static constexpr uint64_t L1dReadMiss =
-        PERF_COUNT_HW_CACHE_L1D | (PERF_COUNT_HW_CACHE_OP_READ << 8) |
-        (PERF_COUNT_HW_CACHE_RESULT_MISS << 16);
-    Fds[0] = openCounter(PERF_TYPE_HARDWARE, PERF_COUNT_HW_CPU_CYCLES);
-    Fds[1] = openCounter(PERF_TYPE_HARDWARE, PERF_COUNT_HW_INSTRUCTIONS);
-    Fds[2] = openCounter(PERF_TYPE_HW_CACHE, L1dReadMiss);
-    Fds[3] = openCounter(PERF_TYPE_HARDWARE, PERF_COUNT_HW_CACHE_MISSES);
-    Fds[4] = openCounter(PERF_TYPE_HARDWARE, PERF_COUNT_HW_BRANCH_MISSES);
-    if (Fds[0] >= 0 || Fds[1] >= 0) {
-      tableEvents().notePerfOpened();
-      return true;
-    }
-#endif
-    return false;
-  }
-
-  bool read(HwCounters &Out) {
-    if (!ensureOpen())
-      return false;
-    uint64_t V[NCounters] = {0, 0, 0, 0, 0};
-#ifdef GG_HAVE_PERF
-    for (int I = 0; I < NCounters; ++I)
-      if (Fds[I] >= 0 && ::read(Fds[I], &V[I], sizeof(V[I])) !=
-                             static_cast<ssize_t>(sizeof(V[I])))
-        V[I] = 0;
-#endif
-    Out.Cycles = V[0];
-    Out.Instructions = V[1];
-    Out.L1dMisses = V[2];
-    Out.LlcMisses = V[3];
-    Out.BranchMisses = V[4];
-    return true;
-  }
-
-  ~ThreadPerf() {
-#ifdef GG_HAVE_PERF
-    for (int Fd : Fds)
-      if (Fd >= 0)
-        close(Fd);
-#endif
-  }
-};
-
-ThreadPerf &threadPerf() {
-  static thread_local ThreadPerf TP;
-  return TP;
-}
-
-uint64_t satSub(uint64_t A, uint64_t B) { return A > B ? A - B : 0; }
-
-} // namespace
 
 //===----------------------------------------------------------------------===//
 // TableEventRegistry
@@ -152,18 +51,10 @@ void TableEventRegistry::noteTie(int State, int TermIdx, int ChosenProd,
   P.Ticks += Ticks;
 }
 
-void TableEventRegistry::chargePhase(Phase P, uint64_t Ticks,
-                                     const HwCounters &D) {
+void TableEventRegistry::chargePhase(Phase P, uint64_t Ticks) {
   PhaseAcc &A = PhaseAccs[static_cast<size_t>(P)];
   A.Ticks.fetch_add(Ticks, std::memory_order_relaxed);
   A.Events.fetch_add(1, std::memory_order_relaxed);
-  if (!D.any())
-    return;
-  A.Cycles.fetch_add(D.Cycles, std::memory_order_relaxed);
-  A.Instructions.fetch_add(D.Instructions, std::memory_order_relaxed);
-  A.L1dMisses.fetch_add(D.L1dMisses, std::memory_order_relaxed);
-  A.LlcMisses.fetch_add(D.LlcMisses, std::memory_order_relaxed);
-  A.BranchMisses.fetch_add(D.BranchMisses, std::memory_order_relaxed);
 }
 
 void TableEventRegistry::noteCompile(bool Coverage) {
@@ -179,11 +70,10 @@ void TableEventRegistry::reset() {
   for (ShardedCounters *F : {&ProdEvents, &ProdTicks, &StateEvents,
                              &StateTicks, &FinalStates, &RowEvents})
     F->resetLocked();
-  for (PhaseAcc &A : PhaseAccs)
-    for (std::atomic<uint64_t> *C :
-         {&A.Ticks, &A.Events, &A.Cycles, &A.Instructions, &A.L1dMisses,
-          &A.LlcMisses, &A.BranchMisses})
-      C->store(0, std::memory_order_relaxed);
+  for (PhaseAcc &A : PhaseAccs) {
+    A.Ticks.store(0, std::memory_order_relaxed);
+    A.Events.store(0, std::memory_order_relaxed);
+  }
   Dyn.clear();
   CoverageCompiles.store(0, std::memory_order_relaxed);
   ProfileCompiles.store(0, std::memory_order_relaxed);
@@ -224,7 +114,6 @@ ProfileSnapshot TableEventRegistry::profileSnapshot() const {
   // shared MonoClock seconds domain.
   Out.TicksPerSecond =
       Out.Timebase == ProfileTimebase::Cycles ? profTicksPerSecond() : 0;
-  Out.PerfAvailable = perfAvailable();
   Out.Compiles = ProfileCompiles.load(std::memory_order_relaxed);
   Out.NumProds = ProdTicks.size();
   Out.NumStates = StateTicks.size();
@@ -244,13 +133,7 @@ ProfileSnapshot TableEventRegistry::profileSnapshot() const {
     uint64_t E = A.Events.load(std::memory_order_relaxed);
     if (!(T | E))
       continue;
-    PhaseProfile &PP = Out.Phases[phaseName(static_cast<Phase>(P))];
-    PP.Cell = {T, E};
-    PP.Hw = {A.Cycles.load(std::memory_order_relaxed),
-             A.Instructions.load(std::memory_order_relaxed),
-             A.L1dMisses.load(std::memory_order_relaxed),
-             A.LlcMisses.load(std::memory_order_relaxed),
-             A.BranchMisses.load(std::memory_order_relaxed)};
+    Out.Phases[phaseName(static_cast<Phase>(P))] = {T, E};
   }
   for (const auto &[Key, P] : Dyn)
     Out.Dyn[Key] = {P.Ticks, P.Hits};
@@ -269,7 +152,6 @@ void ProfileInterval::begin(bool WallOnly) {
   if (WallOnly && TB == ProfileTimebase::Steps)
     return;
   Live = true;
-  PerfLive = R.perfEnabled() && threadPerf().read(PerfStart);
   StartTicks = TableEventRegistry::now(TB);
 }
 
@@ -278,12 +160,5 @@ void ProfileInterval::end(Phase P) {
     return;
   Live = false;
   uint64_t End = TableEventRegistry::now(TB);
-  HwCounters Now, Delta;
-  if (PerfLive && threadPerf().read(Now))
-    Delta = {satSub(Now.Cycles, PerfStart.Cycles),
-             satSub(Now.Instructions, PerfStart.Instructions),
-             satSub(Now.L1dMisses, PerfStart.L1dMisses),
-             satSub(Now.LlcMisses, PerfStart.LlcMisses),
-             satSub(Now.BranchMisses, PerfStart.BranchMisses)};
-  tableEvents().chargePhase(P, satSub(End, StartTicks), Delta);
+  tableEvents().chargePhase(P, End > StartTicks ? End - StartTicks : 0);
 }

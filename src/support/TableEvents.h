@@ -27,10 +27,6 @@
 ///     reduce steps also charge the production, and deferred ties their
 ///     share to the (state, terminal) dyn point. Phase scopes charge the
 ///     code generator's phases (ProfileInterval).
-///   * perf — instr plus per-phase hardware counters via perf_event_open
-///     (cycles, instructions, L1d/LLC misses, branch mispredicts). Where
-///     the syscall is unavailable the mode degrades to instr and the
-///     artifact records perf_available=false.
 ///   * cycles (default timebase) — profTicks(), convertible to seconds in
 ///     the MonoClock domain the phase clock and Stats use (support/Clock.h).
 ///   * steps — a thread-local event counter: every delta is a property of
@@ -89,7 +85,7 @@ public:
   }
 
   /// Selects the profiling mode and timebase (Off disarms the profile).
-  /// Serial-only. Perf mode opens the per-thread hardware counters lazily.
+  /// Serial-only.
   void configureProfile(ProfileMode Mode,
                         ProfileTimebase TB = ProfileTimebase::Cycles);
 
@@ -98,7 +94,6 @@ public:
   bool profiling() const {
     return Sinks.load(std::memory_order_relaxed) & SinkProfile;
   }
-  bool perfEnabled() const { return profileMode() == ProfileMode::Perf; }
   ProfileMode profileMode() const {
     return static_cast<ProfileMode>(ModeA.load(std::memory_order_relaxed));
   }
@@ -135,26 +130,11 @@ public:
   void noteRow(int Row) { RowEvents.add(Row, 1); }
   void noteTie(int State, int TermIdx, int ChosenProd, uint64_t Ticks);
   /// One event of phase \p P (ProfileInterval). Dense atomics.
-  void chargePhase(Phase P, uint64_t Ticks, const HwCounters &Delta);
+  void chargePhase(Phase P, uint64_t Ticks);
 
   /// Counts one compile() call in each armed artifact. The PCC baseline
   /// passes \p Coverage = false: it reduces by no production.
   void noteCompile(bool Coverage = true);
-
-  /// True when perf mode has opened hardware counters on at least one
-  /// thread and no test forced unavailability.
-  bool perfAvailable() const {
-    return PerfOpened.load(std::memory_order_relaxed) && !perfForcedOff();
-  }
-  /// Test hook: makes every perf_event_open attempt report failure so
-  /// the graceful-fallback path is exercisable where perf works.
-  void forcePerfUnavailableForTests(bool Force) {
-    PerfForcedOff.store(Force, std::memory_order_relaxed);
-  }
-  bool perfForcedOff() const {
-    return PerfForcedOff.load(std::memory_order_relaxed);
-  }
-  void notePerfOpened() { PerfOpened.store(true, std::memory_order_relaxed); }
 
   /// Zeroes every count (arming, sizes, names and identity stay).
   void reset();
@@ -170,8 +150,6 @@ private:
   std::atomic<uint8_t> Sinks{0};
   std::atomic<uint8_t> ModeA{static_cast<uint8_t>(ProfileMode::Off)};
   std::atomic<uint8_t> TimebaseA{static_cast<uint8_t>(ProfileTimebase::Cycles)};
-  std::atomic<bool> PerfOpened{false};
-  std::atomic<bool> PerfForcedOff{false};
   std::atomic<uint64_t> CoverageCompiles{0}, ProfileCompiles{0};
 
   ShardedCounters ProdEvents, ProdTicks, StateEvents, StateTicks, FinalStates,
@@ -179,8 +157,6 @@ private:
 
   struct PhaseAcc {
     std::atomic<uint64_t> Ticks{0}, Events{0};
-    std::atomic<uint64_t> Cycles{0}, Instructions{0}, L1dMisses{0},
-        LlcMisses{0}, BranchMisses{0};
   };
   std::vector<PhaseAcc> PhaseAccs; ///< one per Phase
 
@@ -201,8 +177,8 @@ inline TableEventRegistry &tableEvents() {
 }
 
 /// PhaseScope's profile sink (support/Phase.h): end() charges the phase
-/// the tick delta since begin() and, in perf mode, its hardware-counter
-/// deltas; the interval may then begin again for the scope's next phase.
+/// the tick delta since begin(); the interval may then begin again for the
+/// scope's next phase.
 /// An unarmed profile makes begin() a single relaxed load.
 /// \p WallOnly intervals no-op under the steps timebase, where a delta
 /// across the parallel region (cg.total) would depend on the schedule.
@@ -215,8 +191,6 @@ private:
   ProfileTimebase TB = ProfileTimebase::Cycles;
   uint64_t StartTicks = 0;
   bool Live = false;
-  bool PerfLive = false;
-  HwCounters PerfStart;
 };
 
 } // namespace gg

@@ -147,19 +147,69 @@ const VaxTarget &target() {
   return *T;
 }
 
-TEST(Peephole, AnnotatedBranchLeftAsEmitted) {
-  // In explain mode a branch carries the production that emitted it; the
-  // pass neither retargets nor inverts it, so the annotation stays true.
+TEST(Peephole, AnnotatedBranchesRewrittenLikePlainOnes) {
+  // In explain mode a branch carries the production that emitted it. The
+  // pass rewrites it as it would a plain one: an inverted branch loses
+  // the annotation (no production emitted it), a retargeted one keeps it.
   Listing L;
   L.E.setExplain(&target().grammar());
   L.E.setProduction(0);
-  L.branch("jeql", "L1");
+  L.branch("jeql", "L1").branch("brw", "L2");
   L.E.clearProduction();
-  L.branch("brw", "L2").label("L1").inst("ret").label("L2").inst("ret");
+  L.label("L1").inst("ret").label("L2").inst("ret");
   PeepholeStats S = runPeephole(L.records());
-  EXPECT_EQ(S.BranchesInverted, 0u);
-  EXPECT_EQ(S.ChainsCollapsed, 0u);
-  EXPECT_EQ(L.lines()[0].rfind("\tjeql\tL1\t# P0: ", 0), 0u);
+  EXPECT_EQ(S.BranchesInverted, 1u);
+  EXPECT_EQ(L.lines()[0], "\tjneq\tL2");
+
+  Listing C;
+  C.E.setExplain(&target().grammar());
+  C.E.setProduction(0);
+  C.branch("jeql", "L1");
+  C.E.clearProduction();
+  C.inst("ret").label("L1").branch("brw", "L2").label("L2").inst("ret");
+  S = runPeephole(C.records());
+  EXPECT_GE(S.ChainsCollapsed, 1u);
+  EXPECT_EQ(C.lines()[0].rfind("\tjeql\tL2\t# P0: ", 0), 0u);
+}
+
+TEST(Peephole, ExplainChangesNoRewrite) {
+  // The annotations are the only difference explain mode makes to the
+  // optimized code: same instructions once they are stripped, same
+  // rewrite counts.
+  auto Compile = [](const std::string &Source, bool Explain,
+                    std::string &Asm, PeepholeStats &Stats) {
+    Program P;
+    DiagnosticSink D;
+    ASSERT_TRUE(compileMiniC(Source, P, D)) << D.renderAll();
+    CodeGenOptions Opts;
+    Opts.Peephole = true;
+    Opts.Explain = Explain;
+    GGCodeGenerator CG(target(), Opts);
+    std::string Err;
+    ASSERT_TRUE(CG.compile(P, Asm, Err)) << Err;
+    Stats = CG.stats().Peephole;
+  };
+  auto Strip = [](const std::string &Asm) {
+    std::string Out;
+    std::istringstream In(Asm);
+    for (std::string Line; std::getline(In, Line);)
+      Out += Line.substr(0, Line.find("\t# ")) + "\n";
+    return Out;
+  };
+  unsigned Rewrites = 0, Annotated = 0;
+  for (uint64_t Seed = 0; Seed < 64; ++Seed) {
+    std::string Source = generateProgram(0xE5A1A000u + Seed);
+    std::string Plain, Explained;
+    PeepholeStats PlainStats, ExplainedStats;
+    Compile(Source, false, Plain, PlainStats);
+    Compile(Source, true, Explained, ExplainedStats);
+    Annotated += Explained != Plain;
+    EXPECT_EQ(Strip(Explained), Plain) << "seed " << Seed;
+    EXPECT_TRUE(ExplainedStats == PlainStats) << "seed " << Seed;
+    Rewrites += PlainStats.total();
+  }
+  EXPECT_EQ(Annotated, 64u);
+  EXPECT_GT(Rewrites, 0u) << "the programs must give the pass work";
 }
 
 TEST(Peephole, ShrinksGeneratedControlFlow) {

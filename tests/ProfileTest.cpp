@@ -3,8 +3,8 @@
 // Covers the gg-profile-v1 pipeline end to end: the table-event
 // registry's profile side (the ProfileRegistry suite: off-by-default
 // records nothing, charges, reset), spec parsing, artifact serialization
-// and merging through support/Json, the perf-unavailable fallback, and
-// the determinism contract — under the steps timebase the artifact for a
+// and merging through support/Json, pre-existing artifacts, and the
+// determinism contract — under the steps timebase the artifact for a
 // given input is byte-identical at any worker count.
 //
 // The registry is process-global; ctest runs each TEST in its own process
@@ -39,8 +39,6 @@ TEST(ProfileSpec, ParsesModesAndTimebases) {
   EXPECT_EQ(TB, ProfileTimebase::Cycles);
   ASSERT_TRUE(parseProfileSpec("instr", M, TB, Err)) << Err;
   EXPECT_EQ(M, ProfileMode::Instr);
-  ASSERT_TRUE(parseProfileSpec("perf", M, TB, Err)) << Err;
-  EXPECT_EQ(M, ProfileMode::Perf);
   ASSERT_TRUE(parseProfileSpec("instr,steps", M, TB, Err)) << Err;
   EXPECT_EQ(M, ProfileMode::Instr);
   EXPECT_EQ(TB, ProfileTimebase::Steps);
@@ -51,12 +49,14 @@ TEST(ProfileSpec, ParsesModesAndTimebases) {
   EXPECT_NE(Err.find("bogus"), std::string::npos) << Err;
   EXPECT_FALSE(parseProfileSpec("instr,bogus", M, TB, Err));
   EXPECT_FALSE(parseProfileSpec("", M, TB, Err));
+  // There is no hardware-counter mode.
+  EXPECT_FALSE(parseProfileSpec("perf", M, TB, Err));
+  EXPECT_NE(Err.find("off|instr)"), std::string::npos) << Err;
 }
 
 TEST(ProfileRegistry, OffByDefaultAndStepsAreDeterministic) {
   TableEventRegistry &R = tableEvents();
   EXPECT_FALSE(R.profiling());
-  EXPECT_FALSE(R.perfEnabled());
 
   // Phase scopes cost nothing and record nothing while off.
   { PhaseScope S(Phase::Match); }
@@ -68,15 +68,14 @@ TEST(ProfileRegistry, OffByDefaultAndStepsAreDeterministic) {
   R.configureProfile(ProfileMode::Instr, ProfileTimebase::Steps);
   EXPECT_TRUE(R.profiling());
   EXPECT_TRUE(R.armed());
-  EXPECT_FALSE(R.perfEnabled());
   // A steps-timebase scope charges exactly one virtual tick.
   { PhaseScope S(Phase::Match); }
   // Wall-only scopes (cg.total) no-op under steps.
   { PhaseScope S(Phase::Total); }
   ProfileSnapshot On = R.profileSnapshot();
   ASSERT_EQ(On.Phases.count("cg.match"), 1u);
-  EXPECT_EQ(On.Phases["cg.match"].Cell.Ticks, 1u);
-  EXPECT_EQ(On.Phases["cg.match"].Cell.Events, 1u);
+  EXPECT_EQ(On.Phases["cg.match"].Ticks, 1u);
+  EXPECT_EQ(On.Phases["cg.match"].Events, 1u);
   EXPECT_EQ(On.Phases.count("cg.total"), 0u);
   EXPECT_EQ(On.TicksPerSecond, 0.0) << "steps ticks are unitless";
 }
@@ -122,16 +121,14 @@ TEST(ProfileRegistry, ChargesAndResetKeepsShape) {
 TEST(ProfileSnapshot, JsonRoundTrip) {
   ProfileSnapshot S;
   S.Fingerprint = "0123456789abcdef";
-  S.Mode = ProfileMode::Perf;
+  S.Mode = ProfileMode::Instr;
   S.Timebase = ProfileTimebase::Cycles;
   S.TicksPerSecond = 2.5e9;
-  S.PerfAvailable = true;
   S.Compiles = 3;
   S.NumProds = 100;
   S.NumStates = 200;
-  S.Phases["cg.match"].Cell = {1000, 10};
-  S.Phases["cg.match"].Hw = {5000, 12000, 40, 7, 22};
-  S.Phases["cg.total"].Cell = {2000, 3};
+  S.Phases["cg.match"] = {1000, 10};
+  S.Phases["cg.total"] = {2000, 3};
   S.States[0] = {5, 1};
   S.States[130] = {77, 9}; // second table region
   S.Prods[12] = {33, 4};
@@ -141,13 +138,12 @@ TEST(ProfileSnapshot, JsonRoundTrip) {
   ProfileSnapshot Back;
   ASSERT_TRUE(Back.parse(S.toJson(), Err)) << Err;
   EXPECT_EQ(Back.Fingerprint, S.Fingerprint);
-  EXPECT_EQ(Back.Mode, ProfileMode::Perf);
+  EXPECT_EQ(Back.Mode, ProfileMode::Instr);
   EXPECT_EQ(Back.Timebase, ProfileTimebase::Cycles);
   EXPECT_EQ(Back.TicksPerSecond, S.TicksPerSecond);
-  EXPECT_TRUE(Back.PerfAvailable);
   EXPECT_EQ(Back.Compiles, 3u);
   EXPECT_EQ(Back.NumProds, 100u);
-  EXPECT_EQ(Back.Phases["cg.match"].Hw.Instructions, 12000u);
+  EXPECT_EQ(Back.Phases["cg.match"].Events, 10u);
   EXPECT_EQ(Back.States[130].Ticks, 77u);
   EXPECT_EQ((Back.Dyn[{4, 1}].Events), 2u);
   // Derived regions reflect the per-state buckets.
@@ -196,24 +192,21 @@ TEST(ProfileSnapshot, MergeSumsAndChecksIdentity) {
   A.Timebase = B.Timebase = ProfileTimebase::Cycles;
   A.Compiles = 1;
   B.Compiles = 2;
-  A.Phases["cg.match"].Cell = {10, 1};
-  B.Phases["cg.match"].Cell = {20, 2};
-  B.Phases["cg.match"].Hw.Cycles = 500;
+  A.Phases["cg.match"] = {10, 1};
+  B.Phases["cg.match"] = {20, 2};
   A.States[1] = {5, 1};
   B.States[1] = {7, 2};
   B.Prods[2] = {1, 1};
   B.Dyn[{0, 0}] = {4, 1};
-  B.PerfAvailable = true;
 
   std::string Err;
   ASSERT_TRUE(A.merge(B, Err)) << Err;
   EXPECT_EQ(A.Compiles, 3u);
-  EXPECT_EQ(A.Phases["cg.match"].Cell.Ticks, 30u);
-  EXPECT_EQ(A.Phases["cg.match"].Hw.Cycles, 500u);
+  EXPECT_EQ(A.Phases["cg.match"].Ticks, 30u);
+  EXPECT_EQ(A.Phases["cg.match"].Events, 3u);
   EXPECT_EQ(A.States[1].Ticks, 12u);
   EXPECT_EQ(A.States[1].Events, 3u);
   EXPECT_EQ(A.Prods[2].Ticks, 1u);
-  EXPECT_TRUE(A.PerfAvailable);
 
   ProfileSnapshot Foreign;
   Foreign.Fingerprint = "0000000000000001";
@@ -236,19 +229,48 @@ TEST(ProfileSnapshot, MergeSumsAndChecksIdentity) {
   EXPECT_NE(Err.find("timebase"), std::string::npos) << Err;
 }
 
-TEST(ProfileRegistry, PerfUnavailableFallsBackGracefully) {
-  TableEventRegistry &R = tableEvents();
-  R.forcePerfUnavailableForTests(true);
-  R.configureProfile(ProfileMode::Perf, ProfileTimebase::Steps);
-  { PhaseScope S(Phase::Match); }
-  EXPECT_FALSE(R.perfAvailable());
-  ProfileSnapshot S = R.profileSnapshot();
-  ASSERT_EQ(S.Phases.count("cg.match"), 1u);
-  EXPECT_EQ(S.Phases["cg.match"].Cell.Ticks, 1u)
-      << "instr timing must survive the perf fallback";
-  EXPECT_FALSE(S.Phases["cg.match"].Hw.any());
-  EXPECT_FALSE(S.PerfAvailable);
-  EXPECT_NE(S.toJson().find("\"perf_available\":false"), std::string::npos);
+/// An instr artifact as written before the writer dropped its
+/// "perf_available" key; \p Mode is spliced in.
+std::string preChangeArtifact(const char *Mode) {
+  return std::string("{\"schema\":\"gg-profile-v1\",\"fingerprint\":"
+                     "\"0123456789abcdef\",\"mode\":\"") +
+         Mode +
+         "\",\"timebase\":\"steps\",\"ticks_per_second\":0,"
+         "\"perf_available\":false,\"compiles\":2,\"shape\":{"
+         "\"productions\":100,\"states\":200,\"region_size\":64},"
+         "\"phases\":{\"cg.match\":{\"ticks\":40,\"events\":4}},"
+         "\"states\":{\"3\":{\"ticks\":10,\"events\":2}},"
+         "\"productions\":{\"7\":{\"ticks\":6,\"events\":1}},"
+         "\"regions\":{\"0\":{\"ticks\":10,\"events\":2}},"
+         "\"dyn\":{\"4:1\":{\"ticks\":9,\"events\":2}}}";
+}
+
+TEST(ProfileSnapshot, ParsesPreChangeInstrArtifact) {
+  std::string Old = preChangeArtifact("instr");
+  ProfileSnapshot S;
+  std::string Err;
+  ASSERT_TRUE(S.parse(Old, Err)) << Err;
+  EXPECT_EQ(S.Mode, ProfileMode::Instr);
+  EXPECT_EQ(S.Timebase, ProfileTimebase::Steps);
+  EXPECT_EQ(S.Compiles, 2u);
+  EXPECT_EQ(S.Phases["cg.match"].Ticks, 40u);
+  EXPECT_EQ(S.Phases["cg.match"].Events, 4u);
+  EXPECT_EQ(S.States[3].Ticks, 10u);
+  EXPECT_EQ(S.Prods[7].Events, 1u);
+  EXPECT_EQ((S.Dyn[{4, 1}].Ticks), 9u);
+  // Re-serialized, it is the old text without the dropped key.
+  std::string Key = "\"perf_available\":false,";
+  std::string Expected = Old;
+  Expected.erase(Expected.find(Key), Key.size());
+  EXPECT_EQ(S.toJson(), Expected);
+}
+
+TEST(ProfileSnapshot, RefusesPerfModeArtifact) {
+  ProfileSnapshot S;
+  std::string Err;
+  EXPECT_FALSE(S.parse(preChangeArtifact("perf"), Err));
+  EXPECT_NE(Err.find("unknown profile mode \"perf\""), std::string::npos)
+      << Err;
 }
 
 //===----------------------------------------------------------------------===//
@@ -318,7 +340,7 @@ TEST(ProfilePipeline, RealCompileAttributesCost) {
   for (const auto &[Id, C] : S.States)
     StateTicks += C.Ticks;
   EXPECT_GT(StateTicks, 0u);
-  EXPECT_LE(StateTicks, S.Phases["cg.total"].Cell.Ticks);
+  EXPECT_LE(StateTicks, S.Phases["cg.total"].Ticks);
   // The artifact itself is valid gg-profile-v1.
   std::string Err;
   ProfileSnapshot Back;
@@ -338,7 +360,7 @@ TEST(ProfilePipeline, PccCompileChargesItsPhase) {
   ASSERT_TRUE(CG.compile(P, Asm, Err)) << Err;
   ProfileSnapshot S = tableEvents().profileSnapshot();
   ASSERT_EQ(S.Phases.count("pcc.compile"), 1u);
-  EXPECT_EQ(S.Phases["pcc.compile"].Cell.Events, 1u);
+  EXPECT_EQ(S.Phases["pcc.compile"].Events, 1u);
 }
 
 std::string compileCorpusAndSnapshot(const VaxTarget &Target, int Threads) {

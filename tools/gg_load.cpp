@@ -8,10 +8,9 @@
 // times stay on stdout.
 //
 //   gg-load --socket=PATH [--spawn=BIN [--serve-arg=ARG]...]
-//           [--requests=N] [--clients=K] [--corpus=N] [--deadline-ms=N]
-//           [--max-steps=N] [--max-arena=BYTES] [--crash-every=N]
-//           [--timeout-ms=N] [--hedge-ms=N] [--open-loop=RPS] [--slo-ms=N]
-//           [--reload-every=N] [--min-generation=N] [--expect-sheds]
+//           [--requests=N] [--clients=K] [--corpus=N] [--crash-every=N]
+//           [--timeout-ms=N] [--open-loop=RPS] [--reload-every=N]
+//           [--min-generation=N] [--expect-sheds]
 //           [--trace-ids=BASE] [--verify] [--bench-json=FILE]
 //           [--no-shutdown]
 //
@@ -35,10 +34,7 @@
 // server's retry-after hint, grown exponentially across rounds with
 // proportional jitter (capped at 2s), then resending — until the
 // per-request --timeout-ms budget would be blown, at which point the shed
-// is recorded as terminal rather than a give-up. --hedge-ms=N resends a
-// request that has gone unanswered for N ms on the same connection
-// (purity makes the duplicate safe; the loser counts as a stray).
-// --open-loop=RPS switches from closed-loop (next request after the last
+// is recorded as terminal rather than a give-up. --open-loop=RPS switches from closed-loop (next request after the last
 // answer) to a fixed arrival schedule that never adapts to service rate —
 // the honest way to measure goodput and shed rate at saturation; open
 // loop never retries a shed. --reload-every=N injects a Reload frame
@@ -64,9 +60,10 @@
 // local reference compile is itself fault-afflicted.
 //
 // Exit codes follow support/ExitCodes.h: 1 on any verify mismatch,
-// client give-up, unclean server death, generation regression, missed
-// --slo-ms p99 target, unmet --min-generation, or --expect-sheds with no
-// shed observed.
+// client give-up, unclean server death, generation regression, unmet
+// --min-generation, or --expect-sheds with no shed observed. Requests
+// carry no budgets of their own: the server's --serve-deadline-ms,
+// --serve-max-steps and --serve-max-arena defaults apply.
 //
 //===----------------------------------------------------------------------===//
 
@@ -112,15 +109,10 @@ struct LoadOptions {
   int Requests = 50;
   int Clients = 4;
   int Corpus = 16;
-  uint32_t DeadlineMs = 0; ///< 0 = server default
-  uint64_t MaxSteps = 0;
-  uint64_t MaxArenaBytes = 0;
   int CrashEvery = 0;   ///< inject a Crash frame before every Nth request
   int ReloadEvery = 0;  ///< inject a Reload frame before every Nth request
   int TimeoutMs = 30000; ///< per-request wall budget (send+retries+await)
-  int HedgeMs = 0;       ///< resend an unanswered request after N ms
   int OpenLoopRps = 0;   ///< fixed arrival rate per client thread; 0 = closed
-  int SloMs = 0;         ///< p99 target; missing it fails the run
   uint64_t MinGeneration = 0; ///< require the observed generation to reach N
   uint64_t TraceIdBase = 1;   ///< request k carries id BASE+k (--trace-ids=)
   bool ExpectSheds = false;   ///< fail unless at least one OVERLOADED arrived
@@ -187,9 +179,7 @@ struct Tally {
   std::atomic<uint64_t> Overloaded{0};      ///< OVERLOADED frames received
   std::atomic<uint64_t> OverloadedFinal{0}; ///< sheds that ended a request
   std::atomic<uint64_t> Retries{0};         ///< resends after a shed
-  std::atomic<uint64_t> Hedges{0};          ///< duplicate sends (--hedge-ms)
   std::atomic<uint64_t> ReloadAcks{0};      ///< Reloaded frames received
-  std::atomic<uint64_t> DeadlineMissed{0};  ///< answered past --slo-ms
   std::atomic<uint64_t> MaxGeneration{0};
   std::atomic<uint64_t> GenerationRegressions{0};
   std::atomic<uint64_t> VerifyMismatches{0};
@@ -265,8 +255,8 @@ public:
 
   /// Blocks (via poll) until one complete frame, the absolute deadline,
   /// or connection loss. Returns 1 with \p F filled, 0 on deadline (the
-  /// connection stays usable — hedges and open-loop sends continue on
-  /// it), -1 on loss. \p DeadlineNs is absolute nowNs() time.
+  /// connection stays usable — open-loop sends continue on it), -1 on
+  /// loss. \p DeadlineNs is absolute nowNs() time.
   int pump(uint64_t DeadlineNs, Frame &F) {
     char Chunk[65536];
     while (true) {
@@ -324,7 +314,7 @@ public:
       case FrameType::Response:
         if (!decodeResponse(F.Payload, Resp, Err) || Resp.Id != WantId) {
           // Protocol-error responses carry id 0; a late response for a
-          // request we already replayed or hedged is also possible.
+          // request we already replayed is also possible.
           ++T.StrayResponses;
           break;
         }
@@ -458,11 +448,9 @@ void usage() {
   fprintf(stderr,
           "usage: gg-load --socket=PATH [--spawn=BIN [--serve-arg=ARG]...]\n"
           "               [--requests=N] [--clients=K] [--corpus=N]\n"
-          "               [--deadline-ms=N] [--max-steps=N] "
-          "[--max-arena=BYTES]\n"
           "               [--crash-every=N] [--reload-every=N] "
           "[--timeout-ms=N]\n"
-          "               [--hedge-ms=N] [--open-loop=RPS] [--slo-ms=N]\n"
+          "               [--open-loop=RPS]\n"
           "               [--min-generation=N] [--trace-ids=BASE]\n"
           "               [--expect-sheds] [--verify]\n"
           "               [--bench-json=FILE] [--no-shutdown]\n");
@@ -510,18 +498,6 @@ int main(int argc, char **argv) {
       return ExitUsage;
     else if (M)
       Opt.Corpus = static_cast<int>(V);
-    else if (!intFlag(A, "--deadline-ms=", 0, 86400000, V, M))
-      return ExitUsage;
-    else if (M)
-      Opt.DeadlineMs = static_cast<uint32_t>(V);
-    else if (!intFlag(A, "--max-steps=", 0, INT64_MAX, V, M))
-      return ExitUsage;
-    else if (M)
-      Opt.MaxSteps = static_cast<uint64_t>(V);
-    else if (!intFlag(A, "--max-arena=", 0, INT64_MAX, V, M))
-      return ExitUsage;
-    else if (M)
-      Opt.MaxArenaBytes = static_cast<uint64_t>(V);
     else if (!intFlag(A, "--crash-every=", 1, 1000000, V, M))
       return ExitUsage;
     else if (M)
@@ -534,18 +510,10 @@ int main(int argc, char **argv) {
       return ExitUsage;
     else if (M)
       Opt.TimeoutMs = static_cast<int>(V);
-    else if (!intFlag(A, "--hedge-ms=", 1, 600000, V, M))
-      return ExitUsage;
-    else if (M)
-      Opt.HedgeMs = static_cast<int>(V);
     else if (!intFlag(A, "--open-loop=", 1, 1000000, V, M))
       return ExitUsage;
     else if (M)
       Opt.OpenLoopRps = static_cast<int>(V);
-    else if (!intFlag(A, "--slo-ms=", 1, 600000, V, M))
-      return ExitUsage;
-    else if (M)
-      Opt.SloMs = static_cast<int>(V);
     else if (!intFlag(A, "--min-generation=", 1, INT64_MAX, V, M))
       return ExitUsage;
     else if (M)
@@ -651,9 +619,6 @@ int main(int argc, char **argv) {
 
       RequestMsg Req;
       Req.Id = Opt.TraceIdBase + static_cast<uint64_t>(Idx);
-      Req.DeadlineMs = Opt.DeadlineMs;
-      Req.MaxSteps = Opt.MaxSteps;
-      Req.MaxArenaBytes = Opt.MaxArenaBytes;
       size_t ProgIdx = static_cast<size_t>(Idx) % Corpus.size();
       Req.Source = Corpus[ProgIdx];
       std::string Payload = encodeRequest(Req);
@@ -675,7 +640,6 @@ int main(int argc, char **argv) {
       const uint64_t ReqDeadline = T0 + TimeoutNs;
       int ConnFailures = 0;
       uint32_t Round = 0; // shed-retry rounds completed (backoff growth)
-      bool Hedged = false;
       bool NeedSend = true;
       while (!Got && !Shed) {
         if (NeedSend) {
@@ -690,12 +654,7 @@ int main(int argc, char **argv) {
           }
           NeedSend = false;
         }
-        uint64_t WaitDeadline = ReqDeadline;
-        if (Opt.HedgeMs > 0 && !Hedged)
-          WaitDeadline = std::min(
-              ReqDeadline, nowNs() + static_cast<uint64_t>(Opt.HedgeMs) *
-                                         NsPerMs);
-        Client::Event E = Conn.awaitEvent(Req.Id, WaitDeadline, Resp, Over);
+        Client::Event E = Conn.awaitEvent(Req.Id, ReqDeadline, Resp, Over);
         switch (E) {
         case Client::Event::Response:
           Got = true;
@@ -716,22 +675,10 @@ int main(int argc, char **argv) {
           break;
         }
         case Client::Event::Timeout:
-          if (WaitDeadline < ReqDeadline) {
-            // The hedge timer fired, not the deadline: resend the same
-            // id on the same stream. Purity makes the duplicate safe;
-            // whichever response loses the race counts as a stray.
-            Hedged = true;
-            ++T.Hedges;
-            NeedSend = true;
-          } else {
-            // Hard timeout: poison the stream so a late response for
-            // this id cannot satisfy the next request.
-            Conn.drop();
-            Got = false;
-            Shed = false;
-            goto done;
-          }
-          break;
+          // Poison the stream so a late response for this id cannot
+          // satisfy the next request.
+          Conn.drop();
+          goto done;
         case Client::Event::Lost:
           if (++ConnFailures >= 4)
             goto done;
@@ -753,8 +700,6 @@ int main(int argc, char **argv) {
       uint64_t LatNs = nowNs() - T0;
       LocalLat.push_back(LatNs);
       LocalLatByGen[Resp.Generation].push_back(LatNs);
-      if (Opt.SloMs > 0 && LatNs > static_cast<uint64_t>(Opt.SloMs) * NsPerMs)
-        ++T.DeadlineMissed;
       classifyResponse(Resp, ProgIdx, T, Opt, Oracle);
     }
     std::lock_guard<std::mutex> Lock(T.LatM);
@@ -799,9 +744,6 @@ int main(int argc, char **argv) {
         uint64_t LatNs = nowNs() - It->second.SentNs;
         LocalLat.push_back(LatNs);
         LocalLatByGen[Resp.Generation].push_back(LatNs);
-        if (Opt.SloMs > 0 &&
-            LatNs > static_cast<uint64_t>(Opt.SloMs) * NsPerMs)
-          ++T.DeadlineMissed;
         classifyResponse(Resp, It->second.ProgIdx, T, Opt, Oracle);
         Outstanding.erase(It);
       } else if (F.Type == FrameType::Overloaded) {
@@ -869,9 +811,6 @@ int main(int argc, char **argv) {
           Conn.send(FrameType::Reload, "");
         RequestMsg Req;
         Req.Id = Opt.TraceIdBase + static_cast<uint64_t>(Idx);
-        Req.DeadlineMs = Opt.DeadlineMs;
-        Req.MaxSteps = Opt.MaxSteps;
-        Req.MaxArenaBytes = Opt.MaxArenaBytes;
         size_t ProgIdx = static_cast<size_t>(Idx) % Corpus.size();
         Req.Source = Corpus[ProgIdx];
         if (!Conn.send(FrameType::Request, encodeRequest(Req))) {
@@ -960,12 +899,10 @@ int main(int argc, char **argv) {
          static_cast<unsigned long long>(T.Replays.load()),
          static_cast<unsigned long long>(T.GaveUp.load()));
   printf("gg-load: %llu overloaded (%llu terminal), %llu retries, "
-         "%llu hedges, %llu reload-acks, generation max %llu "
-         "(%llu regressions)\n",
+         "%llu reload-acks, generation max %llu (%llu regressions)\n",
          static_cast<unsigned long long>(T.Overloaded.load()),
          static_cast<unsigned long long>(T.OverloadedFinal.load()),
          static_cast<unsigned long long>(T.Retries.load()),
-         static_cast<unsigned long long>(T.Hedges.load()),
          static_cast<unsigned long long>(T.ReloadAcks.load()),
          static_cast<unsigned long long>(T.MaxGeneration.load()),
          static_cast<unsigned long long>(T.GenerationRegressions.load()));
@@ -974,9 +911,6 @@ int main(int argc, char **argv) {
          WallSeconds, Answered / std::max(WallSeconds, 1e-9),
          T.Ok.load() / std::max(WallSeconds, 1e-9), Pct(0.50), Pct(0.95),
          Pct(0.99));
-  if (Opt.SloMs > 0)
-    printf("gg-load: slo %dms: %llu answered past it\n", Opt.SloMs,
-           static_cast<unsigned long long>(T.DeadlineMissed.load()));
   // With a reload mid-run there is one latency population per serving
   // generation; break them out so a slow new image is visible instead of
   // smearing the aggregate tail.
@@ -1006,10 +940,8 @@ int main(int argc, char **argv) {
                      {"overloaded", T.Overloaded},
                      {"shed_final", T.OverloadedFinal},
                      {"retries", T.Retries},
-                     {"hedges", T.Hedges},
                      {"replays", T.Replays},
                      {"reload_acks", T.ReloadAcks},
-                     {"deadline_missed", T.DeadlineMissed},
                      {"max_generation", T.MaxGeneration},
                      {"generation_regressions", T.GenerationRegressions},
                      {"verify_mismatches", T.VerifyMismatches},
@@ -1029,8 +961,6 @@ int main(int argc, char **argv) {
     Fail("client give-ups (lost or unanswered requests)");
   if (T.GenerationRegressions.load() > 0)
     Fail("table generation regressed within a connection");
-  if (Opt.SloMs > 0 && Pct(0.99) * 1000.0 > Opt.SloMs)
-    Fail("p99 latency above --slo-ms");
   if (Opt.MinGeneration > 0 && T.MaxGeneration.load() < Opt.MinGeneration)
     Fail("observed generation never reached --min-generation");
   if (Opt.ExpectSheds && T.Overloaded.load() == 0)

@@ -297,16 +297,16 @@ struct ProfileReport : Namer {
 
   uint64_t phaseTicks(const char *Name) const {
     auto It = Prof.Phases.find(Name);
-    return It == Prof.Phases.end() ? 0 : It->second.Cell.Ticks;
+    return It == Prof.Phases.end() ? 0 : It->second.Ticks;
   }
 
   /// Sum of the instrumented (non-wall) GG phases — everything charged
   /// under cg.* except the cg.total wall scope.
   uint64_t attributedTicks() const {
     uint64_t T = 0;
-    for (const auto &[Name, P] : Prof.Phases)
+    for (const auto &[Name, C] : Prof.Phases)
       if (Name.rfind("cg.", 0) == 0 && Name != "cg.total")
-        T += P.Cell.Ticks;
+        T += C.Ticks;
     return T;
   }
 
@@ -374,41 +374,27 @@ void ProfileReport::printHotCells(const char *What,
 void ProfileReport::print(int Top) const {
   const char *TbName =
       Prof.Timebase == ProfileTimebase::Steps ? "steps" : "cycles";
-  printf("\n== profile (%llu compiles, timebase %s, fingerprint %s%s%s)\n",
+  printf("\n== profile (%llu compiles, timebase %s, fingerprint %s%s)\n",
          static_cast<unsigned long long>(Prof.Compiles), TbName,
          Prof.Fingerprint.c_str(),
-         Prof.PerfAvailable ? ", hw counters" : ", no hw counters",
          Target ? "" : ", no matching target: raw ids");
 
   // Per-phase breakdown, largest first.
   std::vector<std::pair<uint64_t, std::string>> Phases;
-  for (const auto &[Name, P] : Prof.Phases)
-    Phases.push_back({P.Cell.Ticks, Name});
+  for (const auto &[Name, C] : Prof.Phases)
+    Phases.push_back({C.Ticks, Name});
   std::sort(Phases.begin(), Phases.end(), [](const auto &A, const auto &B) {
     return A.first != B.first ? A.first > B.first : A.second < B.second;
   });
   uint64_t Total = phaseTicks("cg.total");
   printf("  phases:\n");
   for (const auto &[Ticks, Name] : Phases) {
-    const PhaseProfile &P = Prof.Phases.at(Name);
     std::string Line =
         strf("    %-14s %s  %8llu events", Name.c_str(),
              ticksStr(Ticks).c_str(),
-             static_cast<unsigned long long>(P.Cell.Events));
+             static_cast<unsigned long long>(Prof.Phases.at(Name).Events));
     if (Total && Name != "cg.total" && Name.rfind("cg.", 0) == 0)
       Line += strf("  %5.1f%% of cg.total", 100.0 * double(Ticks) / Total);
-    if (P.Hw.any()) {
-      Line += strf("  [hw: %llu cyc, %llu ins",
-                   static_cast<unsigned long long>(P.Hw.Cycles),
-                   static_cast<unsigned long long>(P.Hw.Instructions));
-      if (P.Hw.Cycles)
-        Line += strf(", ipc %.2f",
-                     double(P.Hw.Instructions) / double(P.Hw.Cycles));
-      Line += strf(", %llu l1d-miss, %llu llc-miss, %llu br-miss]",
-                   static_cast<unsigned long long>(P.Hw.L1dMisses),
-                   static_cast<unsigned long long>(P.Hw.LlcMisses),
-                   static_cast<unsigned long long>(P.Hw.BranchMisses));
-    }
     printf("%s\n", Line.c_str());
   }
   double Attr = attributedPct();
