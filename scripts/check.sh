@@ -302,7 +302,9 @@ echo "== profile smoke (gg-profile-v1 artifacts through gg-report)"
 # Compile the generated corpus under --profile=instr and feed the artifact
 # through gg-report: it must parse, merge, rank, and attribute >= 90% of
 # the GG matcher+codegen wall time (cg.total) to the instrumented phases.
-"$BUILD_DIR"/examples/compile_minic --gen-corpus=24 \
+# One worker: parallel workers' phase ticks would be summed against the
+# one cg.total wall time, and the gate could not fail.
+"$BUILD_DIR"/examples/compile_minic --gen-corpus=24 --threads=1 \
   --profile=instr --profile-json="$TMP/corpus.prof.json" >/dev/null 2>&1
 json_check "$TMP/corpus.prof.json"
 grep -q '"schema":"gg-profile-v1"' "$TMP/corpus.prof.json" ||

@@ -11,7 +11,9 @@
 #include "support/TableEvents.h"
 #include "support/Trace.h"
 
+#include <cassert>
 #include <optional>
+#include <span>
 
 using namespace gg;
 
@@ -34,8 +36,8 @@ struct FunctionResult {
   CodeGenStats Stats; ///< Phases is this function's phase-clock account
 };
 
-/// Number of statement trees the per-function walk below will push through
-/// the matcher — must mirror its switch exactly. Counted after phase 1 so
+/// Number of statement trees compileOneFunction's walks take through the
+/// matcher — must mirror their switches exactly. Counted after phase 1 so
 /// the truncate-input fault's tree ordinals can be reserved per function
 /// up front, making fault selection independent of worker scheduling.
 size_t countStatementTrees(const Function &F) {
@@ -57,15 +59,43 @@ size_t countStatementTrees(const Function &F) {
   return N;
 }
 
+/// One statement tree on its way through a function's three passes: where
+/// its tokens and steps sit in the function's buffers, and how far the
+/// Match pass took it.
+struct TreeWork {
+  enum class Stage : uint8_t {
+    Linearized,   ///< not matched: the Match pass stopped at an earlier tree
+    BudgetBefore, ///< the request budget had stopped before its match
+    Matched,      ///< accepted
+    Blocked,      ///< matched into a block, the next entry of Blocks
+  };
+  Node *Tree;
+  uint32_t TokBegin, TokEnd;
+  uint32_t StepBegin = 0, StepEnd = 0;
+  Stage St = Stage::Linearized;
+};
+
+/// A blocked tree's report, kept for its turn in the Replay pass.
+struct TreeBlock {
+  std::string Error;
+  std::optional<BlockReport> Block;
+};
+
 /// Compiles one function and renders it into \p R's text. Runs on a pool
 /// worker: it may only touch shared state that is immutable (tables,
 /// grammar, phase-1-complete trees) or internally synchronized (the stats
 /// registry, the trace recorder). All scratch state — register manager,
-/// semantic stack, copy-tree/fallback arena, instruction records — is
-/// local.
+/// semantic stack, copy-tree/fallback arena, token and step buffers,
+/// instruction records — is local.
+///
+/// The function's \p NumTrees statement trees run phase by phase, each
+/// phase once for the whole function: Linearize puts every tree's tokens
+/// in one buffer, Match matches them into one step buffer, and Replay
+/// walks the statements, replaying each tree or running the degradation
+/// ladder for it.
 void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
                         Program &Prog, Function &F, uint64_t TreeOrdinal,
-                        FunctionResult &R) {
+                        size_t NumTrees, FunctionResult &R) {
   std::optional<TraceSpan> FnSpan;
   if (TraceRecorder::global().enabled())
     FnSpan.emplace("cg.function " + Prog.Syms.text(F.Name));
@@ -84,23 +114,114 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
   const size_t Prologue = emitPrologue(Prog, F, Emit);
 
   VaxSemantics Sem(Emit, F, Opts.Idioms);
-  const TerminalMap &Terms = Target.matcher().driver().termMap();
-  // Reused across the function's trees, so a tree's match allocates
-  // nothing once the buffers have grown to the function's largest tree.
-  std::vector<LinToken> Input;
+  const Matcher &M = Target.matcher();
+  std::vector<TreeWork> Trees;
+  Trees.reserve(NumTrees);
+  std::vector<LinToken> Tokens;
+  std::vector<TreeBlock> Blocks;
   MatchResult MR;
+  // A function without trees runs no phase scope: Match and Replay each
+  // record one flight event per function that has trees.
+  std::optional<PhaseScope> PS;
+  if (NumTrees)
+    PS.emplace(Phase::Linearize);
 
-  auto CompileTree = [&](Node *Tree) -> bool {
+  // Linearize: every tree's tokens, in statement order, into one buffer.
+  // A Ret value goes to r0 and a call's result comes from it: those run
+  // "r0 := e" and "x := r0" through the matcher, on copy trees.
+  for (Node *S : F.Body) {
+    Node *Tree = S;
+    switch (S->Opcode) {
+    case Op::LabelDef:
+    case Op::Jump:
+      continue;
+    case Op::Ret:
+      if (!S->left())
+        continue;
+      Tree = LocalArena.bin(Op::Assign, Ty::L, LocalArena.dreg(RegR0, Ty::L),
+                            S->left());
+      break;
+    case Op::CallStmt:
+      if (!S->left())
+        continue;
+      Tree = LocalArena.bin(Op::Assign, S->left()->Type, S->left(),
+                            LocalArena.dreg(RegR0, Ty::L));
+      break;
+    default:
+      break;
+    }
+    const size_t Begin = Tokens.size();
+    linearize(Tree, M.driver().termMap(), Tokens);
+    // truncate-input fault: models a phase-1/linearizer bug. A proper
+    // prefix of a prefix linearization can never parse to completion,
+    // so the matcher blocks instead of accepting a wrong parse. The
+    // explicit ordinal keeps the selected trees identical at any
+    // thread count.
+    Tokens.resize(Begin + faultInject().truncatedInputSize(
+                              Tokens.size() - Begin, TreeOrdinal++));
+    Trees.push_back({Tree, static_cast<uint32_t>(Begin),
+                     static_cast<uint32_t>(Tokens.size())});
+  }
+  assert(Trees.size() == NumTrees && "countStatementTrees out of step");
+  auto TokensOf = [&](const TreeWork &W) {
+    return std::span<const LinToken>(Tokens).subspan(W.TokBegin,
+                                                     W.TokEnd - W.TokBegin);
+  };
+
+  // Match: every tree into one step buffer. It stops at the first tree
+  // that must fail the function — a stopped budget before or during its
+  // match, or any block without recovery — so that no later tree is
+  // matched, as when each tree was matched just before its replay.
+  if (PS)
+    PS->to(Phase::Match, Opts.Budget, static_cast<int64_t>(Tokens.size()));
+  M.begin(MR, Opts.Budget);
+  MR.Steps.reserve(Tokens.size() * 3);
+  for (TreeWork &W : Trees) {
+    if (Opts.Budget && Opts.Budget->shouldStop(0)) {
+      W.St = TreeWork::Stage::BudgetBefore;
+      break;
+    }
+    W.StepBegin = static_cast<uint32_t>(MR.Steps.size());
+    M.matchNext(TokensOf(W), MR);
+    W.StepEnd = static_cast<uint32_t>(MR.Steps.size());
+    if (MR.Ok) {
+      W.St = TreeWork::Stage::Matched;
+      if (Opts.Trace) {
+        R.TraceText += printLinear(W.Tree, Prog.Syms) + "\n";
+        R.TraceText += renderTrace(
+            Target.grammar(), TokensOf(W),
+            std::span<const MatchStep>(MR.Steps).subspan(W.StepBegin),
+            MR.Error, Prog.Syms);
+        R.TraceText += "\n";
+      }
+      continue;
+    }
+    W.St = TreeWork::Stage::Blocked;
+    Blocks.push_back({std::move(MR.Error), std::move(MR.Block)});
+    if (!Opts.Recover || Blocks.back().Block->Why == BlockReport::Cause::Budget)
+      break;
+  }
+
+  // Replay: the budget is polled between trees only if the Match pass
+  // left it running. A stop the Match pass saw fails the function at the
+  // tree where it was seen, with that tree's diagnostic.
+  if (PS)
+    PS->to(Phase::Replay, Opts.Budget, static_cast<int64_t>(MR.Steps.size()));
+  const bool PollBudget = Opts.Budget && !Opts.Budget->stopped();
+  size_t NextBlock = 0;
+  auto CompileTree = [&](const TreeWork &W) -> bool {
     // Quarantine checks at tree granularity: a stopped budget or an
     // exhausted arena fails the function outright. Neither runs the PCC
     // fallback — an exhausted request must fail fast, not spend more of
     // its worker on the slower path.
-    if (Opts.Budget && Opts.Budget->shouldStop(0)) {
+    assert(W.St != TreeWork::Stage::Linearized && "replay past the Match pass");
+    if (W.St == TreeWork::Stage::BudgetBefore ||
+        (PollBudget && Opts.Budget->interrupted())) {
       ++R.Stats.BlockedTrees;
       R.Err = strf("request budget exhausted (%s) before tree: %s",
                    budgetStopName(Opts.Budget->Stopped.load(
                        std::memory_order_relaxed)),
-                   printLinear(Tree, Prog.Syms).c_str());
+                   printLinear(W.Tree, Prog.Syms).c_str());
       R.Diags.error(R.Err);
       return false;
     }
@@ -111,62 +232,41 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
       R.Err = strf("node arena byte budget exhausted (%zu bytes) before "
                    "tree: %s",
                    LocalArena.bytes(),
-                   printLinear(Tree, Prog.Syms).c_str());
+                   printLinear(W.Tree, Prog.Syms).c_str());
       R.Diags.error(R.Err);
       return false;
     }
+    R.Stats.MatcherTokens += W.TokEnd - W.TokBegin;
 
     // Everything this tree emits sits after the mark; a failed tree is
     // rolled back wholesale before the fallback path runs.
     AsmEmitter::Mark TreeMark = Emit.mark();
     std::string SemErr;
-    bool TreeOk = false;
-    {
-      // One scope carries the tree through linearize, match and replay,
-      // one phase-clock read per transition. It closes before the
-      // degradation ladder, so Fallback nests outside every tree phase.
-      PhaseScope PS(Phase::Linearize);
-      linearize(Tree, Terms, Input);
-      PS.to(Phase::Match, Opts.Budget, static_cast<int64_t>(Input.size()));
-      // truncate-input fault: models a phase-1/linearizer bug. A proper
-      // prefix of a prefix linearization can never parse to completion,
-      // so the matcher blocks instead of accepting a wrong parse. The
-      // explicit ordinal keeps the selected trees identical at any
-      // thread count.
-      Input.resize(
-          faultInject().truncatedInputSize(Input.size(), TreeOrdinal++));
-      R.Stats.MatcherTokens += Input.size();
-      Target.matcher().match(Input, MR, Opts.Budget);
-      if (MR.Ok) {
-        R.Stats.MatcherSteps += MR.Steps.size();
-        if (Opts.Trace) {
-          R.TraceText += printLinear(Tree, Prog.Syms) + "\n";
-          R.TraceText += renderTrace(Target.grammar(), Input, MR, Prog.Syms);
-          R.TraceText += "\n";
-        }
-        PS.to(Phase::Replay, Opts.Budget,
-              static_cast<int64_t>(MR.Steps.size()));
-        TreeOk = Sem.replay(Target.grammar(), Target.semActions(), Input,
-                            MR.Steps, SemErr);
+    if (W.St == TreeWork::Stage::Matched) {
+      R.Stats.MatcherSteps += W.StepEnd - W.StepBegin;
+      if (Sem.replay(Target.grammar(), Target.semActions(), TokensOf(W),
+                     std::span<const MatchStep>(MR.Steps).subspan(
+                         W.StepBegin, W.StepEnd - W.StepBegin),
+                     SemErr)) {
+        ++R.Stats.StatementTrees;
+        return true;
       }
-    }
-    if (TreeOk) {
-      ++R.Stats.StatementTrees;
-      return true;
     }
 
     // Degradation ladder: one tree failing the table-driven path must
     // not kill the module. Discard the tree's partial output and
     // per-statement state, then regenerate it through the PCC baseline.
+    const TreeBlock *B =
+        W.St == TreeWork::Stage::Blocked ? &Blocks[NextBlock++] : nullptr;
     const std::string TreeErr =
-        MR.Ok ? strf("%s\n  while generating: %s", SemErr.c_str(),
-                     printLinear(Tree, Prog.Syms).c_str())
-              : strf("%s\n  while matching: %s", MR.Error.c_str(),
-                     printLinear(Tree, Prog.Syms).c_str());
+        B ? strf("%s\n  while matching: %s", B->Error.c_str(),
+                 printLinear(W.Tree, Prog.Syms).c_str())
+          : strf("%s\n  while generating: %s", SemErr.c_str(),
+                 printLinear(W.Tree, Prog.Syms).c_str());
     ++R.Stats.BlockedTrees;
     flightRecord(FlightKind::Block,
-                 MR.Block ? static_cast<int64_t>(MR.Block->State) : -1);
-    if (MR.Block && MR.Block->Why == BlockReport::Cause::Budget) {
+                 B && B->Block ? static_cast<int64_t>(B->Block->State) : -1);
+    if (B && B->Block->Why == BlockReport::Cause::Budget) {
       // Budget stops bypass the ladder by design (docs/server.md).
       R.Err = TreeErr;
       R.Diags.error(R.Err);
@@ -182,8 +282,10 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
         strf("recovering via the baseline generator: %s", TreeErr.c_str()));
     DiagnosticSink FallbackDiags;
     {
-      PhaseScope PS(Phase::Fallback, Opts.Budget);
-      if (!pccGenStatement(Prog, F, Tree, Emit, FallbackDiags, &LocalArena)) {
+      // Nested in the Replay scope: the fallback's self time is its own.
+      PhaseScope FS(Phase::Fallback, Opts.Budget);
+      if (!pccGenStatement(Prog, F, W.Tree, Emit, FallbackDiags,
+                           &LocalArena)) {
         // Bottom of the ladder: a module-level diagnostic, never
         // process death — the caller decides what to do with it.
         R.Err = strf("tree failed the table-driven path AND the baseline "
@@ -201,6 +303,7 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
   };
 
   bool EndsWithRet = false;
+  size_t NextTree = 0;
   for (Node *S : F.Body) {
     EndsWithRet = false;
     switch (S->Opcode) {
@@ -211,15 +314,9 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
       Sem.emitJump(S->left()->Sym);
       break;
     case Op::Ret:
-      if (S->left()) {
-        // Return value goes to r0: run "r0 := e" through the matcher.
-        Node *Copy = LocalArena.bin(Op::Assign, Ty::L,
-                                    LocalArena.dreg(RegR0, Ty::L),
-                                    S->left());
-        if (!CompileTree(Copy)) {
-          R.Ok = false;
-          break;
-        }
+      if (S->left() && !CompileTree(Trees[NextTree++])) {
+        R.Ok = false;
+        break;
       }
       Sem.emitRet();
       EndsWithRet = true;
@@ -227,22 +324,18 @@ void compileOneFunction(const VaxTarget &Target, const CodeGenOptions &Opts,
     case Op::CallStmt: {
       const Node *Call = S->right();
       Sem.emitCall(Call->left()->Sym, static_cast<int>(Call->Value));
-      if (S->left()) {
-        Node *Copy = LocalArena.bin(Op::Assign, S->left()->Type,
-                                    S->left(),
-                                    LocalArena.dreg(RegR0, Ty::L));
-        if (!CompileTree(Copy))
-          R.Ok = false;
-      }
+      if (S->left() && !CompileTree(Trees[NextTree++]))
+        R.Ok = false;
       break;
     }
     default:
-      R.Ok = CompileTree(S);
+      R.Ok = CompileTree(Trees[NextTree++]);
       break;
     }
     if (!R.Ok)
       break;
   }
+  PS.reset();
   if (R.Ok) {
     if (!EndsWithRet)
       Sem.emitRet();
@@ -373,12 +466,11 @@ bool GGCodeGenerator::compile(Program &Prog, std::string &Asm,
   // function its slice, reproducing the sequential numbering exactly:
   // the truncate-input fault selects the same trees at any thread count.
   const size_t NumFns = Prog.Functions.size();
-  std::vector<uint64_t> OrdinalBase(NumFns);
-  uint64_t TotalTrees = 0;
-  for (size_t I = 0; I < NumFns; ++I) {
-    OrdinalBase[I] = TotalTrees;
-    TotalTrees += countStatementTrees(Prog.Functions[I]);
-  }
+  std::vector<uint64_t> OrdinalBase(NumFns + 1);
+  for (size_t I = 0; I < NumFns; ++I)
+    OrdinalBase[I + 1] =
+        OrdinalBase[I] + countStatementTrees(Prog.Functions[I]);
+  const uint64_t TotalTrees = OrdinalBase[NumFns];
   uint64_t FirstOrdinal = faultInject().reserveTreeOrdinals(TotalTrees);
 
   std::vector<FunctionResult> Results(NumFns);
@@ -395,7 +487,8 @@ bool GGCodeGenerator::compile(Program &Prog, std::string &Asm,
     RequestScope TaskScope(ReqCtx.Id, ReqCtx.Generation);
     faultInject().stallWorker(I);
     compileOneFunction(Target, Opts, Prog, Prog.Functions[I],
-                       FirstOrdinal + OrdinalBase[I], Results[I]);
+                       FirstOrdinal + OrdinalBase[I],
+                       OrdinalBase[I + 1] - OrdinalBase[I], Results[I]);
   });
 
   // Stitch in source order; on failure report the first failing function,

@@ -16,8 +16,9 @@
 /// Per-phase wall-clock accounting reproduces the paper's observation
 /// that "roughly one half the code generation time is spent in the
 /// pattern matching phase" (experiment E5). Each phase transition goes
-/// through a PhaseScope (support/Phase.h); a tree's linearize, match and
-/// replay share one.
+/// through a PhaseScope (support/Phase.h). A function's trees go through
+/// linearize, match and replay phase by phase, each phase once for the
+/// whole function, on one scope.
 ///
 /// Phases 2-4 are embarrassingly parallel across functions: the SLR
 /// tables and instruction table are immutable once built, and all

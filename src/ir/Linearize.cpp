@@ -121,7 +121,6 @@ void namesRec(const Node *N, std::vector<std::string> &Out) {
 
 void gg::linearize(const Node *Tree, const TerminalMap &Terms,
                    std::vector<LinToken> &Out) {
-  Out.clear();
   linearizeRec(Tree, Terms, Out);
 }
 

@@ -61,8 +61,8 @@ private:
   std::vector<int16_t> Slots; ///< one entry per terminal a node can name
 };
 
-/// Prefix-linearizes \p Tree into \p Out (cleared first), so a caller can
-/// reuse one buffer across trees.
+/// Prefix-linearizes \p Tree onto the end of \p Out, so a caller can put
+/// many trees in one buffer.
 void linearize(const Node *Tree, const TerminalMap &Terms,
                std::vector<LinToken> &Out);
 

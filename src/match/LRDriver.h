@@ -94,6 +94,7 @@ public:
   LRConfig start(std::vector<int> &&Buffer = {}) const {
     return LRConfig(MaxStackDepth, std::move(Buffer));
   }
+  size_t maxStackDepth() const { return MaxStackDepth; }
 
   /// Dense index for a terminal name; -1 if the grammar lacks it. Off the
   /// code generator's path, which linearizes through termMap().
@@ -146,6 +147,8 @@ private:
 
 template <typename Obs>
 LRStatus LRDriver::advance(LRConfig &Cfg, int TermIdx, Obs &O) const {
+  // The top state stays in a register from one reduce to the next.
+  int State = Cfg.top();
   while (true) {
     if (O.stop(Cfg))
       return LRStatus::Blocked;
@@ -161,7 +164,6 @@ LRStatus LRDriver::advance(LRConfig &Cfg, int TermIdx, Obs &O) const {
       return LRStatus::Blocked;
     }
 
-    const int State = Cfg.top();
     const Action A = T.actionAt(State, TermIdx);
     switch (A.Kind) {
     case ActionType::Shift:
@@ -193,6 +195,7 @@ LRStatus LRDriver::advance(LRConfig &Cfg, int TermIdx, Obs &O) const {
       }
       Cfg.Stack.push_back(GotoState);
       O.reduced(Cfg, State, Prod);
+      State = GotoState;
       break;
     }
     }

@@ -61,21 +61,25 @@ std::string BlockReport::render() const {
 
 namespace {
 
-/// Everything match() does beyond the parse: records the MatchStep
+/// Everything matchNext() does beyond the parse: records the MatchStep
 /// sequence, polls the request budget, builds the BlockReport, and charges
 /// the table events and the result's tally.
 struct MatchObserver : LRObserver {
-  MatchObserver(const LRDriver &D, const std::vector<LinToken> &Input,
-                RequestBudget *Budget, MatchResult &R)
-      : D(D), Input(Input), Budget(Budget), R(R) {}
+  MatchObserver(const LRDriver &D, std::span<const LinToken> Input,
+                MatchResult &R)
+      : D(D), Input(Input), Budget(R.Batch.Budget), R(R),
+        StepBase(R.Steps.size()) {}
+
+  /// Steps of this tree so far.
+  size_t steps() const { return R.Steps.size() - StepBase; }
 
   /// Cooperative quarantine poll (docs/server.md): cancellation, the
   /// wall-clock deadline and the step budget, every BudgetPollMask+1 steps
   /// so a runaway parse aborts promptly without putting a clock read on
   /// every iteration.
   bool stop(const LRConfig &Cfg) {
-    if (!Budget || (R.Steps.size() & BudgetPollMask) != 0 ||
-        !Budget->shouldStop(R.Steps.size()))
+    if (!Budget || (steps() & BudgetPollMask) != 0 ||
+        !Budget->shouldStop(steps()))
       return false;
     ++R.Tally.BudgetStops;
     blocked(BlockCause::Budget, Cfg, -1, -1);
@@ -175,34 +179,34 @@ struct MatchObserver : LRObserver {
     T.Blocks += !R.Ok;
     T.Depth.record(MaxDepth);
     T.Tokens.record(Input.size());
-    T.Steps.record(R.Steps.size());
+    T.Steps.record(steps());
     if (Budget)
-      Budget->StepsUsed.fetch_add(R.Steps.size(), std::memory_order_relaxed);
+      Budget->StepsUsed.fetch_add(steps(), std::memory_order_relaxed);
     if (Armed)
       Ev.noteFinalState(Top);
   }
 
   const LRDriver &D;
-  const std::vector<LinToken> &Input;
+  std::span<const LinToken> Input;
   RequestBudget *Budget;
   MatchResult &R;
+  const size_t StepBase; ///< R.Steps.size() before this tree
   size_t Pos = 0;
   size_t MaxDepth = 1;
   uint64_t Shifts = 0, Reduces = 0, Ties = 0;
 
-  // Table events cost one relaxed load per tree when nothing is armed.
-  // Armed, every step counts its acting state, every reduce its
-  // production, and the tree its final state (support/TableEvents.h).
-  // Profiling also charges each step's timestamp delta (since the
-  // previous step's end) to the acting state — a complete projection:
-  // the sum over states is the whole matcher loop. Reduce steps
-  // additionally charge the production, and a deferred reduce/reduce tie
-  // charges its share to the (state, terminal) dyn point.
+  // Table events are read once per batch (Matcher::begin). Armed, every
+  // step counts its acting state, every reduce its production, and the
+  // tree its final state (support/TableEvents.h). Profiling also charges
+  // each step's timestamp delta (since the previous step's end, or the
+  // tree's start) to the acting state — a complete projection: the sum
+  // over states is the whole matcher loop. Reduce steps additionally
+  // charge the production, and a deferred reduce/reduce tie charges its
+  // share to the (state, terminal) dyn point.
   TableEventRegistry &Ev = tableEvents();
-  const bool Armed = Ev.armed();
-  const bool Profiling = Armed && Ev.profiling();
-  const ProfileTimebase ProfTB =
-      Profiling ? Ev.timebase() : ProfileTimebase::Cycles;
+  const bool Armed = R.Batch.Armed;
+  const bool Profiling = R.Batch.Profiling;
+  const ProfileTimebase ProfTB = R.Batch.Timebase;
   uint64_t LastTs = Profiling ? TableEventRegistry::now(ProfTB) : 0;
   int Top = 0; ///< the state the last step pushed
   uint64_t TieTs = 0; ///< end of the current reduce's tie charge
@@ -217,20 +221,28 @@ void MatchTally::publish() {
   *this = MatchTally();
 }
 
-void Matcher::match(const std::vector<LinToken> &Input, MatchResult &R,
-                    RequestBudget *Budget) const {
+void Matcher::begin(MatchResult &R, RequestBudget *Budget) const {
+  R.Steps.clear();
+  MatchBatch &B = R.Batch;
+  B.Budget = Budget;
+  // The request's effective stack cap: the budget may only tighten the
+  // matcher's own configured cap, never widen it.
+  B.DepthCap = D.maxStackDepth();
+  if (Budget && Budget->MaxStackDepth && Budget->MaxStackDepth < B.DepthCap)
+    B.DepthCap = Budget->MaxStackDepth;
+  const TableEventRegistry &Ev = tableEvents();
+  B.Armed = Ev.armed();
+  B.Profiling = B.Armed && Ev.profiling();
+  B.Timebase = B.Profiling ? Ev.timebase() : ProfileTimebase::Cycles;
+}
+
+void Matcher::matchNext(std::span<const LinToken> Input,
+                        MatchResult &R) const {
   R.Ok = false;
   R.Error.clear();
   R.Block.reset();
-  R.Steps.clear();
-  R.Steps.reserve(Input.size() * 3);
-  MatchObserver Obs(D, Input, Budget, R);
-
-  // The request's effective stack cap: the budget may only tighten the
-  // matcher's own configured cap, never widen it.
-  LRConfig Cfg = D.start(std::move(R.StateStack));
-  if (Budget && Budget->MaxStackDepth && Budget->MaxStackDepth < Cfg.DepthCap)
-    Cfg.DepthCap = Budget->MaxStackDepth;
+  MatchObserver Obs(D, Input, R);
+  LRConfig Cfg(R.Batch.DepthCap, std::move(R.StateStack));
 
   LRStatus St = LRStatus::Shifted;
   while (St == LRStatus::Shifted && Obs.Pos < Input.size())
@@ -242,11 +254,11 @@ void Matcher::match(const std::vector<LinToken> &Input, MatchResult &R,
   Obs.finish();
 }
 
-std::string gg::renderTrace(const Grammar &G,
-                            const std::vector<LinToken> &Input,
-                            const MatchResult &R, const Interner &Syms) {
+std::string gg::renderTrace(const Grammar &G, std::span<const LinToken> Input,
+                            std::span<const MatchStep> Steps,
+                            const std::string &Error, const Interner &Syms) {
   std::string Out;
-  for (const MatchStep &S : R.Steps) {
+  for (const MatchStep &S : Steps) {
     if (S.Kind == MatchStep::Shift) {
       const LinToken &Tok = Input[S.TokenIndex];
       Out += strf("shift   %s",
@@ -282,6 +294,6 @@ std::string gg::renderTrace(const Grammar &G,
                 P.SemTag.empty() ? "" : " ", P.SemTag.c_str());
     Out += '\n';
   }
-  Out += R.Ok ? "accept\n" : strf("error: %s\n", R.Error.c_str());
+  Out += Error.empty() ? "accept\n" : strf("error: %s\n", Error.c_str());
   return Out;
 }

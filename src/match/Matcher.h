@@ -10,7 +10,10 @@
 /// consumes the prefix-linearized tree and produces the shift/reduce step
 /// sequence; the instruction generation phase replays the reductions,
 /// running one semantic action per reduction in the provably correct
-/// (bottom-up, left-to-right) order.
+/// (bottom-up, left-to-right) order. A caller can match many trees in a
+/// row into one step buffer (Matcher::begin, then matchNext per tree):
+/// the code generator matches all of a function's trees before it
+/// replays any of them.
 ///
 /// The parse itself is the shared LRDriver (match/LRDriver.h); the
 /// matcher is that driver plus an observer that records the steps, polls
@@ -29,6 +32,7 @@
 #include "support/Stats.h"
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,13 +87,26 @@ struct MatchTally {
   void publish();
 };
 
-/// Outcome of matching one tree. A caller that matches many trees keeps one
-/// and refills it (Matcher::match(Input, R)), so Steps and the parse's
-/// state stack keep their storage from tree to tree.
+/// What every tree of a batch shares, read once by Matcher::begin: the
+/// request budget, the effective stack cap and the telemetry flags.
+struct MatchBatch {
+  RequestBudget *Budget = nullptr;
+  size_t DepthCap = 0;
+  bool Armed = false;     ///< some table-event sink is armed
+  bool Profiling = false; ///< ...and it charges ticks
+  ProfileTimebase Timebase = ProfileTimebase::Cycles;
+};
+
+/// Outcome of matching a batch of trees (Matcher::begin, then matchNext
+/// per tree); Matcher::match is a batch of one. A caller that matches many
+/// trees keeps one and refills it, so Steps and the parse's state stack
+/// keep their storage from batch to batch.
 struct MatchResult {
-  bool Ok = false;
+  bool Ok = false;   ///< the last tree matched
   std::string Error; ///< syntactic-block description when !Ok
   std::optional<BlockReport> Block; ///< structured cause when !Ok
+  /// The steps of every tree of the batch, tree after tree. A Shift's
+  /// TokenIndex counts from its own tree's first token.
   std::vector<MatchStep> Steps;
   /// Storage of the LR state stack, handed back after each match; not part
   /// of the outcome.
@@ -97,6 +114,8 @@ struct MatchResult {
   /// Counts of every tree matched into this result since its owner last
   /// published them; not part of the outcome.
   MatchTally Tally;
+  /// The batch's shared setup; not part of the outcome.
+  MatchBatch Batch;
 };
 
 /// Tunables for one Matcher instance.
@@ -115,30 +134,40 @@ class Matcher {
 public:
   Matcher(const Grammar &G, const PackedTables &T, MatcherOptions Opts = {});
 
-  /// Matches \p Input (a tree linearized through driver().termMap()). A
-  /// parse error here is a syntactic block: the description failed to
-  /// cover well-formed input. On failure, MatchResult::Block carries the
-  /// structured cause. Thread-safe: may be called concurrently from
-  /// multiple workers.
+  /// Starts a batch of trees in \p R: clears R.Steps and reads what the
+  /// batch's trees share once. \p Budget, when non-null, is the owning
+  /// request's quarantine budget: it may only tighten the stack cap.
+  void begin(MatchResult &R, RequestBudget *Budget = nullptr) const;
+
+  /// Matches \p Input (a tree linearized through driver().termMap()) as the
+  /// next tree of R's batch: appends its steps to R.Steps and sets R's
+  /// outcome fields for this tree alone. A parse error here is a syntactic
+  /// block: the description failed to cover well-formed input. On failure,
+  /// MatchResult::Block carries the structured cause. Thread-safe: may be
+  /// called concurrently from multiple workers, each on its own result.
   ///
-  /// \p Budget, when non-null, is the owning request's quarantine budget:
-  /// the loop polls cancellation/deadline/steps every BudgetPollMask+1
-  /// steps, honors the budget's tighter stack-depth cap, and charges the
-  /// tree's total steps to Budget->StepsUsed on every exit path. A budget
-  /// stop surfaces as Cause::Budget, which the degradation ladder treats
-  /// as non-recoverable (no PCC fallback: fail fast, free the worker).
+  /// With the batch's budget, the loop polls cancellation/deadline/steps
+  /// every BudgetPollMask+1 of the tree's steps, honors the budget's
+  /// tighter stack-depth cap, and charges the tree's total steps to
+  /// Budget->StepsUsed on every exit path. A budget stop surfaces as
+  /// Cause::Budget, which the degradation ladder treats as non-recoverable
+  /// (no PCC fallback: fail fast, free the worker).
   ///
-  /// This form refills \p R, reusing its Steps and state-stack storage:
-  /// every field of the outcome is overwritten, so nothing of a previous
-  /// tree survives. The tree's counts are added to R.Tally, which the
-  /// caller publishes (compileOneFunction does so once per function). A
-  /// worker keeps one MatchResult per function it compiles; two threads
-  /// must not share one.
-  void match(const std::vector<LinToken> &Input, MatchResult &R,
-             RequestBudget *Budget = nullptr) const;
+  /// The tree's counts are added to R.Tally, which the caller publishes
+  /// (compileOneFunction does so once per function).
+  void matchNext(std::span<const LinToken> Input, MatchResult &R) const;
+
+  /// Matches \p Input as a batch of one, refilling \p R: every field of
+  /// the outcome is overwritten, so nothing of a previous tree survives.
+  void match(std::span<const LinToken> Input, MatchResult &R,
+             RequestBudget *Budget = nullptr) const {
+    begin(R, Budget);
+    R.Steps.reserve(Input.size() * 3);
+    matchNext(Input, R);
+  }
   /// The same into a fresh result, with the tally published at once (the
   /// fuzzer and tests).
-  MatchResult match(const std::vector<LinToken> &Input,
+  MatchResult match(std::span<const LinToken> Input,
                     RequestBudget *Budget = nullptr) const {
     MatchResult R;
     match(Input, R, Budget);
@@ -155,10 +184,13 @@ private:
   LRDriver D;
 };
 
-/// Renders the Appendix-style action listing for a match: one line per
-/// shift/reduce step with the production and its semantic action.
-std::string renderTrace(const Grammar &G, const std::vector<LinToken> &Input,
-                        const MatchResult &R, const Interner &Syms);
+/// Renders the Appendix-style action listing for one tree's match: one line
+/// per shift/reduce step of \p Steps (token indices into \p Input) with the
+/// production and its semantic action, then "accept", or the block
+/// \p Error when it is non-empty.
+std::string renderTrace(const Grammar &G, std::span<const LinToken> Input,
+                        std::span<const MatchStep> Steps,
+                        const std::string &Error, const Interner &Syms);
 
 } // namespace gg
 

@@ -120,10 +120,11 @@ struct RequestBudget {
     return Stopped.load(std::memory_order_relaxed) != BudgetStop::None;
   }
 
-  /// Full poll: cancellation, deadline, and the step total (with \p
-  /// PendingSteps not yet folded into StepsUsed). Sets Stopped and
-  /// returns true when the request must abort.
-  bool shouldStop(uint64_t PendingSteps) {
+  /// The poll without the step total: an earlier stop, cancellation and
+  /// the deadline. Sets Stopped and returns true when the request must
+  /// abort. The code generator polls this between the trees it replays,
+  /// whose steps the matcher has already charged and checked.
+  bool interrupted() {
     if (stopped())
       return true;
     if (Cancelled.load(std::memory_order_relaxed)) {
@@ -134,6 +135,14 @@ struct RequestBudget {
       stop(BudgetStop::Deadline);
       return true;
     }
+    return false;
+  }
+
+  /// Full poll: interrupted(), then the step total (with \p PendingSteps
+  /// not yet folded into StepsUsed).
+  bool shouldStop(uint64_t PendingSteps) {
+    if (interrupted())
+      return true;
     if (MaxSteps &&
         StepsUsed.load(std::memory_order_relaxed) + PendingSteps > MaxSteps) {
       stop(BudgetStop::Steps);

@@ -63,8 +63,8 @@ void flightRecordFor(FlightKind K, uint64_t Req, uint64_t Gen,
                      int64_t Arg = 0);
 
 /// Records the Transition event of \p P (support/Phase.h): transform and
-/// stitch once per compile, match and replay once per tree (not per
-/// function), fallback once per blocked tree. \p Ticks is the profTicks()
+/// stitch once per compile, match and replay once per function with
+/// trees, fallback once per blocked tree. \p Ticks is the profTicks()
 /// read the phase clock made for the transition (support/Clock.h): the
 /// event reads no clock of its own, and the dump converts the tick to
 /// monotonic nanoseconds.

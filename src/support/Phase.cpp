@@ -39,9 +39,9 @@ constexpr struct {
     {"server.responding", SinkStatus},
 };
 
-/// The calling thread's phase clock. Emit scopes open once per emitted
-/// instruction, so it reads profTicks() (rdtsc), not MonoClock, and
-/// converts at the calibrated rate.
+/// The calling thread's phase clock. It reads profTicks() (rdtsc), not
+/// MonoClock, and converts at the calibrated rate: a compile makes a few
+/// transitions per function, and a served request's compile is short.
 struct PhaseClock {
   Phase Cur = Phase::NumPhases;
   uint64_t Since = 0;

@@ -33,9 +33,9 @@ enum class Phase : uint8_t {
   Queued,     ///< admitted to the server, not yet picked up by a worker
   Frontend,   ///< MiniC parsing and IR construction
   Transform,  ///< phase 1: tree transformation (serial)
-  Linearize,  ///< prefix linearization feeding the matcher
-  Match,      ///< phase 2: shift/reduce matching of one tree
-  Replay,     ///< phase 3: reduction replay of one tree
+  Linearize,  ///< prefix linearization of a function's trees
+  Match,      ///< phase 2: shift/reduce matching of a function's trees
+  Replay,     ///< phase 3: reduction replay of a function's statements
   Emit,       ///< phase 4: operand formatting and text rendering
   Fallback,   ///< PCC regeneration of one blocked tree
   Stitch,     ///< serial result stitch, peephole and final render
@@ -96,8 +96,8 @@ public:
   /// Continues this scope in \p Next: ends the current phase's sinks and
   /// begins \p Next's, as closing the scope and opening a sibling would,
   /// but on one phase-clock read, so the two self times meet exactly.
-  /// Call it only with no nested scope open. A tree runs Linearize ->
-  /// Match -> Replay on one scope.
+  /// Call it only with no nested scope open. A function's trees run
+  /// Linearize -> Match -> Replay on one scope.
   void to(Phase Next, RequestBudget *Budget = nullptr, int64_t Arg = 0);
 
 private:

@@ -5,6 +5,7 @@
 #include "support/Trace.h"
 
 #include <algorithm>
+#include <cassert>
 #include <unordered_map>
 
 using namespace gg;
@@ -22,10 +23,15 @@ uint64_t keyOf(const Action &A, bool Tie) {
          static_cast<uint32_t>(A.Target);
 }
 
-Action actionOf(uint64_t K) {
-  return Action(static_cast<ActionType>((K >> 32) & ~TieKeyBit),
-                static_cast<int32_t>(static_cast<uint32_t>(K)),
-                ((K >> 32) & TieKeyBit) != 0);
+/// The 4-byte form of key \p K (PackedTables::unpack reads it back): the
+/// kind in bits 0-1, the tie bit in bit 2, the target above them.
+int32_t packedOf(uint64_t K) {
+  const int32_t Target = static_cast<int32_t>(static_cast<uint32_t>(K));
+  assert(Target >= -(1 << 28) && Target < (1 << 28) &&
+         "action target does not fit a packed entry");
+  return static_cast<int32_t>(static_cast<uint32_t>(Target) << 3) |
+         (((K >> 32) & TieKeyBit) ? 4 : 0) |
+         static_cast<int32_t>((K >> 32) & 3);
 }
 
 /// Deduplicates the \p NumRows rows of \p Width cells each in \p Cells.
@@ -83,12 +89,18 @@ PackedTables PackedTables::pack(const LRTables &T) {
       Keys[I] = keyOf(T.Actions[I], true);
   }
 
+  // Per distinct action row: its default, and per mask word its presence
+  // bits and the index of its first exception.
+  std::vector<int32_t> ActionRowOf;
   const std::vector<size_t> ActionFirst =
-      dedupRows(Keys.data(), T.NumStates, NumTerms, P.ActionRowOf);
-  P.MaskWords = static_cast<int>((NumTerms + 63) / 64);
-  P.Defaults.reserve(ActionFirst.size());
-  P.Masks.assign(ActionFirst.size() * P.MaskWords, 0);
-  P.WordBase.assign(ActionFirst.size() * P.MaskWords, 0);
+      dedupRows(Keys.data(), T.NumStates, NumTerms, ActionRowOf);
+  P.NumActionRows = ActionFirst.size();
+  P.MaskWords = static_cast<unsigned>((NumTerms + 63) / 64);
+  const size_t TailCells = P.MaskWords + 2;
+  std::vector<uint64_t> Masks(ActionFirst.size() * P.MaskWords, 0);
+  // The cells of each distinct row; its last, the goto-row offset, is
+  // filled per state when the rows are laid out below.
+  std::vector<int32_t> Tails(ActionFirst.size() * TailCells, 0);
   std::vector<uint64_t> Sorted;
   for (size_t R = 0; R < ActionFirst.size(); ++R) {
     const uint64_t *Row = Keys.data() + ActionFirst[R] * NumTerms;
@@ -106,24 +118,37 @@ PackedTables PackedTables::pack(const LRTables &T) {
         Best = Sorted[I];
       }
     }
-    P.Defaults.push_back(actionOf(Best));
+    int32_t *Tail = Tails.data() + R * TailCells;
+    Tail[P.MaskWords] = packedOf(Best);
     for (size_t TI = 0; TI < NumTerms; ++TI) {
-      const size_t W = R * P.MaskWords + TI / 64;
       if (TI % 64 == 0)
-        P.WordBase[W] = static_cast<int32_t>(P.Exceptions.size());
+        Tail[TI / 64] = static_cast<int32_t>(P.Exceptions.size());
       if (Row[TI] != Best) {
-        P.Masks[W] |= uint64_t(1) << (TI % 64);
-        P.Exceptions.push_back(actionOf(Row[TI]));
+        Masks[R * P.MaskWords + TI / 64] |= uint64_t(1) << (TI % 64);
+        P.Exceptions.push_back(packedOf(Row[TI]));
       }
     }
   }
 
+  std::vector<int32_t> GotoRowOf;
   const std::vector<size_t> GotoFirst =
-      dedupRows(T.Gotos.data(), T.NumStates, T.NumNonterms, P.GotoRowOf);
+      dedupRows(T.Gotos.data(), T.NumStates, T.NumNonterms, GotoRowOf);
   P.Gotos.reserve(GotoFirst.size() * T.NumNonterms);
   for (size_t S : GotoFirst) {
     const int32_t *Row = T.Gotos.data() + S * T.NumNonterms;
     P.Gotos.insert(P.Gotos.end(), Row, Row + T.NumNonterms);
+  }
+
+  // One row per state: its class's masks and cells, and its goto offset.
+  P.RowWords = P.MaskWords + static_cast<unsigned>((TailCells + 1) / 2);
+  P.Rows.assign(static_cast<size_t>(T.NumStates) * P.RowWords, 0);
+  for (int St = 0; St < T.NumStates; ++St) {
+    uint64_t *Row = P.Rows.data() + static_cast<size_t>(St) * P.RowWords;
+    const size_t R = ActionRowOf[St];
+    std::copy_n(Masks.data() + R * P.MaskWords, P.MaskWords, Row);
+    int32_t *Tail = Tails.data() + R * TailCells;
+    Tail[P.MaskWords + 1] = GotoRowOf[St] * T.NumNonterms;
+    std::memcpy(Row + P.MaskWords, Tail, TailCells * sizeof(int32_t));
   }
 
   StatsRegistry &S = stats();
@@ -136,9 +161,6 @@ PackedTables PackedTables::pack(const LRTables &T) {
 }
 
 size_t PackedTables::memoryBytes() const {
-  return (ActionRowOf.size() + GotoRowOf.size() + WordBase.size() +
-          Gotos.size()) *
-             sizeof(int32_t) +
-         Masks.size() * sizeof(uint64_t) +
-         (Defaults.size() + Exceptions.size()) * sizeof(Action);
+  return Rows.size() * sizeof(uint64_t) +
+         (Exceptions.size() + Gotos.size()) * sizeof(int32_t);
 }

@@ -363,8 +363,8 @@ void VaxSemantics::emitRet() {
 //===----------------------------------------------------------------------===//
 
 bool VaxSemantics::replay(const Grammar &G, const std::vector<SemAction> &Acts,
-                          const std::vector<LinToken> &Input,
-                          const std::vector<MatchStep> &Steps,
+                          std::span<const LinToken> Input,
+                          std::span<const MatchStep> Steps,
                           std::string &Err) {
   ReplayErr.clear();
   Stack.clear();

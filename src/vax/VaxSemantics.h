@@ -32,6 +32,7 @@
 #include "vax/RegisterManager.h"
 
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -109,8 +110,8 @@ public:
   /// are \p Acts. On failure sets \p Err (this indicates a
   /// description/semantics bug, not bad input).
   bool replay(const Grammar &G, const std::vector<SemAction> &Acts,
-              const std::vector<LinToken> &Input,
-              const std::vector<MatchStep> &Steps, std::string &Err);
+              std::span<const LinToken> Input,
+              std::span<const MatchStep> Steps, std::string &Err);
 
   /// Statement-level helpers used by the driver between matched trees.
   void emitLabel(InternedString L);

@@ -107,6 +107,10 @@ TEST(CoverageRegistry, ResetZeroesHitsAndKeepsShape) {
   R.noteRow(0);
   R.noteTie(1, 1, 3, 0);
   R.noteCompile();
+  // The registry is process-global and its sizes only grow, so an earlier
+  // test in this process may have left larger tables: compare the shape
+  // with itself across the reset, not with the sizes given above.
+  const CoverageSnapshot Shape = R.coverageSnapshot();
   R.reset();
   CoverageSnapshot S = R.coverageSnapshot();
   EXPECT_TRUE(S.ProdHits.empty());
@@ -114,9 +118,11 @@ TEST(CoverageRegistry, ResetZeroesHitsAndKeepsShape) {
   EXPECT_TRUE(S.RowHits.empty());
   EXPECT_TRUE(S.Dyn.empty());
   EXPECT_EQ(S.Compiles, 0u);
-  EXPECT_EQ(S.NumProds, 8u) << "sizes survive reset";
-  EXPECT_EQ(S.NumRows, 2u);
+  EXPECT_EQ(S.NumProds, Shape.NumProds) << "sizes survive reset";
+  EXPECT_EQ(S.NumRows, Shape.NumRows);
   EXPECT_EQ(S.Fingerprint, "deadbeef00000000");
+  EXPECT_GE(S.NumProds, 8u);
+  EXPECT_GE(S.NumRows, 2u);
 }
 
 TEST(CoverageRegistry, ShardsSumExactlyUnderContention) {
@@ -348,8 +354,9 @@ Artifacts recordRun(const VaxTarget &Target, int Threads) {
   EXPECT_GT(CG.stats().BlockedTrees, 0u) << "no tree was truncated";
 
   const LRDriver &D = Target.matcher().driver();
-  MatchResult NoAction =
-      Target.matcher().match({tokenFor(D, "Plus_l"), tokenFor(D, "Plus_l")});
+  const std::vector<LinToken> TwoPlus{tokenFor(D, "Plus_l"),
+                                      tokenFor(D, "Plus_l")};
+  MatchResult NoAction = Target.matcher().match(TwoPlus);
   EXPECT_EQ(NoAction.Block->Why, BlockReport::Cause::NoAction);
   std::vector<LinToken> Deep{tokenFor(D, "Assign_l"), tokenFor(D, "Dreg_l")};
   for (int I = 0; I < 200; ++I) {

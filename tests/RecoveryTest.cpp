@@ -18,12 +18,14 @@
 #include "support/FaultInject.h"
 #include "support/Json.h"
 #include "support/Stats.h"
+#include "support/Strings.h"
 #include "tablegen/TableBuilder.h"
 #include "vax/VaxGrammar.h"
 #include "vaxsim/Simulator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -320,6 +322,203 @@ TEST(Recovery, TruncatedInputFallsBackWithSameOutput) {
   EXPECT_EQ(Stats.RecoveredTrees, Stats.BlockedTrees);
   EXPECT_EQ(Faulted.Output, Clean.Output);
   EXPECT_EQ(Faulted.ReturnValue, Clean.ReturnValue);
+}
+
+/// The statement trees that open \p F after phase 1 (compile() ran it in
+/// place), in the order the code generator matches them, up to the first
+/// return or call: each tree returned is its own statement, not a copy.
+std::vector<const Node *> leadingTrees(const Function &F) {
+  std::vector<const Node *> Trees;
+  for (const Node *S : F.Body) {
+    if (S->Opcode == Op::LabelDef || S->Opcode == Op::Jump)
+      continue;
+    if (S->Opcode == Op::Ret || S->Opcode == Op::CallStmt)
+      break;
+    Trees.push_back(S);
+  }
+  return Trees;
+}
+
+/// One GG compile of \p Source: its assembly, diagnostics and stats, and
+/// the program after phase 1.
+struct GGRun {
+  bool Ok = false;
+  std::string Asm, Err, Diags;
+  CodeGenStats Stats;
+  Program P;
+};
+
+void runGG(const VaxTarget &Target, const char *Source, GGRun &Run,
+           int Threads = 1, RequestBudget *Budget = nullptr) {
+  DiagnosticSink D;
+  ASSERT_TRUE(compileMiniC(Source, Run.P, D)) << D.renderAll();
+  CodeGenOptions Opts;
+  Opts.Parallel.Threads = Threads;
+  Opts.Budget = Budget;
+  GGCodeGenerator CG(Target, Opts);
+  Run.Ok = CG.compile(Run.P, Run.Asm, Run.Err);
+  Run.Diags = CG.diagnostics().renderAll();
+  Run.Stats = CG.stats();
+}
+
+TEST(Recovery, MiddleTreeBlockFallsBackInItsTurn) {
+  // A function's trees are all linearized and matched before any is
+  // replayed. A block in the middle tree must still run the ladder in
+  // its turn: the same diagnostics, counters and program output as
+  // matching each tree just before replaying it.
+  FaultGuard Guard;
+  const char *Source = "int main() {\n"
+                       "  int a; int b; int c; int d;\n"
+                       "  a = 7; b = a * 3 + 1; c = b - a * 2;\n"
+                       "  d = c * c + b; a = d - c; b = a + d;\n"
+                       "  print(a + b);\n"
+                       "  return b;\n"
+                       "}\n";
+  std::string Err;
+  std::unique_ptr<VaxTarget> Target = VaxTarget::create(Err);
+  ASSERT_NE(Target, nullptr) << Err;
+  GGRun Clean;
+  runGG(*Target, Source, Clean);
+  ASSERT_TRUE(Clean.Ok) << Clean.Err;
+  const std::vector<const Node *> Leading =
+      leadingTrees(Clean.P.Functions.back());
+  ASSERT_GE(Leading.size(), 3u);
+  const size_t Mid = Leading.size() / 2;
+  const size_t NumTrees = Clean.Stats.StatementTrees;
+
+  // The first compile under the fault takes tree ordinals 0..N-1, the
+  // second N..2N-1: a period of N + Mid truncates ordinal 0 of the first
+  // and, of the second, the middle tree alone.
+  auto Faulted = [&](int Threads, GGRun &Run) {
+    ASSERT_TRUE(faultInject().configure(
+        strf("truncate-input=%zu", NumTrees + Mid), Err))
+        << Err;
+    GGRun WarmUp;
+    runGG(*Target, Source, WarmUp, Threads);
+    ASSERT_TRUE(WarmUp.Ok) << WarmUp.Err;
+    const uint64_t Truncated0 = gg::stats().counter("fault.trees_truncated");
+    runGG(*Target, Source, Run, Threads);
+    EXPECT_EQ(gg::stats().counter("fault.trees_truncated") - Truncated0, 1u);
+  };
+  GGRun Serial, Parallel;
+  Faulted(1, Serial);
+  Faulted(4, Parallel);
+  ASSERT_TRUE(Serial.Ok) << Serial.Err;
+  ASSERT_TRUE(Parallel.Ok) << Parallel.Err;
+  EXPECT_EQ(Serial.Asm, Parallel.Asm);
+  EXPECT_EQ(Serial.Diags, Parallel.Diags);
+  EXPECT_EQ(Serial.Stats.BlockedTrees, 1u);
+  EXPECT_EQ(Serial.Stats.RecoveredTrees, 1u);
+  EXPECT_EQ(Serial.Stats.StatementTrees, NumTrees);
+
+  // The one diagnostic is the middle tree's block, matched from the
+  // prefix the fault kept.
+  const Node *Tree = leadingTrees(Serial.P.Functions.back())[Mid];
+  const Matcher &M = Target->matcher();
+  const std::vector<LinToken> Tokens = linearize(Tree, M.driver().termMap());
+  const size_t Keep = Tokens.size() - std::max<size_t>(Tokens.size() / 4, 1);
+  const MatchResult Blocked = M.match(
+      std::vector<LinToken>(Tokens.begin(), Tokens.begin() + Keep));
+  ASSERT_FALSE(Blocked.Ok);
+  DiagnosticSink Want;
+  Want.warning(strf("recovering via the baseline generator: %s\n"
+                    "  while matching: %s",
+                    Blocked.Error.c_str(),
+                    printLinear(Tree, Serial.P.Syms).c_str()));
+  EXPECT_EQ(Serial.Diags, Want.renderAll());
+
+  // The counters lose exactly the blocked tree's dropped tokens and its
+  // steps.
+  const MatchResult Whole = M.match(Tokens);
+  ASSERT_TRUE(Whole.Ok) << Whole.Error;
+  EXPECT_EQ(Serial.Stats.MatcherTokens,
+            Clean.Stats.MatcherTokens - (Tokens.size() - Keep));
+  EXPECT_EQ(Serial.Stats.MatcherSteps,
+            Clean.Stats.MatcherSteps - Whole.Steps.size());
+
+  SimResult Base = assembleAndRun(Clean.Asm);
+  SimResult R = assembleAndRun(Serial.Asm);
+  ASSERT_TRUE(Base.Ok) << Base.Error;
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Output, Base.Output);
+  EXPECT_EQ(R.ReturnValue, Base.ReturnValue);
+}
+
+TEST(Recovery, BudgetStopInTheMatchPassNamesItsTree) {
+  // A step budget that runs out part-way through a function's Match pass
+  // fails the function at the tree where it ran out, with that tree's
+  // text: the trees matched before it replay, and none reports the stop.
+  FaultGuard Guard;
+  std::string Terms = "a";
+  for (int I = 0; I < 40; ++I)
+    Terms += I % 2 ? " + b" : " + c";
+  const std::string Source = "int main() {\n"
+                             "  int a; int b; int c; int d;\n"
+                             "  a = 1; b = a + 2; c = a * b;\n"
+                             "  d = " +
+                             Terms +
+                             ";\n"
+                             "  print(d);\n"
+                             "  return d;\n"
+                             "}\n";
+  std::string Err;
+  std::unique_ptr<VaxTarget> Target = VaxTarget::create(Err);
+  ASSERT_NE(Target, nullptr) << Err;
+  const Matcher &M = Target->matcher();
+  GGRun Clean;
+  runGG(*Target, Source.c_str(), Clean);
+  ASSERT_TRUE(Clean.Ok) << Clean.Err;
+
+  // The first tree long enough for a poll inside it, and the steps of
+  // the trees before it.
+  const std::vector<const Node *> Leading =
+      leadingTrees(Clean.P.Functions.back());
+  size_t Long = 0;
+  uint64_t StepsBefore = 0;
+  for (; Long < Leading.size(); ++Long) {
+    const size_t Steps =
+        M.match(linearize(Leading[Long], M.driver().termMap())).Steps.size();
+    if (Steps > BudgetPollMask + 1)
+      break;
+    StepsBefore += Steps;
+  }
+  ASSERT_LT(Long, Leading.size()) << "no tree polls the budget inside it";
+  ASSERT_GT(Long, 0u);
+
+  for (const bool Inside : {false, true}) {
+    SCOPED_TRACE(Inside ? "inside the tree" : "before the tree");
+    // Before: the trees so far already exceed the budget when the long
+    // tree's match is about to start. Inside: its poll after
+    // BudgetPollMask+1 steps finds the budget spent.
+    RequestBudget Budget;
+    Budget.MaxSteps = Inside ? StepsBefore + BudgetPollMask / 2
+                             : StepsBefore - 1;
+    GGRun Run;
+    runGG(*Target, Source.c_str(), Run, 1, &Budget);
+    ASSERT_FALSE(Run.Ok);
+    EXPECT_EQ(Budget.Stopped.load(), BudgetStop::Steps);
+    EXPECT_EQ(Budget.StepsUsed.load(),
+              Inside ? StepsBefore + BudgetPollMask + 1 : StepsBefore);
+
+    const Node *Tree = leadingTrees(Run.P.Functions.back())[Long];
+    const std::string Linear = printLinear(Tree, Run.P.Syms);
+    std::string Want = strf("request budget exhausted (steps) before tree: %s",
+                            Linear.c_str());
+    if (Inside) {
+      RequestBudget Alone;
+      Alone.MaxSteps = Budget.MaxSteps;
+      Alone.StepsUsed = StepsBefore;
+      const MatchResult MR =
+          M.match(linearize(Tree, M.driver().termMap()), &Alone);
+      ASSERT_FALSE(MR.Ok);
+      Want = strf("%s\n  while matching: %s", MR.Error.c_str(),
+                  Linear.c_str());
+    }
+    EXPECT_EQ(Run.Err, Want);
+    DiagnosticSink Diags;
+    Diags.error(Want);
+    EXPECT_EQ(Run.Diags, Diags.renderAll());
+  }
 }
 
 TEST(Recovery, RegisterExhaustionFallsBackWithSameOutput) {

@@ -516,6 +516,80 @@ TEST(Flight, DumpIsParseableOrderedAndNamesTheRequest) {
   EXPECT_STREQ(flightKindName(FlightKind::CrashSignal), "crash-signal");
 }
 
+// A function's trees run phase by phase: one phase-match and one
+// phase-replay event per function that has trees, carrying the function's
+// tokens and steps, and neither for a function without trees.
+TEST(Flight, MatchAndReplayPhasesRecordOncePerFunction) {
+  const char *Source = R"(
+int sq(int x) { return x * x + 1; }
+void nothing() { }
+int main() { int a; a = sq(3); nothing(); print(a * 2 + 1); return a; }
+)";
+  std::string Err;
+  std::unique_ptr<VaxTarget> Target = VaxTarget::create(Err);
+  ASSERT_TRUE(Target) << Err;
+  static uint64_t NextReq = 0xF11E0000; // fresh ids when the test repeats
+  const uint64_t Req = ++NextReq;
+  Program P;
+  DiagnosticSink D;
+  ASSERT_TRUE(compileMiniC(Source, P, D)) << D.renderAll();
+  GGCodeGenerator CG(*Target);
+  TraceRecorder &R = TraceRecorder::global();
+  R.clear();
+  R.enable();
+  {
+    RequestScope Scope(Req);
+    std::string Asm;
+    ASSERT_TRUE(CG.compile(P, Asm, Err)) << Err;
+  }
+  R.disable();
+
+  // The functions' own tallies, in source order (one worker).
+  std::vector<std::string> Want;
+  int WithoutTrees = 0;
+  for (const TraceEvent &E : R.events()) {
+    if (E.name().rfind("cg.function ", 0) != 0)
+      continue;
+    if (argOf(E, "trees") == 0) {
+      ++WithoutTrees;
+      continue;
+    }
+    Want.push_back(strf("phase-match %lld",
+                        static_cast<long long>(argOf(E, "tokens"))));
+    Want.push_back(strf("phase-replay %lld",
+                        static_cast<long long>(argOf(E, "steps"))));
+  }
+  R.clear();
+  EXPECT_EQ(WithoutTrees, 1);
+  ASSERT_EQ(Want.size(), 4u);
+
+  std::FILE *F = std::tmpfile();
+  ASSERT_NE(F, nullptr);
+  flightDumpFd(fileno(F), "unit-test");
+  std::rewind(F);
+  std::string Text;
+  char Buf[4096];
+  for (size_t N; (N = std::fread(Buf, 1, sizeof(Buf), F)) > 0;)
+    Text.append(Buf, N);
+  std::fclose(F);
+  JsonValue V;
+  ASSERT_TRUE(parseJson(Text, V, Err)) << Err;
+  std::vector<std::string> Got;
+  for (const JsonValue &E : V.find("events")->Arr) {
+    const std::string &Kind = E.find("kind")->Str;
+    if (E.numberOr("req") == static_cast<double>(Req) &&
+        (Kind == "phase-match" || Kind == "phase-replay"))
+      Got.push_back(strf("%s %g", Kind.c_str(), E.numberOr("arg")));
+  }
+  EXPECT_EQ(Got, Want);
+  // The args add up to the compile's matcher totals.
+  const auto ArgOf = [](const std::string &Event) {
+    return std::stoull(Event.substr(Event.find(' ') + 1));
+  };
+  EXPECT_EQ(ArgOf(Want[0]) + ArgOf(Want[2]), CG.stats().MatcherTokens);
+  EXPECT_EQ(ArgOf(Want[1]) + ArgOf(Want[3]), CG.stats().MatcherSteps);
+}
+
 /// Four functions; the truncate-input fault blocks the first tree (the
 /// return in a), which the PCC fallback recovers.
 const char *FourFunctions = R"(

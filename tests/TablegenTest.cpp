@@ -7,11 +7,13 @@
 #include "tablegen/Serialize.h"
 #include "tablegen/TableBuilder.h"
 #include "vax/VaxGrammar.h"
+#include "vax/VaxTarget.h"
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <random>
+#include <set>
 
 using namespace gg;
 
@@ -183,6 +185,37 @@ TEST(PackedTables, MatchDenseOnEveryVaxVariant) {
     EXPECT_EQ(packedMismatches(R.Tables, P, First), 0u) << First;
     EXPECT_LT(P.memoryBytes(), R.Tables.memoryBytes());
   }
+}
+
+TEST(PackedTables, TargetRowsMatchDenseInEveryCell) {
+  // The tables the bundled target's matcher runs: every state, terminal
+  // and nonterminal looks up what the dense tables hold, and the state
+  // rows share exactly the distinct action and goto rows.
+  std::string Err;
+  std::unique_ptr<VaxTarget> Target = VaxTarget::create(Err);
+  ASSERT_NE(Target, nullptr) << Err;
+  const LRTables &T = Target->build().Tables;
+  const PackedTables &P = Target->packed();
+  std::string First;
+  EXPECT_EQ(packedMismatches(T, P, First), 0u) << First;
+
+  std::set<std::vector<int64_t>> ActionRows, GotoRows;
+  for (int S = 0; S < T.NumStates; ++S) {
+    std::vector<int64_t> Row;
+    for (int TI = 0; TI < T.NumTerms; ++TI) {
+      const Action &A = T.actionAt(S, TI);
+      const bool Tie = A.Kind == ActionType::Reduce && T.dynChoicesAt(S, TI);
+      Row.push_back(static_cast<int64_t>(A.Kind) << 40 |
+                    static_cast<int64_t>(Tie) << 32 |
+                    static_cast<uint32_t>(A.Target));
+    }
+    ActionRows.insert(std::move(Row));
+    GotoRows.insert(std::vector<int64_t>(
+        T.Gotos.begin() + static_cast<size_t>(S) * T.NumNonterms,
+        T.Gotos.begin() + static_cast<size_t>(S + 1) * T.NumNonterms));
+  }
+  EXPECT_EQ(P.numActionRows(), ActionRows.size());
+  EXPECT_EQ(P.numGotoRows(), GotoRows.size());
 }
 
 TEST(PackedTables, MatchDenseAfterSerializeRoundTrip) {
