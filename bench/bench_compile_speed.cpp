@@ -14,104 +14,38 @@
 #include "BenchCommon.h"
 
 #include "support/Clock.h"
-#include <benchmark/benchmark.h>
 #include <cstring>
 
 using namespace gg;
 
-namespace {
-
-/// Eight generated programs of ~10 functions, straight from the
-/// generator: this experiment compiles them and never runs them, so it
-/// skips ggbench::corpus's interpreter filter.
-const std::vector<std::string> &largeCorpus() {
-  static const std::vector<std::string> C = [] {
-    std::vector<std::string> Out;
-    for (uint64_t Seed = 0x10ADED; Seed < 0x10ADED + 8; ++Seed)
-      Out.push_back(generateLargeProgram(Seed, 10));
-    return Out;
-  }();
-  return C;
-}
-
-void BM_GGCompile(benchmark::State &State) {
-  const auto &Corpus = largeCorpus();
-  for (auto _ : State) {
-    size_t Lines = 0;
-    for (const std::string &Source : Corpus) {
-      CodeGenStats S;
-      std::string Asm = ggbench::compileGG(Source, {}, &S);
-      Lines += S.AsmLines;
-    }
-    benchmark::DoNotOptimize(Lines);
-  }
-}
-BENCHMARK(BM_GGCompile)->Unit(benchmark::kMillisecond);
-
-void BM_PccCompile(benchmark::State &State) {
-  const auto &Corpus = largeCorpus();
-  for (auto _ : State) {
-    size_t Lines = 0;
-    for (const std::string &Source : Corpus) {
-      PccStats S;
-      std::string Asm = ggbench::compilePcc(Source, &S);
-      Lines += S.AsmLines;
-    }
-    benchmark::DoNotOptimize(Lines);
-  }
-}
-BENCHMARK(BM_PccCompile)->Unit(benchmark::kMillisecond);
-
-// Thread-scaling sweep: the same corpus through the parallel per-function
-// pipeline at 1/2/4/8 workers. Output is byte-identical at every point
-// (asserted by parallel_test); this measures only wall-clock scaling,
-// which is hardware-dependent — on a single-core host all points
-// degenerate to serial speed plus pool overhead.
-void BM_GGCompileThreads(benchmark::State &State) {
-  const auto &Corpus = largeCorpus();
-  CodeGenOptions Opts;
-  Opts.Parallel.Threads = static_cast<int>(State.range(0));
-  for (auto _ : State) {
-    size_t Lines = 0;
-    for (const std::string &Source : Corpus) {
-      CodeGenStats S;
-      std::string Asm = ggbench::compileGG(Source, Opts, &S);
-      Lines += S.AsmLines;
-    }
-    benchmark::DoNotOptimize(Lines);
-  }
-}
-BENCHMARK(BM_GGCompileThreads)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-} // namespace
-
 int main(int argc, char **argv) {
   // --baseline-json=FILE writes the deterministic counts of the single
   // pass as a gg-bench-v1 file, compared for equality with the committed
-  // BENCH_compile_speed.json, and skips the thread sweep and the
-  // google-benchmark half. Every other flag goes to the benchmark library,
-  // which rejects the ones it does not know.
+  // BENCH_compile_speed.json, and skips the thread sweep.
   std::string BaselinePath;
-  int Kept = 1;
-  for (int I = 1; I < argc; ++I)
-    if (strncmp(argv[I], "--baseline-json=", 16) == 0)
-      BaselinePath = argv[I] + 16;
-    else
-      argv[Kept++] = argv[I];
-  argc = Kept;
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv))
-    return 2;
+  for (int I = 1; I < argc; ++I) {
+    if (strncmp(argv[I], "--baseline-json=", 16) != 0) {
+      fprintf(stderr, "bench_compile_speed: unknown argument %s\n"
+                      "usage: bench_compile_speed [--baseline-json=FILE]\n",
+              argv[I]);
+      return 2;
+    }
+    BaselinePath = argv[I] + 16;
+  }
 
   ggbench::header("E3", "code generation speed and output size, GG vs PCC",
                   "GG 80.1s vs PCC 55.4s (1.45x slower); "
                   "11385 vs 11309 assembly lines (1.007x)");
 
+  // Eight generated programs of ~10 functions, straight from the
+  // generator: this experiment compiles them and never runs them, so it
+  // skips ggbench::corpus's interpreter filter.
+  std::vector<std::string> Corpus;
+  for (uint64_t Seed = 0x10ADED; Seed < 0x10ADED + 8; ++Seed)
+    Corpus.push_back(generateLargeProgram(Seed, 10));
+
   // One timed pass per backend for the report table; the baseline keeps
   // only its counts.
-  const auto &Corpus = largeCorpus();
   size_t GGLines = 0, PccLines = 0, GGInsts = 0, PccInsts = 0;
   size_t GGTrees = 0, GGTokens = 0, GGSteps = 0;
   double GGSeconds = 0, PccSeconds = 0;
@@ -194,7 +128,5 @@ int main(int argc, char **argv) {
     ggbench::emitBenchJson(Id);
   }
   printf("\n");
-
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

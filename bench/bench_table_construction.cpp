@@ -16,53 +16,23 @@
 
 #include "BenchCommon.h"
 
-#include <benchmark/benchmark.h>
-
 using namespace gg;
 
-namespace {
-
-Grammar &fullGrammar() {
-  static Grammar G = [] {
-    Grammar Tmp;
-    MdSpec Spec;
-    DiagnosticSink Diags;
-    if (!buildVaxGrammar(Tmp, Spec, Diags))
-      abort();
-    return Tmp;
-  }();
-  return G;
-}
-
-void BM_OptimizedConstruction(benchmark::State &State) {
-  Grammar &G = fullGrammar();
-  for (auto _ : State) {
-    BuildOptions Opts;
-    Opts.Optimized = true;
-    BuildResult R = buildTables(G, Opts);
-    benchmark::DoNotOptimize(R.Tables.NumStates);
+int main(int argc, char **) {
+  if (argc > 1) {
+    fprintf(stderr, "usage: bench_table_construction (takes no options)\n");
+    return 2;
   }
-}
-BENCHMARK(BM_OptimizedConstruction)->Unit(benchmark::kMillisecond);
-
-void BM_NaiveConstruction(benchmark::State &State) {
-  Grammar &G = fullGrammar();
-  for (auto _ : State) {
-    BuildOptions Opts;
-    Opts.Optimized = false;
-    BuildResult R = buildTables(G, Opts);
-    benchmark::DoNotOptimize(R.Tables.NumStates);
-  }
-}
-BENCHMARK(BM_NaiveConstruction)->Unit(benchmark::kMillisecond)->Iterations(1);
-
-} // namespace
-
-int main(int argc, char **argv) {
   ggbench::header("E4", "table construction: naive (CGGWS) vs improved",
                   "over two hours -> ten minutes (roughly 12x)");
 
-  Grammar &G = fullGrammar();
+  Grammar G;
+  {
+    MdSpec Spec;
+    DiagnosticSink Diags;
+    if (!buildVaxGrammar(G, Spec, Diags))
+      abort();
+  }
   BuildOptions Fast, Slow;
   Slow.Optimized = false;
   BuildResult RF = buildTables(G, Fast);
@@ -95,8 +65,5 @@ int main(int argc, char **argv) {
            "improved %.3fs (%.1fx)\n\n",
            SS.Seconds, SF.Seconds, SS.Seconds / SF.Seconds);
   }
-
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

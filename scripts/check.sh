@@ -530,9 +530,10 @@ echo "   reload drill: hot reloads under load, clean SIGTERM drain"
 # Introspection smoke (docs/observability.md): a serving process must
 # answer in-band Status probes (gg-top --once --json), dump a parseable
 # gg-flight-v1 snapshot on SIGQUIT *while continuing to serve*, leave a
-# second dump on its drain exit, and leave a trace that joins back into
-# per-request timelines (gg-report --trace).
-echo "== introspection smoke (gg-top, flight recorder, trace join)"
+# second dump on its drain exit, leave a trace that joins back into
+# per-request timelines (gg-report --trace), and keep answering through
+# connection churn past its fd limit.
+echo "== introspection smoke (gg-top, flight recorder, trace join, churn)"
 rm -f "$TMP/serve.sock" "$TMP/serve.flight.json"
 "$BUILD_DIR"/examples/compile_minic --serve="$TMP/serve.sock" \
   --serve-workers=2 \
@@ -602,6 +603,49 @@ grep -q 'req 50[0-9][0-9]' "$TMP/serve.tracereport.out" ||
   { echo "trace report joined no --trace-ids request" >&2
     cat "$TMP/serve.tracereport.out" >&2; exit 1; }
 echo "   status probes, SIGQUIT black box, trace join: all answered"
+
+# Connection churn: each gg-top probe opens one connection and closes it.
+# The server must release a connection's fd once its client leaves, so
+# more probes than its fd limit leave it answering, holding about the fds
+# it held before.
+rm -f "$TMP/churn.sock"
+(ulimit -n 64 && exec "$BUILD_DIR"/examples/compile_minic \
+  --serve="$TMP/churn.sock" --serve-workers=1) >"$TMP/churn.log" 2>&1 &
+CHURN=$!
+for _ in $(seq 1 100); do
+  [[ -S "$TMP/churn.sock" ]] && break
+  sleep 0.1
+done
+"$BUILD_DIR"/tools/gg-top --socket="$TMP/churn.sock" --once --json \
+  >/dev/null || { echo "churn server answered no probe" >&2; exit 1; }
+churn_fds() { ls "/proc/$CHURN/fd" | wc -l; }
+fds_before=$(churn_fds)
+for _ in $(seq 1 80); do
+  "$BUILD_DIR"/tools/gg-top --socket="$TMP/churn.sock" --once --json \
+    --timeout-ms=2000 >/dev/null 2>&1 || true
+done
+"$BUILD_DIR"/tools/gg-top --socket="$TMP/churn.sock" --once --json \
+  >/dev/null ||
+  { echo "server stopped answering after 80 probes under ulimit -n 64" >&2
+    exit 1; }
+for _ in $(seq 1 20); do
+  (( $(churn_fds) <= fds_before + 2 )) && break
+  sleep 0.1
+done
+fds_after=$(churn_fds)
+(( fds_after <= fds_before + 2 )) ||
+  { echo "churn server holds $fds_after fds, $fds_before before" >&2
+    exit 1; }
+kill -TERM "$CHURN"
+set +e
+wait "$CHURN"
+churn_code=$?
+set -e
+[[ "$churn_code" -eq 0 ]] ||
+  { echo "churn server drain exited $churn_code" >&2
+    cat "$TMP/churn.log" >&2; exit 1; }
+echo "   connection churn: 80 probes under ulimit -n 64, fds" \
+  "$fds_before -> $fds_after, still answering"
 
 echo "== bench sentinel (served counts, tracing guard)"
 scripts/bench.sh --check --build-dir "$BUILD_DIR"

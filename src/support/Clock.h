@@ -48,6 +48,15 @@ inline double monoSeconds(MonoClock::time_point From, MonoClock::time_point To) 
   return std::chrono::duration<double>(To - From).count();
 }
 
+/// MonoClock's current time in nanoseconds since its epoch: the absolute
+/// time that request deadlines and the frame client's read deadlines use.
+inline uint64_t monoNowNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          MonoClock::now().time_since_epoch())
+          .count());
+}
+
 /// Raw profiling timestamp: monotone-enough ticks at the lowest cost the
 /// platform offers. On x86-64 this is rdtsc (~7ns, no serialization; TSCs
 /// are invariant and synchronized on everything this project targets);
@@ -56,10 +65,7 @@ inline uint64_t profTicks() {
 #ifdef GG_PROF_TICKS_RDTSC
   return __rdtsc();
 #else
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          MonoClock::now().time_since_epoch())
-          .count());
+  return monoNowNs();
 #endif
 }
 

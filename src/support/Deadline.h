@@ -93,21 +93,10 @@ struct RequestBudget {
   std::atomic<Phase> CurPhase{Phase::Queued};
 
   void arm(uint64_t DeadlineMs) {
-    DeadlineNs = DeadlineMs == 0
-                     ? 0
-                     : static_cast<uint64_t>(
-                           std::chrono::duration_cast<std::chrono::nanoseconds>(
-                               MonoClock::now().time_since_epoch())
-                               .count()) +
-                           DeadlineMs * 1000000ull;
+    DeadlineNs = DeadlineMs == 0 ? 0 : monoNowNs() + DeadlineMs * 1000000ull;
   }
 
-  static uint64_t nowNs() {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            MonoClock::now().time_since_epoch())
-            .count());
-  }
+  static uint64_t nowNs() { return monoNowNs(); }
 
   /// Records the first stop cause; later causes are ignored.
   void stop(BudgetStop Why) {

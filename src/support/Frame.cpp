@@ -1,10 +1,18 @@
 //===- Frame.cpp - compile-server wire protocol -------------------------------===//
 
 #include "support/Frame.h"
+#include "support/Clock.h"
 #include "support/Strings.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <thread>
+#include <unistd.h>
 
 using namespace gg;
 
@@ -377,4 +385,96 @@ bool gg::decodeStatusReply(std::string_view Payload, StatusReplyMsg &M,
     return false;
   }
   return true;
+}
+
+bool gg::writeAll(int Fd, std::string_view Data) {
+  while (!Data.empty()) {
+    ssize_t N = ::write(Fd, Data.data(), Data.size());
+    if (N < 0) {
+      if (errno == EINTR)
+        continue;
+      return false;
+    }
+    Data.remove_prefix(static_cast<size_t>(N));
+  }
+  return true;
+}
+
+int gg::connectUnixSocket(const std::string &Path, ConnectBackoff Backoff) {
+  sockaddr_un Addr{};
+  Addr.sun_family = AF_UNIX;
+  if (Path.size() >= sizeof(Addr.sun_path))
+    return -1;
+  memcpy(Addr.sun_path, Path.data(), Path.size());
+  int DelayMs = 20;
+  for (int Try = 0; Try < Backoff.Tries; ++Try) {
+    int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (Fd < 0)
+      return -1;
+    if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) == 0)
+      return Fd;
+    ::close(Fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(DelayMs));
+    DelayMs = std::min(DelayMs * 2, Backoff.MaxDelayMs);
+  }
+  return -1;
+}
+
+bool FrameClient::connect(const std::string &Path, ConnectBackoff Backoff) {
+  adopt(connectUnixSocket(Path, Backoff));
+  return connected();
+}
+
+void FrameClient::adopt(int NewFd) {
+  close();
+  Fd = NewFd;
+}
+
+void FrameClient::close() {
+  if (Fd >= 0)
+    ::close(Fd);
+  Fd = -1;
+  Reader = FrameReader();
+}
+
+bool FrameClient::write(std::string_view Bytes) {
+  if (Fd >= 0 && writeAll(Fd, Bytes))
+    return true;
+  close();
+  return false;
+}
+
+bool FrameClient::send(FrameType Type, std::string_view Payload) {
+  std::string Wire;
+  appendFrame(Wire, Type, Payload);
+  return write(Wire);
+}
+
+FrameClient::Read FrameClient::next(Frame &Out, uint64_t DeadlineNs) {
+  char Chunk[65536];
+  while (true) {
+    FrameReader::Status S = Reader.next(Out);
+    if (S == FrameReader::Status::Frame)
+      return Read::Frame;
+    if (S == FrameReader::Status::Corrupt)
+      continue; // the reader has already resynced
+    if (Fd < 0)
+      return Read::Lost;
+    uint64_t Now = monoNowNs();
+    if (Now >= DeadlineNs)
+      return Read::Timeout;
+    pollfd P{Fd, POLLIN, 0};
+    uint64_t WaitMs = (DeadlineNs - Now) / 1000000 + 1;
+    int R = ::poll(&P, 1, static_cast<int>(std::min<uint64_t>(WaitMs, 60000)));
+    if (R == 0 || (R < 0 && errno == EINTR))
+      continue; // the deadline check above ends the wait
+    ssize_t N = R < 0 ? -1 : ::read(Fd, Chunk, sizeof(Chunk));
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0) {
+      close();
+      return Read::Lost;
+    }
+    Reader.feed(Chunk, static_cast<size_t>(N));
+  }
 }

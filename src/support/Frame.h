@@ -27,6 +27,10 @@
 /// length-checked, every enum range-checked, and a byte-flip sweep in
 /// tests/ServerTest.cpp asserts no single-bit corruption is ever accepted.
 ///
+/// The transport helpers every end shares live here too: writeAll() (the
+/// server's responses and the clients' requests), and FrameClient, the
+/// one client connection gg-load and gg-top sit on.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GG_SUPPORT_FRAME_H
@@ -35,6 +39,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gg {
@@ -206,6 +211,62 @@ bool decodeStatusReply(std::string_view Payload, StatusReplyMsg &M,
 /// FNV-1a over \p Data — the frame checksum primitive (shared with the
 /// tests' byte-flip sweep).
 uint32_t frameChecksum(std::string_view Data);
+
+/// Writes all of \p Data to \p Fd, retrying short writes and EINTR.
+/// Returns false once the peer is gone (EPIPE/ECONNRESET); callers ignore
+/// SIGPIPE.
+bool writeAll(int Fd, std::string_view Data);
+
+/// How hard connectUnixSocket() tries: \p Tries attempts, sleeping 20 ms
+/// after the first failure and doubling the sleep up to \p MaxDelayMs.
+struct ConnectBackoff {
+  int Tries;
+  int MaxDelayMs;
+};
+
+/// Connects a SOCK_STREAM socket to the Unix socket at \p Path with
+/// bounded backoff. Returns the fd, or -1 on give-up.
+int connectUnixSocket(const std::string &Path, ConnectBackoff Backoff);
+
+/// The client end of a framed Unix-socket connection (gg-load, gg-top):
+/// whole-frame writes and frame reads by an absolute deadline. Owns its
+/// fd; a lost connection closes it, and connect() or adopt() starts a
+/// fresh one with an empty reader.
+class FrameClient {
+public:
+  /// Outcome of one next() call.
+  enum class Read {
+    Frame,   ///< the frame argument holds the next complete frame
+    Timeout, ///< the deadline passed; the connection stays usable
+    Lost,    ///< the peer closed or the socket failed; now disconnected
+  };
+
+  FrameClient() = default;
+  ~FrameClient() { close(); }
+  FrameClient(const FrameClient &) = delete;
+  FrameClient &operator=(const FrameClient &) = delete;
+
+  /// Connects to \p Path (see connectUnixSocket); false on give-up.
+  bool connect(const std::string &Path, ConnectBackoff Backoff);
+  /// Takes over an already-connected \p Fd.
+  void adopt(int Fd);
+  bool connected() const { return Fd >= 0; }
+  void close();
+
+  /// Writes raw bytes (part of a frame, or several); on failure the
+  /// connection is closed and false returned.
+  bool write(std::string_view Bytes);
+  /// Writes one whole frame.
+  bool send(FrameType Type, std::string_view Payload);
+
+  /// Reads the next frame, waiting until \p DeadlineNs (absolute
+  /// monoNowNs() time). Corrupt frames are skipped: the reader resyncs.
+  Read next(Frame &Out, uint64_t DeadlineNs);
+
+private:
+  int Fd = -1;
+  FrameReader Reader;
+};
 
 } // namespace gg
 

@@ -23,23 +23,6 @@ using namespace gg;
 
 namespace {
 
-/// Writes all of \p Data to \p Fd, retrying short writes and EINTR.
-/// Returns false once the peer is gone (EPIPE/ECONNRESET); SIGPIPE is
-/// ignored process-wide while serving.
-bool writeAll(int Fd, const char *Data, size_t Len) {
-  while (Len > 0) {
-    ssize_t N = ::write(Fd, Data, Len);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Data += N;
-    Len -= static_cast<size_t>(N);
-  }
-  return true;
-}
-
 /// Signal flags polled by the watchdog thread: a sigaction handler may
 /// only touch lock-free atomics, so the actual drain/reload work happens
 /// on the next watchdog scan (<= WatchdogIntervalMs later).
@@ -48,11 +31,23 @@ std::atomic<bool> SigReloadPending{false};
 
 } // namespace
 
-/// One output stream. Workers, the watchdog and the input pump all write
-/// responses; the mutex keeps frames atomic on the wire.
+/// One client connection. Its pump, the workers and the watchdog all
+/// write responses; the mutex keeps frames atomic on the wire. Whoever may
+/// still write holds a reference (the connection's thread, a queued or
+/// in-flight request, a pending reload ack), so an accepted socket closes
+/// with the last of them and never under a writer.
 struct Server::Conn {
-  explicit Conn(int Fd) : Fd(Fd) {}
-  int Fd;
+  Conn(int InFd, int OutFd, bool Socket)
+      : InFd(InFd), OutFd(OutFd), Socket(Socket) {}
+  ~Conn() {
+    if (Socket)
+      ::close(InFd);
+  }
+  const int InFd, OutFd;
+  /// An accepted socket (InFd == OutFd, owned, and its end ends only this
+  /// connection) rather than the caller's stdio fds, whose end of input
+  /// ends serving.
+  const bool Socket;
   std::mutex WriteM;
   bool Broken = false;
 
@@ -62,7 +57,7 @@ struct Server::Conn {
     std::lock_guard<std::mutex> Lock(WriteM);
     if (Broken)
       return;
-    if (!writeAll(Fd, Wire.data(), Wire.size()))
+    if (!writeAll(OutFd, Wire))
       Broken = true; // client gone; its remaining responses are discarded
   }
 
@@ -237,7 +232,7 @@ void Server::wakePumps() {
   // The byte is deliberately never read back: every pumpInput poller —
   // present and future — must see the pipe readable and stop.
   if (WakePipe[1] >= 0)
-    (void)writeAll(WakePipe[1], "w", 1);
+    (void)writeAll(WakePipe[1], "w");
 }
 
 void Server::requestDrain() {
@@ -703,9 +698,7 @@ void Server::drainQueue() {
   }
 }
 
-void Server::pumpInput(const std::shared_ptr<Conn> &C, int InFd,
-                       bool &SawShutdown) {
-  SawShutdown = false;
+bool Server::pumpInput(const std::shared_ptr<Conn> &C) {
   FrameReader Reader;
   char Chunk[65536];
   while (true) {
@@ -716,20 +709,20 @@ void Server::pumpInput(const std::shared_ptr<Conn> &C, int InFd,
       // self-pipe: pipes have no ::shutdown, and closing the fd under a
       // blocked reader is a race.
       pollfd P[2];
-      P[0] = {InFd, POLLIN, 0};
+      P[0] = {C->InFd, POLLIN, 0};
       P[1] = {WakePipe[0], POLLIN, 0};
       int NFds = WakePipe[0] >= 0 ? 2 : 1;
       int PR = ::poll(P, static_cast<nfds_t>(NFds), -1);
       if (PR < 0) {
         if (errno == EINTR)
           continue;
-        return;
+        return false;
       }
       if (NFds == 2 && (P[1].revents & POLLIN))
-        return; // drain wake: stop reading; queued work still completes
+        return false; // drain wake: stop reading; queued work completes
       if (!P[0].revents)
         continue;
-      ssize_t N = ::read(InFd, Chunk, sizeof(Chunk));
+      ssize_t N = ::read(C->InFd, Chunk, sizeof(Chunk));
       if (N < 0 && errno == EINTR)
         continue;
       if (N <= 0) {
@@ -737,7 +730,7 @@ void Server::pumpInput(const std::shared_ptr<Conn> &C, int InFd,
         // client died between header and payload.
         if (Reader.buffered() > 0)
           ++counter(Metric::ServerProtocolErrors);
-        return;
+        return false;
       }
       Reader.feed(Chunk, static_cast<size_t>(N));
       continue;
@@ -771,8 +764,7 @@ void Server::pumpInput(const std::shared_ptr<Conn> &C, int InFd,
       C->writeFrame(FrameType::Pong, F.Payload);
       break;
     case FrameType::Shutdown:
-      SawShutdown = true;
-      return;
+      return true;
     case FrameType::Reload:
       // Hot table reload, the control-frame path (SIGHUP is the other).
       // The ack arrives as a Reloaded frame once the swap completes.
@@ -828,39 +820,93 @@ void Server::pumpInput(const std::shared_ptr<Conn> &C, int InFd,
   }
 }
 
-int Server::serveFds(int InFd, int OutFd) {
-  ::signal(SIGPIPE, SIG_IGN);
-  auto C = std::make_shared<Conn>(OutFd);
+void Server::endServing() {
+  if (Ending.exchange(true))
+    return;
+  // A blocked accept() returns; queued work still completes.
+  if (ListenFd >= 0)
+    ::shutdown(ListenFd, SHUT_RDWR);
+  closeQueue();
+}
+
+void Server::startConnection(std::shared_ptr<Conn> C) {
   ++counter(Metric::ServerConnections);
+  std::lock_guard<std::mutex> Lock(ConnsM);
+  LiveConns.push_back(C.get());
+  // Detached: the thread ends with its connection and frees its stack
+  // then; teardown waits for LiveConns to empty instead of joining.
+  std::thread([this, C = std::move(C)] {
+    // The first Shutdown frame ends serving; so does the end of stdio input.
+    if (pumpInput(C) || !C->Socket)
+      endServing();
+    std::lock_guard<std::mutex> Lock(ConnsM);
+    LiveConns.erase(std::find(LiveConns.begin(), LiveConns.end(), C.get()));
+    ConnsCV.notify_all();
+    // C is released after the unlock: teardown never shuts down a closed fd.
+  }).detach();
+}
+
+int Server::serve(std::shared_ptr<Conn> Stdio) {
+  ::signal(SIGPIPE, SIG_IGN);
   ResolvedWorkers = resolveWorkerCount(Opts.Workers, 1u << 16);
   ServeStartNs = RequestBudget::nowNs();
   startWatchdog();
+  std::thread Acceptor;
+  if (Stdio)
+    startConnection(std::move(Stdio));
+  else
+    Acceptor = std::thread([this] {
+      int DelayMs = 0;
+      while (!Ending.load(std::memory_order_acquire)) {
+        int Fd = ::accept(ListenFd, nullptr, nullptr);
+        if (Fd >= 0) {
+          DelayMs = 0;
+          startConnection(std::make_shared<Conn>(Fd, Fd, /*Socket=*/true));
+          continue;
+        }
+        // Out of fds (EMFILE, ENFILE), an aborted handshake, a signal:
+        // none of them ends serving. Back off, so a full fd table is no
+        // busy loop, until a closing connection frees an fd.
+        DelayMs = std::clamp(DelayMs * 2, 1, 100);
+        std::this_thread::sleep_for(std::chrono::milliseconds(DelayMs));
+      }
+    });
 
-  bool SawShutdown = false;
-  std::thread Reader([&] {
-    pumpInput(C, InFd, SawShutdown);
-    closeQueue();
-  });
-
-  // The drain loops ride the PR-4 work-stealing pool: each index hosts
-  // one worker, the caller participates as worker 0, and Workers=1 is a
-  // plain serial server.
+  // Workers drain until the queue closes (Shutdown frame, end of stdio
+  // input, or drain). The drain loops ride the work-stealing pool:
+  // each index hosts one worker, the caller participates as worker 0, and
+  // Workers=1 is a plain serial server.
   ParallelOptions PO;
   PO.Threads = static_cast<int>(ResolvedWorkers);
   parallelFor(ResolvedWorkers, PO, [this](size_t) { drainQueue(); });
 
-  wakePumps(); // the queue is closed and drained; unblock the pump
-  Reader.join();
+  // The queue is closed and drained: stop accepting, then let every
+  // connection go. The wake byte stops every pump's poll; shutting a
+  // socket down also frees a pump blocked writing to a client that
+  // stopped reading.
+  endServing();
+  if (Acceptor.joinable())
+    Acceptor.join();
+  wakePumps();
+  {
+    std::unique_lock<std::mutex> Lock(ConnsM);
+    for (Conn *C : LiveConns)
+      if (C->Socket)
+        ::shutdown(C->InFd, SHUT_RDWR);
+    ConnsCV.wait(Lock, [this] { return LiveConns.empty(); });
+  }
   joinReloadThread();
   stopWatchdog();
-  (void)SawShutdown; // EOF, Shutdown and drain all finish work, exit cleanly
   return ExitOk;
 }
 
+int Server::serveFds(int InFd, int OutFd) {
+  return serve(std::make_shared<Conn>(InFd, OutFd, /*Socket=*/false));
+}
+
 int Server::serveUnixSocket(const std::string &Path) {
-  ::signal(SIGPIPE, SIG_IGN);
-  int ListenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (ListenFd < 0) {
+  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (Fd < 0) {
     fprintf(stderr, "serve: socket(): %s\n", strerror(errno));
     return ExitFatalFault;
   }
@@ -868,78 +914,22 @@ int Server::serveUnixSocket(const std::string &Path) {
   Addr.sun_family = AF_UNIX;
   if (Path.size() >= sizeof(Addr.sun_path)) {
     fprintf(stderr, "serve: socket path too long: %s\n", Path.c_str());
-    ::close(ListenFd);
+    ::close(Fd);
     return ExitUsage;
   }
   strncpy(Addr.sun_path, Path.c_str(), sizeof(Addr.sun_path) - 1);
   ::unlink(Path.c_str());
-  if (::bind(ListenFd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) <
-          0 ||
-      ::listen(ListenFd, 64) < 0) {
+  if (::bind(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) < 0 ||
+      ::listen(Fd, 64) < 0) {
     fprintf(stderr, "serve: bind/listen(%s): %s\n", Path.c_str(),
             strerror(errno));
-    ::close(ListenFd);
+    ::close(Fd);
     return ExitFatalFault;
   }
-
-  ResolvedWorkers = resolveWorkerCount(Opts.Workers, 1u << 16);
-  ServeStartNs = RequestBudget::nowNs();
-  startWatchdog();
-  std::atomic<bool> Shut{false};
-  std::mutex ConnsM;
-  std::vector<std::shared_ptr<Conn>> Conns;
-  std::vector<std::thread> ConnThreads;
-
-  std::thread Acceptor([&] {
-    while (!Shut.load(std::memory_order_relaxed)) {
-      int Fd = ::accept(ListenFd, nullptr, nullptr);
-      if (Fd < 0) {
-        if (errno == EINTR)
-          continue;
-        break; // listen fd closed: shutting down
-      }
-      ++counter(Metric::ServerConnections);
-      auto C = std::make_shared<Conn>(Fd);
-      std::lock_guard<std::mutex> Lock(ConnsM);
-      Conns.push_back(C);
-      ConnThreads.emplace_back([this, C, Fd, &Shut, ListenFd] {
-        bool SawShutdown = false;
-        pumpInput(C, Fd, SawShutdown);
-        if (SawShutdown && !Shut.exchange(true)) {
-          // First Shutdown frame wins: stop accepting, then unblock the
-          // acceptor and every idle connection reader.
-          ::shutdown(ListenFd, SHUT_RDWR);
-          closeQueue();
-        }
-      });
-    }
-  });
-
-  // Workers drain until the queue closes (Shutdown frame or drain).
-  ParallelOptions PO;
-  PO.Threads = static_cast<int>(ResolvedWorkers);
-  parallelFor(ResolvedWorkers, PO, [this](size_t) { drainQueue(); });
-
-  // Closed queue means shutdown: kick still-open connections loose.
-  Shut.store(true);
-  wakePumps();
-  ::shutdown(ListenFd, SHUT_RDWR);
-  Acceptor.join();
-  {
-    std::lock_guard<std::mutex> Lock(ConnsM);
-    for (const std::shared_ptr<Conn> &C : Conns)
-      ::shutdown(C->Fd, SHUT_RDWR);
-  }
-  for (std::thread &T : ConnThreads)
-    T.join();
-  {
-    std::lock_guard<std::mutex> Lock(ConnsM);
-    for (const std::shared_ptr<Conn> &C : Conns)
-      ::close(C->Fd);
-  }
+  ListenFd = Fd;
+  int Rc = serve(nullptr);
   ::close(ListenFd);
+  ListenFd = -1;
   ::unlink(Path.c_str());
-  joinReloadThread();
-  stopWatchdog();
-  return ExitOk;
+  return Rc;
 }

@@ -145,14 +145,17 @@ public:
   ~Server();
 
   /// Serves the framed protocol on a pair of file descriptors (the stdio
-  /// daemon mode: InFd=0, OutFd=1). Returns ExitOk on clean shutdown
-  /// (Shutdown frame or EOF after draining).
+  /// daemon mode: InFd=0, OutFd=1), which stay the caller's. Returns
+  /// ExitOk on clean shutdown (Shutdown frame, drain, or EOF, after the
+  /// queued and in-flight requests are answered).
   int serveFds(int InFd, int OutFd);
 
   /// Binds \p Path as a SOCK_STREAM Unix socket and serves each accepted
   /// connection (same framed protocol, any number of requests per
-  /// connection). Returns ExitOk on clean shutdown, ExitFatalFault when
-  /// the socket cannot be bound.
+  /// connection) until a Shutdown frame or a drain. A connection's fd
+  /// closes once its client has left and its last response is written.
+  /// Returns ExitOk on clean shutdown, ExitFatalFault when the socket
+  /// cannot be bound.
   int serveUnixSocket(const std::string &Path);
 
   /// Installs the hot-reload hook run for SIGHUP / Reload frames. Without
@@ -196,7 +199,7 @@ public:
   static void notifySignal(int Sig);
 
 private:
-  struct Conn;   ///< one output stream + write mutex
+  struct Conn;   ///< one client connection: its fds + write mutex
   struct Active; ///< one admitted, not-yet-responded request
 
   CompileHandler Handler;
@@ -244,6 +247,15 @@ private:
   std::atomic<unsigned> Executing{0};
   unsigned ResolvedWorkers = 1;
 
+  /// The listening socket while serveUnixSocket() runs; -1 on stdio.
+  int ListenFd = -1;
+  std::atomic<bool> Ending{false}; ///< set by endServing()
+  /// Connections whose thread still runs; each thread removes its own
+  /// entry, and teardown waits on ConnsCV for the list to empty.
+  std::mutex ConnsM;
+  std::condition_variable ConnsCV;
+  std::vector<Conn *> LiveConns;
+
   /// Self-pipe that wakes pumpInput() pollers when a drain begins (pipes
   /// have no ::shutdown, and closing an fd under a blocked reader is a
   /// race). The byte is never consumed so every poller sees it.
@@ -267,10 +279,18 @@ private:
   void stopWatchdog();
   void watchdogScan();
 
+  /// The serve loop both transports share: start-up, the stdio connection
+  /// (or, when \p Stdio is null, an acceptor on ListenFd), the workers,
+  /// and teardown once the queue is closed and drained.
+  int serve(std::shared_ptr<Conn> Stdio);
+  /// Runs \p C on its own thread until its pump returns.
+  void startConnection(std::shared_ptr<Conn> C);
+  /// Stops accepting and closes the queue. Idempotent.
+  void endServing();
+
   /// Parses frames arriving on \p C, enqueueing requests; returns when the
-  /// stream hits EOF, a Shutdown frame, or a drain wake. Sets
-  /// \p SawShutdown accordingly.
-  void pumpInput(const std::shared_ptr<Conn> &C, int InFd, bool &SawShutdown);
+  /// stream hits EOF, a Shutdown frame (true), or a drain wake.
+  bool pumpInput(const std::shared_ptr<Conn> &C);
 
   /// Admits one decoded request — or sheds it with an Overloaded frame
   /// when the queue is full, the server is draining, or the estimated

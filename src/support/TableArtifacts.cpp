@@ -66,7 +66,10 @@ std::string memberKey(const std::pair<int, int> &Point) {
   return strf("\"%d:%d\":", Point.first, Point.second);
 }
 std::string memberKey(const std::string &Name) {
-  return "\"" + jsonEscape(Name) + "\":";
+  std::string Key = "\"";
+  appendJsonEscaped(Key, Name);
+  Key += "\":";
+  return Key;
 }
 
 std::string count(uint64_t N) {

@@ -27,20 +27,15 @@ unsigned gg::resolveWorkerCount(int Requested, size_t Items) {
 
 namespace {
 
-/// A half-open run of work-item indices.
-struct Chunk {
-  size_t Begin = 0, End = 0;
-};
-
 /// One worker's mutex-guarded deque. A plain lock per operation is cheap
 /// relative to a per-function compile, and keeps the pool trivially clean
 /// under TSAN — the point of this pool is correctness of the parallel
 /// code generator, not queue micro-throughput.
 struct WorkDeque {
   std::mutex M;
-  std::deque<Chunk> Q;
+  std::deque<size_t> Q;
 
-  bool popFront(Chunk &Out) {
+  bool popFront(size_t &Out) {
     std::lock_guard<std::mutex> Lock(M);
     if (Q.empty())
       return false;
@@ -49,7 +44,7 @@ struct WorkDeque {
     return true;
   }
 
-  bool stealBack(Chunk &Out) {
+  bool stealBack(size_t &Out) {
     std::lock_guard<std::mutex> Lock(M);
     if (Q.empty())
       return false;
@@ -68,10 +63,8 @@ PoolRunStats gg::parallelFor(size_t N, const ParallelOptions &Opts,
     return Stats;
 
   const unsigned Workers = resolveWorkerCount(Opts.Threads, N);
-  const size_t ChunkSize =
-      Opts.Chunking >= 1 ? static_cast<size_t>(Opts.Chunking) : 1;
   Stats.Workers = Workers;
-  Stats.Tasks = (N + ChunkSize - 1) / ChunkSize;
+  Stats.Tasks = N;
 
   if (Workers == 1) {
     // Serial baseline: no deques, no spawns, no locks.
@@ -80,34 +73,28 @@ PoolRunStats gg::parallelFor(size_t N, const ParallelOptions &Opts,
     return Stats;
   }
 
-  // Deal chunks round-robin so each worker starts with an even share and
+  // Deal items round-robin so each worker starts with an even share and
   // stealing only kicks in under skewed per-item costs.
   std::vector<WorkDeque> Deques(Workers);
-  {
-    unsigned Dest = 0;
-    for (size_t Begin = 0; Begin < N; Begin += ChunkSize) {
-      Deques[Dest].Q.push_back({Begin, std::min(Begin + ChunkSize, N)});
-      Dest = (Dest + 1) % Workers;
-    }
-  }
+  for (size_t I = 0; I < N; ++I)
+    Deques[I % Workers].Q.push_back(I);
 
   std::atomic<uint64_t> Steals{0};
   auto WorkerLoop = [&](unsigned Me) {
     while (true) {
-      Chunk C;
-      if (!Deques[Me].popFront(C)) {
+      size_t I;
+      if (!Deques[Me].popFront(I)) {
         // Own deque dry: sweep the other deques for work to steal. No
         // work is added mid-run, so a full empty sweep means we are done
-        // (a chunk in flight on another worker is that worker's to run).
+        // (an item in flight on another worker is that worker's to run).
         bool Stole = false;
         for (unsigned Off = 1; Off < Workers && !Stole; ++Off)
-          Stole = Deques[(Me + Off) % Workers].stealBack(C);
+          Stole = Deques[(Me + Off) % Workers].stealBack(I);
         if (!Stole)
           return;
         Steals.fetch_add(1, std::memory_order_relaxed);
       }
-      for (size_t I = C.Begin; I < C.End; ++I)
-        Body(I);
+      Body(I);
     }
   };
 

@@ -11,10 +11,9 @@
 /// (built once, immutable), so per-function compilation parallelizes with
 /// no synchronization beyond distributing the work items.
 ///
-/// Shape: a fixed index space [0, N) is cut into chunks of `Chunking`
-/// consecutive indices, dealt round-robin onto per-worker deques. Each
-/// worker drains its own deque from the front; when empty it steals from
-/// the back of a victim's deque. The calling thread participates as
+/// Shape: a fixed index space [0, N) is dealt round-robin onto per-worker
+/// deques, one index per entry. Each worker drains its own deque from the
+/// front; when empty it steals from the back of a victim's deque. The calling thread participates as
 /// worker 0, so Threads=1 degenerates to a plain serial loop with no
 /// spawns and no locks — the baseline the determinism tests compare
 /// against. No work is ever added mid-run, so termination is a simple
@@ -42,16 +41,13 @@ struct ParallelOptions {
   /// Worker count. 1 = serial (default; byte-identical baseline),
   /// 0 = one worker per hardware thread, N = exactly N workers.
   int Threads = 1;
-  /// Consecutive work items per deque entry. Larger chunks amortize deque
-  /// traffic; smaller chunks steal better under skewed item costs.
-  int Chunking = 1;
 };
 
 /// What a parallelFor run did — fed into the cg.parallel.* telemetry.
 struct PoolRunStats {
   uint64_t Workers = 0; ///< workers that ran (including the caller)
-  uint64_t Tasks = 0;   ///< deque entries (chunks), not individual items
-  uint64_t Steals = 0;  ///< chunks taken from another worker's deque
+  uint64_t Tasks = 0;   ///< work items dealt
+  uint64_t Steals = 0;  ///< items taken from another worker's deque
 };
 
 /// Resolves a --threads request against the item count: 0 means hardware

@@ -413,11 +413,8 @@ private:
         if (A.Kind == ActionType::Shift) {
           // Shift/reduce: maximal munch prefers the shift (§3.2).
           for (int P : Cands)
-            R.SRConflicts.push_back(
-                {S, G.terminals()[TI], P, Opts.PreferShift});
-          if (Opts.PreferShift)
-            continue;
-          // Ablation mode: fall through and reduce instead.
+            R.SRConflicts.push_back({S, G.terminals()[TI], P});
+          continue;
         }
         // Reduce/reduce: prefer the longest rule; ties are resolved
         // dynamically by semantic attributes.

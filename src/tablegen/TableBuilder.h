@@ -36,9 +36,6 @@ namespace gg {
 struct BuildOptions {
   /// Use hashed state lookup, indexed closures and bitset FIRST/FOLLOW.
   bool Optimized = true;
-  /// Resolve shift/reduce conflicts toward shift (maximal munch). The
-  /// paper's generator always does; turning it off exists for ablation.
-  bool PreferShift = true;
   /// Classifies terminals for the syntactic-block check; terminals mapped
   /// to 0 are exempt. Two terminals with the same non-zero category are
   /// assumed interchangeable in well-formed input (uniform replacement).
@@ -50,7 +47,6 @@ struct ShiftReduceConflict {
   int State = 0;
   SymId Term = -1;
   int ReduceProd = -1;
-  bool ResolvedToShift = true;
 };
 
 /// A resolved reduce/reduce conflict (informational).

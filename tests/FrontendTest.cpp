@@ -62,7 +62,8 @@ TEST(Lexer, EveryTableRowLexesToItsKind) {
     EXPECT_EQ(T[0].Kind, R.Kind) << R.Spelling;
     EXPECT_EQ(T[0].Text, R.Spelling);
     EXPECT_EQ(T[1].Kind, Tok::End);
-    EXPECT_EQ(tokName(R.Kind), "'" + std::string(R.Spelling) + "'");
+    EXPECT_EQ(tokName(R.Kind),
+              std::string("'") + std::string(R.Spelling) + "'");
     Keywords += isalpha(static_cast<unsigned char>(R.Spelling[0])) != 0;
   }
   EXPECT_EQ(std::size(Rows), 60u);

@@ -104,21 +104,17 @@ TEST(ThreadPool, ResolvesWorkerCounts) {
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
   for (int Threads : {1, 2, 4, 8}) {
-    for (int Chunking : {1, 3}) {
-      const size_t N = 37;
-      std::vector<std::atomic<int>> Hits(N);
-      ParallelOptions Opts;
-      Opts.Threads = Threads;
-      Opts.Chunking = Chunking;
-      PoolRunStats S = parallelFor(
-          N, Opts, [&](size_t I) { Hits[I].fetch_add(1); });
-      for (size_t I = 0; I < N; ++I)
-        EXPECT_EQ(Hits[I].load(), 1)
-            << "index " << I << " threads=" << Threads
-            << " chunking=" << Chunking;
-      EXPECT_EQ(S.Workers, resolveWorkerCount(Threads, N));
-      EXPECT_EQ(S.Tasks, (N + Chunking - 1) / static_cast<size_t>(Chunking));
-    }
+    const size_t N = 37;
+    std::vector<std::atomic<int>> Hits(N);
+    ParallelOptions Opts;
+    Opts.Threads = Threads;
+    PoolRunStats S =
+        parallelFor(N, Opts, [&](size_t I) { Hits[I].fetch_add(1); });
+    for (size_t I = 0; I < N; ++I)
+      EXPECT_EQ(Hits[I].load(), 1)
+          << "index " << I << " threads=" << Threads;
+    EXPECT_EQ(S.Workers, resolveWorkerCount(Threads, N));
+    EXPECT_EQ(S.Tasks, N);
   }
 }
 
@@ -144,24 +140,6 @@ TEST(Parallel, ByteIdenticalAsmAcrossThreadCounts) {
     ASSERT_TRUE(compileAt(Threads, MultiFnSource, Asm, &Stats));
     EXPECT_EQ(Serial, Asm) << "assembly diverged at threads=" << Threads;
     EXPECT_GE(Stats.Parallel.Workers, 2u);
-  }
-}
-
-TEST(Parallel, ChunkingDoesNotChangeOutput) {
-  std::string Serial;
-  ASSERT_TRUE(compileAt(1, MultiFnSource, Serial));
-  for (int Chunking : {2, 4}) {
-    std::string Err;
-    Program P;
-    DiagnosticSink D;
-    ASSERT_TRUE(compileMiniC(MultiFnSource, P, D)) << D.renderAll();
-    CodeGenOptions Opts;
-    Opts.Parallel.Threads = 4;
-    Opts.Parallel.Chunking = Chunking;
-    GGCodeGenerator CG(sharedTarget(), Opts);
-    std::string Asm;
-    ASSERT_TRUE(CG.compile(P, Asm, Err)) << Err;
-    EXPECT_EQ(Serial, Asm) << "chunking=" << Chunking;
   }
 }
 

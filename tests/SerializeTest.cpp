@@ -272,8 +272,9 @@ TEST(Serialize, ByteFlipSweepNeverCrashesTheLoader) {
     T[Off] ^= 0x11;
     LRTables L;
     DiagnosticSink D;
-    if (!deserializeTables(T, B.G, L, D))
+    if (!deserializeTables(T, B.G, L, D)) {
       EXPECT_TRUE(D.hasErrors()) << "rejected without a diagnostic";
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "cg/CompileService.h"
+#include "support/Clock.h"
 #include "support/ExitCodes.h"
 #include "support/FaultInject.h"
 #include "support/Frame.h"
@@ -24,6 +25,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <functional>
 #include <thread>
 #include <unistd.h>
@@ -1137,6 +1139,132 @@ TEST(ServerTest, StatusJsonReportsInFlightAndDraining) {
   EXPECT_EQ(H.ExitCode, ExitOk);
   ASSERT_NE(findById(Rs, 4242), nullptr);
   EXPECT_EQ(findById(Rs, 4242)->Status, ResponseStatus::Ok);
+}
+
+//===----------------------------------------------------------------------===//
+// Server loop over a Unix socket: connection lifetime
+//===----------------------------------------------------------------------===//
+
+constexpr uint64_t FiveSecondsNs = 5'000'000'000ull;
+
+/// Runs a Server on a Unix socket on its own thread; clients connect with
+/// FrameClient. The destructor shuts a still-running server down.
+struct SocketHarness {
+  std::string Path;
+  std::unique_ptr<Server> Srv;
+  std::thread T;
+  int ExitCode = -1;
+
+  explicit SocketHarness(CompileHandler H, ServerOptions Opts = {}) {
+    static std::atomic<int> Seq{0};
+    Path = testing::TempDir() + "gg-server-" + std::to_string(getpid()) +
+           "-" + std::to_string(Seq++) + ".sock";
+    Srv = std::make_unique<Server>(std::move(H), Opts);
+    T = std::thread([this] { ExitCode = Srv->serveUnixSocket(Path); });
+  }
+
+  ~SocketHarness() {
+    if (!T.joinable())
+      return;
+    FrameClient C;
+    if (C.connect(Path, {.Tries = 8, .MaxDelayMs = 100}))
+      C.send(FrameType::Shutdown, "");
+    T.join();
+  }
+
+  /// Connects \p C and waits for the answer to a Ping, so the server has
+  /// taken the connection.
+  bool connect(FrameClient &C) {
+    Frame F;
+    return C.connect(Path, {.Tries = 50, .MaxDelayMs = 100}) &&
+           C.send(FrameType::Ping, "hi") &&
+           C.next(F, monoNowNs() + FiveSecondsNs) ==
+               FrameClient::Read::Frame &&
+           F.Type == FrameType::Pong;
+  }
+};
+
+HandlerResult echoHandler(const RequestMsg &Req, RequestBudget &) {
+  HandlerResult R;
+  R.Payload = "asm:" + Req.Source;
+  return R;
+}
+
+size_t openFds() {
+  return static_cast<size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                    std::filesystem::directory_iterator()));
+}
+
+TEST(ServerSocketTest, ClosedConnectionsReleaseTheirFds) {
+  ServerOptions Opts;
+  Opts.Workers = 1;
+  SocketHarness H(echoHandler, Opts);
+  FrameClient Probe;
+  ASSERT_TRUE(H.connect(Probe));
+  const size_t Before = openFds();
+  for (int I = 0; I < 64; ++I) {
+    FrameClient C;
+    ASSERT_TRUE(H.connect(C)) << "cycle " << I;
+  }
+  // The server closes its end once it reads the client's EOF: wait for it.
+  EXPECT_TRUE(spinUntil([&] { return openFds() <= Before + 2; }))
+      << "open fds: " << openFds() << ", before the cycles: " << Before;
+
+  StatusMsg SM;
+  SM.Id = 64;
+  ASSERT_TRUE(Probe.send(FrameType::Status, encodeStatus(SM)));
+  Frame F;
+  ASSERT_EQ(Probe.next(F, monoNowNs() + FiveSecondsNs),
+            FrameClient::Read::Frame);
+  EXPECT_EQ(F.Type, FrameType::StatusReply);
+}
+
+TEST(ServerSocketTest, ShutdownFrameEndsServingAndDropsOtherConnections) {
+  SocketHarness H(echoHandler);
+  FrameClient A, B;
+  ASSERT_TRUE(H.connect(A));
+  ASSERT_TRUE(H.connect(B));
+  ASSERT_TRUE(A.send(FrameType::Shutdown, ""));
+  H.T.join();
+  EXPECT_EQ(H.ExitCode, ExitOk);
+  Frame F;
+  EXPECT_EQ(B.next(F, monoNowNs() + FiveSecondsNs), FrameClient::Read::Lost);
+  EXPECT_FALSE(B.connected());
+}
+
+TEST(ServerSocketTest, DeadlineReadTimesOutThenGetsTheReply) {
+  std::atomic<bool> Release{false};
+  SocketHarness H([&](const RequestMsg &Req, RequestBudget &B) {
+    while (!Release.load())
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return echoHandler(Req, B);
+  });
+  FrameClient C;
+  ASSERT_TRUE(H.connect(C));
+  RequestMsg Req;
+  Req.Id = 9;
+  Req.Source = "x";
+  ASSERT_TRUE(C.send(FrameType::Request, encodeRequest(Req)));
+  Frame F;
+  EXPECT_EQ(C.next(F, monoNowNs() + 50'000'000ull),
+            FrameClient::Read::Timeout);
+  EXPECT_TRUE(C.connected());
+
+  Release.store(true);
+  ASSERT_EQ(C.next(F, monoNowNs() + FiveSecondsNs), FrameClient::Read::Frame);
+  ASSERT_EQ(F.Type, FrameType::Response);
+  ResponseMsg Resp;
+  std::string Err;
+  ASSERT_TRUE(decodeResponse(F.Payload, Resp, Err)) << Err;
+  EXPECT_EQ(Resp.Id, 9u);
+  EXPECT_EQ(Resp.Payload, "asm:x");
+
+  // The Shutdown frame ends serving, so the server closes this connection.
+  ASSERT_TRUE(C.send(FrameType::Shutdown, ""));
+  EXPECT_EQ(C.next(F, monoNowNs() + FiveSecondsNs), FrameClient::Read::Lost);
+  H.T.join();
+  EXPECT_EQ(H.ExitCode, ExitOk);
 }
 
 //===----------------------------------------------------------------------===//

@@ -69,6 +69,7 @@
 
 #include "cg/CompileService.h"
 #include "support/CliOptions.h"
+#include "support/Clock.h"
 #include "support/ExitCodes.h"
 #include "support/FaultInject.h"
 #include "support/Frame.h"
@@ -87,10 +88,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <poll.h>
 #include <string>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
@@ -121,53 +119,13 @@ struct LoadOptions {
   std::string BenchJsonPath;
 };
 
-uint64_t nowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// Connects to the server's Unix socket, retrying with backoff for up to
-/// ~10 seconds (the supervisor's restart window). Returns -1 on give-up.
-int connectWithRetry(const std::string &Path) {
-  sockaddr_un Addr{};
-  Addr.sun_family = AF_UNIX;
-  if (Path.size() >= sizeof(Addr.sun_path))
-    return -1;
-  strncpy(Addr.sun_path, Path.c_str(), sizeof(Addr.sun_path) - 1);
-  int DelayMs = 20;
-  for (int Try = 0; Try < 24; ++Try) {
-    int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (Fd < 0)
-      return -1;
-    if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) == 0)
-      return Fd;
-    ::close(Fd);
-    std::this_thread::sleep_for(std::chrono::milliseconds(DelayMs));
-    DelayMs = std::min(DelayMs * 2, 1000);
-  }
-  return -1;
-}
+/// Connect retries ride out a supervisor restart: about 10 seconds.
+constexpr ConnectBackoff RestartWindow{.Tries = 24, .MaxDelayMs = 1000};
 
 /// The connection that saw a --spawn'ed server accept: the wall clock
 /// starts only then, and the first client to connect takes it over, so
 /// the readiness probe adds no connection to the server's count.
 std::atomic<int> SpawnedFd{-1};
-
-bool writeAll(int Fd, const char *P, size_t Len) {
-  while (Len > 0) {
-    ssize_t N = ::write(Fd, P, Len);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    P += N;
-    Len -= static_cast<size_t>(N);
-  }
-  return true;
-}
 
 /// Shared tallies across client threads.
 struct Tally {
@@ -202,26 +160,21 @@ public:
   enum class Event { Response, Overload, Timeout, Lost };
 
   Client(const std::string &Socket, Tally &T) : Socket(Socket), T(T) {}
-  ~Client() { drop(); }
 
   bool ensureConnected() {
-    if (Fd >= 0)
+    if (Conn.connected())
       return true;
-    Fd = SpawnedFd.exchange(-1);
-    if (Fd < 0)
-      Fd = connectWithRetry(Socket);
-    Reader = FrameReader();
+    if (int Fd = SpawnedFd.exchange(-1); Fd >= 0)
+      Conn.adopt(Fd);
+    else
+      Conn.connect(Socket, RestartWindow);
     // A crash restart legally resets the server's generation counter, so
     // monotonicity is asserted per connection, not per process.
     LastGen = 0;
-    return Fd >= 0;
+    return Conn.connected();
   }
 
-  void drop() {
-    if (Fd >= 0)
-      ::close(Fd);
-    Fd = -1;
-  }
+  void drop() { Conn.close(); }
 
   bool send(FrameType Type, const std::string &Payload) {
     if (!ensureConnected())
@@ -237,64 +190,20 @@ public:
       size_t Step = std::max<size_t>(Wire.size() / 16, 16);
       for (size_t Off = 0; Off < Wire.size(); Off += Step) {
         size_t Len = std::min(Step, Wire.size() - Off);
-        if (!writeAll(Fd, Wire.data() + Off, Len)) {
-          drop();
+        if (!Conn.write(std::string_view(Wire).substr(Off, Len)))
           return false;
-        }
         if (Off + Len < Wire.size())
           std::this_thread::sleep_for(std::chrono::milliseconds(ChunkMs));
       }
       return true;
     }
-    if (!writeAll(Fd, Wire.data(), Wire.size())) {
-      drop();
-      return false;
-    }
-    return true;
+    return Conn.write(Wire);
   }
 
-  /// Blocks (via poll) until one complete frame, the absolute deadline,
-  /// or connection loss. Returns 1 with \p F filled, 0 on deadline (the
-  /// connection stays usable — open-loop sends continue on it), -1 on
-  /// loss. \p DeadlineNs is absolute nowNs() time.
-  int pump(uint64_t DeadlineNs, Frame &F) {
-    char Chunk[65536];
-    while (true) {
-      FrameReader::Status S = Reader.next(F);
-      if (S == FrameReader::Status::NeedMore) {
-        if (Fd < 0)
-          return -1;
-        uint64_t Now = nowNs();
-        if (Now >= DeadlineNs)
-          return 0;
-        pollfd P{};
-        P.fd = Fd;
-        P.events = POLLIN;
-        uint64_t WaitMs = (DeadlineNs - Now) / NsPerMs + 1;
-        int R = ::poll(&P, 1,
-                       static_cast<int>(std::min<uint64_t>(WaitMs, 60000)));
-        if (R < 0) {
-          if (errno == EINTR)
-            continue;
-          drop();
-          return -1;
-        }
-        if (R == 0)
-          continue; // re-check the deadline at the top
-        ssize_t N = ::read(Fd, Chunk, sizeof(Chunk));
-        if (N < 0 && errno == EINTR)
-          continue;
-        if (N <= 0) {
-          drop();
-          return -1;
-        }
-        Reader.feed(Chunk, static_cast<size_t>(N));
-        continue;
-      }
-      if (S == FrameReader::Status::Corrupt)
-        continue; // reader already resynced
-      return 1;
-    }
+  /// The next frame by the absolute monoNowNs() deadline. A timeout keeps
+  /// the connection usable: open-loop sends continue on it.
+  FrameClient::Read pump(uint64_t DeadlineNs, Frame &F) {
+    return Conn.next(F, DeadlineNs);
   }
 
   /// Closed-loop wait: reads until the Response or Overloaded frame for
@@ -304,10 +213,10 @@ public:
                    OverloadMsg &Over) {
     while (true) {
       Frame F;
-      int R = pump(DeadlineNs, F);
-      if (R == 0)
+      FrameClient::Read R = pump(DeadlineNs, F);
+      if (R == FrameClient::Read::Timeout)
         return Event::Timeout;
-      if (R < 0)
+      if (R == FrameClient::Read::Lost)
         return Event::Lost;
       std::string Err;
       switch (F.Type) {
@@ -363,9 +272,8 @@ public:
 private:
   std::string Socket;
   Tally &T;
-  int Fd = -1;
+  FrameClient Conn;
   uint64_t LastGen = 0;
-  FrameReader Reader;
 };
 
 /// The local single-shot reference for --verify: assembly per corpus
@@ -580,8 +488,8 @@ int main(int argc, char **argv) {
               strerror(errno));
       _exit(ExitFatalFault);
     }
-    // Start-up and connectWithRetry's backoff are not serving time.
-    SpawnedFd = connectWithRetry(Opt.Socket);
+    // Start-up and the connect backoff are not serving time.
+    SpawnedFd = connectUnixSocket(Opt.Socket, RestartWindow);
   }
 
   Tally T;
@@ -591,7 +499,7 @@ int main(int argc, char **argv) {
   // structured response rather than a client timeout.
   const uint64_t TimeoutNs = static_cast<uint64_t>(Opt.TimeoutMs) * NsPerMs;
 
-  uint64_t WallStart = nowNs();
+  uint64_t WallStart = monoNowNs();
 
   // Closed loop: each client thread sends its next request as soon as the
   // previous one resolved; sheds are retried under the retry-after
@@ -636,14 +544,14 @@ int main(int argc, char **argv) {
       OverloadMsg Over;
       bool Got = false;
       bool Shed = false;
-      uint64_t T0 = nowNs();
+      uint64_t T0 = monoNowNs();
       const uint64_t ReqDeadline = T0 + TimeoutNs;
       int ConnFailures = 0;
       uint32_t Round = 0; // shed-retry rounds completed (backoff growth)
       bool NeedSend = true;
       while (!Got && !Shed) {
         if (NeedSend) {
-          if (nowNs() >= ReqDeadline)
+          if (monoNowNs() >= ReqDeadline)
             break;
           if (!Conn.send(FrameType::Request, Payload)) {
             if (++ConnFailures >= 4)
@@ -663,7 +571,7 @@ int main(int argc, char **argv) {
           ++T.Overloaded;
           uint64_t SleepMs = backoffMs(Over.RetryAfterMs, Round, Req.Id);
           ++Round;
-          if (nowNs() + SleepMs * NsPerMs >= ReqDeadline) {
+          if (monoNowNs() + SleepMs * NsPerMs >= ReqDeadline) {
             // No budget left to honor the hint: the shed is this
             // request's answer (terminal), not a client give-up.
             Shed = true;
@@ -697,7 +605,7 @@ int main(int argc, char **argv) {
         ++T.GaveUp;
         continue;
       }
-      uint64_t LatNs = nowNs() - T0;
+      uint64_t LatNs = monoNowNs() - T0;
       LocalLat.push_back(LatNs);
       LocalLatByGen[Resp.Generation].push_back(LatNs);
       classifyResponse(Resp, ProgIdx, T, Opt, Oracle);
@@ -741,7 +649,7 @@ int main(int argc, char **argv) {
           ++T.StrayResponses;
           return;
         }
-        uint64_t LatNs = nowNs() - It->second.SentNs;
+        uint64_t LatNs = monoNowNs() - It->second.SentNs;
         LocalLat.push_back(LatNs);
         LocalLatByGen[Resp.Generation].push_back(LatNs);
         classifyResponse(Resp, It->second.ProgIdx, T, Opt, Oracle);
@@ -778,7 +686,7 @@ int main(int argc, char **argv) {
       Outstanding.clear();
     };
 
-    uint64_t LastSendNs = nowNs();
+    uint64_t LastSendNs = monoNowNs();
     bool MoreToSend = true;
     while (true) {
       if (MoreToSend) {
@@ -791,14 +699,14 @@ int main(int argc, char **argv) {
             WallStart + static_cast<uint64_t>(Idx * PeriodNs);
         // Drain arrivals until this request's scheduled departure.
         while (true) {
-          uint64_t Now = nowNs();
+          uint64_t Now = monoNowNs();
           if (Now >= Due)
             break;
           Frame F;
-          int R = Conn.pump(Due, F);
-          if (R > 0) {
+          FrameClient::Read R = Conn.pump(Due, F);
+          if (R == FrameClient::Read::Frame) {
             HandleFrame(F);
-          } else if (R < 0) {
+          } else if (R == FrameClient::Read::Lost) {
             // Server died: everything outstanding on this connection is
             // lost (open loop never replays). send() below reconnects.
             AbandonOutstanding();
@@ -817,14 +725,13 @@ int main(int argc, char **argv) {
           ++T.GaveUp;
           continue;
         }
-        Outstanding.emplace(Req.Id, Pending{ProgIdx, nowNs()});
-        LastSendNs = nowNs();
+        Outstanding.emplace(Req.Id, Pending{ProgIdx, monoNowNs()});
+        LastSendNs = monoNowNs();
       } else {
         if (Outstanding.empty())
           break;
         Frame F;
-        int R = Conn.pump(LastSendNs + TimeoutNs, F);
-        if (R > 0) {
+        if (Conn.pump(LastSendNs + TimeoutNs, F) == FrameClient::Read::Frame) {
           HandleFrame(F);
           continue;
         }
@@ -850,7 +757,7 @@ int main(int argc, char **argv) {
   }
   for (std::thread &W : Workers)
     W.join();
-  double WallSeconds = static_cast<double>(nowNs() - WallStart) / 1e9;
+  double WallSeconds = static_cast<double>(monoNowNs() - WallStart) / 1e9;
   if (int Fd = SpawnedFd.exchange(-1); Fd >= 0)
     ::close(Fd);
 

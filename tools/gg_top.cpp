@@ -25,24 +25,19 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/Clock.h"
 #include "support/ExitCodes.h"
 #include "support/Frame.h"
 #include "support/Json.h"
 #include "support/Strings.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <optional>
-#include <poll.h>
 #include <string>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <thread>
-#include <unistd.h>
 
 using namespace gg;
 
@@ -59,136 +54,49 @@ struct TopOptions {
   int TimeoutMs = 5000;
 };
 
-uint64_t nowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// Same bounded connect-with-backoff the load driver uses, but shorter:
-/// an interactive probe of a dead server should say so quickly.
-int connectWithRetry(const std::string &Path) {
-  sockaddr_un Addr{};
-  Addr.sun_family = AF_UNIX;
-  if (Path.size() >= sizeof(Addr.sun_path))
-    return -1;
-  strncpy(Addr.sun_path, Path.c_str(), sizeof(Addr.sun_path) - 1);
-  int DelayMs = 20;
-  for (int Try = 0; Try < 8; ++Try) {
-    int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (Fd < 0)
-      return -1;
-    if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) == 0)
-      return Fd;
-    ::close(Fd);
-    std::this_thread::sleep_for(std::chrono::milliseconds(DelayMs));
-    DelayMs = std::min(DelayMs * 2, 500);
-  }
-  return -1;
-}
-
-bool writeAll(int Fd, const char *P, size_t Len) {
-  while (Len > 0) {
-    ssize_t N = ::write(Fd, P, Len);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    P += N;
-    Len -= static_cast<size_t>(N);
-  }
-  return true;
-}
+/// Shorter than gg-load's connect backoff: an interactive probe
+/// of a dead server should say so quickly.
+constexpr ConnectBackoff ProbeBackoff{.Tries = 8, .MaxDelayMs = 500};
 
 /// One polling connection. Reconnects across server restarts so a TUI
 /// left running through a supervisor restart picks the new process up.
 class Probe {
 public:
   explicit Probe(std::string Socket) : Socket(std::move(Socket)) {}
-  ~Probe() {
-    if (Fd >= 0)
-      ::close(Fd);
-  }
 
   /// Sends one Status probe and blocks for the matching StatusReply.
   /// Returns the snapshot JSON, or nullopt on timeout/loss/garbage.
   std::optional<std::string> snapshot(int TimeoutMs) {
-    if (Fd < 0) {
-      Fd = connectWithRetry(Socket);
-      Reader = FrameReader();
-      if (Fd < 0)
-        return std::nullopt;
-    }
+    if (!Conn.connected() && !Conn.connect(Socket, ProbeBackoff))
+      return std::nullopt;
     StatusMsg SM;
     SM.Id = ++ProbeId;
-    std::string Wire;
-    appendFrame(Wire, FrameType::Status, encodeStatus(SM));
-    if (!writeAll(Fd, Wire.data(), Wire.size())) {
-      drop();
+    if (!Conn.send(FrameType::Status, encodeStatus(SM)))
       return std::nullopt;
-    }
     const uint64_t Deadline =
-        nowNs() + static_cast<uint64_t>(TimeoutMs) * NsPerMs;
-    char Chunk[65536];
+        monoNowNs() + static_cast<uint64_t>(TimeoutMs) * NsPerMs;
     Frame F;
-    while (true) {
-      FrameReader::Status S = Reader.next(F);
-      if (S == FrameReader::Status::Corrupt)
-        continue; // reader already resynced
-      if (S == FrameReader::Status::Frame) {
-        if (F.Type != FrameType::StatusReply)
-          continue; // a shared connection could carry other traffic
-        StatusReplyMsg RM;
-        std::string Err;
-        if (!decodeStatusReply(F.Payload, RM, Err)) {
-          fprintf(stderr, "gg-top: bad StatusReply: %s\n", Err.c_str());
-          drop();
-          return std::nullopt;
-        }
-        if (RM.Id != SM.Id)
-          continue; // stale reply from an earlier timed-out probe
-        return RM.Text;
-      }
-      uint64_t Now = nowNs();
-      if (Now >= Deadline)
-        return std::nullopt;
-      pollfd P{};
-      P.fd = Fd;
-      P.events = POLLIN;
-      int R = ::poll(&P, 1,
-                     static_cast<int>((Deadline - Now) / NsPerMs + 1));
-      if (R < 0) {
-        if (errno == EINTR)
-          continue;
-        drop();
+    while (Conn.next(F, Deadline) == FrameClient::Read::Frame) {
+      if (F.Type != FrameType::StatusReply)
+        continue; // a shared connection could carry other traffic
+      StatusReplyMsg RM;
+      std::string Err;
+      if (!decodeStatusReply(F.Payload, RM, Err)) {
+        fprintf(stderr, "gg-top: bad StatusReply: %s\n", Err.c_str());
+        Conn.close();
         return std::nullopt;
       }
-      if (R == 0)
-        continue; // re-check the deadline at the top
-      ssize_t N = ::read(Fd, Chunk, sizeof(Chunk));
-      if (N < 0 && errno == EINTR)
-        continue;
-      if (N <= 0) {
-        drop();
-        return std::nullopt;
-      }
-      Reader.feed(Chunk, static_cast<size_t>(N));
+      if (RM.Id != SM.Id)
+        continue; // stale reply from an earlier timed-out probe
+      return RM.Text;
     }
+    return std::nullopt;
   }
 
 private:
-  void drop() {
-    if (Fd >= 0)
-      ::close(Fd);
-    Fd = -1;
-  }
-
   std::string Socket;
-  int Fd = -1;
+  FrameClient Conn;
   uint64_t ProbeId = 0;
-  FrameReader Reader;
 };
 
 /// Renders one gg-status-v1 snapshot as a one-screen summary. Unknown or
