@@ -666,8 +666,10 @@ build-tsan/tests/parallel_test
 # The phase clock is thread-local; PhaseScope.* nests and chains
 # (PhaseScope::to) scopes and stamps flight events from the clock, beside
 # the shared-registry hammers, including per-thread LocalHistograms
-# merged into one LogHistogram.
-build-tsan/tests/support_test --gtest_filter='StatsThreading.*:PhaseScope.*'
+# merged into one LogHistogram. FlightRecorder.* hands ring slots from
+# exiting threads to new ones.
+build-tsan/tests/support_test \
+  --gtest_filter='StatsThreading.*:PhaseScope.*:FlightRecorder.*'
 build-tsan/tests/coverage_test \
   --gtest_filter='CoverageRegistry.ShardsSumExactlyUnderContention:CoveragePipeline.*'
 build-tsan/tests/profile_test --gtest_filter='ProfilePipeline.*'

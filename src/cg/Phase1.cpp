@@ -46,6 +46,66 @@ bool isConstLike(const Node *N) {
   return N->is(Op::Const) || N->is(Op::Gaddr);
 }
 
+/// The register need of \p N given \p KidNeed(K), the need of its kid K
+/// (0 for an absent kid): the one formula behind registerNeed and the
+/// needs phase 1c records. It asks only for the kids it reads.
+template <typename KidNeedFn> int needOf(const Node *N, KidNeedFn KidNeed) {
+  switch (N->Opcode) {
+  case Op::Const:
+  case Op::Name:
+  case Op::Gaddr:
+  case Op::Dreg:
+  case Op::Label:
+    return 0;
+  case Op::Indir: {
+    // Addresses that fold into hardware addressing modes (absolute,
+    // displacement off a dedicated register) need no register at all; a
+    // computed address needs whatever its computation needs.
+    const Node *Addr = N->left();
+    if (Addr->is(Op::Dreg) || Addr->is(Op::Gaddr))
+      return 0;
+    if (Addr->is(Op::Plus) && Addr->left()->is(Op::Const) &&
+        Addr->right()->is(Op::Dreg))
+      return 0;
+    return KidNeed(0);
+  }
+  case Op::Neg:
+  case Op::Com:
+  case Op::Conv:
+    return std::max(1, KidNeed(0));
+  case Op::Assign:
+  case Op::AssignR:
+  case Op::Cmp:
+  case Op::CBranch:
+    return std::max(KidNeed(0), KidNeed(1));
+  default: {
+    if (opArity(N->Opcode) != 2)
+      return std::max(1, KidNeed(0));
+    const int L = KidNeed(0);
+    const int R = KidNeed(1);
+    const int Need = L == R ? L + 1 : std::max(L, R);
+    return std::max(Need, 1);
+  }
+  }
+}
+
+/// Records \p N's need from its kids' recorded needs.
+void noteNeed(Node *N) {
+  N->Need = static_cast<uint8_t>(needOf(N, [N](int K) {
+    return N->Kids[K] ? static_cast<int>(N->Kids[K]->Need) : 0;
+  }));
+}
+
+/// Records the need of every node under \p N, bottom-up, changing
+/// nothing else.
+void noteNeeds(Node *N) {
+  if (!N)
+    return;
+  noteNeeds(N->Kids[0]);
+  noteNeeds(N->Kids[1]);
+  noteNeed(N);
+}
+
 class Phase1 {
 public:
   Phase1(Program &P, Function &F, const TransformOptions &Opts,
@@ -63,7 +123,8 @@ public:
     Out.clear();
     for (Node *S : AfterA) {
       S = canonStmt(S);
-      orderStmt(S);
+      if (Opts.Reorder)
+        orderStmt(S);
       if (Opts.PreventSpills)
         preventSpills(S);
       Out.push_back(S);
@@ -591,21 +652,20 @@ private:
   // Phase 1c: evaluation ordering and spill prevention
   //===--------------------------------------------------------------------===
 
+  /// Orders \p S's subtrees and records every node's register need.
   void orderStmt(Node *S) {
-    if (!Opts.Reorder)
-      return;
     switch (S->Opcode) {
     case Op::Assign: {
       const int L = order(S->Kids[0], /*InAddress=*/false);
       const int R = order(S->Kids[1], false);
       // The assignment itself: evaluate the bigger side first. Assignment
       // is not commutative, so this needs the reverse operator (§5.1.3).
-      if (Opts.ReverseOps && R > L && registerNeed(S->left()) >= 1) {
+      if (Opts.ReverseOps && R > L && S->left()->Need >= 1) {
         ++Stats.ReverseOpsUsed;
         S->Opcode = Op::AssignR;
         std::swap(S->Kids[0], S->Kids[1]);
       }
-      return;
+      break;
     }
     case Op::CBranch: {
       Node *Cmp = S->left();
@@ -616,24 +676,36 @@ private:
         std::swap(Cmp->Kids[0], Cmp->Kids[1]);
         Cmp->CC = swapCond(Cmp->CC);
       }
-      return;
+      noteNeed(Cmp);
+      noteNeeds(S->Kids[1]);
+      break;
     }
     case Op::Ret:
     case Op::Push:
-      if (S->left())
-        order(S->Kids[0], false);
-      return;
+      order(S->Kids[0], false);
+      break;
     default:
+      noteNeeds(S);
       return;
     }
+    noteNeed(S);
   }
 
-  /// Orders \p N's subtrees bottom-up and returns its node count (what
-  /// Node::treeSize() would), so each size comparison costs nothing extra.
-  /// Swapping operands keeps a subtree's size.
+  /// Orders \p N's subtrees bottom-up, records each node's register need
+  /// and returns \p N's node count (what Node::treeSize() would), so each
+  /// size comparison costs nothing extra. Swapping operands keeps a
+  /// subtree's size and need.
   int order(Node *N, bool InAddress) {
     if (!N)
       return 0;
+    const int Size = orderKids(N, InAddress);
+    noteNeed(N);
+    return Size;
+  }
+
+  /// order() short of \p N's own need: orders \p N's kids, swaps them
+  /// when the right one is bigger, and returns \p N's node count.
+  int orderKids(Node *N, bool InAddress) {
     if (N->is(Op::Indir)) {
       // Addressing subtrees keep their canonical shapes so the indexing
       // patterns still match; reordering there would only trade an
@@ -676,8 +748,12 @@ private:
 
   /// Splits register-hungry subtrees with explicit stores to temporaries
   /// so that "the code selector will never run out of registers" (§5.1.3).
+  /// Reads the needs orderStmt recorded, and records them itself when
+  /// phase 1c does not reorder or a split changed the statement.
   void preventSpills(Node *S) {
     const int Budget = 4; // headroom below the 6 allocatable registers
+    if (!Opts.Reorder)
+      noteNeeds(S);
     for (int Guard = 0; Guard < 16; ++Guard) {
       Node **Worst = nullptr;
       findSplit(S, Worst, Budget);
@@ -688,13 +764,14 @@ private:
       Node *Tmp = newTemp(Sub->Type);
       Out.push_back(A.bin(Op::Assign, Sub->Type, Tmp, Sub));
       *Worst = A.clone(Tmp);
+      noteNeeds(S);
     }
   }
 
   /// Finds a deep splittable subtree when the statement exceeds the
   /// register budget.
   void findSplit(Node *S, Node **&Worst, int Budget) {
-    if (registerNeed(S) <= Budget + 1)
+    if (S->Need <= Budget + 1)
       return;
     // Walk down the larger-need child until both children fit; hoist the
     // larger one.
@@ -706,7 +783,7 @@ private:
       for (Node *&Kid : N->Kids) {
         if (!Kid || isStmtOp(Kid->Opcode))
           continue;
-        int Need = registerNeed(Kid);
+        const int Need = Kid->Need;
         if (Need > Best) {
           Best = Need;
           Bigger = &Kid;
@@ -730,46 +807,7 @@ private:
 int gg::registerNeed(const Node *N) {
   if (!N)
     return 0;
-  switch (N->Opcode) {
-  case Op::Const:
-  case Op::Name:
-  case Op::Gaddr:
-  case Op::Dreg:
-  case Op::Label:
-    return 0;
-  case Op::Indir: {
-    // Addresses that fold into hardware addressing modes (absolute,
-    // displacement off a dedicated register) need no register at all; a
-    // computed address needs whatever its computation needs.
-    const Node *Addr = N->left();
-    if (Addr->is(Op::Dreg) || Addr->is(Op::Gaddr))
-      return 0;
-    if (Addr->is(Op::Plus) && Addr->left()->is(Op::Const) &&
-        Addr->right()->is(Op::Dreg))
-      return 0;
-    return registerNeed(Addr);
-  }
-  case Op::Neg:
-  case Op::Com:
-  case Op::Conv:
-    return std::max(1, registerNeed(N->left()));
-  case Op::Assign:
-  case Op::AssignR:
-  case Op::Cmp:
-  case Op::CBranch: {
-    int L = registerNeed(N->left());
-    int R = registerNeed(N->right());
-    return std::max(L, R);
-  }
-  default: {
-    if (opArity(N->Opcode) != 2)
-      return std::max(1, registerNeed(N->left()));
-    int L = registerNeed(N->left());
-    int R = registerNeed(N->right());
-    int Need = L == R ? L + 1 : std::max(L, R);
-    return std::max(Need, 1);
-  }
-  }
+  return needOf(N, [N](int K) { return registerNeed(N->Kids[K]); });
 }
 
 void gg::runPhase1(Program &P, Function &F, const TransformOptions &Opts,

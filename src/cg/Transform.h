@@ -58,8 +58,10 @@ struct TransformStats {
 void runPhase1(Program &P, Function &F, const TransformOptions &Opts,
                TransformStats &Stats);
 
-/// Sethi-Ullman-style register-need estimate used by the 1c spill
-/// prevention (memory leaves need no register; operators need at least 1).
+/// Sethi-Ullman-style register-need estimate (memory leaves need no
+/// register; operators need at least 1), computed recursively. Phase 1c's
+/// spill prevention reads the same need from Node::Need, recorded as it
+/// orders each statement; the PCC baseline calls this.
 int registerNeed(const Node *N);
 
 } // namespace gg

@@ -6,6 +6,8 @@
 #include "support/Metrics.h"
 #include "support/Strings.h"
 
+#include <algorithm>
+
 using namespace gg;
 
 NodeArena::NodeArena() {
@@ -14,6 +16,23 @@ NodeArena::NodeArena() {
   int64_t Cap = faultInject().arenaCapBytes();
   if (Cap >= 0)
     MaxBytes = static_cast<size_t>(Cap);
+}
+
+NodeArena::~NodeArena() {
+  while (Last) {
+    Chunk *Prev = Last->Prev;
+    ::operator delete(Last);
+    Last = Prev;
+  }
+}
+
+void NodeArena::grow() {
+  const size_t Nodes =
+      Last ? std::min(Last->Nodes * 2, MaxChunkNodes) : FirstChunkNodes;
+  void *Raw = ::operator new(sizeof(Chunk) + Nodes * sizeof(Node));
+  Last = new (Raw) Chunk{Last, Nodes};
+  Next = reinterpret_cast<Node *>(Last + 1);
+  End = Next + Nodes;
 }
 
 void NodeArena::noteExhausted() {

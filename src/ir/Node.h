@@ -19,9 +19,11 @@
 #include "support/Interner.h"
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <new>
 #include <string>
+#include <type_traits>
 
 namespace gg {
 
@@ -89,6 +91,10 @@ public:
   Op Opcode = Op::Const;
   Ty Type = Ty::L;
   Cond CC = Cond::EQ;
+  /// Phase 1c's register need (registerNeed), recorded bottom-up as it
+  /// orders a statement. A need is at most log2 of the subtree's node
+  /// count plus one, so a byte of padding holds it.
+  uint8_t Need = 0;
   int32_t Reg = -1;
   int64_t Value = 0;
   InternedString Sym;
@@ -105,29 +111,48 @@ public:
   int treeSize() const;
 };
 
+static_assert(sizeof(Node) == 40, "Node's need byte must stay in padding");
+static_assert(std::is_trivially_destructible_v<Node>,
+              "arena chunks are freed without running node destructors");
+
 /// Bump allocator for nodes; pointers remain valid for the arena's lifetime.
+///
+/// Nodes live in chunks of raw storage, each node placement-constructed
+/// as it is made. The first chunk holds FirstChunkNodes and each next one
+/// twice its predecessor, up to MaxChunkNodes, so an arena that holds a
+/// couple of trees costs one small allocation and a large program a few
+/// dozen. An arena that makes no node allocates nothing.
 ///
 /// Arenas are byte-budgeted for the request-quarantine layer (and the
 /// `oom-arena` fault): exceeding the cap never returns null — allocation
 /// always yields a valid node, and a sticky exhausted() flag is set
-/// instead. Callers (the frontend between statements, the code generator
-/// between trees and phases) poll the flag at coarse granularity and
-/// degrade structurally, so the hot construction paths stay free of
-/// null-checks. The construction-time default cap comes from the global
-/// fault injector; the compile server tightens it per request via
-/// setLimitBytes.
+/// instead. The budget counts nodes in use, not reserved chunk storage,
+/// so a cap trips on the same node whatever the chunk sizes. Callers (the
+/// frontend between statements, the code generator between trees and
+/// phases) poll the flag at coarse granularity and degrade structurally,
+/// so the hot construction paths stay free of null-checks. The
+/// construction-time default cap comes from the global fault injector;
+/// the compile server tightens it per request via setLimitBytes.
 class NodeArena {
 public:
+  static constexpr size_t FirstChunkNodes = 64;
+  static constexpr size_t MaxChunkNodes = 2048;
+
   NodeArena(); ///< applies the oom-arena fault cap, if configured
+  ~NodeArena();
+  NodeArena(const NodeArena &) = delete;
+  NodeArena &operator=(const NodeArena &) = delete;
 
   Node *make(Op O, Ty T) {
-    Storage.emplace_back();
-    Node &N = Storage.back();
-    N.Opcode = O;
-    N.Type = T;
-    if (MaxBytes && Storage.size() * sizeof(Node) > MaxBytes)
+    if (Next == End)
+      grow();
+    Node *N = new (Next++) Node;
+    N->Opcode = O;
+    N->Type = T;
+    ++Count;
+    if (MaxBytes && Count * sizeof(Node) > MaxBytes)
       noteExhausted();
-    return &N;
+    return N;
   }
 
   Node *con(Ty T, int64_t V) {
@@ -211,10 +236,11 @@ public:
   /// Deep-copies \p N (and its children) into this arena.
   Node *clone(const Node *N);
 
-  size_t size() const { return Storage.size(); }
+  /// Nodes made so far.
+  size_t size() const { return Count; }
 
-  /// Node-storage bytes allocated so far (the budgeted quantity).
-  size_t bytes() const { return Storage.size() * sizeof(Node); }
+  /// Bytes of the nodes made so far (the budgeted quantity).
+  size_t bytes() const { return Count * sizeof(Node); }
 
   /// Tightens the byte cap (0 = unlimited). Only ever lowers the
   /// effective limit when a fault cap is already active.
@@ -229,10 +255,21 @@ public:
   bool exhausted() const { return Exhausted; }
 
 private:
-  std::deque<Node> Storage;
+  /// Heads each chunk; the chunk's nodes follow it.
+  struct Chunk {
+    Chunk *Prev;
+    size_t Nodes;
+  };
+  static_assert(sizeof(Chunk) % alignof(Node) == 0);
+
+  Chunk *Last = nullptr;  ///< newest chunk, linked to the older ones
+  Node *Next = nullptr;   ///< next unused node slot in Last
+  Node *End = nullptr;    ///< one past Last's slots
+  size_t Count = 0;       ///< nodes made
   size_t MaxBytes = 0;    ///< 0 = unlimited
   bool Exhausted = false; ///< sticky cap-exceeded flag
 
+  void grow();          ///< starts the next chunk
   void noteExhausted(); ///< sets the flag, counts fault.arena_exhaustions
 };
 

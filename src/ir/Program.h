@@ -19,6 +19,8 @@
 #include "ir/Node.h"
 #include "support/Interner.h"
 
+#include <charconv>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -79,7 +81,9 @@ struct Program {
 
   /// Returns a label symbol guaranteed fresh within this program.
   InternedString freshLabel() {
-    return Syms.intern("L$" + std::to_string(++LabelCounter));
+    char Buf[16] = {'L', '$'};
+    char *End = std::to_chars(Buf + 2, std::end(Buf), ++LabelCounter).ptr;
+    return Syms.intern(std::string_view(Buf, End - Buf));
   }
 
 private:

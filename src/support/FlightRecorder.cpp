@@ -19,7 +19,7 @@ using namespace gg;
 namespace {
 
 constexpr uint32_t RingSize = 512;  ///< events retained per thread
-constexpr uint32_t MaxRings = 64;   ///< threads that can ever record
+constexpr uint32_t MaxRings = 64;   ///< threads that can record at once
 
 /// One recorded event. Seq doubles as the publish flag: the writer
 /// clears it, fills the fields, then stores the sequence number with
@@ -46,12 +46,47 @@ struct Ring {
 };
 
 Ring Rings[MaxRings];
-std::atomic<uint32_t> RingCount{0};
+/// Bit I set: ring I is owned by a live thread.
+std::atomic<uint64_t> OwnedRings{0};
 std::atomic<uint64_t> GlobalSeq{0};
 
-/// -1 = this thread lost the slot race and drops events; 0.. = slot.
-thread_local int MyRing = -2;
+constexpr int NoRing = -2;  ///< no ring yet (all were owned): try again
+constexpr int Exited = -1;  ///< the thread is exiting: drop its events
+thread_local int MyRing = NoRing;
 thread_local uint32_t MyTid = 0;
+
+/// Returns the thread's ring when the thread exits. The ring keeps its
+/// events until a later owner overwrites them, so dumps still show them.
+struct RingOwner {
+  ~RingOwner() {
+    const int Ring = MyRing;
+    MyRing = Exited;
+    if (Ring >= 0)
+      OwnedRings.fetch_and(~(1ull << Ring), std::memory_order_release);
+  }
+};
+
+/// Claims the lowest free ring for the calling thread, or leaves MyRing
+/// at NoRing when every ring is owned. \p Release arms the RingOwner that
+/// returns it at thread exit; a crash handler claims without one, since
+/// arming it may allocate and the process is dying anyway.
+void claimRing(bool Release) {
+  uint64_t Owned = OwnedRings.load(std::memory_order_relaxed);
+  while (~Owned) {
+    const int Ring = __builtin_ctzll(~Owned);
+    if (OwnedRings.compare_exchange_weak(Owned, Owned | (1ull << Ring),
+                                         std::memory_order_acquire,
+                                         std::memory_order_relaxed)) {
+      if (Release) {
+        static thread_local RingOwner Owner;
+        (void)Owner;
+      }
+      MyRing = Ring;
+      MyTid = static_cast<uint32_t>(::syscall(SYS_gettid));
+      return;
+    }
+  }
+}
 
 char DumpPath[1024] = "";
 std::atomic<bool> HandlersInstalled{false};
@@ -93,11 +128,8 @@ uint64_t ticksToNs(uint64_t Ticks, const ClockPair &At) {
 
 void record(FlightKind K, uint64_t Req, uint64_t Gen, int64_t Arg,
             uint64_t Stamp, uint8_t PhaseId = 0) {
-  if (MyRing == -2) {
-    uint32_t I = RingCount.fetch_add(1, std::memory_order_relaxed);
-    MyRing = I < MaxRings ? static_cast<int>(I) : -1;
-    MyTid = static_cast<uint32_t>(::syscall(SYS_gettid));
-  }
+  if (MyRing == NoRing)
+    claimRing(K != FlightKind::CrashSignal);
   if (MyRing < 0)
     return;
   Ring &R = Rings[MyRing];
@@ -279,12 +311,9 @@ uint64_t gg::flightEventCount() {
 }
 
 void gg::flightDumpFd(int Fd, const char *Reason) {
-  uint32_t NRings = RingCount.load(std::memory_order_acquire);
-  if (NRings > MaxRings)
-    NRings = MaxRings;
   const ClockPair At = readClockPair();
   size_t N = 0;
-  for (uint32_t R = 0; R < NRings; ++R) {
+  for (uint32_t R = 0; R < MaxRings; ++R) {
     for (uint32_t I = 0; I < RingSize; ++I) {
       const Event &E = Rings[R].Events[I];
       uint64_t Seq = E.Seq.load(std::memory_order_acquire);

@@ -8,7 +8,8 @@
 /// An always-on, lock-free flight recorder: every thread records recent
 /// structured events (admissions, sheds, budget kills, watchdog kills,
 /// reloads, code-gen phase transitions, block reports) into a fixed-size
-/// per-thread ring of POD entries. Recording is a handful of relaxed
+/// per-thread ring of POD entries (a thread returns its ring when it
+/// exits, for a later thread to reuse). Recording is a handful of relaxed
 /// stores — cheap enough to leave enabled in production — and the rings
 /// are dumped as one versioned `gg-flight-v1` JSON artifact when the
 /// process is about to die (crash signal, watchdog kill, fatal fault) or

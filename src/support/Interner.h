@@ -7,6 +7,9 @@
 /// \file
 /// A simple string interner. Interned strings are identified by dense
 /// 32-bit ids, which the grammar and IR layers use as cheap symbol handles.
+/// Each string is stored once; an open-addressing table of ids, hashed
+/// from the looked-up string_view itself, indexes them, so a lookup
+/// builds no temporary string and an entry costs no allocation of its own.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,9 +18,9 @@
 
 #include <cassert>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace gg {
@@ -52,20 +55,22 @@ public:
 
   /// Interns \p Text, returning its stable id.
   InternedString intern(std::string_view Text) {
-    auto It = Index.find(std::string(Text));
-    if (It != Index.end())
-      return InternedString(It->second);
+    // Grow at half full, so a probe meets an empty slot soon.
+    if (2 * Strings.size() >= Slots.size())
+      rehash(Slots.empty() ? 64 : 2 * Slots.size());
+    size_t I = slotOf(Text);
+    if (Slots[I])
+      return InternedString(Slots[I]);
     uint32_t Id = static_cast<uint32_t>(Strings.size());
     Strings.emplace_back(Text);
-    Index.emplace(Strings.back(), Id);
+    Slots[I] = Id;
     return InternedString(Id);
   }
 
   /// The handle of \p Text if it is interned, else the empty handle. It
   /// never writes, so threads may share it while no one interns.
   InternedString find(std::string_view Text) const {
-    auto It = Index.find(std::string(Text));
-    return InternedString(It == Index.end() ? 0 : It->second);
+    return InternedString(Slots.empty() ? 0 : Slots[slotOf(Text)]);
   }
 
   /// Returns the text for \p Handle.
@@ -78,7 +83,32 @@ public:
 
 private:
   std::vector<std::string> Strings;
-  std::unordered_map<std::string, uint32_t> Index;
+  /// Power-of-two open-addressing table of ids; 0 marks an empty slot.
+  std::vector<uint32_t> Slots;
+
+  static size_t hash(std::string_view Text) {
+    return std::hash<std::string_view>()(Text);
+  }
+
+  /// The slot holding \p Text's id, or the empty slot where it belongs
+  /// (linear probing).
+  size_t slotOf(std::string_view Text) const {
+    const size_t Mask = Slots.size() - 1;
+    for (size_t I = hash(Text) & Mask;; I = (I + 1) & Mask)
+      if (!Slots[I] || Strings[Slots[I]] == Text)
+        return I;
+  }
+
+  void rehash(size_t NumSlots) {
+    Slots.assign(NumSlots, 0);
+    const size_t Mask = NumSlots - 1;
+    for (uint32_t Id = 1; Id < Strings.size(); ++Id) {
+      size_t I = hash(Strings[Id]) & Mask;
+      while (Slots[I])
+        I = (I + 1) & Mask;
+      Slots[I] = Id;
+    }
+  }
 };
 
 } // namespace gg

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 using namespace gg;
 
 namespace {
@@ -120,6 +124,48 @@ TEST(NodeTest, CloneIsDeepAndEqual) {
   EXPECT_FALSE(treeEquals(T, C));
   EXPECT_FALSE(treeEquals(T, nullptr));
   EXPECT_TRUE(treeEquals(nullptr, nullptr));
+}
+
+TEST(NodeTest, ArenaPointersSurviveChunkGrowth) {
+  // Five doubling chunks fill up; one more node starts a sixth. Every
+  // node keeps its address and contents, and the arena counts the nodes
+  // made, not the storage reserved.
+  NodeArena A;
+  constexpr size_t Made = 31 * NodeArena::FirstChunkNodes + 1;
+  std::vector<Node *> Nodes;
+  for (size_t I = 0; I < Made; ++I) {
+    Nodes.push_back(A.con(Ty::L, static_cast<int64_t>(I)));
+    EXPECT_EQ(A.size(), I + 1);
+    EXPECT_EQ(A.bytes(), (I + 1) * sizeof(Node));
+  }
+  for (size_t I = 0; I < Made; ++I) {
+    ASSERT_TRUE(Nodes[I]->isConst(static_cast<int64_t>(I))) << I;
+    EXPECT_EQ(Nodes[I]->Type, Ty::L);
+    EXPECT_EQ(Nodes[I]->Kids[0], nullptr);
+    EXPECT_EQ(Nodes[I]->Need, 0);
+  }
+  std::vector<Node *> Sorted = Nodes;
+  std::sort(Sorted.begin(), Sorted.end());
+  EXPECT_EQ(std::adjacent_find(Sorted.begin(), Sorted.end()), Sorted.end());
+  EXPECT_FALSE(A.exhausted());
+}
+
+TEST(NodeTest, ArenaCapTripsOnTheNodePastIt) {
+  // A cap of K nodes' bytes holds K nodes; node K+1 trips it, also when
+  // that node is the first of the second, third or fourth chunk.
+  constexpr size_t First = NodeArena::FirstChunkNodes;
+  for (size_t K : {size_t(1), size_t(10), First - 1, First, 3 * First,
+                   7 * First, size_t(1000)}) {
+    NodeArena A;
+    A.setLimitBytes(K * sizeof(Node));
+    for (size_t I = 0; I < K; ++I)
+      (void)A.make(Op::Const, Ty::L);
+    EXPECT_FALSE(A.exhausted()) << K;
+    Node *Past = A.make(Op::Dreg, Ty::L);
+    EXPECT_TRUE(A.exhausted()) << K;
+    EXPECT_EQ(Past->Opcode, Op::Dreg) << "the node past the cap is usable";
+    EXPECT_EQ(A.bytes(), (K + 1) * sizeof(Node));
+  }
 }
 
 TEST(NodeTest, LocalShape) {
@@ -239,8 +285,13 @@ TEST(FoldTest, Unary) {
 
 TEST(ProgramTest, FreshLabelsAndLookup) {
   Program P;
-  InternedString L1 = P.freshLabel(), L2 = P.freshLabel();
-  EXPECT_NE(L1, L2);
+  std::vector<InternedString> Labels;
+  for (int I = 1; I <= 1200; ++I) {
+    Labels.push_back(P.freshLabel());
+    EXPECT_EQ(P.Syms.text(Labels.back()), "L$" + std::to_string(I));
+  }
+  std::sort(Labels.begin(), Labels.end());
+  EXPECT_EQ(std::adjacent_find(Labels.begin(), Labels.end()), Labels.end());
   Function F;
   F.Name = P.Syms.intern("main");
   P.Functions.push_back(std::move(F));

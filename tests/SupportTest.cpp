@@ -93,10 +93,19 @@ TEST(InternerTest, StableIdsAndRoundTrip) {
 TEST(InternerTest, ManyStringsSurviveRehash) {
   Interner I;
   std::vector<InternedString> Handles;
-  for (int K = 0; K < 1000; ++K)
+  for (int K = 0; K < 100000; ++K)
     Handles.push_back(I.intern("sym" + std::to_string(K)));
-  for (int K = 0; K < 1000; ++K)
-    EXPECT_EQ(I.text(Handles[K]), "sym" + std::to_string(K));
+  EXPECT_EQ(I.size(), 100001u); // the empty string is id 0
+  for (int K = 0; K < 100000; ++K) {
+    const std::string Text = "sym" + std::to_string(K);
+    ASSERT_EQ(I.text(Handles[K]), Text);
+    ASSERT_EQ(I.find(Text), Handles[K]);
+    ASSERT_EQ(I.intern(Text), Handles[K]);
+  }
+  EXPECT_EQ(I.size(), 100001u);
+  EXPECT_TRUE(I.find("sym100000").isEmpty());
+  EXPECT_TRUE(I.find("").isEmpty());
+  EXPECT_TRUE(Interner().find("sym0").isEmpty());
 }
 
 TEST(DiagnosticsTest, CountsAndRendering) {
@@ -364,6 +373,39 @@ TEST(PhaseScope, ToStampsFlightEventsFromThePhaseClock) {
                                          "phase-replay 18", "respond 0"};
   EXPECT_EQ(Kinds[0], Want);
   EXPECT_EQ(Kinds[1], Want);
+}
+
+TEST(FlightRecorder, ExitedThreadsReturnTheirRings) {
+  // More threads than there are rings record one after another; each
+  // returns its ring as it exits, so the last one's event is dumped too,
+  // and the first one's survives in the ring its successors reused.
+  constexpr uint64_t FirstReq = 0xF1160000;
+  constexpr int Threads = 80;
+  for (int T = 0; T < Threads; ++T)
+    std::thread([T] {
+      flightRecordFor(FlightKind::Admit, FirstReq + T, 0, T);
+    }).join();
+  EXPECT_EQ(flightEventsOf(FirstReq + Threads - 1).size(), 1u);
+  EXPECT_EQ(flightEventsOf(FirstReq).size(), 1u);
+}
+
+TEST(FlightRecorder, ConcurrentThreadsClaimAndReturnRings) {
+  // Waves of threads claim and return rings at once; over the waves more
+  // threads record than there are rings, and every one is dumped.
+  constexpr uint64_t FirstReq = 0xF1170000;
+  constexpr int Waves = 6, PerWave = 16;
+  for (int W = 0; W < Waves; ++W) {
+    std::vector<std::thread> Wave;
+    for (int T = 0; T < PerWave; ++T)
+      Wave.emplace_back([Req = FirstReq + W * PerWave + T] {
+        flightRecordFor(FlightKind::Dispatch, Req, 0);
+        flightRecordFor(FlightKind::Respond, Req, 0);
+      });
+    for (std::thread &T : Wave)
+      T.join();
+  }
+  for (uint64_t Req : {FirstReq, FirstReq + Waves * PerWave - 1})
+    EXPECT_EQ(flightEventsOf(Req).size(), 2u) << Req;
 }
 
 TEST(StatsThreading, LocalHistogramsMergeFromEightThreads) {
